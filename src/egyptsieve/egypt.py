@@ -242,10 +242,23 @@ def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
 def _bitset_subset_sum(weights: list[int], target: int,
                        max_snapshots: int = 24) -> list[int] | None:
     """Indices of a subset of the positive weights summing exactly to
-    target, or None.  Big-integer bitset DP; snapshots every ``stride``
-    items bound memory, the backtrack recomputes inside a stride with
-    masks capped at the current residual, and prefers solutions made of
-    early items.
+    target, or None.
+
+    Forward pass: a big-integer bitset DP over the items in order,
+    stopping at the first item that reaches target, with a snapshot
+    every ``stride`` items so that about ``max_snapshots`` bitsets are
+    kept.
+
+    Backtrack: from that item down to item 0, item i is taken only when
+    the residual is unreachable from items 0..i-1, so solutions made of
+    early items are preferred.  The items are walked one stride block at
+    a time, top block first.  A block pops its snapshot and builds the
+    prefix masks of all its items from it once, over bits lo..t only: t
+    is the residual on entering the block and lo is t minus the block's
+    weight sum.  The residual only falls, and the bit read at an item
+    depends only on snapshot bits at or above lo, so the window is
+    exact; each cached mask also drops the bits below the least residual
+    its item can still see.
     """
     n = len(weights)
     if target == 0:
@@ -258,37 +271,50 @@ def _bitset_subset_sum(weights: list[int], target: int,
     snaps = {0: 1}
     hit_at = None
     for i, w in enumerate(weights):
-        dp = (dp | (dp << w)) & cap
+        if dp.bit_length() + w > target + 1:
+            dp = (dp | (dp << w)) & cap
+        else:                       # nothing can pass target: skip the cap
+            dp |= dp << w
         if (i + 1) % stride == 0:
             snaps[i + 1] = dp
         if dp.bit_length() == target + 1:
             hit_at = i
             break
+    del dp
     if hit_at is None:
         return None
 
-    def prefix_bit(i: int, t: int) -> bool:
-        """Bit t of the DP over weights[0:i]."""
-        base = (i // stride) * stride
-        while base not in snaps:
-            base -= stride
-        mask = snaps[base] & ((1 << (t + 1)) - 1)
-        for j in range(base, i):
-            mask = (mask | (mask << weights[j])) & ((1 << (t + 1)) - 1)
-        return bool((mask >> t) & 1)
-
     chosen = []
     t = target
-    for i in range(hit_at, -1, -1):
-        if t == 0:
-            break
-        w = weights[i]
-        if w > t:
-            continue
-        if prefix_bit(i, t):
-            continue
-        chosen.append(i)
-        t -= w
+    top = hit_at
+    while t and top >= 0:
+        base = top - top % stride
+        rest = sum(weights[base:top + 1])
+        lo = max(0, t - rest)
+        wcap = (1 << (t - lo + 1)) - 1
+        m = (snaps.pop(base) >> lo) & wcap
+        # masks[j] = (f, bits f..t of the DP over weights[0:base + j]); the
+        # residual at item base + j is at least t - (weights after it), so
+        # the bits below f can no longer be asked for
+        masks = []
+        for i in range(base, top + 1):
+            w = weights[i]
+            rest -= w
+            f = max(lo, t - rest)
+            masks.append((f, m >> (f - lo)))
+            if i < top:
+                m = (m | (m << w)) & wcap
+        del m
+        for i in range(top, base - 1, -1):
+            f, mask = masks.pop()
+            if t == 0:
+                break
+            w = weights[i]
+            if w > t or (mask >> (t - f)) & 1:
+                continue
+            chosen.append(i)
+            t -= w
+        top = base - 1
     if t != 0:
         raise RuntimeError("subset-sum backtrack lost the target")
     return chosen
@@ -334,6 +360,21 @@ def smooth_dp_decompose(x, h: int, L: int,
     return dec
 
 
+def _greedy_prime(rem: Fraction, h: int, used,
+                  budget: SearchBudget) -> int | None:
+    """One greedy step: the smallest prime p <= max_prime not in used
+    whose 1/(p - h) is the largest unit fraction <= rem, i.e. with
+    p - h >= ceil(1/rem) (and p - h >= 2 when unit denominators are
+    barred); None when there is no such prime."""
+    d0 = max(1, -(-rem.denominator // rem.numerator))    # ceil(1/rem)
+    if d0 == 1 and not budget.allow_unit_denominator:
+        d0 = 2
+    for p in range(max(d0 + h, 2), budget.max_prime + 1):
+        if p not in used and is_prime(p):
+            return p
+    return None
+
+
 def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
                      exclude=frozenset()) -> Decomposition:
     """Repeatedly subtract the largest available 1/(p - h) <= remainder
@@ -347,20 +388,11 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
         if len(chosen) >= budget.max_terms:
             raise SearchExhausted(
                 f"greedy used {budget.max_terms} terms, remainder {rem}")
-        d0 = -(-rem.denominator // rem.numerator)    # ceil(1/rem)
-        if d0 < 1:
-            d0 = 1
-        if d0 == 1 and not budget.allow_unit_denominator:
-            d0 = 2
-        p = max(d0 + h, 2)
-        while True:
-            if p > budget.max_prime:
-                raise SearchExhausted(
-                    f"greedy ran past max_prime {budget.max_prime}, "
-                    f"remainder {rem}")
-            if p not in used and p - h >= d0 and is_prime(p):
-                break
-            p += 1
+        p = _greedy_prime(rem, h, used, budget)
+        if p is None:
+            raise SearchExhausted(
+                f"greedy ran past max_prime {budget.max_prime}, "
+                f"remainder {rem}")
         used.add(p)
         chosen.append(p)
         rem -= Fraction(1, p - h)
@@ -522,14 +554,8 @@ def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
     extra: list[int] = []
     local = set(used)
     while rem > 0 and len(extra) < budget.max_terms:
-        d0 = max(1, -(-rem.denominator // rem.numerator))
-        if d0 == 1 and not budget.allow_unit_denominator:
-            d0 = 2
-        p = max(d0 + h, 2)
-        while p <= budget.max_prime and (
-                p in local or p - h < d0 or not is_prime(p)):
-            p += 1
-        if p > budget.max_prime:
+        p = _greedy_prime(rem, h, local, budget)
+        if p is None:
             break
         local.add(p)
         extra.append(p)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from egyptsieve.arith import (
     Factorization,
     SieveTable,
+    _simple_prime_list,
     balanced_product,
     factorize,
     is_prime,
@@ -19,6 +20,7 @@ from egyptsieve.arith import (
     reciprocal_sum,
     sieve_primes,
 )
+from egyptsieve.egypt import Decomposition, verify
 from egyptsieve.errors import CapacityError, DomainError
 
 from conftest import naive_factor, naive_is_prime
@@ -62,6 +64,12 @@ class TestSievePrimes:
             assert got == prime_array(limit).tolist()
             assert all(type(p) is int for p in got)
 
+    def test_base_prime_list(self):
+        for limit in [*range(201), 10 ** 4]:
+            got = _simple_prime_list(limit)
+            assert got == [n for n in range(limit + 1) if naive_is_prime(n)]
+            assert all(type(p) is int for p in got)
+
 
 class TestIsPrime:
     def test_two(self):
@@ -88,6 +96,14 @@ class TestIsPrime:
         assert not is_prime(561)
         assert not is_prime(3215031751)
         assert not is_prime(9 ** 20)
+
+    def test_psi12_strong_pseudoprime(self):
+        # psi_12 fools bases 2..37 and falls to base 41
+        psi12 = 318665857834031151167461
+        assert 399165290221 * 798330580441 == psi12
+        assert not is_prime(psi12)
+        cert = Decomposition(1, Fraction(1, psi12 - 1), (psi12,))
+        assert not verify(cert).valid
 
 
 class TestFactorize:

@@ -9,6 +9,7 @@ from egyptsieve.egypt import (
     Decomposition,
     PartialSolution,
     SearchBudget,
+    _bitset_subset_sum,
     decompose,
     feasibility_check,
     greedy_decompose,
@@ -164,6 +165,117 @@ class TestDPvsBruteForce:
             assert found == self._oracle_reachable(weights, target)
             agree += 1
         assert agree >= 20
+
+
+def _reference_subset_sum(weights, target, max_snapshots=24):
+    """The per-item backtrack: every item rebuilds the prefix DP from the
+    nearest snapshot below it, with masks capped at the residual."""
+    n = len(weights)
+    if target == 0:
+        return []
+    if n == 0:
+        return None
+    stride = max(8, -(-n // max_snapshots))
+    cap = (1 << (target + 1)) - 1
+    dp = 1
+    snaps = {0: 1}
+    hit_at = None
+    for i, w in enumerate(weights):
+        dp = (dp | (dp << w)) & cap
+        if (i + 1) % stride == 0:
+            snaps[i + 1] = dp
+        if dp.bit_length() == target + 1:
+            hit_at = i
+            break
+    if hit_at is None:
+        return None
+
+    def prefix_bit(i, t):
+        base = (i // stride) * stride
+        while base not in snaps:
+            base -= stride
+        mask = snaps[base] & ((1 << (t + 1)) - 1)
+        for j in range(base, i):
+            mask = (mask | (mask << weights[j])) & ((1 << (t + 1)) - 1)
+        return bool((mask >> t) & 1)
+
+    chosen = []
+    t = target
+    for i in range(hit_at, -1, -1):
+        if t == 0:
+            break
+        w = weights[i]
+        if w > t:
+            continue
+        if prefix_bit(i, t):
+            continue
+        chosen.append(i)
+        t -= w
+    if t != 0:
+        raise RuntimeError("subset-sum backtrack lost the target")
+    return chosen
+
+
+class TestSubsetSumBacktrack:
+    """The block-cached backtrack returns the per-item reference's exact
+    index list, not merely some valid subset."""
+
+    SIZES = (1, 7, 8, 9, 16, 17, 191, 192, 193, 215, 216, 217, 239, 240, 241)
+
+    def _check(self, weights, target, max_snapshots=24):
+        got = _bitset_subset_sum(weights, target, max_snapshots)
+        assert got == _reference_subset_sum(weights, target, max_snapshots)
+        if got is not None:
+            assert len(set(got)) == len(got)
+            assert sum(weights[i] for i in got) == target
+        return got
+
+    def _pools(self, rng, n):
+        base = [rng.randrange(1, 400) for _ in range(n)]
+        yield base
+        yield sorted(base)
+        yield sorted(base, reverse=True)
+        yield [rng.choice((3, 5, 5, 12, 60)) for _ in range(n)]
+
+    def test_random_pools_match_reference(self):
+        rng = random.Random(20261018)
+        found = absent = 0
+        for n in self.SIZES:
+            for weights in self._pools(rng, n):
+                total = sum(weights)
+                for target in (rng.randrange(1, total + 1),
+                               rng.randrange(1, total // 3 + 2),
+                               total, total - weights[0]):
+                    for snaps in (24, 3):
+                        got = self._check(weights, target, snaps)
+                        found += got is not None
+                        absent += got is None
+        assert found > 300 and absent > 0
+
+    def test_hit_on_stride_boundary(self):
+        # unit weights first reach target k at item k - 1; stride is 8
+        ones = [1] * 40
+        for k in (7, 8, 9, 16, 17, 24):
+            assert self._check(ones, k) == list(range(k - 1, -1, -1))
+        # the item that completes the target is the last of its block, or
+        # the only item of a fresh block
+        rng = random.Random(7)
+        for hit in (7, 8, 15, 16):
+            weights = [rng.randrange(5, 50) for _ in range(40)]
+            weights[hit] = 10 ** 4
+            target = sum(weights[:hit + 1])
+            got = self._check(weights, target)
+            assert got[0] == hit
+
+    def test_unreachable_targets(self):
+        assert self._check([2, 4, 6, 8] * 5, 41) is None       # odd
+        assert self._check([3, 5, 7], 16) is None              # > total
+        assert self._check([10] * 30, 15) is None
+
+    def test_zero_target_and_empty_pool(self):
+        assert self._check([], 0) == []
+        assert self._check([4, 5], 0) == []
+        assert self._check([], 3) is None
 
 
 class TestDecompose:

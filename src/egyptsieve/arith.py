@@ -22,9 +22,14 @@ BigRational = Fraction
 # Strong-pseudoprime witnesses: the first twelve primes are deterministic
 # below psi_12 (Sorenson & Webster, Math. Comp. 86, 2017), hence for every
 # 64-bit input; from psi_12 on base 41 is added, which makes the test
-# deterministic below psi_13 = 3317044064679887385961981.
+# deterministic below psi_13.  psi_13 itself is a strong pseudoprime to
+# all thirteen bases, so from psi_13 on a strong Lucas test follows
+# (together with base 2 that is BPSW, Baillie & Wagstaff, Math. Comp. 35,
+# 1980): no counterexample is known, but above psi_13 it is a
+# probable-prime test, not a proof.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -39,7 +44,9 @@ _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 
 def is_prime(n: int) -> bool:
     """Deterministic primality for all n below psi_13 (Miller-Rabin with a
-    fixed witness set, trial division first for small factors)."""
+    fixed witness set, trial division first for small factors); from
+    psi_13 on the Miller-Rabin rounds are followed by a strong Lucas
+    test (BPSW)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -59,7 +66,64 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        return _strong_lucas_prp(n)
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters
+    (P = 1, Q = (1 - D)/4, D the first of 5, -7, 9, -11, ... with
+    (D / n) = -1), for odd n without prime factors below 50."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k, Q^k mod n for k = 1, climbing the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _simple_prime_list(limit: int) -> list[int]:
@@ -115,6 +179,59 @@ def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
         offsets = np.flatnonzero(np.frombuffer(seg, dtype=np.uint8))
         yield from (lo + 2 * offsets).tolist()
         lo = hi + 2
+
+
+def prime_power_sieve(limit: int, kind: str,
+                      segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+    """omega(n) (kind "omega", int8) or the largest prime power exactly
+    dividing n (kind "maxpp", uint32) for every 0 <= n <= limit; n = 0
+    and n = 1 get omega 0 and prime power 1.
+
+    One segment [lo, hi) at a time, each base prime p with p^2 < hi
+    marks its multiples and multiplies every power p^k < hi into the
+    segment's smooth part.  What is left of n after dividing that out is
+    1 or a single prime to the first power (two factors of at least
+    sqrt(hi) would exceed n), which adds one to omega and is a
+    prime-power candidate.  The Python loop runs only over the base
+    primes p <= sqrt(limit) (and their powers), once per segment.
+    """
+    if kind not in ("omega", "maxpp"):
+        raise DomainError(f"unknown kind {kind!r}")
+    if limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
+    if limit > np.iinfo(np.uint32).max:
+        raise CapacityError(f"limit {limit} exceeds the uint32 range")
+    if segment_size < 64:
+        raise DomainError("segment_size too small")
+    omega = kind == "omega"
+    if omega:
+        out = np.zeros(limit + 1, dtype=np.int8)
+    else:
+        out = np.ones(limit + 1, dtype=np.uint32)
+    base = _simple_prime_list(isqrt(limit))
+    for lo in range(0, limit + 1, segment_size):
+        hi = min(lo + segment_size, limit + 1)
+        seg = out[lo:hi]
+        smooth = np.ones(hi - lo, dtype=np.uint32)
+        for p in base:
+            if p * p >= hi:
+                break
+            q = p
+            while q < hi:
+                first = max(q, -(-lo // q) * q) - lo
+                smooth[first::q] *= p
+                if not omega:
+                    marks = seg[first::q]
+                    np.maximum(marks, q, out=marks)
+                elif q == p:
+                    seg[first::q] += 1
+                q *= p
+        n = np.arange(lo, hi, dtype=np.uint32)
+        if omega:
+            seg += smooth < n
+        else:
+            np.maximum(seg, n // smooth, out=seg)
+    return out
 
 
 @dataclass(frozen=True)

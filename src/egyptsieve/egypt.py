@@ -35,6 +35,9 @@ from .errors import (
 )
 
 _SMOOTH_BASIS = (2, 3, 5, 7, 11, 13)
+# feasibility_check trial-divides gcd(|h|, den) only this far; a cofactor
+# left over must be prime, or the gate raises CapacityError
+_GATE_TRIAL_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,9 @@ def _valuation(n: int, p: int) -> int:
 
 def feasibility_check(x, h: int) -> FeasibilityResult:
     """Congruence gate: feasible iff gcd(|h|, den(x)) = 1; otherwise an
-    obstruction certificate with a witness prime and valuation floor."""
+    obstruction certificate with a witness prime and valuation floor.
+    Raises CapacityError when that gcd cannot be factored by trial
+    division to 1e6 and a prime cofactor."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"target must be positive, got {x}")
@@ -159,13 +164,17 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     witnesses = []
     f = 2
     gg = g
-    while f * f <= gg:
+    while f * f <= gg and f <= _GATE_TRIAL_BOUND:
         if gg % f == 0:
             witnesses.append(f)
             while gg % f == 0:
                 gg //= f
-        f += 1
+        f += 1 if f == 2 else 2
     if gg > 1:
+        if not is_prime(gg):
+            raise CapacityError(
+                f"gcd(|h|, den) = {g} has a composite cofactor {gg} without "
+                f"prime factors up to {_GATE_TRIAL_BOUND}")
         witnesses.append(gg)
     chosen = None
     for ell in witnesses:

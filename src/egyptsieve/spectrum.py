@@ -24,7 +24,7 @@ from .arith import (
     is_prime,
     li_approx,
     prime_array,
-    prime_flags,
+    prime_power_sieve,
     prime_reciprocal_sum,
     reciprocal_sum,
 )
@@ -43,31 +43,18 @@ MIN_OMEGA_N = 16
 MAX_WINDOW_PRIMES = 25
 
 
-def _build_omega(limit: int) -> np.ndarray:
-    om = np.zeros(limit + 1, dtype=np.int8)
-    for p in prime_array(limit).tolist():
-        om[p::p] += 1
-    return om
-
-
 def omega_array(limit: int) -> np.ndarray:
-    """omega(n) for all n <= limit (number of distinct prime factors)."""
-    return _cached("omega", limit, _build_omega)
-
-
-def _build_maxpp(limit: int) -> np.ndarray:
-    mp = np.ones(limit + 1, dtype=np.int64)
-    for p in prime_array(limit).tolist():
-        q = p
-        while q <= limit:
-            np.maximum(mp[q::q], q, out=mp[q::q])
-            q *= p
-    return mp
+    """omega(n) for all n <= limit (number of distinct prime factors), as
+    int8, from the segmented kernel ``prime_power_sieve``: base primes
+    up to sqrt(limit) only, no prime table up to limit."""
+    return _cached("omega", limit, lambda n: prime_power_sieve(n, "omega"))
 
 
 def max_prime_power_array(limit: int) -> np.ndarray:
-    """Largest prime power exactly dividing n, for all n <= limit."""
-    return _cached("maxpp", limit, _build_maxpp)
+    """Largest prime power exactly dividing n, for all n <= limit, as
+    uint32 (values never exceed limit), from the same segmented kernel
+    as ``omega_array``."""
+    return _cached("maxpp", limit, lambda n: prime_power_sieve(n, "maxpp"))
 
 
 def _as_fraction(x) -> Fraction:

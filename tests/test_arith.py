@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,22 +7,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from egyptsieve import arith
 from egyptsieve.arith import (
+    _PSI_13,
     Factorization,
     SieveTable,
     _simple_prime_list,
+    _strong_lucas_prp,
     balanced_product,
     factorize,
     is_prime,
     li_approx,
     prime_array,
     prime_flags,
+    prime_power_sieve,
     prime_reciprocal_sum,
     reciprocal_sum,
     sieve_primes,
 )
 from egyptsieve.egypt import Decomposition, verify
 from egyptsieve.errors import CapacityError, DomainError
+from egyptsieve.spectrum import max_prime_power_array, omega_array
 
 from conftest import naive_factor, naive_is_prime
 
@@ -105,6 +111,54 @@ class TestIsPrime:
         cert = Decomposition(1, Fraction(1, psi12 - 1), (psi12,))
         assert not verify(cert).valid
 
+    def test_psi13_strong_pseudoprime(self):
+        # psi_13 fools bases 2..41; the strong Lucas test rejects it
+        psi13 = 3317044064679887385961981
+        assert psi13 == _PSI_13
+        assert 1287836182261 * 2575672364521 == psi13
+        assert not is_prime(psi13)
+        cert = Decomposition(1, Fraction(1, psi13 - 1), (psi13,))
+        assert not verify(cert).valid
+
+    def test_bpsw_against_sympy_above_psi13(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20260413)
+        cases = [_PSI_13, _PSI_13 + 2, 2 ** 100 - 15, 2 ** 89 - 1]
+        cases += [rng.randrange(_PSI_13, 2 ** 100) for _ in range(400)]
+        cases += [int(sympy.nextprime(rng.randrange(_PSI_13, 2 ** 100)))
+                  for _ in range(60)]
+        for _ in range(60):
+            a = int(sympy.nextprime(rng.randrange(2 ** 40, 2 ** 50)))
+            b = int(sympy.nextprime(rng.randrange(2 ** 40, 2 ** 50)))
+            cases += [a * b, a * a]
+        # Carmichael numbers (6k+1)(12k+1)(18k+1) above psi_13
+        k = 14 * 10 ** 6
+        found = 0
+        while found < 3:
+            k += 1
+            f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if all(sympy.isprime(x) for x in f):
+                cases.append(f[0] * f[1] * f[2])
+                found += 1
+        assert all(_PSI_13 <= n < 2 ** 100 for n in cases)
+        mism = [n for n in cases if is_prime(n) != sympy.isprime(n)]
+        assert mism == []
+        assert any(is_prime(n) for n in cases)
+
+    def test_strong_lucas_against_sympy(self):
+        # the Lucas step only decides inputs Miller-Rabin passes, so it is
+        # also checked alone, strong Lucas pseudoprimes included
+        sympy = pytest.importorskip("sympy")
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+        rng = random.Random(7)
+        cases = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+        cases += [rng.randrange(53, 10 ** 12) | 1 for _ in range(3000)]
+        cases = [n for n in cases if all(n % p for p in range(3, 50, 2))]
+        assert all(_strong_lucas_prp(n) for n in cases[:8])
+        mism = [n for n in cases
+                if _strong_lucas_prp(n) != is_strong_lucas_prp(n)]
+        assert mism == []
+
 
 class TestFactorize:
     def test_12(self, table6):
@@ -154,6 +208,72 @@ class TestFactorize:
             Factorization(((3, 1), (2, 1)))
         with pytest.raises(DomainError):
             Factorization(((2, 0),))
+
+
+def _oracle_arrays(limit):
+    """omega and largest prime power for 0..limit from factorize."""
+    table = SieveTable(max(limit, 1))
+    om, mp = [0, 0], [1, 1]
+    for n in range(2, limit + 1):
+        fz = factorize(n, table)
+        om.append(fz.omega)
+        mp.append(fz.max_prime_power)
+    return np.array(om[:limit + 1]), np.array(mp[:limit + 1])
+
+
+class TestPrimePowerSieve:
+    def test_against_factorize_0_200(self):
+        om_ref, mp_ref = _oracle_arrays(200)
+        for limit in range(201):
+            om = prime_power_sieve(limit, "omega")
+            mp = prime_power_sieve(limit, "maxpp")
+            assert om.tolist() == om_ref[:limit + 1].tolist()
+            assert mp.tolist() == mp_ref[:limit + 1].tolist()
+
+    def test_segment_boundaries(self):
+        om_ref, mp_ref = _oracle_arrays(3000)
+        for size in (64, 65):
+            limits = set()
+            for k in range(1, 6):
+                limits |= {k * size - 1, k * size, k * size + 1}
+            # a square or cube just before, on or after a segment start,
+            # and limits where sqrt(limit) gains the prime p
+            for p in _simple_prime_list(53):
+                for q in (p * p, p ** 3):
+                    if q <= 2900 and q % size in (size - 1, 0, 1):
+                        limits |= {q - 1, q, q + 1}
+                limits |= {p * p - 1, p * p, p * p + 1}
+            for limit in sorted(limits):
+                om = prime_power_sieve(limit, "omega", segment_size=size)
+                mp = prime_power_sieve(limit, "maxpp", segment_size=size)
+                assert om.tolist() == om_ref[:limit + 1].tolist(), limit
+                assert mp.tolist() == mp_ref[:limit + 1].tolist(), limit
+
+    def test_dtypes(self):
+        assert prime_power_sieve(1000, "omega").dtype == np.int8
+        assert prime_power_sieve(1000, "maxpp").dtype == np.uint32
+        assert omega_array(1001).dtype == np.int8
+        assert max_prime_power_array(1001).dtype == np.uint32
+
+    def test_wrappers_build_no_prime_table(self):
+        for build, kind in ((omega_array, "omega"),
+                            (max_prime_power_array, "maxpp")):
+            limit = 54321
+            arith._cache.pop((kind, limit), None)
+            before = set(arith._cache)
+            build(limit)
+            added = set(arith._cache) - before
+            assert added == {(kind, limit)}
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            prime_power_sieve(-1, "omega")
+        with pytest.raises(DomainError):
+            prime_power_sieve(10, "spf")
+        with pytest.raises(DomainError):
+            prime_power_sieve(100, "maxpp", segment_size=63)
+        with pytest.raises(CapacityError):
+            prime_power_sieve(2 ** 32, "omega")
 
 
 class TestOmegaAdditivity:

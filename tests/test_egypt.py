@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from egyptsieve.arith import is_prime
 from egyptsieve.egypt import (
     DEFAULT_BUDGET,
     Decomposition,
@@ -20,6 +22,7 @@ from egyptsieve.egypt import (
     verify,
 )
 from egyptsieve.errors import (
+    CapacityError,
     DomainError,
     MergeInsufficient,
     ObstructionError,
@@ -57,6 +60,19 @@ class TestFeasibility:
             feasibility_check(Fraction(0), 1)
         with pytest.raises(DomainError):
             feasibility_check(Fraction(1, 2), 0)
+
+    def test_huge_shift_bounded(self):
+        # gcd(|h|, den) = P^2 with P ~ 1e30 is beyond trial division and
+        # not prime; a prime cofactor of that size is accepted
+        P = 10 ** 30 + 57
+        assert is_prime(P)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            feasibility_check(Fraction(1, P * P), P * P)
+        res = feasibility_check(Fraction(1, P), P)
+        assert time.perf_counter() - start < 1.0
+        assert res.witness == P
+        assert res.provably_impossible
 
     def test_quarter_shift_minus2_obstructed_but_not_proven(self):
         # 1/4 = 1/(2+2) is representable, yet the gcd gate still flags it

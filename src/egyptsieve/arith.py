@@ -34,7 +34,7 @@ _PSI_13 = 3317044064679887385961981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# sieve_primes refuses limits whose base sieve would not fit in memory
+# prime_segments refuses limits whose base sieve would not fit in memory
 MAX_BASE_PRIME = 1 << 27
 # SieveTable keeps one monolithic smallest-prime-factor array up to here
 FULL_SPF_LIMIT = 1 << 24
@@ -139,14 +139,12 @@ def _simple_prime_list(limit: int) -> list[int]:
     return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
 
 
-def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
-    """Yield the primes in [2, limit], increasing, one segment at a time.
-
-    Memory stays bounded by one segment plus the base primes up to
-    sqrt(limit); limits whose base sieve exceeds the budget raise
-    CapacityError.  Each segment's primes are extracted in numpy and only
-    they become Python ints, so the Python-level cost scales with the
-    number of primes, not the number of candidates.
+def prime_segments(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
+    """Yield the primes in [2, limit] as one increasing int64 array per
+    segment [lo, hi) of ``segment_size`` odd numbers.  A segment is a bool
+    array cleared by one strided slice per base prime p <= sqrt(hi); the
+    first starts at 1, whose entry stands for 2.  Limits whose base sieve
+    exceeds the budget raise CapacityError.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -157,28 +155,26 @@ def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
         raise CapacityError(
             f"limit {limit} needs base primes to {base_limit}, over the "
             f"{MAX_BASE_PRIME} budget")
-    yield 2
-    odd_base = _simple_prime_list(base_limit)[1:]
-    lo = 3
-    while lo <= limit:
-        hi = min(lo + 2 * (segment_size - 1), limit)
-        if hi % 2 == 0:
-            hi -= 1
-        if hi < lo:
-            break
-        size = (hi - lo) // 2 + 1
-        seg = bytearray([1]) * size
-        for p in odd_base:
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            first = (start - lo) // 2
-            seg[first::p] = bytearray(len(range(first, size, p)))
-        offsets = np.flatnonzero(np.frombuffer(seg, dtype=np.uint8))
-        yield from (lo + 2 * offsets).tolist()
-        lo = hi + 2
+    odd_base = np.array(_simple_prime_list(base_limit)[1:], dtype=np.int64)
+    for lo in range(1, limit + 1, 2 * segment_size):
+        hi = min(lo + 2 * segment_size, limit + 1)
+        seg = np.ones((hi - lo + 1) // 2, dtype=bool)
+        ps = odd_base[:np.searchsorted(odd_base, isqrt(hi - 1), "right")]
+        start = np.maximum(ps * ps, -(-lo // ps) * ps)
+        start += ps * (start % 2 == 0)
+        for p, first in zip(ps.tolist(), ((start - lo) // 2).tolist()):
+            seg[first::p] = False
+        primes = lo + 2 * np.flatnonzero(seg)
+        if lo == 1:
+            primes[0] = 2
+        yield primes
+
+
+def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
+    """Yield the primes in [2, limit], increasing, as Python ints, one
+    segment of ``prime_segments`` converted at a time."""
+    for primes in prime_segments(limit, segment_size):
+        yield from primes.tolist()
 
 
 def prime_power_sieve(limit: int, kind: str,
@@ -392,39 +388,50 @@ def li_approx(n: int) -> float:
 
 
 _cache: dict[tuple[str, int], np.ndarray] = {}
-_CACHE_SLOTS = 8
 
 
 def _cached(kind: str, limit: int, build) -> np.ndarray:
-    key = (kind, limit)
-    arr = _cache.get(key)
-    if arr is None:
-        arr = build(limit)
-        if len(_cache) >= _CACHE_SLOTS:
-            _cache.pop(next(iter(_cache)))
-        _cache[key] = arr
+    """build(limit), cached per kind.  The one array kept for a kind
+    serves every limit up to its own as a slice (prime arrays after their
+    last prime <= limit, arrays indexed by n at limit + 1), and a build
+    for a larger limit replaces it.  Stored arrays are read-only, and so
+    are the slices handed out."""
+    if limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
+    held = [n for k, n in _cache if k == kind]
+    if held and held[0] >= limit:
+        arr = _cache[(kind, held[0])]
+        return arr[:np.searchsorted(arr, limit, "right") if kind == "primes"
+                   else limit + 1]
+    arr = build(limit)
+    arr.flags.writeable = False
+    for n in held:
+        del _cache[(kind, n)]
+    _cache[(kind, limit)] = arr
     return arr
 
 
-def _build_flags(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return flags
-
-
 def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array, True at prime indices (vectorized Eratosthenes,
-    monolithic; independent of the segmented stream)."""
-    return _cached("flags", limit, _build_flags)
+    """Boolean array over 0..limit, True at prime indices, marked from
+    ``prime_array(limit)`` (cached, read-only)."""
+    def build(n):
+        flags = np.zeros(n + 1, dtype=bool)
+        flags[prime_array(n)] = True
+        return flags
+
+    return _cached("flags", limit, build)
+
+
+def _build_primes(limit: int) -> np.ndarray:
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(list(prime_segments(limit)))
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (cached)."""
-    return _cached("primes", limit,
-                   lambda n: np.flatnonzero(prime_flags(n)).astype(np.int64))
+    """All primes <= limit as an int64 array (empty below 2): the segments
+    of ``prime_segments`` concatenated (cached, read-only)."""
+    return _cached("primes", limit, _build_primes)
 
 
 def reciprocal_sum(values) -> Fraction:

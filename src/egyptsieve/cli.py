@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import sieve_primes
+from .arith import prime_array
 from .egypt import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -126,6 +126,8 @@ def _cmd_sieve(cfg: RunConfig) -> int:
     if cfg.limit is None:
         raise DomainError("sieve needs --limit")
     limit = int(cfg.limit)
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
     cache_dir = os.environ.get(CACHE_ENV)
     cache_path = None
     cache_hit = False
@@ -136,7 +138,7 @@ def _cmd_sieve(cfg: RunConfig) -> int:
             primes = np.load(cache_path)
             cache_hit = True
     if primes is None:
-        primes = np.fromiter(sieve_primes(limit), dtype=np.int64)
+        primes = prime_array(limit)
         if cache_path is not None:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             np.save(cache_path, primes)

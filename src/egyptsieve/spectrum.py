@@ -42,6 +42,8 @@ MIN_OMEGA_N = 16
 
 MAX_WINDOW_PRIMES = 25
 
+MAX_POWER_BITS = 1 << 20
+
 
 def omega_array(limit: int) -> np.ndarray:
     """omega(n) for all n <= limit (number of distinct prime factors), as
@@ -68,22 +70,25 @@ def _as_fraction(x) -> Fraction:
 
 
 def _exceeds_power(value: int, base: int, expo: Fraction) -> bool:
-    """Exact test of value > base**expo for positive integers.
+    """Exact test of value > base**expo for positive integers, expo >= 0.
 
     Floats decide away from the boundary; near it (or for tiny inputs)
-    the comparison falls back to integer powers, so ties at equality are
-    classified exactly.
+    the comparison is value**b > base**a in integers, for expo = a/b, so
+    ties at equality are classified exactly.  Integer powers of more
+    than MAX_POWER_BITS bits raise CapacityError.
     """
     if base <= 1:
         return value > 1
     a, b = expo.numerator, expo.denominator
     lhs = b * math.log(value)
     rhs = a * math.log(base)
-    if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1.0) and b > 64:
+    if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1.0):
         return lhs > rhs
-    if b <= 64:
-        return value ** b > base ** a
-    return lhs > rhs
+    bits = max(b * value.bit_length(), a * base.bit_length())
+    if bits > MAX_POWER_BITS:
+        raise CapacityError(f"an exact tie test at exponent {expo} needs "
+                            f"{bits}-bit powers, over {MAX_POWER_BITS}")
+    return value ** b > base ** a
 
 
 @dataclass(frozen=True)
@@ -442,11 +447,13 @@ def legendre_sieve_count(A, window_primes, X=None, density=None) -> SieveEstimat
 
     if size <= 10 ** 6:
         if isinstance(A, tuple):
-            elems = range(A[0], A[1] + 1)
+            elems = np.arange(A[0], A[1] + 1, dtype=np.int64)
         else:
-            elems = A
-        scan = sum(1 for n in elems
-                   if all(n % p for p in window_primes))
+            elems = np.asarray(A, dtype=np.int64)
+        keep = np.ones(len(elems), dtype=bool)
+        for p in window_primes:
+            keep &= elems % p != 0
+        scan = int(keep.sum())
         if scan != exact:
             raise RuntimeError(
                 f"inclusion-exclusion {exact} disagrees with scan {scan}")

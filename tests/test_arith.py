@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from egyptsieve.arith import (
     prime_array,
     prime_flags,
     prime_power_sieve,
+    prime_segments,
     prime_reciprocal_sum,
     reciprocal_sum,
     sieve_primes,
@@ -30,6 +32,29 @@ from egyptsieve.errors import CapacityError, DomainError
 from egyptsieve.spectrum import max_prime_power_array, omega_array
 
 from conftest import naive_factor, naive_is_prime
+
+
+def _monolithic_flags(limit):
+    """Reference: the plain Eratosthenes sieve over one bool array, kept
+    apart from the segmented kernel."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return flags
+
+
+def _drop_cached(kind):
+    for key in [key for key in arith._cache if key[0] == kind]:
+        del arith._cache[key]
+
+
+_NAIVE_PRIMES = [n for n in range(1100) if naive_is_prime(n)]
+
+
+def _naive_primes_to(limit):
+    return _NAIVE_PRIMES[:bisect.bisect_right(_NAIVE_PRIMES, limit)]
 
 
 class TestSievePrimes:
@@ -52,10 +77,9 @@ class TestSievePrimes:
             [n for n in range(2, 10 ** 4 + 1) if naive_is_prime(n)]
 
     def test_count_1e6_against_independent_sieve(self):
-        # the monolithic vectorized sieve is a separate implementation
         count = sum(1 for _ in sieve_primes(10 ** 6))
         assert count == 78498
-        assert count == int(prime_flags(10 ** 6).sum())
+        assert count == int(_monolithic_flags(10 ** 6).sum())
 
     def test_segment_boundaries(self):
         # tiny segments force many boundary crossings
@@ -63,9 +87,9 @@ class TestSievePrimes:
             list(sieve_primes(10 ** 4))
 
     def test_python_ints_at_segment_edges(self):
-        # a segment of 64 odd candidates starting at 3 ends at 129; the
+        # a segment of 64 odd candidates starting at 1 ends at 127; the
         # limits sit on and one past the first and fifth boundaries
-        for limit in (129, 130, 131, 132, 641, 642, 643, 644):
+        for limit in (127, 128, 129, 130, 639, 640, 641, 642):
             got = list(sieve_primes(limit, segment_size=64))
             assert got == prime_array(limit).tolist()
             assert all(type(p) is int for p in got)
@@ -75,6 +99,99 @@ class TestSievePrimes:
             got = _simple_prime_list(limit)
             assert got == [n for n in range(limit + 1) if naive_is_prime(n)]
             assert all(type(p) is int for p in got)
+
+
+class TestPrimeSegments:
+    def test_every_limit_to_700(self):
+        for limit in range(701):
+            if limit < 2:
+                assert prime_array(limit).tolist() == []
+                for size in (64, 65, 100):
+                    with pytest.raises(DomainError):
+                        list(prime_segments(limit, size))
+                continue
+            _drop_cached("primes")
+            assert prime_array(limit).tolist() == _naive_primes_to(limit)
+            for size in (64, 65, 100):
+                segs = list(prime_segments(limit, size))
+                assert all(s.dtype == np.int64 for s in segs)
+                # one segment per block of `size` odd numbers up to limit
+                assert len(segs) == -(-((limit + 1) // 2) // size)
+                got = np.concatenate(segs).tolist()
+                assert got == _naive_primes_to(limit), (limit, size)
+
+    def test_first_five_segment_boundaries(self):
+        for size in (64, 65, 100):
+            # segment k - 1 ends at the odd number 2 size k - 1
+            for k in range(1, 6):
+                last = 2 * size * k - 1
+                for limit in (last - 1, last, last + 1):
+                    got = np.concatenate(list(prime_segments(limit, size)))
+                    assert got.tolist() == _naive_primes_to(limit), \
+                        (limit, size)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            list(prime_segments(100, segment_size=63))
+        with pytest.raises(CapacityError):
+            list(prime_segments((1 << 28) ** 2))
+
+
+class TestPrimeCache:
+    def test_slices_of_a_larger_array(self):
+        _drop_cached("primes")
+        big = prime_array(1099)
+        before = set(arith._cache)
+        for m in range(2, 1100):
+            sub = prime_array(m)
+            assert sub.tolist() == _naive_primes_to(m), m
+            assert np.shares_memory(sub, big)
+        assert set(arith._cache) == before
+
+    def test_slice_equals_fresh_build(self):
+        _drop_cached("primes")
+        prime_array(10 ** 6)
+        before = set(arith._cache)
+        limits = (2, 3, 4, 999983, 999984, 10 ** 5 + 3, 10 ** 5 + 2)
+        sliced = {m: prime_array(m) for m in limits}
+        assert set(arith._cache) == before
+        for m in limits:
+            _drop_cached("primes")
+            assert np.array_equal(sliced[m], prime_array(m)), m
+
+    def test_index_arrays_sliced(self):
+        _drop_cached("omega")
+        omega_array(5000)
+        before = set(arith._cache)
+        assert omega_array(1234).tolist() == \
+            prime_power_sieve(1234, "omega").tolist()
+        assert set(arith._cache) == before
+
+    def test_larger_build_replaces_smaller(self):
+        _drop_cached("primes")
+        prime_array(1000)
+        prime_array(3000)
+        assert [k for k in arith._cache if k[0] == "primes"] == \
+            [("primes", 3000)]
+
+    def test_negative_limit_refused_when_cached(self):
+        for build in (prime_array, prime_flags, omega_array,
+                      max_prime_power_array):
+            build(100)
+            with pytest.raises(DomainError):
+                build(-5)
+
+    def test_read_only(self):
+        _drop_cached("primes")
+        for arr in (prime_array(1000), prime_array(500), prime_flags(1000),
+                    omega_array(1000), max_prime_power_array(1000)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_prime_flags_match_monolithic_1e6(self):
+        flags = prime_flags(10 ** 6)
+        assert flags.dtype == np.bool_
+        assert np.array_equal(flags, _monolithic_flags(10 ** 6))
 
 
 class TestIsPrime:
@@ -259,7 +376,7 @@ class TestPrimePowerSieve:
         for build, kind in ((omega_array, "omega"),
                             (max_prime_power_array, "maxpp")):
             limit = 54321
-            arith._cache.pop((kind, limit), None)
+            _drop_cached(kind)
             before = set(arith._cache)
             build(limit)
             added = set(arith._cache) - before

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from egyptsieve.arith import sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
 from egyptsieve.egypt import verify
@@ -118,6 +120,23 @@ class TestSieveCommand:
         assert doc["largest"] == 97
         listed = [int(x) for x in primes.read_text().split()]
         assert listed[:4] == [2, 3, 5, 7] and len(listed) == 25
+
+    def test_npy_1e6_matches_stream(self, tmp_path):
+        out = tmp_path / "sieve.json"
+        primes = tmp_path / "x.npy"
+        assert main(["sieve", "--limit", "1000000", "--out", str(out),
+                     "--primes-out", str(primes)]) == 0
+        arr = np.load(primes)
+        assert arr.dtype == np.int64
+        assert np.array_equal(
+            arr, np.fromiter(sieve_primes(10 ** 6), dtype=np.int64))
+        doc = json.loads(out.read_text())
+        assert (doc["count"], doc["largest"]) == (78498, 999983)
+
+    def test_limit_below_2_exits_2(self, tmp_path):
+        for limit in ("1", "0"):
+            assert main(["sieve", "--limit", limit,
+                         "--out", str(tmp_path / "s.json")]) == 2
 
     def test_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EGYPTSIEVE_CACHE_DIR", str(tmp_path / "cache"))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from egyptsieve.arith import li_approx, prime_array
 from egyptsieve.errors import CapacityError, DomainError
+from egyptsieve import spectrum
 from egyptsieve.spectrum import (
     FilterParams,
     ShiftParams,
@@ -21,6 +23,7 @@ from egyptsieve.spectrum import (
     omega_deviation_density,
     prime_count_ap,
 )
+from egyptsieve.spectrum import _exceeds_power
 
 from conftest import naive_factor
 
@@ -220,6 +223,43 @@ class TestDivisorWindow:
             divisor_window_density(10 ** 4, shift_plus1, 4, 3)
 
 
+class TestExceedsPower:
+    def test_ties_with_large_denominators(self):
+        # t^a = (t^b)^(a/b) exactly; denominators above 64 once fell
+        # back to floats here
+        for t in range(2, 11):
+            for b in range(65, 90):
+                for a in range(1, b):
+                    if math.gcd(a, b) != 1:
+                        continue
+                    v, base, e = t ** a, t ** b, Fraction(a, b)
+                    assert not _exceeds_power(v, base, e), (t, a, b)
+                    assert _exceeds_power(v + 1, base, e), (t, a, b)
+                    assert not _exceeds_power(v - 1, base, e), (t, a, b)
+
+    def test_random_against_integer_powers(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            b = rng.randint(1, 150)
+            a = rng.randint(0, b)
+            base = rng.randint(2, 10 ** 6)
+            root = round(base ** (a / b))
+            value = max(1, rng.choice(
+                [rng.randint(1, base), root - 1, root, root + 1]))
+            e = Fraction(a, b)
+            expected = value ** e.denominator > base ** e.numerator
+            assert _exceeds_power(value, base, e) == expected, \
+                (value, base, e)
+
+    def test_oversized_tie_raises(self):
+        a, b = 30011, 30013
+        with pytest.raises(CapacityError):
+            _exceeds_power(2 ** a, 2 ** b, Fraction(a, b))
+        # away from the tie floats decide, whatever the size
+        assert _exceeds_power(2 ** a + 2 ** (a - 1), 2 ** b, Fraction(a, b))
+        assert not _exceeds_power(2 ** (a - 1), 2 ** b, Fraction(a, b))
+
+
 class TestLegendreSieve:
     def test_totatives_of_30(self):
         est = legendre_sieve_count((1, 30), [2, 3, 5])
@@ -262,6 +302,18 @@ class TestLegendreSieve:
             scan = sum(1 for n in range(lo, hi + 1)
                        if all(n % p for p in window))
             assert est.exact_count == scan
+
+    def test_scan_catches_wrong_count(self, monkeypatch):
+        # the direct scan checks inclusion-exclusion independently
+        real = spectrum._subset_counts
+
+        def off_by_one(A, window):
+            return [(d, mu, cnt + (d == 1)) for d, mu, cnt in real(A, window)]
+
+        monkeypatch.setattr(spectrum, "_subset_counts", off_by_one)
+        for A in ((1, 1000), [p - 1 for p in prime_array(1000).tolist()]):
+            with pytest.raises(RuntimeError):
+                legendre_sieve_count(A, [3, 5, 7])
 
 
 class TestPrimeCountAP:

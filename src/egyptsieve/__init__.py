@@ -7,7 +7,6 @@ windows, Legendre sieve counts, progression prime counts).
 """
 
 from .arith import (
-    BigRational,
     Factorization,
     SieveTable,
     factorize,

@@ -1,13 +1,12 @@
 """Exact arithmetic substrate: primality, sieving, factorization, li.
 
-Everything here is deterministic.  Rationals are ``fractions.Fraction``
-(exported as ``BigRational``): exact, always in lowest terms, positive
-denominator.
+Everything here is deterministic.  Rationals are ``fractions.Fraction``:
+exact, always in lowest terms, positive denominator.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -16,8 +15,6 @@ from math import isqrt
 import numpy as np
 
 from .errors import CapacityError, DomainError
-
-BigRational = Fraction
 
 # Strong-pseudoprime witnesses: the first twelve primes are deterministic
 # below psi_12 (Sorenson & Webster, Math. Comp. 86, 2017), hence for every
@@ -36,8 +33,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # prime_segments refuses limits whose base sieve would not fit in memory
 MAX_BASE_PRIME = 1 << 27
-# SieveTable keeps one monolithic smallest-prime-factor array up to here
-FULL_SPF_LIMIT = 1 << 24
+# trial_factor's default prime list runs to here; built on first use
+TRIAL_PRIME_BOUND = 10 ** 6
 
 _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 
@@ -275,59 +272,56 @@ class Factorization:
         return out
 
 
+@functools.cache
+def _trial_primes() -> list[int]:
+    return _simple_prime_list(TRIAL_PRIME_BOUND)
+
+
+def trial_factor(n: int, primes: list[int] | None = None) -> Factorization:
+    """Factorization of n >= 1 by trial division over ``primes``, all the
+    primes up to some bound in increasing order (default: those up to
+    TRIAL_PRIME_BOUND).  Division stops once p^2 exceeds the cofactor,
+    which is then 1 or prime; a cofactor left over after the last listed
+    prime must pass is_prime, or CapacityError is raised."""
+    if n == 0:
+        raise DomainError("cannot factor 0")
+    if n < 0:
+        raise DomainError(f"cannot factor negative {n}")
+    if primes is None:
+        primes = _trial_primes()
+    factors = []
+    m = n
+    for p in primes:
+        if m % p == 0:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+            if m == 1:
+                break
+        elif p * p > m:
+            break
+    else:
+        if m > 1 and not is_prime(m):
+            raise CapacityError(
+                f"{n} has a composite cofactor {m} without prime factors "
+                f"among the {len(primes)} listed primes")
+    if m > 1:
+        factors.append((m, 1))
+    return Factorization(tuple(factors))
+
+
 class SieveTable:
-    """Smallest-prime-factor lookups up to ``limit``.
+    """Factorizations of 1 <= n <= ``limit``, by trial division over the
+    primes up to sqrt(limit), listed once at construction."""
 
-    Small limits get one monolithic array; larger ones build fixed-size
-    segments on demand and keep a bounded cache.  Immutable once built,
-    safe for concurrent readers.
-    """
-
-    def __init__(self, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                 max_cached_segments: int = 64):
+    def __init__(self, limit: int):
         if limit < 1:
             raise DomainError(f"table limit must be >= 1, got {limit}")
         self.limit = limit
-        self.segment_size = segment_size
-        self._max_cached = max_cached_segments
-        self._segments: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
-        if limit <= FULL_SPF_LIMIT:
-            self._spf = self._build_full(limit)
-            self._base = None
-        else:
-            self._spf = None
-            self._base = _simple_prime_list(isqrt(limit))
-
-    @staticmethod
-    def _build_full(limit: int) -> np.ndarray:
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        for p in range(2, isqrt(limit) + 1):
-            if spf[p] == 0:
-                block = spf[p * p::p]
-                block[block == 0] = p
-        return spf
-
-    def _segment_for(self, n: int) -> tuple[int, np.ndarray]:
-        idx = n // self.segment_size
-        seg = self._segments.get(idx)
-        if seg is None:
-            with self._lock:
-                seg = self._segments.get(idx)
-                if seg is None:
-                    lo = idx * self.segment_size
-                    hi = min(lo + self.segment_size, self.limit + 1)
-                    seg = np.zeros(hi - lo, dtype=np.uint32)
-                    for p in self._base:
-                        if p * p >= hi:
-                            break
-                        start = max(p * p, ((lo + p - 1) // p) * p)
-                        block = seg[start - lo::p]
-                        block[block == 0] = p
-                    if len(self._segments) >= self._max_cached:
-                        self._segments.pop(next(iter(self._segments)))
-                    self._segments[idx] = seg
-        return idx * self.segment_size, seg
+        self.primes = _simple_prime_list(isqrt(limit))
 
     def smallest_prime_factor(self, n: int) -> int:
         """Least prime divisor of n (n itself when n is prime); n >= 2."""
@@ -335,31 +329,14 @@ class SieveTable:
             if n > self.limit:
                 raise CapacityError(f"{n} exceeds table limit {self.limit}")
             raise DomainError(f"smallest_prime_factor needs n >= 2, got {n}")
-        if self._spf is not None:
-            p = int(self._spf[n])
-        else:
-            lo, seg = self._segment_for(n)
-            p = int(seg[n - lo])
-        return p if p else n
+        return trial_factor(n, self.primes).factors[0][0]
 
 
 def factorize(n: int, table: SieveTable) -> Factorization:
     """Full factorization of 1 <= n <= table.limit; factorize(1) is empty."""
-    if n == 0:
-        raise DomainError("cannot factor 0")
-    if n < 0:
-        raise DomainError(f"cannot factor negative {n}")
     if n > table.limit:
         raise CapacityError(f"{n} exceeds table limit {table.limit}")
-    factors = []
-    while n > 1:
-        p = table.smallest_prime_factor(n)
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        factors.append((p, e))
-    return Factorization(tuple(factors))
+    return trial_factor(n, table.primes)
 
 
 def li_approx(n: int) -> float:

@@ -40,29 +40,6 @@ from .spectrum import (
 
 CACHE_ENV = "EGYPTSIEVE_CACHE_DIR"
 
-_DEFAULTS = {
-    "command": None,
-    "limit": None,
-    "N": None,
-    "shift": 1,
-    "modulus": 1,
-    "epsilon": None,
-    "delta": None,
-    "y": None,
-    "z": None,
-    "target": None,
-    "r_fold": None,
-    "max_prime": DEFAULT_BUDGET.max_prime,
-    "max_terms": DEFAULT_BUDGET.max_terms,
-    "out": None,
-    "primes_out": None,
-    "format": "json",
-    "seed": 0,
-    "cert": None,
-    "grid": None,
-}
-
-
 @dataclass
 class RunConfig:
     command: str = None
@@ -87,6 +64,9 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
@@ -160,20 +140,21 @@ def _cmd_sieve(cfg: RunConfig) -> int:
     return 0
 
 
-def _analyze_one(lemma: int, N: int, shift: ShiftParams, cfg: RunConfig):
+def _analyze_one(lemma: int, N: int, shift: ShiftParams, params: dict):
+    """The density report of one lemma, its parameters (epsilon, delta,
+    y, z) read from ``params``: the run config or a sweep grid point."""
+    def param(*names):
+        if any(params.get(k) is None for k in names):
+            raise DomainError(f"lemma {lemma} needs "
+                              + " and ".join(f"--{k}" for k in names))
+        return [Fraction(str(params[k])) for k in names]
+
     if lemma == 1:
-        if cfg.epsilon is None:
-            raise DomainError("lemma 1 needs --epsilon")
-        return friability_density(N, shift, Fraction(str(cfg.epsilon)))
+        return friability_density(N, shift, *param("epsilon"))
     if lemma == 2:
-        if cfg.delta is None:
-            raise DomainError("lemma 2 needs --delta")
-        return omega_deviation_density(N, shift, Fraction(str(cfg.delta)))
+        return omega_deviation_density(N, shift, *param("delta"))
     if lemma == 3:
-        if cfg.y is None or cfg.z is None:
-            raise DomainError("lemma 3 needs --y and --z")
-        return divisor_window_density(N, shift, Fraction(str(cfg.y)),
-                                      Fraction(str(cfg.z)))
+        return divisor_window_density(N, shift, *param("y", "z"))
     raise DomainError(f"unknown lemma {lemma}")
 
 
@@ -256,20 +237,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise DomainError(f"grid cardinality {len(points)} exceeds 1e4")
     reps = []
     for pt in points:
-        lemma = int(pt["lemma"])
         N = int(pt.get("N", cfg.N or 0))
         shift = ShiftParams(int(pt.get("shift", cfg.shift)),
                             int(pt.get("modulus", cfg.modulus)))
-        if lemma == 1:
-            rep = friability_density(N, shift, Fraction(str(pt["epsilon"])))
-        elif lemma == 2:
-            rep = omega_deviation_density(N, shift, Fraction(str(pt["delta"])))
-        elif lemma == 3:
-            rep = divisor_window_density(N, shift, Fraction(str(pt["y"])),
-                                         Fraction(str(pt["z"])))
-        else:
-            raise DomainError(f"unknown lemma {lemma}")
-        reps.append(rep)
+        reps.append(_analyze_one(int(pt["lemma"]), N, shift, pt))
     rows = reports.density_rows(reps)
     if cfg.format == "csv":
         text = reports.render_csv(rows, cfg.as_dict(), __version__)
@@ -334,7 +305,7 @@ def run(cfg: RunConfig, lemma: int | None = None) -> int:
         return _cmd_sieve(cfg)
     if cfg.command == "analyze":
         shift = ShiftParams(int(cfg.shift), int(cfg.modulus))
-        rep = _analyze_one(lemma, int(cfg.N), shift, cfg)
+        rep = _analyze_one(lemma, int(cfg.N), shift, cfg.as_dict())
         if cfg.format == "csv":
             text = reports.render_csv(reports.density_rows([rep]),
                                       cfg.as_dict(), __version__)

@@ -25,9 +25,8 @@ from math import gcd
 
 import numpy as np
 
-from .arith import is_prime, prime_array, prime_flags
+from .arith import is_prime, prime_array, prime_flags, trial_factor
 from .errors import (
-    CapacityError,
     DomainError,
     MergeInsufficient,
     ObstructionError,
@@ -35,9 +34,6 @@ from .errors import (
 )
 
 _SMOOTH_BASIS = (2, 3, 5, 7, 11, 13)
-# feasibility_check trial-divides gcd(|h|, den) only this far; a cofactor
-# left over must be prime, or the gate raises CapacityError
-_GATE_TRIAL_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,8 @@ def _valuation(n: int, p: int) -> int:
 def feasibility_check(x, h: int) -> FeasibilityResult:
     """Congruence gate: feasible iff gcd(|h|, den(x)) = 1; otherwise an
     obstruction certificate with a witness prime and valuation floor.
-    Raises CapacityError when that gcd cannot be factored by trial
-    division to 1e6 and a prime cofactor."""
+    Raises CapacityError when ``trial_factor`` cannot factor that gcd
+    (a composite cofactor without prime factors up to 1e6)."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"target must be positive, got {x}")
@@ -161,23 +157,8 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     g = gcd(abs(h), x.denominator)
     if g == 1:
         return FeasibilityResult(feasible=True)
-    witnesses = []
-    f = 2
-    gg = g
-    while f * f <= gg and f <= _GATE_TRIAL_BOUND:
-        if gg % f == 0:
-            witnesses.append(f)
-            while gg % f == 0:
-                gg //= f
-        f += 1 if f == 2 else 2
-    if gg > 1:
-        if not is_prime(gg):
-            raise CapacityError(
-                f"gcd(|h|, den) = {g} has a composite cofactor {gg} without "
-                f"prime factors up to {_GATE_TRIAL_BOUND}")
-        witnesses.append(gg)
     chosen = None
-    for ell in witnesses:
+    for ell, _ in trial_factor(g).factors:
         floor = -_valuation(ell - h, ell) if ell - h >= 1 else 0
         v = -_valuation(x.denominator, ell)
         if chosen is None:
@@ -204,39 +185,12 @@ def _gate(x, h: int) -> Fraction:
     return x
 
 
-def _factor_modulus(L: int) -> list[tuple[int, int]]:
-    out = []
-    m = L
-    f = 2
-    while f * f <= m and f <= 10 ** 6:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if m > 1:
-        if not is_prime(m):
-            raise DomainError(f"modulus {L} has an intractable factor {m}")
-        out.append((m, 1))
-    return out
-
-
-def _divisors_of(L: int) -> list[int]:
-    divs = [1]
-    for p, e in _factor_modulus(L):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    divs.sort()
-    return divs
-
-
 def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
                 exclude=frozenset()) -> list[tuple[int, int]]:
     """(weight L/(p-h), p) for primes p <= max_prime with (p-h) | L,
     p - h >= 1, p unused; sorted by decreasing weight."""
     pool = []
-    for d in _divisors_of(L):
+    for d in trial_factor(L).divisors():
         if d == 1 and not budget.allow_unit_denominator:
             continue
         p = d + h
@@ -384,6 +338,23 @@ def _greedy_prime(rem: Fraction, h: int, used,
     return None
 
 
+def _greedy_steps(x: Fraction, h: int, used, budget: SearchBudget):
+    """Greedy steps on x with the primes in used barred: yields (p, the
+    remainder after subtracting 1/(p - h)) per step, and stops at
+    remainder 0, after max_terms steps, or when no prime fits."""
+    rem = x
+    local = set(used)
+    for _ in range(budget.max_terms):
+        if rem <= 0:
+            return
+        p = _greedy_prime(rem, h, local, budget)
+        if p is None:
+            return
+        local.add(p)
+        rem -= Fraction(1, p - h)
+        yield p, rem
+
+
 def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
                      exclude=frozenset()) -> Decomposition:
     """Repeatedly subtract the largest available 1/(p - h) <= remainder
@@ -392,19 +363,14 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     x = _gate(x, h)
     rem = x
     chosen: list[int] = []
-    used = set(exclude)
-    while rem > 0:
+    for p, rem in _greedy_steps(x, h, exclude, budget):
+        chosen.append(p)
+    if rem:
         if len(chosen) >= budget.max_terms:
             raise SearchExhausted(
                 f"greedy used {budget.max_terms} terms, remainder {rem}")
-        p = _greedy_prime(rem, h, used, budget)
-        if p is None:
-            raise SearchExhausted(
-                f"greedy ran past max_prime {budget.max_prime}, "
-                f"remainder {rem}")
-        used.add(p)
-        chosen.append(p)
-        rem -= Fraction(1, p - h)
+        raise SearchExhausted(
+            f"greedy ran past max_prime {budget.max_prime}, remainder {rem}")
     dec = Decomposition(h=h, target=x, primes=tuple(sorted(chosen)))
     check = verify(dec)
     if not check.valid:
@@ -424,7 +390,7 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     """
     flags = prime_flags(prime_limit)
     primes = prime_array(prime_limit)
-    div_arr = np.array(_divisors_of(modulus), dtype=np.int64)
+    div_arr = np.array(trial_factor(modulus).divisors(), dtype=np.int64)
     direct: list[tuple[Fraction, tuple[int, ...]]] = []
     q_rows = []
     excl_arr = np.array(sorted(exclude), dtype=np.int64) if exclude else None
@@ -559,22 +525,15 @@ def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
         except SearchExhausted:
             pass
     # greedy steps on the residual, retrying the divisor-pool DP after each
-    rem = t
     extra: list[int] = []
-    local = set(used)
-    while rem > 0 and len(extra) < budget.max_terms:
-        p = _greedy_prime(rem, h, local, budget)
-        if p is None:
-            break
-        local.add(p)
+    for p, rem in _greedy_steps(t, h, used, budget):
         extra.append(p)
-        rem -= Fraction(1, p - h)
         if rem == 0:
             return extra
         for M in _dp_moduli(rem, budget):
             try:
                 dec = smooth_dp_decompose(rem, h, M, budget,
-                                          exclude=frozenset(local))
+                                          exclude=frozenset(used) | set(extra))
                 return extra + list(dec.primes)
             except SearchExhausted:
                 continue

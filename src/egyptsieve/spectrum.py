@@ -27,6 +27,7 @@ from .arith import (
     prime_power_sieve,
     prime_reciprocal_sum,
     reciprocal_sum,
+    trial_factor,
 )
 from .errors import CapacityError, DomainError
 
@@ -545,23 +546,6 @@ class HypothesisReport:
     condition_all: dict = field(default_factory=dict)
 
 
-def _trial_divisors(n: int) -> list[int]:
-    out = [1]
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out = [d * f ** k for d in out for k in range(e + 1)]
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out = [d * m ** k for d in out for k in range(2)]
-    return sorted(out)
-
-
 def check_hypotheses(records, N: int, filt: FilterParams) -> HypothesisReport:
     """Evaluate the subset-selection hypotheses for the n-values of the
     given records; empty record lists report every hypothesis false."""
@@ -587,7 +571,7 @@ def check_hypotheses(records, N: int, filt: FilterParams) -> HypothesisReport:
     omega_ok = True
     range_ok = True
     for r in records:
-        divs = _trial_divisors(r.n)
+        divs = trial_factor(r.n).divisors()
         found = False
         for d1 in divs:
             if d1 < filt.y:

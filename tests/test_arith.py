@@ -26,6 +26,7 @@ from egyptsieve.arith import (
     prime_reciprocal_sum,
     reciprocal_sum,
     sieve_primes,
+    trial_factor,
 )
 from egyptsieve.egypt import Decomposition, verify
 from egyptsieve.errors import CapacityError, DomainError
@@ -325,6 +326,49 @@ class TestFactorize:
             Factorization(((3, 1), (2, 1)))
         with pytest.raises(DomainError):
             Factorization(((2, 0),))
+
+
+class TestTrialFactor:
+    def test_random_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        big = sympy.nextprime(10 ** 6)
+        cases = [rng.randrange(1, 10 ** 12) for _ in range(2000)]
+        cases += [rng.randrange(1, 10 ** 6) for _ in range(1000)]
+        # prime cofactors above the list bound: left when p^2 passes the
+        # cofactor, and after the last listed prime (999983^2 < 10^12 + 39)
+        cases += [big, 720720 * big, 10 ** 12 + 39, 2 * (10 ** 12 + 39),
+                  999983 ** 2, 999979 * 999983]
+        for n in cases:
+            assert trial_factor(n).factors == \
+                tuple(sorted(sympy.factorint(n).items())), n
+
+    def test_composite_cofactor_raises(self):
+        with pytest.raises(CapacityError):
+            trial_factor((10 ** 6 + 3) * (10 ** 6 + 33))
+
+    def test_given_list(self):
+        assert trial_factor(360, [2, 3, 5]).factors == ((2, 3), (3, 2), (5, 1))
+        assert trial_factor(2 * 53, [2, 3, 5]).factors == ((2, 1), (53, 1))
+        with pytest.raises(CapacityError):
+            trial_factor(7 * 11, [2, 3, 5])
+        assert trial_factor(3, []).factors == ((3, 1),)
+
+    def test_one_and_domain(self):
+        assert trial_factor(1).factors == ()
+        for n in (0, -6):
+            with pytest.raises(DomainError):
+                trial_factor(n)
+
+    def test_smallest_prime_factor(self):
+        for limit in (1, 2, 3, 4, 5000):
+            table = SieveTable(limit)
+            for n in range(2, limit + 1):
+                assert table.smallest_prime_factor(n) == naive_factor(n)[0][0]
+            with pytest.raises(CapacityError):
+                table.smallest_prime_factor(limit + 1)
+            with pytest.raises(DomainError):
+                table.smallest_prime_factor(1)
 
 
 def _oracle_arrays(limit):

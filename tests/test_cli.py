@@ -67,6 +67,18 @@ class TestExitCodes:
     def test_missing_grid_file(self):
         assert main(["sweep", "--grid", "/nonexistent/grid.json"]) == 2
 
+    def test_grid_point_without_lemma_parameter(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lemma": 1, "N": 1000}))
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        assert "lemma 1 needs --epsilon" in capsys.readouterr().err
+
+    def test_unfactorable_modulus_exits_2(self, capsys):
+        den = (10 ** 6 + 3) * (10 ** 6 + 33)
+        rc = main(["decompose", "--target", f"1/{den}", "--shift", "1"])
+        assert rc == 2
+        assert "composite cofactor" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_lemma1_json(self, tmp_path):

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from egyptsieve.arith import is_prime
+from egyptsieve.arith import is_prime, trial_factor
 from egyptsieve.egypt import (
     DEFAULT_BUDGET,
     Decomposition,
@@ -81,6 +82,22 @@ class TestFeasibility:
         assert not res.provably_impossible
 
 
+class TestOneFactorizer:
+    def test_divisors_of_scaled_moduli_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        moduli = set()
+        for L in DEFAULT_BUDGET.moduli + (DEFAULT_BUDGET.assembly_modulus,):
+            for k in range(1, 121):
+                moduli |= {L // math.gcd(L, k) * k, L * k}
+        for M in sorted(moduli):
+            assert trial_factor(M).divisors() == sympy.divisors(M), M
+
+    def test_unfactorable_modulus_is_capacity(self):
+        x = Fraction(1, (10 ** 6 + 3) * (10 ** 6 + 33))
+        with pytest.raises(CapacityError):
+            decompose(x, 1)
+
+
 class TestGreedy:
     def test_unit(self):
         dec = greedy_decompose(ONE, 1)
@@ -100,6 +117,18 @@ class TestGreedy:
         tight = SearchBudget(max_terms=2)
         with pytest.raises(SearchExhausted):
             greedy_decompose(ONE, 1, tight, exclude=frozenset({2, 3}))
+
+    def test_term_budget_boundary(self):
+        # (3, 5, 7, 13) takes exactly four steps
+        four = greedy_decompose(ONE, 1, SearchBudget(max_terms=4),
+                                exclude=frozenset({2}))
+        assert four.primes == (3, 5, 7, 13)
+        with pytest.raises(SearchExhausted, match="greedy used 3 terms"):
+            greedy_decompose(ONE, 1, SearchBudget(max_terms=3),
+                             exclude=frozenset({2}))
+        with pytest.raises(SearchExhausted, match="past max_prime 12"):
+            greedy_decompose(ONE, 1, SearchBudget(max_prime=12),
+                             exclude=frozenset({2}))
 
     def test_prime_budget(self):
         tiny = SearchBudget(max_prime=4)

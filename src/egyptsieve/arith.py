@@ -7,6 +7,7 @@ exact, always in lowest terms, positive denominator.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -123,25 +124,13 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def _simple_prime_list(limit: int) -> list[int]:
-    """Monolithic odd-only sieve, used for base primes of the segmented one."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    flags[4::2] = bytearray(len(range(4, limit + 1, 2)))
-    for p in range(3, isqrt(limit) + 1, 2):
-        if flags[p]:
-            flags[p * p::2 * p] = bytearray(len(range(p * p, limit + 1, 2 * p)))
-    return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
-
-
 def prime_segments(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
     """Yield the primes in [2, limit] as one increasing int64 array per
     segment [lo, hi) of ``segment_size`` odd numbers.  A segment is a bool
     array cleared by one strided slice per base prime p <= sqrt(hi); the
-    first starts at 1, whose entry stands for 2.  Limits whose base sieve
-    exceeds the budget raise CapacityError.
+    first starts at 1, whose entry stands for 2.  The base primes come
+    from this kernel itself, run to sqrt(limit); below limit 4 there are
+    none.  Limits whose base sieve exceeds the budget raise CapacityError.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -152,7 +141,7 @@ def prime_segments(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
         raise CapacityError(
             f"limit {limit} needs base primes to {base_limit}, over the "
             f"{MAX_BASE_PRIME} budget")
-    odd_base = np.array(_simple_prime_list(base_limit)[1:], dtype=np.int64)
+    odd_base = _build_primes(base_limit)[1:]
     for lo in range(1, limit + 1, 2 * segment_size):
         hi = min(lo + 2 * segment_size, limit + 1)
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)
@@ -201,7 +190,7 @@ def prime_power_sieve(limit: int, kind: str,
         out = np.zeros(limit + 1, dtype=np.int8)
     else:
         out = np.ones(limit + 1, dtype=np.uint32)
-    base = _simple_prime_list(isqrt(limit))
+    base = _build_primes(isqrt(limit)).tolist()
     for lo in range(0, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)
         seg = out[lo:hi]
@@ -274,7 +263,7 @@ class Factorization:
 
 @functools.cache
 def _trial_primes() -> list[int]:
-    return _simple_prime_list(TRIAL_PRIME_BOUND)
+    return _build_primes(TRIAL_PRIME_BOUND).tolist()
 
 
 def trial_factor(n: int, primes: list[int] | None = None) -> Factorization:
@@ -321,7 +310,7 @@ class SieveTable:
         if limit < 1:
             raise DomainError(f"table limit must be >= 1, got {limit}")
         self.limit = limit
-        self.primes = _simple_prime_list(isqrt(limit))
+        self.primes = _build_primes(isqrt(limit)).tolist()
 
     def smallest_prime_factor(self, n: int) -> int:
         """Least prime divisor of n (n itself when n is prime); n >= 2."""
@@ -400,6 +389,9 @@ def prime_flags(limit: int) -> np.ndarray:
 
 
 def _build_primes(limit: int) -> np.ndarray:
+    """The primes <= limit, uncached.  Base primes and trial-division
+    lists come from here: a _cached build nested in the build of a larger
+    prime array would leave a second "primes" entry behind."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(list(prime_segments(limit)))
@@ -411,18 +403,24 @@ def prime_array(limit: int) -> np.ndarray:
     return _cached("primes", limit, _build_primes)
 
 
+def _pairwise(items: list, merge, empty):
+    """items reduced by merge over a balanced tree: neighbours merge level
+    by level, an odd last item moves up unchanged; empty for no items."""
+    if not items:
+        return empty
+    while len(items) > 1:
+        nxt = [merge(items[i], items[i + 1])
+               for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
+
+
 def reciprocal_sum(values) -> Fraction:
     """Exact sum of 1/v over the given positive integers (pairwise tree)."""
-    vals = list(values)
-    if not vals:
-        return Fraction(0)
-    frs = [Fraction(1, int(v)) for v in vals]
-    while len(frs) > 1:
-        nxt = [frs[i] + frs[i + 1] for i in range(0, len(frs) - 1, 2)]
-        if len(frs) % 2:
-            nxt.append(frs[-1])
-        frs = nxt
-    return frs[0]
+    return _pairwise([Fraction(1, int(v)) for v in values], operator.add,
+                     Fraction(0))
 
 
 def prime_reciprocal_sum(primes) -> tuple[int, int]:
@@ -431,29 +429,11 @@ def prime_reciprocal_sum(primes) -> tuple[int, int]:
     The denominators are pairwise coprime, so the pairwise merge never
     needs a gcd; the returned pair is already in lowest terms.
     """
-    items = [(1, int(p)) for p in primes]
-    if not items:
-        return (0, 1)
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            a, b = items[i]
-            c, d = items[i + 1]
-            nxt.append((a * d + c * b, b * d))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+    return _pairwise([(1, int(p)) for p in primes],
+                     lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
+                     (0, 1))
 
 
 def balanced_product(values) -> int:
     """Product of the integers, multiplied in a balanced tree."""
-    vals = [int(v) for v in values]
-    if not vals:
-        return 1
-    while len(vals) > 1:
-        nxt = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    return _pairwise([int(v) for v in values], operator.mul, 1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -22,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .arith import prime_array
-from .egypt import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    decompose,
-    r_fold_disjoint,
-    verify,
-)
+from .egypt import DEFAULT_BUDGET, SearchBudget, r_fold_disjoint, verify
 from .errors import CapacityError, DomainError, SearchExhausted
 from . import reports
 from .spectrum import (
@@ -38,7 +31,6 @@ from .spectrum import (
     omega_deviation_density,
 )
 
-CACHE_ENV = "EGYPTSIEVE_CACHE_DIR"
 
 @dataclass
 class RunConfig:
@@ -51,14 +43,13 @@ class RunConfig:
     delta: str = None
     y: str = None
     z: str = None
-    target: str = None
+    target: str | list[str] = None
     r_fold: int = None
     max_prime: int = DEFAULT_BUDGET.max_prime
     max_terms: int = DEFAULT_BUDGET.max_terms
     out: str = None
     primes_out: str = None
     format: str = "json"
-    seed: int = 0
     cert: str = None
     grid: str = None
 
@@ -67,6 +58,20 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_INT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "int"]
+
+
+def _as_int(key: str, val) -> int:
+    """val as an int: an int, an integral float or an integer string;
+    anything else is a DomainError naming key."""
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if not isinstance(val, (bool, float)):
+        try:
+            return int(val)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{key} must be an integer, got {val!r}")
 
 
 def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
@@ -87,6 +92,9 @@ def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
         if val is not None and key in merged:
             merged[key] = val
     merged["command"] = cli_args.get("command") or merged["command"]
+    for key in _INT_FIELDS:
+        if merged[key] is not None:
+            merged[key] = _as_int(key, merged[key])
     return RunConfig(**merged)
 
 
@@ -98,30 +106,16 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _budget(cfg: RunConfig) -> SearchBudget:
-    return SearchBudget(max_prime=int(cfg.max_prime),
-                        max_terms=int(cfg.max_terms))
+    return SearchBudget(max_prime=cfg.max_prime, max_terms=cfg.max_terms)
 
 
 def _cmd_sieve(cfg: RunConfig) -> int:
     if cfg.limit is None:
         raise DomainError("sieve needs --limit")
-    limit = int(cfg.limit)
+    limit = cfg.limit
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    cache_dir = os.environ.get(CACHE_ENV)
-    cache_path = None
-    cache_hit = False
-    primes = None
-    if cache_dir:
-        cache_path = Path(cache_dir) / f"primes-{limit}.npy"
-        if cache_path.exists():
-            primes = np.load(cache_path)
-            cache_hit = True
-    if primes is None:
-        primes = prime_array(limit)
-        if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            np.save(cache_path, primes)
+    primes = prime_array(limit)
     if cfg.primes_out:
         p = Path(cfg.primes_out)
         if p.suffix == ".npy":
@@ -132,8 +126,6 @@ def _cmd_sieve(cfg: RunConfig) -> int:
         "limit": limit,
         "count": int(len(primes)),
         "largest": int(primes[-1]) if len(primes) else None,
-        "cache_hit": cache_hit,
-        "cache_path": str(cache_path) if cache_path else None,
     }
     _write_or_print(reports.render_report(payload, cfg.as_dict(), __version__),
                     cfg.out)
@@ -147,7 +139,10 @@ def _analyze_one(lemma: int, N: int, shift: ShiftParams, params: dict):
         if any(params.get(k) is None for k in names):
             raise DomainError(f"lemma {lemma} needs "
                               + " and ".join(f"--{k}" for k in names))
-        return [Fraction(str(params[k])) for k in names]
+        try:
+            return [Fraction(str(params[k])) for k in names]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"lemma {lemma}: {exc}") from exc
 
     if lemma == 1:
         return friability_density(N, shift, *param("epsilon"))
@@ -159,28 +154,32 @@ def _analyze_one(lemma: int, N: int, shift: ShiftParams, params: dict):
 
 
 def _cmd_decompose(cfg: RunConfig) -> int:
-    if cfg.target is None:
+    """r_fold (default 1) disjoint certificates of each target, solved in
+    order; one target without r_fold writes a bare certificate, anything
+    else the "decompositions" list in target order."""
+    if cfg.target in (None, []):
         raise DomainError("decompose needs --target")
-    try:
-        target = Fraction(str(cfg.target))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"malformed target {cfg.target!r}") from exc
+    raw = cfg.target if isinstance(cfg.target, list) else [cfg.target]
+    targets = []
+    for t in raw:
+        try:
+            targets.append(Fraction(str(t)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"malformed target {t!r}") from exc
     budget = _budget(cfg)
-    h = int(cfg.shift)
-    if cfg.r_fold is not None:
-        decs = r_fold_disjoint(target, h, int(cfg.r_fold), budget)
-        for dec in decs:
-            res = verify(dec)
-            if not res.valid:
-                raise RuntimeError(f"internal: {res.reason}")
-        payload = {"decompositions": [reports.certificate_dict(d)
-                                      for d in decs]}
-    else:
-        dec = decompose(target, h, budget)
+    r = 1 if cfg.r_fold is None else cfg.r_fold
+    decs = []
+    for target in targets:
+        decs += r_fold_disjoint(target, cfg.shift, r, budget)
+    for dec in decs:
         res = verify(dec)
         if not res.valid:
             raise RuntimeError(f"internal: {res.reason}")
-        payload = reports.certificate_dict(dec)
+    if len(targets) == 1 and cfg.r_fold is None:
+        payload = reports.certificate_dict(decs[0])
+    else:
+        payload = {"decompositions": [reports.certificate_dict(d)
+                                      for d in decs]}
     _write_or_print(reports.render_report(payload, cfg.as_dict(), __version__),
                     cfg.out)
     return 0
@@ -237,10 +236,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise DomainError(f"grid cardinality {len(points)} exceeds 1e4")
     reps = []
     for pt in points:
-        N = int(pt.get("N", cfg.N or 0))
-        shift = ShiftParams(int(pt.get("shift", cfg.shift)),
-                            int(pt.get("modulus", cfg.modulus)))
-        reps.append(_analyze_one(int(pt["lemma"]), N, shift, pt))
+        N = _as_int("N", pt.get("N", cfg.N or 0))
+        shift = ShiftParams(_as_int("shift", pt.get("shift", cfg.shift)),
+                            _as_int("modulus", pt.get("modulus", cfg.modulus)))
+        reps.append(_analyze_one(_as_int("lemma", pt["lemma"]), N, shift, pt))
     rows = reports.density_rows(reps)
     if cfg.format == "csv":
         text = reports.render_csv(rows, cfg.as_dict(), __version__)
@@ -257,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file (flags override it)")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output path (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"))
 
     ap = argparse.ArgumentParser(
         prog="egyptsieve", parents=[common],
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--limit", type=int, required=True)
     s.add_argument("--primes-out", dest="primes_out")
 
-    a = sub.add_parser("analyze", parents=[common],
+    a = sub.add_parser("analyze", parents=[common, fmt],
                        help="one density measurement")
     a.add_argument("--lemma", type=int, choices=(1, 2, 3), required=True)
     a.add_argument("--N", type=int, required=True)
@@ -284,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", parents=[common],
                        help="find a decomposition certificate")
-    d.add_argument("--target", required=True, help="rational, e.g. 5/3")
+    d.add_argument("--target", nargs="+",
+                   help="one or more rationals, e.g. 5/3 1")
     d.add_argument("--shift", type=int)
     d.add_argument("--r-fold", dest="r_fold", type=int)
     d.add_argument("--max-prime", dest="max_prime", type=int)
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a certificate file")
     v.add_argument("--cert", required=True)
 
-    w = sub.add_parser("sweep", parents=[common],
+    w = sub.add_parser("sweep", parents=[common, fmt],
                        help="density reports over a parameter grid")
     w.add_argument("--grid", required=True)
     return ap
@@ -304,8 +304,8 @@ def run(cfg: RunConfig, lemma: int | None = None) -> int:
     if cfg.command == "sieve":
         return _cmd_sieve(cfg)
     if cfg.command == "analyze":
-        shift = ShiftParams(int(cfg.shift), int(cfg.modulus))
-        rep = _analyze_one(lemma, int(cfg.N), shift, cfg.as_dict())
+        shift = ShiftParams(cfg.shift, cfg.modulus)
+        rep = _analyze_one(lemma, cfg.N, shift, cfg.as_dict())
         if cfg.format == "csv":
             text = reports.render_csv(reports.density_rows([rep]),
                                       cfg.as_dict(), __version__)

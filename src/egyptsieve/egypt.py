@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -387,8 +387,18 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     with q | e1 + e2 combine into one item of q-free value
     (e1 + e2) / (q e1 e2).  Only items whose value times the modulus is
     integral are kept.
+
+    A pair needs q <= e1 + e2 with e1 q and e2 q at most D =
+    prime_limit - h, so q^2 <= 2D: larger q are never looked up.  A
+    negative shift that puts this bound past prime_limit raises
+    SearchExhausted, so the primality flags never outgrow the primes.
     """
-    flags = prime_flags(prime_limit)
+    q_max = isqrt(2 * (prime_limit - min(h, 0)))
+    if q_max > prime_limit:
+        raise SearchExhausted(
+            f"assembly pairs at shift {h} need primes up to {q_max}, past "
+            f"the prime limit {prime_limit}")
+    flags = prime_flags(q_max)
     primes = prime_array(prime_limit)
     div_arr = np.array(trial_factor(modulus).divisors(), dtype=np.int64)
     direct: list[tuple[Fraction, tuple[int, ...]]] = []
@@ -413,7 +423,8 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
         dmask = smooth_e & (rest == 1)
         for ev, pv in zip(e[dmask].tolist(), chunk[dmask].tolist()):
             direct.append((Fraction(1, ev), (pv,)))
-        pmask = smooth_e & (rest > _SMOOTH_BASIS[-1]) & flags[rest]
+        pmask = smooth_e & (rest > _SMOOTH_BASIS[-1]) & (rest <= q_max) \
+            & flags[np.minimum(rest, q_max)]
         q_rows.append(np.stack(
             [rest[pmask], e[pmask], chunk[pmask]], axis=1))
     items = direct

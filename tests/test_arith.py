@@ -13,8 +13,8 @@ from egyptsieve.arith import (
     _PSI_13,
     Factorization,
     SieveTable,
-    _simple_prime_list,
     _strong_lucas_prp,
+    _trial_primes,
     balanced_product,
     factorize,
     is_prime,
@@ -96,10 +96,15 @@ class TestSievePrimes:
             assert all(type(p) is int for p in got)
 
     def test_base_prime_list(self):
-        for limit in [*range(201), 10 ** 4]:
-            got = _simple_prime_list(limit)
-            assert got == [n for n in range(limit + 1) if naive_is_prime(n)]
+        # trial_factor takes m % p on big ints, which np.int64 would overflow
+        for limit in [*range(1, 201), 10 ** 3]:
+            got = SieveTable(limit * limit).primes
+            assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
+        got = _trial_primes()
+        assert got == np.flatnonzero(
+            _monolithic_flags(arith.TRIAL_PRIME_BOUND)).tolist()
+        assert all(type(p) is int for p in got)
 
 
 class TestPrimeSegments:
@@ -399,7 +404,7 @@ class TestPrimePowerSieve:
                 limits |= {k * size - 1, k * size, k * size + 1}
             # a square or cube just before, on or after a segment start,
             # and limits where sqrt(limit) gains the prime p
-            for p in _simple_prime_list(53):
+            for p in _naive_primes_to(53):
                 for q in (p * p, p ** 3):
                     if q <= 2900 and q % size in (size - 1, 0, 1):
                         limits |= {q - 1, q, q + 1}

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,40 @@ class TestDecomposeVerifyRoundTrip:
         assert len(doc["decompositions"]) == 2
         assert main(["verify", "--cert", str(cert)]) == 0
 
+    def test_several_targets(self, tmp_path):
+        cert = tmp_path / "two.json"
+        assert main(["decompose", "--target", "1", "1/2", "--shift", "1",
+                     "--out", str(cert)]) == 0
+        decs = json.loads(cert.read_text())["decompositions"]
+        assert [certificate_from_dict(d).target for d in decs] == \
+            [1, Fraction(1, 2)]
+        assert main(["verify", "--cert", str(cert)]) == 0
+
+    def test_several_targets_r_fold(self, tmp_path):
+        cert = tmp_path / "rf.json"
+        assert main(["decompose", "--target", "1/2", "1", "--shift", "1",
+                     "--r-fold", "2", "--out", str(cert)]) == 0
+        decs = [certificate_from_dict(d) for d in
+                json.loads(cert.read_text())["decompositions"]]
+        assert [d.target for d in decs] == [Fraction(1, 2)] * 2 + [1] * 2
+        for pair in (decs[:2], decs[2:]):
+            assert not set(pair[0].primes) & set(pair[1].primes)
+        assert main(["verify", "--cert", str(cert)]) == 0
+
+    def test_targets_from_config(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cert = tmp_path / "cert.json"
+        cfgfile.write_text(json.dumps({"target": "5/3", "shift": 1}))
+        assert main(["--config", str(cfgfile), "decompose",
+                     "--out", str(cert)]) == 0
+        assert certificate_from_dict(json.loads(cert.read_text())).target \
+            == Fraction(5, 3)
+        cfgfile.write_text(json.dumps({"target": ["1", "1/2"], "shift": 1}))
+        assert main(["--config", str(cfgfile), "decompose",
+                     "--out", str(cert)]) == 0
+        assert len(json.loads(cert.read_text())["decompositions"]) == 2
+        assert main(["verify", "--cert", str(cert)]) == 0
+
     def test_bad_certificate_exits_1(self, tmp_path):
         cert = tmp_path / "bad.json"
         cert.write_text(json.dumps({
@@ -59,6 +94,9 @@ class TestExitCodes:
         rc = main(["decompose", "--target", "1/8", "--shift", "-2"])
         assert rc == 2
 
+    def test_r_fold_0_exits_2(self):
+        assert main(["decompose", "--target", "1", "--r-fold", "0"]) == 2
+
     def test_exhausted_is_1(self):
         rc = main(["decompose", "--target", "1/97", "--shift", "1",
                    "--max-prime", "50"])
@@ -72,6 +110,22 @@ class TestExitCodes:
         grid.write_text(json.dumps({"lemma": 1, "N": 1000}))
         assert main(["sweep", "--grid", str(grid)]) == 2
         assert "lemma 1 needs --epsilon" in capsys.readouterr().err
+
+    def test_negative_shift_past_max_prime_exits_1(self, capsys):
+        # the assembly stage sees d = p - h up to max_prime - h
+        for h in (-1001, -10 ** 12 - 1, -10 ** 19 - 1):
+            rc = main(["decompose", "--target", "1/2", "1", "--shift",
+                       str(h), "--max-prime", "1000"])
+            assert rc == 1, h
+            assert capsys.readouterr().err.startswith("exhausted:"), h
+
+    def test_malformed_grid_values_exit_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        for bad in ({"N": "big"}, {"shift": 1.5}, {"epsilon": "abc"}):
+            grid.write_text(json.dumps({"lemma": 1, "N": 1000,
+                                        "epsilon": "0.3", **bad}))
+            assert main(["sweep", "--grid", str(grid)]) == 2, bad
+            assert capsys.readouterr().err.startswith("error:"), bad
 
     def test_unfactorable_modulus_exits_2(self, capsys):
         den = (10 ** 6 + 3) * (10 ** 6 + 33)
@@ -112,7 +166,7 @@ class TestAnalyze:
     def test_determinism_modulo_timestamp(self, tmp_path):
         out = tmp_path / "rep.json"
         args = ["analyze", "--lemma", "2", "--N", "10000", "--shift", "1",
-                "--delta", "0.5", "--seed", "7", "--out", str(out)]
+                "--delta", "0.5", "--out", str(out)]
         assert main(args) == 0
         first = out.read_text()
         assert main(args) == 0
@@ -150,15 +204,6 @@ class TestSieveCommand:
             assert main(["sieve", "--limit", limit,
                          "--out", str(tmp_path / "s.json")]) == 2
 
-    def test_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EGYPTSIEVE_CACHE_DIR", str(tmp_path / "cache"))
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        assert main(["sieve", "--limit", "1000", "--out", str(out1)]) == 0
-        assert main(["sieve", "--limit", "1000", "--out", str(out2)]) == 0
-        assert json.loads(out1.read_text())["cache_hit"] is False
-        assert json.loads(out2.read_text())["cache_hit"] is True
-        assert json.loads(out2.read_text())["count"] == 168
 
 
 class TestSweep:
@@ -227,6 +272,24 @@ class TestConfigPrecedence:
         assert doc["config"]["shift"] == -1          # from file
         assert doc["config"]["epsilon"] == "0.3"     # flag overrides file
         assert doc["report"]["params"]["h"] == -1
+
+    def test_malformed_values_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        for bad in ({"max_prime": "lots"}, {"shift": 1.5},
+                    {"max_terms": True}, {"modulus": [10]}):
+            cfgfile.write_text(json.dumps(bad))
+            assert main(["--config", str(cfgfile), "sieve",
+                         "--limit", "10"]) == 2, bad
+            assert capsys.readouterr().err.startswith("error:"), bad
+
+    def test_integral_values_accepted(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"shift": -1.0, "modulus": "1"}))
+        out = tmp_path / "rep.json"
+        assert main(["--config", str(cfgfile), "analyze", "--lemma", "1",
+                     "--N", "1000", "--epsilon", "0.3",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["shift"] == -1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

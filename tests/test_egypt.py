@@ -12,6 +12,7 @@ from egyptsieve.egypt import (
     Decomposition,
     PartialSolution,
     SearchBudget,
+    _assembly_items,
     _bitset_subset_sum,
     decompose,
     feasibility_check,
@@ -29,6 +30,8 @@ from egyptsieve.errors import (
     ObstructionError,
     SearchExhausted,
 )
+
+from conftest import naive_is_prime
 
 ONE = Fraction(1)
 
@@ -411,6 +414,36 @@ class TestRFold:
     def test_r0(self):
         with pytest.raises(DomainError):
             r_fold_disjoint(ONE, 1, 0)
+
+
+class TestAssemblyItems:
+    def test_against_naive_primes(self):
+        # for h < 0 the 13-rough part q of p - h reaches limit - h
+        M, limit = DEFAULT_BUDGET.assembly_modulus, 1000
+        for h in (-10, -1001, 1):
+            direct, pair_q = set(), {}
+            for p in filter(naive_is_prime, range(limit + 1)):
+                e, q = 1, p - h
+                for f in (2, 3, 5, 7, 11, 13):
+                    while q > 0 and q % f == 0:
+                        e, q = e * f, q // f
+                if q < 1 or M % e:
+                    continue
+                if q == 1:
+                    direct.add(p)
+                elif q > 13 and naive_is_prime(q):
+                    pair_q[p] = (e, q)
+            items = _assembly_items(h, M, frozenset(), limit)
+            assert {ps[0] for _, ps in items if len(ps) == 1} == direct, h
+            used = [p for _, ps in items for p in ps]
+            assert len(used) == len(set(used)), h
+            for v, ps in items:
+                assert v == sum(Fraction(1, p - h) for p in ps), (h, ps)
+                assert (v * M).denominator == 1, (h, ps)
+                if len(ps) == 2:
+                    (e1, q1), (e2, q2) = pair_q[ps[0]], pair_q[ps[1]]
+                    assert q1 == q2 and (e1 + e2) % q1 == 0, (h, ps)
+            assert h == -1001 or len(items) > len(direct), h
 
 
 def _dp_parts(value, h, count, exclude=frozenset()):

@@ -192,9 +192,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
         doc = json.loads(Path(cfg.cert).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read certificate: {exc}") from exc
-    certs = doc.get("decompositions", [doc]) if isinstance(doc, dict) else None
-    if certs is None:
+    if not isinstance(doc, dict):
         raise DomainError("certificate file must hold a JSON object")
+    certs = doc.get("decompositions", [doc])
+    if not isinstance(certs, list):
+        raise DomainError("decompositions must be a JSON list")
     results = []
     all_ok = True
     for entry in certs:

@@ -207,6 +207,12 @@ def _bitset_subset_sum(weights: list[int], target: int,
     """Indices of a subset of the positive weights summing exactly to
     target, or None.
 
+    Items heavier than target can never be chosen and change no prefix's
+    reachability, so they are dropped first and the DP below runs on the
+    rest; the chosen positions are mapped back to the caller's indices.
+    Every forward-pass integer thus stays under about 2 * (target + 1)
+    bits, however large the dropped weights are.
+
     Forward pass: a big-integer bitset DP over the items in order,
     stopping at the first item that reaches target, with a snapshot
     every ``stride`` items so that about ``max_snapshots`` bitsets are
@@ -223,9 +229,11 @@ def _bitset_subset_sum(weights: list[int], target: int,
     exact; each cached mask also drops the bits below the least residual
     its item can still see.
     """
-    n = len(weights)
     if target == 0:
         return []
+    keep = [i for i, w in enumerate(weights) if w <= target]
+    weights = [weights[i] for i in keep]
+    n = len(weights)
     if n == 0:
         return None
     stride = max(8, -(-n // max_snapshots))
@@ -280,7 +288,7 @@ def _bitset_subset_sum(weights: list[int], target: int,
         top = base - 1
     if t != 0:
         raise RuntimeError("subset-sum backtrack lost the target")
-    return chosen
+    return [keep[i] for i in chosen]
 
 
 def smooth_dp_decompose(x, h: int, L: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -25,11 +26,25 @@ def fraction_dict(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _exact_int(v) -> int:
+    """A JSON integer or a decimal-integer string, exactly as written;
+    floats, bools and anything int() would round or coerce are
+    refused."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"not an integer: {v!r}")
+
+
 def fraction_from_dict(d) -> Fraction:
     try:
-        return Fraction(int(d["num"]), int(d["den"]))
+        num, den = _exact_int(d["num"]), _exact_int(d["den"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed rational {d!r}") from exc
+    if den <= 0:
+        raise DomainError(f"malformed rational {d!r}: denominator {den}")
+    return Fraction(num, den)
 
 
 def density_report_dict(rep: DensityReport) -> dict:
@@ -66,10 +81,13 @@ def certificate_dict(dec: Decomposition) -> dict:
 
 def certificate_from_dict(d) -> Decomposition:
     try:
+        primes = d["primes"]
+        if not isinstance(primes, list):    # a string would split in digits
+            raise TypeError(f"primes must be a list, not {primes!r}")
         return Decomposition(
-            h=int(d["h"]),
+            h=_exact_int(d["h"]),
             target=fraction_from_dict(d["target"]),
-            primes=tuple(int(p) for p in d["primes"]),
+            primes=tuple(_exact_int(p) for p in primes),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed certificate: {exc}") from exc

@@ -83,6 +83,36 @@ class TestDecomposeVerifyRoundTrip:
         cert.write_text("{not json")
         assert main(["verify", "--cert", str(cert)]) == 2
 
+    @pytest.mark.parametrize("cert_doc", [
+        # int(3.5) would read 3, and {3} is a certificate of 1/2 at h=1
+        {"h": 1, "target": {"num": 1, "den": 2}, "primes": [3.5]},
+        {"h": 1.9, "target": {"num": 1, "den": 2}, "primes": ["3"]},
+        {"h": True, "target": {"num": 1, "den": 2}, "primes": ["3"]},
+        {"h": 1, "target": {"num": 1.0, "den": 2}, "primes": ["3"]},
+        {"h": 1, "target": {"num": 1, "den": True}, "primes": ["2"]},
+        {"h": 1, "target": {"num": "1", "den": " 2"}, "primes": ["3"]},
+        {"h": 1, "target": {"num": "1", "den": "2"}, "primes": ["3.0"]},
+        {"h": 1, "target": {"num": "1", "den": "2"}, "primes": ["+3"]},
+        {"h": 1, "target": {"num": "1", "den": "2"}, "primes": "3"},
+        {"h": 1, "target": {"num": "1", "den": "0"}, "primes": ["3"]},
+        {"h": 1, "target": {"num": 1, "den": 0}, "primes": ["3"]},
+        {"h": 1, "target": {"num": 1, "den": -2}, "primes": ["3"]},
+        {"decompositions": 5},
+        {"decompositions": {"h": 1}},
+        {"decompositions": [5]},
+    ])
+    def test_unsound_reads_exit_2(self, tmp_path, capsys, cert_doc):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(cert_doc))
+        assert main(["verify", "--cert", str(cert)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_integer_fields_may_be_json_numbers(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({
+            "h": -1, "target": {"num": 1, "den": 3}, "primes": [2]}))
+        assert main(["verify", "--cert", str(cert)]) == 0
+
 
 class TestExitCodes:
     def test_analyze_validation(self, capsys):

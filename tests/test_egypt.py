@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -325,6 +327,40 @@ class TestSubsetSumBacktrack:
         assert self._check([4, 5], 0) == []
         assert self._check([], 3) is None
 
+    def test_weights_above_target_match_reference(self):
+        # weights equal to the target stay in the DP; one past it and far
+        # above it are dropped, in front (smooth_pool's decreasing order),
+        # interleaved with the light items, or as the whole pool
+        rng = random.Random(20261019)
+        for n in (1, 7, 9, 17, 193, 241):
+            light = [rng.randrange(1, 60) for _ in range(n)]
+            for target in (rng.randrange(1, sum(light) + 1), sum(light),
+                           light[-1], 59):
+                heavy = [target, target + 1, target + 1, 7 * target + 3,
+                         10 ** 5][:max(1, n // 2)]
+                rng.shuffle(heavy)
+                front = sorted(heavy, reverse=True) + sorted(light,
+                                                             reverse=True)
+                mixed = list(light)
+                for w in heavy:
+                    mixed.insert(rng.randrange(len(mixed) + 1), w)
+                for weights in (front, mixed, heavy,
+                                [w for w in heavy if w > target]):
+                    for snaps in (24, 3):
+                        self._check(weights, target, snaps)
+
+    def test_oversized_weights_never_shifted(self):
+        # shifting by 2**40 bits would need 128 GiB; dropped items cost
+        # nothing
+        tracemalloc.start()
+        try:
+            got = _bitset_subset_sum([2 ** 40, 2 ** 40 + 1, 3, 5], 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [3, 2]
+        assert peak < 1 << 20
+
 
 class TestDecompose:
     def test_two_is_two_disjoint_units(self):
@@ -350,6 +386,39 @@ class TestDecompose:
         }
         for (h, q), primes in frozen.items():
             assert decompose(Fraction(1, q), h).primes == primes, (h, q)
+
+    # 64 pairs (a, b, h) of the benchmark's targets universe (a <= 4,
+    # b <= 120), eight per shift; all but five hand _bitset_subset_sum
+    # pools with weights above the DP target
+    PINNED_TARGETS = (
+        (1, 2, 1), (3, 19, 1), (1, 36, 1), (2, 53, 1), (1, 70, 1),
+        (1, 87, 1), (4, 103, 1), (1, 120, 1),
+        (1, 4, -1), (3, 20, -1), (2, 37, -1), (4, 53, -1), (3, 70, -1),
+        (2, 87, -1), (4, 103, -1), (1, 3, -1),
+        (1, 3, 2), (2, 19, 2), (1, 35, 2), (1, 51, 2), (2, 67, 2),
+        (3, 85, 2), (3, 101, 2), (4, 119, 2),
+        (1, 5, -2), (2, 19, -2), (1, 35, -2), (4, 49, -2), (3, 65, -2),
+        (2, 85, -2), (1, 103, -2), (2, 3, -2),
+        (1, 4, 3), (1, 20, 3), (2, 37, 3), (3, 53, 3), (3, 70, 3),
+        (1, 86, 3), (3, 103, 3), (1, 2, 3),
+        (1, 3, 5), (4, 19, 5), (3, 37, 5), (2, 53, 5), (1, 71, 5),
+        (2, 87, 5), (3, 103, 5), (1, 2, 5),
+        (1, 5, 6), (1, 19, 6), (2, 31, 6), (1, 47, 6), (2, 65, 6),
+        (1, 85, 6), (1, 101, 6), (2, 119, 6),
+        (1, 11, -6), (1, 25, -6), (1, 37, -6), (2, 53, -6), (1, 73, -6),
+        (1, 89, -6), (2, 107, -6), (1, 7, -6),
+    )
+    PINNED_SHA256 = \
+        "4d8aa427d0a06f26711f9408446ae30458e8f48475b467a9f569bb9d4510ac2e"
+
+    def test_pinned_certificates(self):
+        # a speedup must leave every certificate byte-identical
+        lines = []
+        for a, b, h in self.PINNED_TARGETS:
+            dec = decompose(Fraction(a, b), h)
+            lines.append(f"{a}/{b} {h} " + ",".join(map(str, dec.primes)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED_SHA256
 
     def test_obstructed(self):
         with pytest.raises(ObstructionError):

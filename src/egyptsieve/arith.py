@@ -1,7 +1,12 @@
-"""Exact arithmetic substrate: primality, sieving, factorization, li.
+"""Exact arithmetic substrate: primality, sieving, factorization, li,
+exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
-exact, always in lowest terms, positive denominator.
+exact, always in lowest terms, positive denominator.  Exact sums run no
+gcd on a large integer: each value splits at sqrt(max) into a smooth
+part and at most one big prime, gcds and lcms touch only the small
+smooth parts, the big primes cancel by an exact divisibility test, and
+the coprime result is built without the constructor's gcd.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -417,21 +422,98 @@ def _pairwise(items: list, merge, empty):
     return items[0]
 
 
+# Fraction(num, den) for a pair already in lowest terms with den > 0,
+# without the constructor's gcd: Python 3.12 added _from_coprime_ints
+# and dropped the _normalize flag it replaces.
+_coprime_fraction = (getattr(Fraction, "_from_coprime_ints", None)
+                     or functools.partial(Fraction, _normalize=False))
+
+
+def _split_rough(values: np.ndarray):
+    """Split every value v >= 1 of an int64 array as v = m * r, where r
+    is 1 or the one prime factor of v above B = isqrt(max v) (it divides
+    v once: (B + 1)^2 > max v) and m is B-smooth.
+
+    One divisibility test over the array per prime p <= B; only its hits
+    are tested again for p^2, p^3, ...  Returns the primes up to B, the
+    exponent of each summed over all values, and r for every value.
+    """
+    rest = values.copy()
+    primes = _build_primes(isqrt(int(rest.max())))
+    exps = np.zeros(len(primes), dtype=np.int64)
+    for i, p in enumerate(primes.tolist()):
+        hit = np.flatnonzero(rest % p == 0)
+        while len(hit):
+            rest[hit] //= p
+            exps[i] += len(hit)
+            hit = hit[rest[hit] % p == 0]
+    return primes, exps, rest
+
+
+def _sum_merge(x, y):
+    """Sum of two reciprocal sums held as a / (s * b): s from small lcms,
+    b a product of distinct primes, the b of x and y coprime."""
+    (a1, s1, b1), (a2, s2, b2) = x, y
+    s = lcm(s1, s2)
+    return a1 * (s // s1) * b2 + a2 * (s // s2) * b1, s, b1 * b2
+
+
 def reciprocal_sum(values) -> Fraction:
-    """Exact sum of 1/v over the given positive integers (pairwise tree)."""
-    return _pairwise([Fraction(1, int(v)) for v in values], operator.add,
-                     Fraction(0))
+    """Exact sum of 1/v over an iterable of integers v >= 1, repeats
+    counted, without a gcd on a large integer.
+
+    Each v splits as m * r (``_split_rough``: m is B-smooth for
+    B = isqrt(max v), r is 1 or a prime above B).  The values sharing an
+    r sum to u_r / (s_r * r) with s_r the lcm of their m, and the groups
+    merge in one balanced tree into a / (s * b), s = lcm of the s_r,
+    b = product of the r.  One gcd(a, s) costs O(len a), s being small;
+    then r divides a exactly when it divides u_r (modulo r every other
+    group's term vanishes and the rest of r's term is a unit), so those
+    r leave a and b once each: [5, 20] gives 1/4.  The result is in
+    lowest terms by construction.
+
+    Values below 1 raise DomainError; a B above MAX_BASE_PRIME, that is
+    max v >= (MAX_BASE_PRIME + 1)^2, raises CapacityError.
+    """
+    vals = list(values)
+    if not vals:
+        return Fraction(0)
+    if min(vals) < 1:
+        raise DomainError(f"reciprocal_sum needs values >= 1, got "
+                          f"{min(vals)}")
+    top = int(max(vals))
+    if isqrt(top) > MAX_BASE_PRIME:
+        raise CapacityError(
+            f"value {top} needs split primes to {isqrt(top)}, over the "
+            f"{MAX_BASE_PRIME} budget")
+    arr = np.array(vals, dtype=np.int64)
+    _, _, rough = _split_rough(arr)
+    order = np.argsort(rough, kind="stable")
+    rough = rough[order]
+    smooth = (arr[order] // rough).tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(rough)) + 1).tolist(), len(vals)]
+    rough = rough.tolist()
+    leaves = []
+    cancel = 1
+    for lo, hi in zip(cuts, cuts[1:]):
+        r = rough[lo]
+        u, s, _ = _pairwise([(1, m, 1) for m in smooth[lo:hi]], _sum_merge,
+                            None)
+        if r > 1 and u % r == 0:
+            cancel *= r
+        leaves.append((u, s, r))
+    a, s, b = _pairwise(leaves, _sum_merge, None)
+    g = gcd(a, s)
+    return _coprime_fraction(a // g // cancel, s // g * (b // cancel))
 
 
 def prime_reciprocal_sum(primes) -> tuple[int, int]:
-    """Exact (numerator, denominator) of sum of 1/p over distinct primes.
-
-    The denominators are pairwise coprime, so the pairwise merge never
-    needs a gcd; the returned pair is already in lowest terms.
-    """
-    return _pairwise([(1, int(p)) for p in primes],
-                     lambda x, y: (x[0] * y[1] + y[0] * x[1], x[1] * y[1]),
-                     (0, 1))
+    """Exact (numerator, denominator) of sum of 1/p over distinct primes:
+    the s = 1 case of reciprocal_sum's merge.  The denominators are
+    pairwise coprime, so the pair is already in lowest terms."""
+    a, _, b = _pairwise([(1, 1, int(p)) for p in primes], _sum_merge,
+                        (0, 1, 1))
+    return a, b
 
 
 def balanced_product(values) -> int:

@@ -19,6 +19,8 @@ import numpy as np
 from .arith import (
     SieveTable,
     _cached,
+    _coprime_fraction,
+    _split_rough,
     balanced_product,
     factorize,
     is_prime,
@@ -481,21 +483,39 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
 def mertens_product(w: int, shifted: bool = False, lo: int = 2) -> Fraction:
     """Exact product of (1 - 1/p) over primes lo <= p <= w; with
     ``shifted`` the factors are (1 - 1/(p - 1)), for window products
-    over shifted moduli (then lo must be at least 3)."""
+    over shifted moduli (then lo must be at least 3).
+
+    The product is prod(p - 1) / prod(p), or prod(p - 2) / prod(p - 1),
+    and every factor is w-smooth: the exponent of each prime q <= w is
+    counted on both sides (``_split_rough`` on the shifted values) and
+    subtracted, so numerator and denominator come out coprime, each one
+    balanced product of prime powers, with no gcd."""
     if w < 2:
         raise DomainError("need w >= 2")
     if shifted and lo < 3:
         raise DomainError("shifted product needs lo >= 3 (p = 2 gives 0)")
-    ps = [int(p) for p in prime_array(w) if p >= lo]
-    if not ps:
+    ps = prime_array(w)
+    ps = ps[ps >= lo]
+    if not len(ps):
         return Fraction(1)
+
+    def exponents(values):
+        # index 1 counts the values without a prime above B; 1 ** k is 1
+        base, exps, rough = _split_rough(values)
+        out = np.bincount(rough, minlength=w + 1)
+        out[base] += exps
+        return out
+
+    expo = exponents(ps - 2 if shifted else ps - 1)
     if shifted:
-        num = balanced_product(p - 2 for p in ps)
-        den = balanced_product(p - 1 for p in ps)
+        expo -= exponents(ps - 1)
     else:
-        num = balanced_product(p - 1 for p in ps)
-        den = balanced_product(ps)
-    return Fraction(num, den)
+        expo[ps] -= 1
+    qs = np.flatnonzero(expo).tolist()
+    ks = expo[qs].tolist()
+    num = balanced_product(q ** k for q, k in zip(qs, ks) if k > 0)
+    den = balanced_product(q ** -k for q, k in zip(qs, ks) if k < 0)
+    return _coprime_fraction(num, den)
 
 
 def log_density(shift: ShiftParams, N: int, predicate) -> tuple[float, float]:
@@ -517,8 +537,7 @@ def interval_reciprocal_sum(N: int) -> Fraction:
     if N < 4:
         raise DomainError("need N >= 4")
     primes = [int(p) for p in prime_array(N) if 2 * p >= N]
-    num, den = prime_reciprocal_sum(primes)
-    return Fraction(num, den)
+    return _coprime_fraction(*prime_reciprocal_sum(primes))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from egyptsieve.arith import SieveTable, prime_array
@@ -45,3 +47,18 @@ def naive_is_prime(n):
             return False
         f += 1
     return True
+
+
+def fraction_tree_sum(values):
+    """Sum of 1/v by Fraction additions over a balanced tree, the way
+    reciprocal sums were formed before the prime split; kept as the
+    oracle for them."""
+    items = [Fraction(1, int(v)) for v in values]
+    if not items:
+        return Fraction(0)
+    while len(items) > 1:
+        nxt = [x + y for x, y in zip(items[::2], items[1::2])]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]

@@ -514,3 +514,66 @@ class TestExactRationals:
         assert balanced_product([]) == 1
         assert balanced_product([7]) == 7
         assert balanced_product(range(1, 11)) == math.factorial(10)
+
+
+def _sequential_sum(values):
+    total = Fraction(0)
+    for v in values:
+        total += Fraction(1, v)
+    return total
+
+
+class TestReciprocalSum:
+    """reciprocal_sum against the sequential Fraction sum: the same
+    numerator and denominator, and the pair in lowest terms."""
+
+    def _check(self, values):
+        got = reciprocal_sum(values)
+        want = _sequential_sum(values)
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+        assert math.gcd(got.numerator, got.denominator) == 1
+
+    @given(st.lists(st.integers(1, 10 ** 5), min_size=1, max_size=80),
+           st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_multisets_with_repeats(self, values, repeats):
+        self._check(values + values[:repeats])
+
+    @pytest.mark.parametrize("values", [
+        [1],
+        [1, 1, 1],
+        [2 ** k for k in range(31)],
+        # 997^2 just below the maximum: 997 <= isqrt(max) is split off
+        # twice; 1009 (just above) stays the prime part of 1009 * 2
+        [997 ** 2, 997 ** 2 + 1, 997 * 3, 1009 * 2, 2],
+        [991 ** 2, 991 ** 2 + 2, 991, 997],
+        # several values r * m sharing the big prime r = 10007
+        [10007, 2 * 10007, 3 * 10007, 5 * 10007, 6 * 10007, 7, 12],
+        [10007 * m for m in range(1, 60)] + [10009 * m for m in (2, 9)],
+        # smooth only
+        [6, 12, 18, 30, 60, 90, 360360, 720720, 2 ** 20],
+        # the big prime cancels: 1/5 + 1/20 = 1/4, 1/3 + 1/6 = 1/2
+        [5, 20],
+        [3, 6],
+        [7, 7, 7, 7, 7, 7, 7],
+        [11, 22, 33, 44, 55, 66, 77, 88, 99, 110, 121],
+    ])
+    def test_explicit_cases(self, values):
+        self._check(values)
+
+    def test_any_iterable(self):
+        assert reciprocal_sum(v for v in (2, 3)) == Fraction(5, 6)
+        assert reciprocal_sum(np.array([2, 3, 6])) == 1
+        assert reciprocal_sum(iter([])) == 0
+
+    @pytest.mark.parametrize("values", [[0, 3], [-2, 3], [3, -1, 5]])
+    def test_values_below_one_raise(self, values):
+        with pytest.raises(DomainError):
+            reciprocal_sum(values)
+
+    @pytest.mark.parametrize("top", [(arith.MAX_BASE_PRIME + 1) ** 2,
+                                     10 ** 40])
+    def test_split_past_base_budget_raises(self, top):
+        with pytest.raises(CapacityError):
+            reciprocal_sum([2, top])

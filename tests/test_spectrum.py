@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from egyptsieve.arith import li_approx, prime_array
+from egyptsieve.arith import balanced_product, is_prime, li_approx, prime_array
 from egyptsieve.errors import CapacityError, DomainError
 from egyptsieve import spectrum
 from egyptsieve.spectrum import (
@@ -25,7 +25,7 @@ from egyptsieve.spectrum import (
 )
 from egyptsieve.spectrum import _exceeds_power
 
-from conftest import naive_factor
+from conftest import fraction_tree_sum, naive_factor
 
 
 def _max_prime_power(n):
@@ -363,6 +363,23 @@ class TestMertens:
             v = float(mertens_product(w)) * math.log(w)
             assert 0.3 <= v <= 0.8, (w, v)
 
+    @pytest.mark.parametrize("shifted,lo", [(False, 2), (False, 3),
+                                            (False, 101), (True, 3),
+                                            (True, 5), (True, 101)])
+    def test_matches_fraction_oracle(self, shifted, lo):
+        ws = [*range(2, 400), 1000, 4096, 7919, 7920, 12345, 2 * 10 ** 4]
+        for w in ws:
+            ps = [int(p) for p in prime_array(w) if p >= lo]
+            if shifted:
+                want = Fraction(balanced_product(p - 2 for p in ps),
+                                balanced_product(p - 1 for p in ps))
+            else:
+                want = Fraction(balanced_product(p - 1 for p in ps),
+                                balanced_product(ps))
+            got = mertens_product(w, shifted=shifted, lo=lo)
+            assert (got.numerator, got.denominator) == (
+                want.numerator, want.denominator), (w, shifted, lo)
+
 
 class TestLogDensity:
     def test_empty(self, shift_plus1):
@@ -390,6 +407,19 @@ class TestIntervalReciprocalSum:
     def test_log_bound(self):
         for n in (10 ** 4, 10 ** 5, 10 ** 6):
             assert float(interval_reciprocal_sum(n)) * math.log(n) <= 2
+
+    def test_running_sum_oracle(self):
+        # [N/2, N] for N + 1 gains N + 1 if prime and loses p = N/2
+        total = Fraction(1, 2) + Fraction(1, 3)
+        for n in range(4, 5001):
+            if is_prime(n):
+                total += Fraction(1, n)
+            if n % 2 == 1 and is_prime((n - 1) // 2):
+                total -= Fraction(2, n - 1)
+            got = interval_reciprocal_sum(n)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (
+                total.numerator, total.denominator), n
 
 
 class TestCheckHypotheses:
@@ -435,3 +465,25 @@ class TestCheckHypotheses:
             c3 += any(4 <= d < 5 for d in divs)
             c4 += any(20 <= d < 24 for d in divs)
         assert rep.condition_counts == {1: c1, 2: c2, 3: c3, 4: c4}
+
+
+class TestReportReciprocalSums:
+    """Lemma reports carry the reciprocal sum the Fraction tree gives on
+    the same selected set."""
+
+    LEMMAS = {
+        1: lambda N, sh: friability_density(N, sh, Fraction(3, 10)),
+        2: lambda N, sh: omega_deviation_density(N, sh, Fraction(1, 2)),
+        3: lambda N, sh: divisor_window_density(N, sh, Fraction(5),
+                                                Fraction(100)),
+    }
+
+    @pytest.mark.parametrize("lemma", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1, -1, 2, -2])
+    def test_against_fraction_tree(self, monkeypatch, lemma, h):
+        report = self.LEMMAS[lemma]
+        got = report(10 ** 5, ShiftParams(h)).reciprocal_sum
+        monkeypatch.setattr(spectrum, "reciprocal_sum", fraction_tree_sum)
+        want = report(10 ** 5, ShiftParams(h)).reciprocal_sum
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)

@@ -247,6 +247,14 @@ class Factorization:
         return len(self.factors)
 
     @property
+    def totient(self) -> int:
+        """Euler's phi of the value: the product of p^(e-1) (p - 1)."""
+        out = 1
+        for p, e in self.factors:
+            out *= p ** (e - 1) * (p - 1)
+        return out
+
+    @property
     def max_prime_power(self) -> int:
         """Largest prime power exactly dividing the value (1 for value 1)."""
         return max((p ** e for p, e in self.factors), default=1)

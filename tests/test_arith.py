@@ -326,6 +326,11 @@ class TestFactorize:
         assert factorize(12, table6).max_prime_power == 4
         assert factorize(97, table6).max_prime_power == 97
 
+    def test_totient_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for d in range(1, 2001):
+            assert trial_factor(d).totient == sympy.totient(d), d
+
     def test_malformed_rejected(self):
         with pytest.raises(DomainError):
             Factorization(((3, 1), (2, 1)))

@@ -1,11 +1,18 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from egyptsieve.arith import balanced_product, is_prime, li_approx, prime_array
+from egyptsieve.arith import (
+    balanced_product,
+    is_prime,
+    li_approx,
+    prime_array,
+    prime_reciprocal_sum,
+)
 from egyptsieve.errors import CapacityError, DomainError
 from egyptsieve import spectrum
 from egyptsieve.spectrum import (
@@ -342,6 +349,39 @@ class TestPrimeCountAP:
         _, base = prime_count_ap(10 ** 4, 4, 1)
         assert base == pytest.approx(li_approx(10 ** 4) / 2)
 
+    def test_huge_modulus_returns_at_once(self):
+        # phi(d) from the factorization of d, not a loop over 1..d
+        start = time.perf_counter()
+        count, base = prime_count_ap(10 ** 4, 10 ** 10 + 1, 1)
+        assert time.perf_counter() - start < 0.5
+        # 10^10 + 1 = 101 * 3541 * 27961
+        assert (count, base) == (0, li_approx(10 ** 4) / (100 * 3540 * 27960))
+
+    @pytest.mark.parametrize("N", [100, 10 ** 4, 123457])
+    def test_against_primerange_oracle(self, N):
+        sympy = pytest.importorskip("sympy")
+        primes = list(sympy.primerange(2, N + 1))
+        # both paths: 16, 18, 20, 36 divide 720720; 17, 19, 23, 25, 27, 32
+        # and the moduli above N do not
+        assert all(720720 % d == 0 for d in (16, 18, 20, 36))
+        assert all(720720 % d for d in (17, 19, 23, 25, 27, 32))
+        for d in (*range(1, 41), N + 1, 2 * N + 3):
+            for a in range(d if d <= 40 else 3):
+                if math.gcd(a, d) != 1:
+                    continue
+                want = (sum(1 for p in primes if p % d == a),
+                        li_approx(N) / int(sympy.totient(d)))
+                for h in (a, a - d, a + 5 * d):  # negative residues too
+                    assert prime_count_ap(N, d, h) == want, (N, d, h)
+
+    def test_memo_serves_each_N_its_own_counts(self):
+        # large N, small N, large N again: a memo keyed on anything but N
+        # would hand the small N the large N's histogram, or back
+        want = {N: [int((prime_array(N) % d == 1).sum()) for d in (4, 17)]
+                for N in (10 ** 5, 1000)}
+        for N in (10 ** 5, 1000, 10 ** 5):
+            assert [prime_count_ap(N, d, 1)[0] for d in (4, 17)] == want[N]
+
 
 class TestMertens:
     def test_w10(self):
@@ -390,6 +430,16 @@ class TestLogDensity:
         # phi(1) = 1; the Dirichlet shape says ld ~ 1 with o(1) drift
         assert 0.9 <= ld <= 1.3
         assert lower > 0
+
+    @pytest.mark.parametrize("N,q,h", [(100, 1, 1), (10 ** 4, 4, 3),
+                                       (10 ** 5, 1, -1), (10 ** 5, 3, 2)])
+    def test_float_sum_matches_exact_quotient(self, N, q, h):
+        ld, _ = log_density(ShiftParams(h, q), N, lambda p: p % 3 != 2)
+        primes = [int(p) for p in spectrum._progression(N, ShiftParams(h, q))
+                  if p % 3 != 2]
+        num, den = prime_reciprocal_sum(primes)
+        assert ld == pytest.approx(num / den / math.log(math.log(N)),
+                                   rel=1e-12, abs=0)
 
     def test_mod4_classes_close(self):
         ld1, _ = log_density(ShiftParams(1, 4), 10 ** 7, lambda p: True)

@@ -8,8 +8,6 @@ windows, Legendre sieve counts, progression prime counts).
 
 from .arith import (
     Factorization,
-    SieveTable,
-    factorize,
     is_prime,
     li_approx,
     sieve_primes,

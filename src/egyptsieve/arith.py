@@ -259,12 +259,6 @@ class Factorization:
         """Largest prime power exactly dividing the value (1 for value 1)."""
         return max((p ** e for p, e in self.factors), default=1)
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def divisors(self) -> list[int]:
         """All divisors, sorted ascending."""
         out = [1]
@@ -313,32 +307,6 @@ def trial_factor(n: int, primes: list[int] | None = None) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     return Factorization(tuple(factors))
-
-
-class SieveTable:
-    """Factorizations of 1 <= n <= ``limit``, by trial division over the
-    primes up to sqrt(limit), listed once at construction."""
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise DomainError(f"table limit must be >= 1, got {limit}")
-        self.limit = limit
-        self.primes = _build_primes(isqrt(limit)).tolist()
-
-    def smallest_prime_factor(self, n: int) -> int:
-        """Least prime divisor of n (n itself when n is prime); n >= 2."""
-        if not 2 <= n <= self.limit:
-            if n > self.limit:
-                raise CapacityError(f"{n} exceeds table limit {self.limit}")
-            raise DomainError(f"smallest_prime_factor needs n >= 2, got {n}")
-        return trial_factor(n, self.primes).factors[0][0]
-
-
-def factorize(n: int, table: SieveTable) -> Factorization:
-    """Full factorization of 1 <= n <= table.limit; factorize(1) is empty."""
-    if n > table.limit:
-        raise CapacityError(f"{n} exceeds table limit {table.limit}")
-    return trial_factor(n, table.primes)
 
 
 def li_approx(n: int) -> float:

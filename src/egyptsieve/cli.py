@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 no-result-within-budget (exhausted search,
 insufficient merge, failed certificate check), 2 domain or
-configuration errors.  Every report embeds the resolved configuration
-and toolkit version; config resolution is defaults, then config file,
-then command-line flags.
+configuration errors, 3 any other exception, a fault in the toolkit
+("internal error:" and the traceback go to stderr).  Every report
+embeds the resolved configuration and toolkit version; config
+resolution is defaults, then config file, then command-line flags.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import itertools
 import json
 import sys
+import traceback
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -344,6 +346,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,15 +17,15 @@ before it leaves this module.  A failed search raises SearchExhausted
 and never claims nonexistence beyond its explicit pool.
 
 Stage 1 is memoized per process, with fixed LRU bounds.  The pool memo
-maps (h, L, max_prime, allow_unit_denominator) to the unfiltered pool
-(at most 1,024 pools; one pool has at most d(L) entries, the divisor
-count of L); ``exclude`` is applied to a fresh copy on every call.  The
-DP memo maps (pool weights, DP target) to the chosen indices or None
-(at most 4,096 answers).  Both are pure functions of their keys, so no
-result depends on the order of earlier calls; a memo hit is still
-verified.  The benchmark's 2,512-target universe fills 752 pools and
-2,926 answers, about 4.4 MB (tracemalloc).  The assembly DP is not
-memoized: its pools are large and each is used once.
+maps (h, L, max_prime) to the unfiltered pool (at most 1,024 pools; one
+pool has at most d(L) entries, the divisor count of L); ``exclude`` is
+applied to a fresh copy on every call.  The DP memo maps (pool
+weights, DP target) to the chosen indices or None (at most 4,096
+answers).  Both are pure functions of their keys, so no result depends
+on the order of earlier calls; a memo hit is still verified.  The
+benchmark's 2,512-target universe fills 752 pools and 2,926 answers,
+about 4.4 MB (tracemalloc).  The assembly DP is not memoized: its pools
+are large and each is used once.
 """
 
 from __future__ import annotations
@@ -47,6 +47,15 @@ from .errors import (
 
 _SMOOTH_BASIS = (2, 3, 5, 7, 11, 13)
 
+# cascade settings: base moduli of the divisor-pool DP (scaled to
+# multiples of the target denominator), the bitset length cap, the
+# assembly modulus and prime bound, and the unit-split depth
+_DP_MODULI = (27720, 360360, 720720, 4324320)
+_MAX_DP_TARGET = 10 ** 8
+_ASSEMBLY_MODULUS = 43243200                # 2^6 3^3 5^2 7 11 13
+_ASSEMBLY_PRIME_LIMIT = 10 ** 8
+_SPLIT_DEPTH = 3
+
 # memo bounds: the benchmark's targets universe (2,512 targets) builds
 # 752 distinct divisor pools and 2,926 distinct pool DPs
 _POOL_MEMO_SIZE = 1024
@@ -55,25 +64,14 @@ _DP_MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource bounds for the decomposition search.
-
-    moduli are the base smooth moduli for divisor-pool DP (scaled to
-    multiples of the target denominator as needed); max_dp_target caps
-    the bitset length; the assembly_* fields configure the
-    pair-cancellation stage.
-    """
+    """Resource bounds for the decomposition search: the largest prime
+    a certificate may use and the number of greedy steps per run."""
 
     max_prime: int = 10 ** 8
     max_terms: int = 256
-    max_dp_target: int = 10 ** 8
-    moduli: tuple[int, ...] = (27720, 360360, 720720, 4324320)
-    assembly_modulus: int = 43243200          # 2^6 3^3 5^2 7 11 13
-    assembly_prime_limit: int = 10 ** 8
-    allow_unit_denominator: bool = True
-    split_depth: int = 3
 
     def __post_init__(self):
-        if self.max_prime < 2 or any(m < 1 for m in self.moduli):
+        if self.max_prime < 2:
             raise DomainError("malformed budget")
 
 
@@ -203,14 +201,12 @@ def _gate(x, h: int) -> Fraction:
 
 
 @lru_cache(maxsize=_POOL_MEMO_SIZE)
-def _divisor_pool(h: int, L: int, max_prime: int,
-                  allow_unit: bool) -> tuple[tuple[int, int], ...]:
+def _divisor_pool(h: int, L: int,
+                  max_prime: int) -> tuple[tuple[int, int], ...]:
     """Every (weight L/(p-h), p) for primes p <= max_prime with
     (p-h) | L and p - h >= 1, sorted by decreasing weight; memoized."""
     pool = []
     for d in trial_factor(L).divisors():
-        if d == 1 and not allow_unit:
-            continue
         p = d + h
         if p < 2 or p > max_prime:
             continue
@@ -224,8 +220,7 @@ def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
                 exclude=frozenset()) -> list[tuple[int, int]]:
     """(weight L/(p-h), p) for primes p <= max_prime with (p-h) | L,
     p - h >= 1, p unused; sorted by decreasing weight."""
-    return [t for t in _divisor_pool(h, L, budget.max_prime,
-                                     budget.allow_unit_denominator)
+    return [t for t in _divisor_pool(h, L, budget.max_prime)
             if t[1] not in exclude]
 
 
@@ -338,13 +333,10 @@ def smooth_dp_decompose(x, h: int, L: int,
     x = _gate(x, h)
     if L % x.denominator != 0:
         raise DomainError(f"den({x}) does not divide modulus {L}")
-    target = x * L
-    if target.denominator != 1:
-        raise DomainError(f"target {x} * {L} is not integral")
-    target = int(target)
-    if target > budget.max_dp_target:
+    target = x.numerator * (L // x.denominator)
+    if target > _MAX_DP_TARGET:
         raise DomainError(
-            f"DP target {target} exceeds budget {budget.max_dp_target}")
+            f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
     pool = smooth_pool(h, L, budget, exclude)
     weight_total = sum(w for w, _ in pool)
     if weight_total < target:
@@ -370,11 +362,8 @@ def _greedy_prime(rem: Fraction, h: int, used,
                   budget: SearchBudget) -> int | None:
     """One greedy step: the smallest prime p <= max_prime not in used
     whose 1/(p - h) is the largest unit fraction <= rem, i.e. with
-    p - h >= ceil(1/rem) (and p - h >= 2 when unit denominators are
-    barred); None when there is no such prime."""
+    p - h >= ceil(1/rem); None when there is no such prime."""
     d0 = max(1, -(-rem.denominator // rem.numerator))    # ceil(1/rem)
-    if d0 == 1 and not budget.allow_unit_denominator:
-        d0 = 2
     for p in range(max(d0 + h, 2), budget.max_prime + 1):
         if p not in used and is_prime(p):
             return p
@@ -505,22 +494,17 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
                         budget: SearchBudget) -> Decomposition:
     """Pair-cancellation assembly: one subset-sum DP over direct smooth
     items plus q-cancelling pairs, at a high-exponent modulus."""
-    M = budget.assembly_modulus
     k = x.denominator
-    if M % k != 0:
-        M = M // gcd(M, k) * k
-    target = x * M
-    if target.denominator != 1 or int(target) > budget.max_dp_target:
+    M = _ASSEMBLY_MODULUS // gcd(_ASSEMBLY_MODULUS, k) * k
+    target = x.numerator * (M // k)
+    if target > _MAX_DP_TARGET:
         raise SearchExhausted(
             f"assembly target for {x} exceeds DP budget", target=str(x))
-    target = int(target)
-    limit = min(budget.max_prime, budget.assembly_prime_limit)
+    limit = min(budget.max_prime, _ASSEMBLY_PRIME_LIMIT)
     items = _assembly_items(h, M, exclude, limit)
-    pool = []
-    for v, ps in items:
-        w = v * M
-        if w.denominator == 1 and v <= x:
-            pool.append((int(w), ps))
+    # every item's value times M is an integer (_assembly_items keeps
+    # no other)
+    pool = [(int(v * M), ps) for v, ps in items if v <= x]
     pool.sort(key=lambda t: (t[0], t[1]))    # mass-cheap items preferred
     weight_total = sum(w for w, _ in pool)
     if weight_total < target:
@@ -542,29 +526,30 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
     return dec
 
 
-def _dp_moduli(t: Fraction, budget: SearchBudget) -> list[int]:
+def _dp_moduli(t: Fraction) -> list[int]:
     """Scaled moduli M for t = a/k, in trial order: both candidates are
     multiples of k, so t * M = a * (M // k) is an integer; M is kept
-    while that DP target is within max_dp_target."""
+    while that DP target is within _MAX_DP_TARGET."""
     k = t.denominator
     out = []
-    for L in budget.moduli:
+    for L in _DP_MODULI:
         for M in (L // gcd(L, k) * k, L * k):
-            if M not in out and t.numerator * (M // k) <= budget.max_dp_target:
+            if M not in out and t.numerator * (M // k) <= _MAX_DP_TARGET:
                 out.append(M)
     return out
 
 
 def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
                   depth: int = 0) -> list[int]:
-    """One subtarget of the cascade; returns the primes used."""
-    for M in _dp_moduli(t, budget):
+    """One subtarget of the cascade, 1 or a unit fraction 1/k; returns
+    the primes used."""
+    for M in _dp_moduli(t):
         try:
             return list(smooth_dp_decompose(t, h, M, budget,
                                             exclude=frozenset(used)).primes)
         except SearchExhausted:
             continue
-    if depth < budget.split_depth and t.numerator == 1:
+    if depth < _SPLIT_DEPTH:
         k = t.denominator
         try:
             first = _solve_single(Fraction(1, k + 1), h, used, budget,
@@ -586,7 +571,7 @@ def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
         extra.append(p)
         if rem == 0:
             return extra
-        for M in _dp_moduli(rem, budget):
+        for M in _dp_moduli(rem):
             try:
                 dec = smooth_dp_decompose(rem, h, M, budget,
                                           exclude=frozenset(used) | set(extra))

@@ -19,12 +19,10 @@ import numpy as np
 
 from .arith import (
     TRIAL_PRIME_BOUND,
-    SieveTable,
     _cached,
     _coprime_fraction,
     _split_rough,
     balanced_product,
-    factorize,
     is_prime,
     li_approx,
     prime_array,
@@ -210,10 +208,12 @@ def _progression(N: int, shift: ShiftParams) -> np.ndarray:
     return primes[sel]
 
 
-def classify(p: int, shift: ShiftParams, filt: FilterParams,
-             table: SieveTable) -> ShiftedPrimeRecord:
+def classify(p: int, shift: ShiftParams,
+             filt: FilterParams) -> ShiftedPrimeRecord:
     """Per-prime dossier for n = (p - h) / q with the four condition
-    verdicts; witnesses recorded when the divisor windows are hit."""
+    verdicts; witnesses recorded when the divisor windows are hit.
+    n is factored by ``trial_factor``, which raises CapacityError for a
+    composite cofactor without prime factors up to TRIAL_PRIME_BOUND."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % shift.q != shift.h % shift.q:
@@ -221,7 +221,7 @@ def classify(p: int, shift: ShiftParams, filt: FilterParams,
     if p - shift.h < shift.q:
         raise DomainError(f"need p - h >= q, got p={p}")
     n = (p - shift.h) // shift.q
-    fz = factorize(n, table)
+    fz = trial_factor(n)
     mpp = fz.max_prime_power
     friable = not _exceeds_power(mpp, n, 1 - filt.epsilon)
     if n >= MIN_OMEGA_N:
@@ -487,10 +487,12 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     """Exact count of primes p <= N with p = h (mod d), next to the
     expected li(N) / phi(d).
 
-    A modulus d dividing 720720 = lcm(1..16) sums every d-th entry of
+    A modulus d above N leaves every prime p <= N its own residue, so
+    the count is 1 when h mod d is a prime up to N and 0 otherwise.  A
+    modulus d dividing 720720 = lcm(1..16) sums every d-th entry of
     ``_residue_histogram(N)``, the prime counts modulo 720720, built once
     per N (an LRU memo of 4 entries, 2.9 MB each); any other d reduces
-    the primes up to N modulo d in one pass.  Both give the same count,
+    the primes up to N modulo d in one pass.  All give the same count,
     so no result depends on the order of calls.  phi(d) comes from the
     factorization of d by trial division."""
     if N < 100:
@@ -499,7 +501,9 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
         raise DomainError("need d >= 1")
     if gcd(h, d) != 1:
         raise DomainError(f"residue {h} shares a factor with modulus {d}")
-    if _HIST_MODULUS % d == 0:
+    if d > N:
+        count = int(h % d <= N and is_prime(h % d))
+    elif _HIST_MODULUS % d == 0:
         count = int(_residue_histogram(N)[h % d::d].sum())
     else:
         count = int(((prime_array(N) % d) == (h % d)).sum())

@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from egyptsieve.arith import SieveTable, prime_array
+from egyptsieve.arith import prime_array
 from egyptsieve.spectrum import ShiftParams
-
-
-@pytest.fixture(scope="session")
-def table6():
-    return SieveTable(10 ** 6)
 
 
 @pytest.fixture(scope="session")

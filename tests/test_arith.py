@@ -12,11 +12,10 @@ from egyptsieve import arith
 from egyptsieve.arith import (
     _PSI_13,
     Factorization,
-    SieveTable,
+    _build_primes,
     _strong_lucas_prp,
     _trial_primes,
     balanced_product,
-    factorize,
     is_prime,
     li_approx,
     prime_array,
@@ -98,7 +97,7 @@ class TestSievePrimes:
     def test_base_prime_list(self):
         # trial_factor takes m % p on big ints, which np.int64 would overflow
         for limit in [*range(1, 201), 10 ** 3]:
-            got = SieveTable(limit * limit).primes
+            got = _build_primes(limit).tolist()
             assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
         got = _trial_primes()
@@ -284,47 +283,44 @@ class TestIsPrime:
 
 
 class TestFactorize:
-    def test_12(self, table6):
-        assert factorize(12, table6).factors == ((2, 2), (3, 1))
+    def test_12(self):
+        assert trial_factor(12).factors == ((2, 2), (3, 1))
 
-    def test_prime_input(self, table6):
-        assert factorize(97, table6).factors == ((97, 1),)
+    def test_prime_input(self):
+        assert trial_factor(97).factors == ((97, 1),)
 
-    def test_720720_multiplies_back(self, table6):
-        fz = factorize(720720, table6)
+    def test_720720_multiplies_back(self):
+        fz = trial_factor(720720)
         assert fz.factors == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
         assert fz.value == 720720
 
-    def test_one(self, table6):
-        fz = factorize(1, table6)
+    def test_one(self):
+        fz = trial_factor(1)
         assert fz.factors == ()
         assert fz.omega == 0
         assert fz.max_prime_power == 1
 
-    def test_zero(self, table6):
+    def test_zero(self):
         with pytest.raises(DomainError):
-            factorize(0, table6)
+            trial_factor(0)
 
-    def test_beyond_limit(self, table6):
-        with pytest.raises(CapacityError):
-            factorize(10 ** 6 + 1, table6)
-
-    def test_round_trip_full_range(self, table6):
+    def test_round_trip_full_range(self):
         for n in range(2, 10 ** 6 + 1):
-            assert factorize(n, table6).value == n
+            assert trial_factor(n).value == n
 
-    def test_segmented_table_agrees(self, table6):
-        big = SieveTable((1 << 24) + 2 ** 20)
+    def test_segmented_table_agrees(self):
+        limit = (1 << 24) + 2 ** 20
+        roots = _build_primes(math.isqrt(limit)).tolist()
         for n in (2, 97, 720720, 999983, (1 << 24) + 7, (1 << 24) + 2 ** 20):
-            assert factorize(n, big).factors == tuple(naive_factor(n))
+            assert trial_factor(n, roots).factors == tuple(naive_factor(n))
 
-    def test_divisors(self, table6):
-        assert factorize(12, table6).divisors() == [1, 2, 3, 4, 6, 12]
-        assert factorize(1, table6).divisors() == [1]
+    def test_divisors(self):
+        assert trial_factor(12).divisors() == [1, 2, 3, 4, 6, 12]
+        assert trial_factor(1).divisors() == [1]
 
-    def test_max_prime_power(self, table6):
-        assert factorize(12, table6).max_prime_power == 4
-        assert factorize(97, table6).max_prime_power == 97
+    def test_max_prime_power(self):
+        assert trial_factor(12).max_prime_power == 4
+        assert trial_factor(97).max_prime_power == 97
 
     def test_totient_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -370,23 +366,12 @@ class TestTrialFactor:
             with pytest.raises(DomainError):
                 trial_factor(n)
 
-    def test_smallest_prime_factor(self):
-        for limit in (1, 2, 3, 4, 5000):
-            table = SieveTable(limit)
-            for n in range(2, limit + 1):
-                assert table.smallest_prime_factor(n) == naive_factor(n)[0][0]
-            with pytest.raises(CapacityError):
-                table.smallest_prime_factor(limit + 1)
-            with pytest.raises(DomainError):
-                table.smallest_prime_factor(1)
-
 
 def _oracle_arrays(limit):
-    """omega and largest prime power for 0..limit from factorize."""
-    table = SieveTable(max(limit, 1))
+    """omega and largest prime power for 0..limit from trial_factor."""
     om, mp = [0, 0], [1, 1]
     for n in range(2, limit + 1):
-        fz = factorize(n, table)
+        fz = trial_factor(n)
         om.append(fz.omega)
         mp.append(fz.max_prime_power)
     return np.array(om[:limit + 1]), np.array(mp[:limit + 1])
@@ -450,9 +435,9 @@ class TestPrimePowerSieve:
 class TestOmegaAdditivity:
     @given(st.integers(2, 10 ** 3), st.integers(2, 10 ** 3))
     @settings(max_examples=150, deadline=None)
-    def test_additive_on_coprime(self, table6, m, n):
+    def test_additive_on_coprime(self, m, n):
         assume(math.gcd(m, n) == 1)
-        fm, fn, fmn = (factorize(k, table6) for k in (m, n, m * n))
+        fm, fn, fmn = (trial_factor(k) for k in (m, n, m * n))
         assert fmn.omega == fm.omega + fn.omega
 
 

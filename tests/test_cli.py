@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from egyptsieve import cli
 from egyptsieve.arith import sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
@@ -156,6 +157,16 @@ class TestExitCodes:
                                         "epsilon": "0.3", **bad}))
             assert main(["sweep", "--grid", str(grid)]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
+
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_sieve", fail)
+        assert main(["sieve", "--limit", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and "RuntimeError: injected fault" in err
 
     def test_unfactorable_modulus_exits_2(self, capsys):
         den = (10 ** 6 + 3) * (10 ** 6 + 33)

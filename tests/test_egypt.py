@@ -11,7 +11,6 @@ import pytest
 from egyptsieve import egypt
 from egyptsieve.arith import is_prime, trial_factor
 from egyptsieve.egypt import (
-    DEFAULT_BUDGET,
     Decomposition,
     PartialSolution,
     SearchBudget,
@@ -92,7 +91,7 @@ class TestOneFactorizer:
     def test_divisors_of_scaled_moduli_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         moduli = set()
-        for L in DEFAULT_BUDGET.moduli + (DEFAULT_BUDGET.assembly_modulus,):
+        for L in egypt._DP_MODULI + (egypt._ASSEMBLY_MODULUS,):
             for k in range(1, 121):
                 moduli |= {L // math.gcd(L, k) * k, L * k}
         for M in sorted(moduli):
@@ -172,11 +171,6 @@ class TestSmoothDP:
         assert exc.value.pool_size == 3    # {5, 7, 13}
         assert exc.value.weight_total == 6
 
-    def test_unit_denominator_flag(self):
-        strict = SearchBudget(allow_unit_denominator=False)
-        dec = smooth_dp_decompose(ONE, 1, 12, strict)
-        assert 2 not in dec.primes
-
     def test_pool_contents(self):
         pool = smooth_pool(1, 12)
         assert pool == [(12, 2), (6, 3), (3, 5), (2, 7), (1, 13)]
@@ -194,15 +188,12 @@ class TestPoolMemo:
 
     def test_against_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
-        strict = SearchBudget(allow_unit_denominator=False)
-        for m in DEFAULT_BUDGET.moduli:
+        for m in egypt._DP_MODULI:
             for k in range(1, 13):
                 L = m * k
                 for h in self.SHIFTS:
                     want = _oracle_pool(h, L, sympy)
                     assert smooth_pool(h, L) == want, (h, L)
-                    assert smooth_pool(h, L, strict) == \
-                        [t for t in want if t[0] != L], (h, L)
                     if k not in (1, 7, 12) or not want:
                         continue
                     primes = sorted(p for _, p in want)
@@ -230,26 +221,22 @@ class TestPoolMemo:
 
 class TestDPModuli:
     def test_integer_bound_matches_fraction_expression(self):
-        def reference(t, budget):
+        def reference(t):
             k = t.denominator
             out = []
-            for L in budget.moduli:
+            for L in egypt._DP_MODULI:
                 for M in (L // math.gcd(L, k) * k, L * k):
                     if M not in out and (t * M).denominator == 1 \
-                            and t * M <= budget.max_dp_target:
+                            and t * M <= egypt._MAX_DP_TARGET:
                         out.append(M)
             return out
 
-        # the second bound admits 1 * 360360 exactly and refuses 720720
-        budgets = (DEFAULT_BUDGET, SearchBudget(max_dp_target=360360))
         for b in range(1, 241):
             for a in range(1, b + 1):
                 if math.gcd(a, b) != 1:
                     continue
                 t = Fraction(a, b)
-                for budget in budgets:
-                    assert egypt._dp_moduli(t, budget) == \
-                        reference(t, budget), (t, budget.max_dp_target)
+                assert egypt._dp_moduli(t) == reference(t), t
 
 
 class TestDPvsBruteForce:
@@ -603,11 +590,23 @@ class TestRFold:
         with pytest.raises(DomainError):
             r_fold_disjoint(ONE, 1, 0)
 
+    # the third certificate runs the unit split (exhausted at every
+    # depth), the greedy DP retries and the assembly stage, none of which
+    # test_pinned_certificates reaches
+    CERTIFY_PATH_SHA256 = \
+        "9b4a19d5c2256a45bc005f7c19b60f75637591bdc1a85c08187284dbfd410ff9"
+
+    def test_pinned_certify_path(self):
+        decs = r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
+        lines = [",".join(map(str, d.primes)) for d in decs]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.CERTIFY_PATH_SHA256
+
 
 class TestAssemblyItems:
     def test_against_naive_primes(self):
         # for h < 0 the 13-rough part q of p - h reaches limit - h
-        M, limit = DEFAULT_BUDGET.assembly_modulus, 1000
+        M, limit = egypt._ASSEMBLY_MODULUS, 1000
         for h in (-10, -1001, 1):
             direct, pair_q = set(), {}
             for p in filter(naive_is_prime, range(limit + 1)):

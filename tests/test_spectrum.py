@@ -63,44 +63,44 @@ class TestParams:
 
 
 class TestClassify:
-    def test_p13_friable(self, table6):
-        rec = classify(13, ShiftParams(1), FilterParams(epsilon="0.2"), table6)
+    def test_p13_friable(self):
+        rec = classify(13, ShiftParams(1), FilterParams(epsilon="0.2"))
         assert rec.n == 12
         assert rec.omega == 2
         assert rec.max_prime_power == 4
         # 4 <= 12**0.8 ~ 7.3
         assert rec.verdicts.friable
 
-    def test_p3_prime_n_never_friable(self, table6):
+    def test_p3_prime_n_never_friable(self):
         for eps in ("0.1", "0.5", "0.9"):
-            rec = classify(3, ShiftParams(1), FilterParams(epsilon=eps), table6)
+            rec = classify(3, ShiftParams(1), FilterParams(epsilon=eps))
             assert rec.n == 2
             assert rec.max_prime_power == 2
             assert not rec.verdicts.friable
 
-    def test_divisor_windows(self, table6):
+    def test_divisor_windows(self):
         rec = classify(13, ShiftParams(1),
-                       FilterParams(epsilon="0.2", y=4, w=5, z=24), table6)
+                       FilterParams(epsilon="0.2", y=4, w=5, z=24))
         assert rec.d1_witness == 4
         assert rec.verdicts.d1
         # window [20, 24) holds no divisor of 12
         assert rec.d2_witness is None
         assert not rec.verdicts.d2
 
-    def test_domain_errors(self, table6):
+    def test_domain_errors(self):
         with pytest.raises(DomainError):
-            classify(12, ShiftParams(1), FilterParams(), table6)
+            classify(12, ShiftParams(1), FilterParams())
         with pytest.raises(DomainError):
-            classify(5, ShiftParams(1, 3), FilterParams(), table6)
+            classify(5, ShiftParams(1, 3), FilterParams())
         with pytest.raises(DomainError):
-            classify(2, ShiftParams(1, 5), FilterParams(), table6)
+            classify(2, ShiftParams(1, 5), FilterParams())
 
-    def test_reproducible(self, table6):
-        a = classify(101, ShiftParams(1), FilterParams(), table6)
-        b = classify(101, ShiftParams(1), FilterParams(), table6)
+    def test_reproducible(self):
+        a = classify(101, ShiftParams(1), FilterParams())
+        b = classify(101, ShiftParams(1), FilterParams())
         assert a == b
 
-    def test_exact_tie_goes_friable(self, table6):
+    def test_exact_tie_goes_friable(self):
         # 16 = 32**(4/5) exactly: the boundary comparison is exact and a
         # tie does not land in the bad set
         from egyptsieve.spectrum import _exceeds_power
@@ -108,7 +108,7 @@ class TestClassify:
         assert _exceeds_power(17, 32, Fraction(4, 5))
         assert not _exceeds_power(15, 32, Fraction(4, 5))
         rec = classify(97, ShiftParams(1),
-                       FilterParams(epsilon="0.2"), table6)
+                       FilterParams(epsilon="0.2"))
         assert rec.n == 96 and rec.max_prime_power == 32
         assert rec.verdicts.friable  # 32 <= 96**0.8 ~ 38.6
 
@@ -150,12 +150,12 @@ class TestFriability:
         for r in reps:
             assert 0.0 <= r.relative_density <= 1.0
 
-    def test_matches_classify(self, table6, shift_plus1):
+    def test_matches_classify(self, shift_plus1):
         # bulk count equals the per-prime classification, N = 2000
         filt = FilterParams(epsilon="0.25")
         rep = friability_density(2000, shift_plus1, "0.25")
         per_prime = sum(
-            not classify(int(p), shift_plus1, filt, table6).verdicts.friable
+            not classify(int(p), shift_plus1, filt).verdicts.friable
             for p in prime_array(2000).tolist())
         assert rep.count == per_prime
 
@@ -362,11 +362,13 @@ class TestPrimeCountAP:
         sympy = pytest.importorskip("sympy")
         primes = list(sympy.primerange(2, N + 1))
         # both paths: 16, 18, 20, 36 divide 720720; 17, 19, 23, 25, 27, 32
-        # and the moduli above N do not
+        # do not.  Above N only a residue that is a prime up to N counts:
+        # 2 does, 1 and the largest prime below 2N + 3 do not; 2^63 + 1
+        # overflows int64
         assert all(720720 % d == 0 for d in (16, 18, 20, 36))
         assert all(720720 % d for d in (17, 19, 23, 25, 27, 32))
-        for d in (*range(1, 41), N + 1, 2 * N + 3):
-            for a in range(d if d <= 40 else 3):
+        for d in (*range(1, 41), N + 1, 2 * N + 3, 2 ** 63 + 1):
+            for a in range(d) if d <= 40 else (1, 2, sympy.prevprime(d)):
                 if math.gcd(a, d) != 1:
                     continue
                 want = (sum(1 for p in primes if p % d == a),
@@ -473,9 +475,9 @@ class TestIntervalReciprocalSum:
 
 
 class TestCheckHypotheses:
-    def test_singleton_sum_fails(self, table6):
+    def test_singleton_sum_fails(self):
         rec = classify(13, ShiftParams(1),
-                       FilterParams(epsilon="0.2", y=4, w=5, z=24), table6)
+                       FilterParams(epsilon="0.2", y=4, w=5, z=24))
         rep = check_hypotheses([rec], 1000, FilterParams(epsilon="0.2", y=4,
                                                          w=5, z=24))
         assert rep.reciprocal_sum == Fraction(1, 12)
@@ -488,17 +490,17 @@ class TestCheckHypotheses:
         assert not rep.sum_ok
         assert not rep.divisor_pair_ok
 
-    def test_window_never_holds_at_desk_scale(self, table6):
-        rec = classify(13, ShiftParams(1), FilterParams(), table6)
+    def test_window_never_holds_at_desk_scale(self):
+        rec = classify(13, ShiftParams(1), FilterParams())
         rep = check_hypotheses([rec], 10 ** 6, FilterParams())
         assert not rep.window_ok
 
-    def test_synthetic_recheck(self, table6):
+    def test_synthetic_recheck(self):
         filt = FilterParams(epsilon="0.1", y=4, w=5, z=24)
         shift = ShiftParams(1)
         records = []
         for p in prime_array(10 ** 4).tolist():
-            rec = classify(int(p), shift, filt, table6)
+            rec = classify(int(p), shift, filt)
             if rec.n % 20 == 0 and rec.verdicts.friable:
                 records.append(rec)
         assert records

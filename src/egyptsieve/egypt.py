@@ -232,45 +232,62 @@ def _bitset_subset_sum(weights: list[int], target: int,
     Items heavier than target can never be chosen and change no prefix's
     reachability, so they are dropped first and the DP below runs on the
     rest; the chosen positions are mapped back to the caller's indices.
-    Every forward-pass integer thus stays under about 2 * (target + 1)
-    bits, however large the dropped weights are.
 
     Forward pass: a big-integer bitset DP over the items in order,
     stopping at the first item that reaches target, with a snapshot
     every ``stride`` items so that about ``max_snapshots`` bitsets are
-    kept.
+    kept.  A sum is live only if the weight still to come can lift it to
+    target (the suffix-sum bound, cf. Pisinger, J. Algorithms 1999), so
+    after a prefix whose remaining items weigh ``suffix`` the bitset
+    holds only the sums ``off..target``, ``off = max(0, target -
+    suffix)``, as bits ``0..target - off``, and each item slides that
+    window up; only the bits that stay at or below target are shifted
+    up.  A pool lighter than target returns None before any shift, and a
+    window that empties returns None at once.  Every integer either pass
+    builds is at most ``min(target, total - target) + 1`` bits wide,
+    total being the kept weight: however large target is, a pool whose
+    total barely clears it, or falls short of it, costs a few words.
 
     Backtrack: from that item down to item 0, item i is taken only when
     the residual is unreachable from items 0..i-1, so solutions made of
     early items are preferred.  The items are walked one stride block at
-    a time, top block first.  A block pops its snapshot and builds the
-    prefix masks of all its items from it once, over bits lo..t only: t
-    is the residual on entering the block and lo is t minus the block's
-    weight sum.  The residual only falls, and the bit read at an item
-    depends only on snapshot bits at or above lo, so the window is
-    exact; each cached mask also drops the bits below the least residual
-    its item can still see.
+    a time, top block first.  A block pops its snapshot and runs the same
+    sliding DP over its items once, with the residual t on entering the
+    block as target and lo = t minus the block's weight sum as the first
+    offset; the mask cached for each item holds only the bits of its
+    prefix DP that it and the block's later items can still ask for.
+    The residual only falls, the chosen items all lie above the block,
+    and lo is never below the snapshot's offset, so every window is
+    exact.
     """
     if target == 0:
         return []
     keep = [i for i, w in enumerate(weights) if w <= target]
     weights = [weights[i] for i in keep]
     n = len(weights)
-    if n == 0:
+    suffix = sum(weights)
+    if suffix < target:
         return None
     stride = max(8, -(-n // max_snapshots))
-    cap = (1 << (target + 1)) - 1
-    dp = 1
-    snaps = {0: 1}
+    # dp bit j is the sum off + j
+    dp, off = 1, 0
+    snaps = {0: (0, 1)}
     hit_at = None
     for i, w in enumerate(weights):
-        if dp.bit_length() + w > target + 1:
-            dp = (dp | (dp << w)) & cap
-        else:                       # nothing can pass target: skip the cap
-            dp |= dp << w
+        suffix -= w
+        low = target - off - w + 1      # bits still <= target after << w
+        up = dp if dp.bit_length() <= low else dp & ((1 << max(0, low)) - 1)
+        step = target - suffix - off    # the window's rise, at most w
+        if step > 0:
+            dp = (up << (w - step)) | (dp >> step)
+            off += step
+        else:
+            dp |= up << w
+        if not dp:
+            return None
         if (i + 1) % stride == 0:
-            snaps[i + 1] = dp
-        if dp.bit_length() == target + 1:
+            snaps[i + 1] = (off, dp)
+        if dp.bit_length() == target - off + 1:
             hit_at = i
             break
     del dp
@@ -284,19 +301,29 @@ def _bitset_subset_sum(weights: list[int], target: int,
         base = top - top % stride
         rest = sum(weights[base:top + 1])
         lo = max(0, t - rest)
-        wcap = (1 << (t - lo + 1)) - 1
-        m = (snaps.pop(base) >> lo) & wcap
-        # masks[j] = (f, bits f..t of the DP over weights[0:base + j]); the
-        # residual at item base + j is at least t - (weights after it), so
-        # the bits below f can no longer be asked for
+        off, m = snaps.pop(base)
+        m >>= lo - off
+        if m.bit_length() > t - lo + 1:
+            m &= (1 << (t - lo + 1)) - 1
+        # masks[j] = (f, bits f..t of the DP over weights[0:base + j]) with
+        # f = max(lo, t - sum(weights[base + j:top + 1])): what item
+        # base + j and the items after it ask for rests on bits >= f only
         masks = []
+        f = lo
         for i in range(base, top + 1):
-            w = weights[i]
-            rest -= w
-            f = max(lo, t - rest)
-            masks.append((f, m >> (f - lo)))
+            masks.append((f, m))
             if i < top:
-                m = (m | (m << w)) & wcap
+                w = weights[i]
+                rest -= w
+                low = t - f - w + 1
+                up = m if m.bit_length() <= low \
+                    else m & ((1 << max(0, low)) - 1)
+                step = t - rest - f
+                if step > 0:
+                    m = (up << (w - step)) | (m >> step)
+                    f += step
+                else:
+                    m |= up << w
         del m
         for i in range(top, base - 1, -1):
             f, mask = masks.pop()
@@ -338,7 +365,7 @@ def smooth_dp_decompose(x, h: int, L: int,
         raise DomainError(
             f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
     pool = smooth_pool(h, L, budget, exclude)
-    weight_total = sum(w for w, _ in pool)
+    weight_total = sum(w for w, _ in pool if w <= target)
     if weight_total < target:
         raise SearchExhausted(
             f"pool weight {weight_total} below target {target}",

@@ -171,6 +171,14 @@ class TestSmoothDP:
         assert exc.value.pool_size == 3    # {5, 7, 13}
         assert exc.value.weight_total == 6
 
+    def test_exhausted_counts_only_choosable_weight(self):
+        # target 6: p = 2 carries weight 12 and can never be chosen
+        with pytest.raises(SearchExhausted) as exc:
+            smooth_dp_decompose(Fraction(1, 2), 1, 12,
+                                exclude=frozenset({3, 13}))
+        assert exc.value.weight_total == 5    # {5, 7}; 2 is not counted
+        assert exc.value.target == 6
+
     def test_pool_contents(self):
         pool = smooth_pool(1, 12)
         assert pool == [(12, 2), (6, 3), (3, 5), (2, 7), (1, 13)]
@@ -362,10 +370,15 @@ class TestSubsetSumBacktrack:
         for n in self.SIZES:
             for weights in self._pools(rng, n):
                 total = sum(weights)
+                # targets near the total slide the window up from the
+                # first items, unreachable ones empty it mid-pass, and one
+                # snapshot leaves a single block for the whole backtrack
                 for target in (rng.randrange(1, total + 1),
                                rng.randrange(1, total // 3 + 2),
-                               total, total - weights[0]):
-                    for snaps in (24, 3):
+                               total, total - weights[0], total - 1,
+                               total - min(weights),
+                               max(0, total - rng.randrange(1, 20))):
+                    for snaps in (24, 3, 1):
                         got = self._check(weights, target, snaps)
                         found += got is not None
                         absent += got is None
@@ -418,16 +431,35 @@ class TestSubsetSumBacktrack:
                     for snaps in (24, 3):
                         self._check(weights, target, snaps)
 
-    def test_oversized_weights_never_shifted(self):
-        # shifting by 2**40 bits would need 128 GiB; dropped items cost
-        # nothing
+    def _peak(self, weights, target):
         tracemalloc.start()
         try:
-            got = _bitset_subset_sum([2 ** 40, 2 ** 40 + 1, 3, 5], 8)
+            got = _bitset_subset_sum(weights, target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return got, peak
+
+    def test_oversized_weights_never_shifted(self):
+        # shifting by 2**40 bits would need 128 GiB; dropped items cost
+        # nothing
+        got, peak = self._peak([2 ** 40, 2 ** 40 + 1, 3, 5], 8)
         assert got == [3, 2]
+        assert peak < 1 << 20
+
+    def test_unreachable_huge_targets_build_no_bitset(self):
+        # a full-width bitset at target 10**9 is 125 MB: a pool lighter
+        # than the target returns before any shift, and a window that
+        # empties returns at once
+        for weights in ([10 ** 8] * 5 + [3] * 4, [10 ** 9 - 1, 5, 2]):
+            got, peak = self._peak(weights, 10 ** 9)
+            assert got is None, weights
+            assert peak < 1 << 20, weights
+
+    def test_huge_target_near_total_keeps_a_small_window(self):
+        # total - target = 0: every live sum is the prefix sum itself
+        got, peak = self._peak([6 * 10 ** 8, 4 * 10 ** 8 - 7, 3, 4], 10 ** 9)
+        assert got == [3, 2, 1, 0]
         assert peak < 1 << 20
 
 
@@ -601,6 +633,18 @@ class TestRFold:
         lines = [",".join(map(str, d.primes)) for d in decs]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.CERTIFY_PATH_SHA256
+
+    # the certify workload's second instance; most of its subset-sum
+    # pools are lighter than their target
+    CERTIFY_HALF_SHA256 = \
+        "6d28517d4067738bb02e8f77e241c5a1f007b2b9200eafc7aaac334795cb2421"
+
+    def test_pinned_certify_half(self):
+        decs = r_fold_disjoint(Fraction(1, 2), 1, 4,
+                               SearchBudget(max_prime=10 ** 6))
+        lines = [",".join(map(str, d.primes)) for d in decs]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.CERTIFY_HALF_SHA256
 
 
 class TestAssemblyItems:

@@ -1,11 +1,12 @@
 """Egyptian-fraction decompositions over shifted primes.
 
 Finds finite prime sets S with sum of 1/(p - h) over S equal to a
-target rational, exactly.  The search cascade:
+target rational, exactly.  ``decompose`` runs the congruence gate, then
+one cascade on the whole target x = a/k:
 
 1. subset-sum DP over divisor pools of smooth moduli (weights L/(p-h)
    for (p-h) | L, solved on a big-integer bitset),
-2. recursive unit splitting 1/k = 1/(k+1) + 1/(k(k+1)) feeding 1.,
+2. recursive splitting a/k = a/(k+1) + a/(k(k+1)) feeding 1.,
 3. pair-cancellation assembly: denominators p - h = e * q with one
    large prime q are combined in pairs with q | e1 + e2, so each pair
    contributes a q-free value; direct smooth denominators and pairs
@@ -16,16 +17,15 @@ Every returned decomposition is re-checked by the independent verifier
 before it leaves this module.  A failed search raises SearchExhausted
 and never claims nonexistence beyond its explicit pool.
 
-Stage 1 is memoized per process, with fixed LRU bounds.  The pool memo
-maps (h, L, max_prime) to the unfiltered pool (at most 1,024 pools; one
-pool has at most d(L) entries, the divisor count of L); ``exclude`` is
-applied to a fresh copy on every call.  The DP memo maps (pool
-weights, DP target) to the chosen indices or None (at most 4,096
-answers).  Both are pure functions of their keys, so no result depends
-on the order of earlier calls; a memo hit is still verified.  The
-benchmark's 2,512-target universe fills 752 pools and 2,926 answers,
-about 4.4 MB (tracemalloc).  The assembly DP is not memoized: its pools
-are large and each is used once.
+Stage 1's divisor pools are memoized per process, with a fixed LRU
+bound: the memo maps (h, L, max_prime) to the unfiltered pool (at most
+1,024 pools; one pool has at most d(L) entries, the divisor count of
+L), and ``exclude`` is applied to a fresh copy on every call.  The pool
+is a pure function of its key, so no result depends on the order of
+earlier calls.  The benchmark's 2,512-target universe fills 416 pools,
+about 1.2 MB (tracemalloc).  Subset-sum answers are not memoized: on
+that universe a DP is asked the same (weights, target) question in
+about 1 % of its calls.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import add
 
 import numpy as np
 
-from .arith import is_prime, prime_array, prime_flags, trial_factor
+from .arith import _pairwise, is_prime, prime_array, prime_flags, trial_factor
 from .errors import (
     DomainError,
     MergeInsufficient,
@@ -56,10 +57,9 @@ _ASSEMBLY_MODULUS = 43243200                # 2^6 3^3 5^2 7 11 13
 _ASSEMBLY_PRIME_LIMIT = 10 ** 8
 _SPLIT_DEPTH = 3
 
-# memo bounds: the benchmark's targets universe (2,512 targets) builds
-# 752 distinct divisor pools and 2,926 distinct pool DPs
+# memo bound: the benchmark's targets universe (2,512 targets) builds
+# 416 distinct divisor pools
 _POOL_MEMO_SIZE = 1024
-_DP_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,8 @@ class FeasibilityResult:
 
 def verify(d: Decomposition) -> VerificationResult:
     """Independent certificate check: primality, strict increase,
-    positive denominators, exact rational sum."""
+    positive denominators, exact rational sum (added in a balanced
+    tree)."""
     try:
         target = Fraction(d.target)
     except (TypeError, ValueError):
@@ -143,11 +144,14 @@ def verify(d: Decomposition) -> VerificationResult:
             return VerificationResult(False, f"{p} not prime")
         if p - d.h < 1:
             return VerificationResult(False, f"denominator {p - d.h} < 1")
-    total = Fraction(0)
-    for p in d.primes:
-        total += Fraction(1, p - d.h)
+    total = _pairwise([Fraction(1, p - d.h) for p in d.primes], add,
+                      Fraction(0))
     if total != target:
-        return VerificationResult(False, f"sum {total} != target {target}")
+        # no digits: the sum may be far past int-to-decimal's limit
+        side = "above" if total > target else "below"
+        return VerificationResult(
+            False, f"sum of the {len(d.primes)} reciprocals is {side} "
+                   "the target")
     return VerificationResult(True)
 
 
@@ -340,14 +344,6 @@ def _bitset_subset_sum(weights: list[int], target: int,
     return [keep[i] for i in chosen]
 
 
-@lru_cache(maxsize=_DP_MEMO_SIZE)
-def _pool_subset_sum(weights: tuple[int, ...],
-                     target: int) -> tuple[int, ...] | None:
-    """_bitset_subset_sum of a divisor pool's weights, memoized."""
-    idx = _bitset_subset_sum(list(weights), target)
-    return None if idx is None else tuple(idx)
-
-
 def smooth_dp_decompose(x, h: int, L: int,
                         budget: SearchBudget = DEFAULT_BUDGET,
                         exclude=frozenset()) -> Decomposition:
@@ -371,7 +367,7 @@ def smooth_dp_decompose(x, h: int, L: int,
             f"pool weight {weight_total} below target {target}",
             pool_size=len(pool), weight_total=weight_total, target=target,
             proven_absent_in_pool=True)
-    idx = _pool_subset_sum(tuple(w for w, _ in pool), target)
+    idx = _bitset_subset_sum([w for w, _ in pool], target)
     if idx is None:
         raise SearchExhausted(
             f"no subset of the {len(pool)}-element pool hits {target}",
@@ -566,22 +562,36 @@ def _dp_moduli(t: Fraction) -> list[int]:
     return out
 
 
-def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
-                  depth: int = 0) -> list[int]:
-    """One subtarget of the cascade, 1 or a unit fraction 1/k; returns
-    the primes used."""
+def _dp_solve(t: Fraction, h: int, exclude,
+              budget: SearchBudget) -> list[int] | None:
+    """The divisor-pool DP on t over each modulus of _dp_moduli(t) in
+    order, with the primes in exclude barred: the primes of the first
+    pool that hits t, or None."""
     for M in _dp_moduli(t):
         try:
             return list(smooth_dp_decompose(t, h, M, budget,
-                                            exclude=frozenset(used)).primes)
+                                            exclude=frozenset(exclude)).primes)
         except SearchExhausted:
             continue
+    return None
+
+
+def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
+                  depth: int = 0) -> list[int]:
+    """The cascade on t = a/k with the primes in used barred; returns
+    the primes used.  In order: the divisor-pool DP; the split
+    t = a/(k+1) + a/(k(k+1)), both parts solved disjointly by this
+    cascade to depth _SPLIT_DEPTH; assembly, at the top level only;
+    greedy steps with a DP retry on each residual."""
+    got = _dp_solve(t, h, used, budget)
+    if got is not None:
+        return got
     if depth < _SPLIT_DEPTH:
-        k = t.denominator
+        a, k = t.numerator, t.denominator
         try:
-            first = _solve_single(Fraction(1, k + 1), h, used, budget,
+            first = _solve_single(Fraction(a, k + 1), h, used, budget,
                                   depth + 1)
-            rest = _solve_single(Fraction(1, k * (k + 1)), h,
+            rest = _solve_single(Fraction(a, k * (k + 1)), h,
                                  used | set(first), budget, depth + 1)
             return first + rest
         except SearchExhausted:
@@ -598,37 +608,24 @@ def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
         extra.append(p)
         if rem == 0:
             return extra
-        for M in _dp_moduli(rem):
-            try:
-                dec = smooth_dp_decompose(rem, h, M, budget,
-                                          exclude=frozenset(used) | set(extra))
-                return extra + list(dec.primes)
-            except SearchExhausted:
-                continue
-    raise SearchExhausted(f"all strategies exhausted for subtarget {t}",
+        got = _dp_solve(rem, h, used | set(extra), budget)
+        if got is not None:
+            return extra + got
+    raise SearchExhausted(f"all strategies exhausted for target {t}",
                           target=str(t))
 
 
 def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
               exclude=frozenset()) -> Decomposition:
-    """Full cascade: x = m + r/q is split into m unit targets and r
-    targets 1/q, solved with pairwise disjoint prime sets and merged.
+    """Full cascade on the whole target: the feasibility gate, then
+    _solve_single on x with the primes in exclude barred, then the
+    independent verifier.
 
     Raises ObstructionError at the feasibility gate and SearchExhausted
     when every strategy runs out of budget (never a nonexistence claim).
     """
     x = _gate(x, h)
-    m = int(x)
-    frac = x - m
-    subtargets = [Fraction(1)] * m
-    if frac:
-        subtargets += [Fraction(1, frac.denominator)] * frac.numerator
-    used = set(exclude)
-    primes: list[int] = []
-    for t in subtargets:
-        got = _solve_single(t, h, used, budget)
-        used.update(got)
-        primes.extend(got)
+    primes = _solve_single(x, h, set(exclude), budget)
     dec = Decomposition(h=h, target=x, primes=tuple(sorted(primes)))
     check = verify(dec)
     if not check.valid:

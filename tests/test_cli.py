@@ -79,6 +79,19 @@ class TestDecomposeVerifyRoundTrip:
             "primes": ["3", "5"]}))
         assert main(["verify", "--cert", str(cert)]) == 1
 
+    def test_long_wrong_certificate_exits_1(self, tmp_path):
+        # the sum has far more than 4,300 digits; the reason quotes none
+        primes = [str(p) for p in list(sieve_primes(70000))[1:6001]]
+        assert len(primes) == 6000
+        cert = tmp_path / "long.json"
+        out = tmp_path / "report.json"
+        cert.write_text(json.dumps({
+            "h": 1, "target": {"num": "1", "den": "1"}, "primes": primes}))
+        assert main(["verify", "--cert", str(cert), "--out", str(out)]) == 1
+        result, = json.loads(out.read_text())["results"]
+        assert result == {"valid": False, "primes": 6000, "reason":
+                          "sum of the 6000 reciprocals is above the target"}
+
     def test_malformed_certificate_exits_2(self, tmp_path):
         cert = tmp_path / "junk.json"
         cert.write_text("{not json")

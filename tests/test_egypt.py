@@ -285,14 +285,6 @@ class TestDPvsBruteForce:
             agree += 1
         assert agree >= 20
 
-    def test_dp_memo_returns_the_uncached_answer(self):
-        egypt._pool_subset_sum.cache_clear()
-        for _, _, weights, target in self._cases():
-            want = _bitset_subset_sum(weights, target)
-            want = None if want is None else tuple(want)
-            for _ in range(2):      # a miss, then a hit
-                assert egypt._pool_subset_sum(tuple(weights), target) == want
-
 
 def _reference_subset_sum(weights, target, max_snapshots=24):
     """The per-item backtrack: every item rebuilds the prefix DP from the
@@ -468,7 +460,9 @@ class TestDecompose:
         dec = decompose(Fraction(2), 1)
         assert verify(dec).valid
         assert dec.target == 2
-        assert dec.primes == (2, 3, 5, 7, 13)    # {2} and {3,5,7,13} merged
+        # 1 + (1/2 + 1/4 + 1/6 + 1/12), found by one DP over the divisors
+        # of 27720 on the whole target
+        assert dec.primes == (2, 3, 5, 7, 13)
 
     def test_unit_fractions_both_shifts(self):
         for h in (1, -1):
@@ -510,16 +504,43 @@ class TestDecompose:
         (1, 89, -6), (2, 107, -6), (1, 7, -6),
     )
     PINNED_SHA256 = \
-        "4d8aa427d0a06f26711f9408446ae30458e8f48475b467a9f569bb9d4510ac2e"
+        "a9660c147f3b1fda2535a49b0c8d667519a1344149c33d444a5068c3820d488d"
+    # the 31 lines with a = 1 on their own: for them the split is the
+    # unit split 1/k = 1/(k+1) + 1/(k(k+1))
+    PINNED_UNIT_SHA256 = \
+        "c5f74ac3cd7132dafe371869c34b07b130af80d67d49fb1d8f03c2e2a63e08dc"
 
     def test_pinned_certificates(self):
         # a speedup must leave every certificate byte-identical
+        sympy = pytest.importorskip("sympy")
         lines = []
         for a, b, h in self.PINNED_TARGETS:
             dec = decompose(Fraction(a, b), h)
+            assert all(map(sympy.isprime, dec.primes)), (a, b, h)
+            assert sum(Fraction(1, p - h) for p in dec.primes) == \
+                Fraction(a, b), (a, b, h)
             lines.append(f"{a}/{b} {h} " + ",".join(map(str, dec.primes)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PINNED_SHA256
+        units = [ln for ln in lines if ln.startswith("1/")]
+        assert len(units) == 31
+        assert hashlib.sha256("\n".join(units).encode()).hexdigest() == \
+            self.PINNED_UNIT_SHA256
+
+    def test_whole_target_solved_at_once(self):
+        # one DP over the first modulus hits 33/40 at both shifts
+        for h in (1, -1):
+            start = time.perf_counter()
+            dec = decompose(Fraction(33, 40), h)
+            assert time.perf_counter() - start < 1.0, h
+            assert verify(dec).valid, h
+        assert decompose(Fraction(33, 40), -1).primes == (2, 3, 7, 11, 29)
+
+    def test_whole_target_needs_no_unit_part(self):
+        # whole targets whose unit parts 1/5 (h = 3) and 1/360 (h = 2)
+        # fail the gate
+        assert decompose(Fraction(4, 5), 3).primes == (5, 7, 23)
+        assert verify(decompose(Fraction(4, 359), 2)).valid
 
     def test_obstructed(self):
         with pytest.raises(ObstructionError):
@@ -557,24 +578,43 @@ def _outcome(x, h):
         return ("exhausted", str(exc))
 
 
+class TestTargetsUniverse:
+    def test_every_ungated_target(self):
+        # ungated targets that still raise fail the gate on a part of
+        # the split a/k = a/(k+1) + a/(k(k+1)), all at h = +-6
+        sympy = pytest.importorskip("sympy")
+        solved, obstructed = 0, []
+        for x, h in _targets_universe():
+            if not feasibility_check(x, h).feasible:
+                continue
+            try:
+                dec = decompose(x, h)
+            except ObstructionError:
+                obstructed.append((x, h))
+                continue
+            assert all(map(sympy.isprime, dec.primes)), (x, h)
+            assert len(set(dec.primes)) == len(dec.primes), (x, h)
+            assert sum(Fraction(1, p - h) for p in dec.primes) == x, (x, h)
+            solved += 1
+        assert solved >= 1789
+        assert len(obstructed) <= 66
+        assert {h for _, h in obstructed} <= {6, -6}
+
+
 class TestMemoOrder:
     def test_results_do_not_depend_on_call_order(self, monkeypatch):
         rng = random.Random(20261021)
         sample = rng.sample(_targets_universe(), 200)
         with monkeypatch.context() as m:
             m.setattr(egypt, "_divisor_pool", egypt._divisor_pool.__wrapped__)
-            m.setattr(egypt, "_pool_subset_sum",
-                      egypt._pool_subset_sum.__wrapped__)
             want = {t: _outcome(*t) for t in sample}
         assert {o[0] for o in want.values()} >= {"ok", "obstructed"}
         egypt._divisor_pool.cache_clear()
-        egypt._pool_subset_sum.cache_clear()
         shuffled = list(sample)
         rng.shuffle(shuffled)
         for order in (sample, shuffled):
             assert {t: _outcome(*t) for t in order} == want
         assert egypt._divisor_pool.cache_info().hits > 0
-        assert egypt._pool_subset_sum.cache_info().hits > 0
 
 
 class TestVerify:
@@ -603,6 +643,26 @@ class TestVerify:
         res = verify(dec)
         assert not res.valid
         assert "denominator" in res.reason
+
+    def test_long_certificates(self):
+        # the exact sum of 8,000 reciprocals is past int-to-decimal's
+        # 4,300-digit limit; the reason for a wrong one quotes no digits
+        from egyptsieve.arith import prime_array
+        odd = [int(p) for p in prime_array(100000)[1:8002]]
+        primes = tuple(odd[:8000])
+        total = Fraction(0)
+        for p in primes:
+            total += Fraction(1, p - 1)
+        assert total.denominator.bit_length() > 4300 * 3.33
+        assert verify(Decomposition(h=1, target=total, primes=primes)).valid
+        for wrong in (primes[:-1] + (odd[8000],), primes[:-1]):
+            res = verify(Decomposition(h=1, target=total, primes=wrong))
+            assert not res.valid
+            assert res.reason == \
+                f"sum of the {len(wrong)} reciprocals is below the target"
+        res = verify(Decomposition(h=1, target=total - Fraction(1, 10 ** 9),
+                                   primes=primes))
+        assert res.reason == "sum of the 8000 reciprocals is above the target"
 
 
 class TestRFold:

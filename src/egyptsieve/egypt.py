@@ -2,7 +2,8 @@
 
 Finds finite prime sets S with sum of 1/(p - h) over S equal to a
 target rational, exactly.  ``decompose`` runs the congruence gate, then
-one cascade on the whole target x = a/k:
+one cascade on each whole unit of x and one on its fractional part
+a/k, with disjoint prime sets:
 
 1. subset-sum DP over divisor pools of smooth moduli (weights L/(p-h)
    for (p-h) | L, solved on a big-integer bitset),
@@ -17,15 +18,11 @@ Every returned decomposition is re-checked by the independent verifier
 before it leaves this module.  A failed search raises SearchExhausted
 and never claims nonexistence beyond its explicit pool.
 
-Stage 1's divisor pools are memoized per process, with a fixed LRU
-bound: the memo maps (h, L, max_prime) to the unfiltered pool (at most
-1,024 pools; one pool has at most d(L) entries, the divisor count of
-L), and ``exclude`` is applied to a fresh copy on every call.  The pool
-is a pure function of its key, so no result depends on the order of
-earlier calls.  The benchmark's 2,512-target universe fills 416 pools,
-about 1.2 MB (tracemalloc).  Subset-sum answers are not memoized: on
-that universe a DP is asked the same (weights, target) question in
-about 1 % of its calls.
+Stage 1's divisor pools are memoized per process (LRU, at most 1,024
+unfiltered pools keyed on (h, L, max_prime); ``exclude`` is applied to
+a copy), so no result depends on the order of earlier calls.  Subset-
+sum answers are not: about 1 % of the DPs on the benchmark's targets
+universe repeat a question.
 """
 
 from __future__ import annotations
@@ -617,16 +614,21 @@ def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
 
 def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
               exclude=frozenset()) -> Decomposition:
-    """Full cascade on the whole target: the feasibility gate, then
-    _solve_single on x with the primes in exclude barred, then the
-    independent verifier.
+    """Full cascade: the feasibility gate, then _solve_single on each
+    whole unit of x and on its fractional part a/k (solved whole, never
+    as a copies of 1/k), with disjoint prime sets and the primes in
+    exclude barred, then the independent verifier.  Units are cut off
+    because assembly only takes targets below about 2.3.
 
     Raises ObstructionError at the feasibility gate and SearchExhausted
     when every strategy runs out of budget (never a nonexistence claim).
     """
     x = _gate(x, h)
-    primes = _solve_single(x, h, set(exclude), budget)
-    dec = Decomposition(h=h, target=x, primes=tuple(sorted(primes)))
+    used = set(exclude)
+    for t in [Fraction(1)] * int(x) + ([x % 1] if x % 1 else []):
+        used.update(_solve_single(t, h, used, budget))
+    dec = Decomposition(h=h, target=x,
+                        primes=tuple(sorted(used.difference(exclude))))
     check = verify(dec)
     if not check.valid:
         raise RuntimeError(f"internal: cascade produced invalid result: {check.reason}")

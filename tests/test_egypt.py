@@ -529,12 +529,33 @@ class TestDecompose:
 
     def test_whole_target_solved_at_once(self):
         # one DP over the first modulus hits 33/40 at both shifts
-        for h in (1, -1):
-            start = time.perf_counter()
+        for h, primes in ((1, (3, 7, 11, 31, 41)), (-1, (2, 3, 7, 11, 29))):
             dec = decompose(Fraction(33, 40), h)
-            assert time.perf_counter() - start < 1.0, h
             assert verify(dec).valid, h
-        assert decompose(Fraction(33, 40), -1).primes == (2, 3, 7, 11, 29)
+            assert dec.primes == primes, h
+
+    # sha256 of the comma-joined primes, computed before the fractional
+    # part was solved whole and equal after
+    UNITS_CUT_OFF = (
+        (Fraction(3), 6001,
+         "ac38266b45c29270275a4459f69fe4d7bfb6ac7eb49f8344ea22738624b70a9c"),
+        (Fraction(5, 2), 24,
+         "b4c8de87613d470b3b5582f07fcf3fdfff9576763e4bab0f3af1a845b95bbc32"),
+    )
+
+    def test_integer_part_solved_unit_by_unit(self):
+        # assembly takes only targets below about 2.3, so 3 at h = 1 is
+        # three disjoint 1s, the third found by assembly (5 s); solved
+        # whole, 3 exhausts every strategy
+        sympy = pytest.importorskip("sympy")
+        for x, n, digest in self.UNITS_CUT_OFF:
+            dec = decompose(x, 1)
+            assert verify(dec).valid, x
+            assert len(dec.primes) == n, x
+            assert all(map(sympy.isprime, dec.primes)), x
+            assert sum(Fraction(1, p - 1) for p in dec.primes) == x, x
+            assert hashlib.sha256(",".join(map(str, dec.primes)).encode()) \
+                .hexdigest() == digest, x
 
     def test_whole_target_needs_no_unit_part(self):
         # whole targets whose unit parts 1/5 (h = 3) and 1/360 (h = 2)

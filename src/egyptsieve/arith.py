@@ -39,6 +39,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # prime_segments refuses limits whose base sieve would not fit in memory
 MAX_BASE_PRIME = 1 << 27
+# _cached builds whole-range arrays to here: 2 GB at the 4 B per entry
+# of max_prime_power_array
+MAX_ARRAY_LIMIT = 5 * 10 ** 8
 # trial_factor's default prime list runs to here; built on first use
 TRIAL_PRIME_BOUND = 10 ** 6
 
@@ -342,7 +345,8 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     serves every limit up to its own as a slice (prime arrays after their
     last prime <= limit, arrays indexed by n at limit + 1), and a build
     for a larger limit replaces it.  Stored arrays are read-only, and so
-    are the slices handed out."""
+    are the slices handed out.  A build above MAX_ARRAY_LIMIT raises
+    CapacityError."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = [n for k, n in _cache if k == kind]
@@ -350,6 +354,9 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
         arr = _cache[(kind, held[0])]
         return arr[:np.searchsorted(arr, limit, "right") if kind == "primes"
                    else limit + 1]
+    if limit > MAX_ARRAY_LIMIT:
+        raise CapacityError(f"{kind} array to {limit} is over the "
+                            f"{MAX_ARRAY_LIMIT} limit")
     arr = build(limit)
     arr.flags.writeable = False
     for n in held:

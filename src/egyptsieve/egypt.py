@@ -14,9 +14,11 @@ a/k, with disjoint prime sets:
    then feed one subset-sum DP over a high-exponent assembly modulus,
 4. greedy largest-fraction steps with DP retries on the residual.
 
-Every returned decomposition is re-checked by the independent verifier
-before it leaves this module.  A failed search raises SearchExhausted
-and never claims nonexistence beyond its explicit pool.
+Stages 1 and 3 end in one subset-sum tail over (integer weight,
+primes) items.  Every returned decomposition is re-checked by the
+independent verifier before it leaves this module.  A failed search
+raises SearchExhausted and never claims nonexistence beyond its
+explicit pool.
 
 Stage 1's divisor pools are memoized per process (LRU, at most 1,024
 unfiltered pools keyed on (h, L, max_prime); ``exclude`` is applied to
@@ -225,6 +227,22 @@ def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
             if t[1] not in exclude]
 
 
+def _slide(dp: int, off: int, w: int, target: int,
+           rest: int) -> tuple[int, int]:
+    """One item of weight w added to a windowed subset-sum bitset (bit j
+    of dp is the sum off + j; rest is the weight still to come after w).
+    A sum that rest cannot lift to target is dead (the suffix-sum bound,
+    cf. Pisinger, J. Algorithms 1999), so the window rises to
+    max(off, target - rest), by at most w, and only the bits that stay
+    at or below target are shifted up.  Returns the new (dp, off)."""
+    low = target - off - w + 1          # bits still <= target after << w
+    up = dp if dp.bit_length() <= low else dp & ((1 << max(0, low)) - 1)
+    step = target - rest - off          # the window's rise, at most w
+    if step > 0:
+        return (up << (w - step)) | (dp >> step), off + step
+    return dp | (up << w), off
+
+
 def _bitset_subset_sum(weights: list[int], target: int,
                        max_snapshots: int = 24) -> list[int] | None:
     """Indices of a subset of the positive weights summing exactly to
@@ -237,14 +255,12 @@ def _bitset_subset_sum(weights: list[int], target: int,
     Forward pass: a big-integer bitset DP over the items in order,
     stopping at the first item that reaches target, with a snapshot
     every ``stride`` items so that about ``max_snapshots`` bitsets are
-    kept.  A sum is live only if the weight still to come can lift it to
-    target (the suffix-sum bound, cf. Pisinger, J. Algorithms 1999), so
-    after a prefix whose remaining items weigh ``suffix`` the bitset
-    holds only the sums ``off..target``, ``off = max(0, target -
-    suffix)``, as bits ``0..target - off``, and each item slides that
-    window up; only the bits that stay at or below target are shifted
-    up.  A pool lighter than target returns None before any shift, and a
-    window that empties returns None at once.  Every integer either pass
+    kept.  After a prefix whose remaining items weigh ``suffix`` the
+    bitset holds only the live sums ``off..target``, ``off = max(0,
+    target - suffix)``, as bits ``0..target - off``, and each item
+    slides that window up (``_slide``).  A pool lighter than target
+    returns None before any shift, and a window that empties returns
+    None at once.  Every integer either pass
     builds is at most ``min(target, total - target) + 1`` bits wide,
     total being the kept weight: however large target is, a pool whose
     total barely clears it, or falls short of it, costs a few words.
@@ -252,8 +268,8 @@ def _bitset_subset_sum(weights: list[int], target: int,
     Backtrack: from that item down to item 0, item i is taken only when
     the residual is unreachable from items 0..i-1, so solutions made of
     early items are preferred.  The items are walked one stride block at
-    a time, top block first.  A block pops its snapshot and runs the same
-    sliding DP over its items once, with the residual t on entering the
+    a time, top block first.  A block pops its snapshot and runs
+    ``_slide`` over its items once, with the residual t on entering the
     block as target and lo = t minus the block's weight sum as the first
     offset; the mask cached for each item holds only the bits of its
     prefix DP that it and the block's later items can still ask for.
@@ -276,14 +292,7 @@ def _bitset_subset_sum(weights: list[int], target: int,
     hit_at = None
     for i, w in enumerate(weights):
         suffix -= w
-        low = target - off - w + 1      # bits still <= target after << w
-        up = dp if dp.bit_length() <= low else dp & ((1 << max(0, low)) - 1)
-        step = target - suffix - off    # the window's rise, at most w
-        if step > 0:
-            dp = (up << (w - step)) | (dp >> step)
-            off += step
-        else:
-            dp |= up << w
+        dp, off = _slide(dp, off, w, target, suffix)
         if not dp:
             return None
         if (i + 1) % stride == 0:
@@ -314,17 +323,8 @@ def _bitset_subset_sum(weights: list[int], target: int,
         for i in range(base, top + 1):
             masks.append((f, m))
             if i < top:
-                w = weights[i]
-                rest -= w
-                low = t - f - w + 1
-                up = m if m.bit_length() <= low \
-                    else m & ((1 << max(0, low)) - 1)
-                step = t - rest - f
-                if step > 0:
-                    m = (up << (w - step)) | (m >> step)
-                    f += step
-                else:
-                    m |= up << w
+                rest -= weights[i]
+                m, f = _slide(m, f, weights[i], t, rest)
         del m
         for i in range(top, base - 1, -1):
             f, mask = masks.pop()
@@ -339,6 +339,31 @@ def _bitset_subset_sum(weights: list[int], target: int,
     if t != 0:
         raise RuntimeError("subset-sum backtrack lost the target")
     return [keep[i] for i in chosen]
+
+
+def _pool_dp(x: Fraction, h: int, target: int,
+             pool: list[tuple[int, tuple[int, ...]]]) -> Decomposition:
+    """The subset-sum tail of both pool stages: pool holds (integer
+    weight, primes) items, and the union of the primes of a subset whose
+    weights sum to target is returned as a verified decomposition of x.
+
+    Raises SearchExhausted, proven for this pool only, when no subset
+    hits target; its weight_total counts only the weights <= target.
+    """
+    idx = _bitset_subset_sum([w for w, _ in pool], target)
+    if idx is None:
+        raise SearchExhausted(
+            f"no subset of the {len(pool)}-element pool hits {target}",
+            pool_size=len(pool),
+            weight_total=sum(w for w, _ in pool if w <= target),
+            target=target, proven_absent_in_pool=True)
+    primes = tuple(sorted(p for i in idx for p in pool[i][1]))
+    dec = Decomposition(h=h, target=x, primes=primes)
+    check = verify(dec)
+    if not check.valid:
+        raise RuntimeError(
+            f"internal: pool DP produced invalid result: {check.reason}")
+    return dec
 
 
 def smooth_dp_decompose(x, h: int, L: int,
@@ -357,25 +382,8 @@ def smooth_dp_decompose(x, h: int, L: int,
     if target > _MAX_DP_TARGET:
         raise DomainError(
             f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
-    pool = smooth_pool(h, L, budget, exclude)
-    weight_total = sum(w for w, _ in pool if w <= target)
-    if weight_total < target:
-        raise SearchExhausted(
-            f"pool weight {weight_total} below target {target}",
-            pool_size=len(pool), weight_total=weight_total, target=target,
-            proven_absent_in_pool=True)
-    idx = _bitset_subset_sum([w for w, _ in pool], target)
-    if idx is None:
-        raise SearchExhausted(
-            f"no subset of the {len(pool)}-element pool hits {target}",
-            pool_size=len(pool), weight_total=weight_total, target=target,
-            proven_absent_in_pool=True)
-    primes = tuple(sorted(pool[i][1] for i in idx))
-    dec = Decomposition(h=h, target=x, primes=primes)
-    check = verify(dec)
-    if not check.valid:
-        raise RuntimeError(f"internal: DP produced invalid result: {check.reason}")
-    return dec
+    return _pool_dp(x, h, target,
+                    [(w, (p,)) for w, p in smooth_pool(h, L, budget, exclude)])
 
 
 def _greedy_prime(rem: Fraction, h: int, used,
@@ -431,14 +439,15 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
 
 
 def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
-    """Item list for the assembly DP: exact values with primes behind them.
+    """Item list for the assembly DP: (integer weight, primes) with the
+    weight modulus * sum of 1/(p - h) over the primes.
 
     Every prime p <= prime_limit is classified by d = p - h = e * q with
     e the 13-smooth part.  q = 1 and e | modulus gives a direct item of
-    value 1/e.  Prime q > 13 gives a pairing candidate; two candidates
-    with q | e1 + e2 combine into one item of q-free value
-    (e1 + e2) / (q e1 e2).  Only items whose value times the modulus is
-    integral are kept.
+    weight modulus / e.  Prime q > 13 gives a pairing candidate; two
+    candidates with q | e1 + e2 combine into one item of q-free value
+    (e1 + e2) / (q e1 e2), kept when its weight modulus (e1 + e2) /
+    (q e1 e2) is an integer.
 
     A pair needs q <= e1 + e2 with e1 q and e2 q at most D =
     prime_limit - h, so q^2 <= 2D: larger q are never looked up.  A
@@ -453,7 +462,7 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     flags = prime_flags(q_max)
     primes = prime_array(prime_limit)
     div_arr = np.array(trial_factor(modulus).divisors(), dtype=np.int64)
-    direct: list[tuple[Fraction, tuple[int, ...]]] = []
+    direct: list[tuple[int, tuple[int, ...]]] = []
     q_rows = []
     excl_arr = np.array(sorted(exclude), dtype=np.int64) if exclude else None
     for lo in range(0, len(primes), 1 << 20):
@@ -474,7 +483,7 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
         smooth_e = np.isin(e, div_arr)
         dmask = smooth_e & (rest == 1)
         for ev, pv in zip(e[dmask].tolist(), chunk[dmask].tolist()):
-            direct.append((Fraction(1, ev), (pv,)))
+            direct.append((modulus // ev, (pv,)))
         pmask = smooth_e & (rest > _SMOOTH_BASIS[-1]) & (rest <= q_max) \
             & flags[np.minimum(rest, q_max)]
         q_rows.append(np.stack(
@@ -498,15 +507,16 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
             comp = (q - r) % q
             if comp < r or comp not in by_res:
                 continue
+            # rows are lexsorted by (q, e, p), so each list is in order
             if comp == r:
-                cl = sorted(by_res[r])
+                cl = by_res[r]
                 matched = zip(cl[::2], cl[1::2])
             else:
-                matched = zip(sorted(by_res[r]), sorted(by_res[comp]))
+                matched = zip(by_res[r], by_res[comp])
             for (e1, p1), (e2, p2) in matched:
-                v = Fraction(e1 + e2, q * e1 * e2)
-                if (v * modulus).denominator == 1:
-                    items.append((v, (p1, p2)))
+                w, frac = divmod(modulus * (e1 + e2), q * e1 * e2)
+                if not frac:
+                    items.append((w, (p1, p2)))
     return items
 
 
@@ -521,29 +531,9 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
         raise SearchExhausted(
             f"assembly target for {x} exceeds DP budget", target=str(x))
     limit = min(budget.max_prime, _ASSEMBLY_PRIME_LIMIT)
-    items = _assembly_items(h, M, exclude, limit)
-    # every item's value times M is an integer (_assembly_items keeps
-    # no other)
-    pool = [(int(v * M), ps) for v, ps in items if v <= x]
-    pool.sort(key=lambda t: (t[0], t[1]))    # mass-cheap items preferred
-    weight_total = sum(w for w, _ in pool)
-    if weight_total < target:
-        raise SearchExhausted(
-            f"assembly items carry weight {weight_total} < {target}",
-            pool_size=len(pool), weight_total=weight_total, target=target)
-    idx = _bitset_subset_sum([w for w, _ in pool], target)
-    if idx is None:
-        raise SearchExhausted(
-            f"assembly DP found no subset for {target}",
-            pool_size=len(pool), weight_total=weight_total, target=target)
-    primes: list[int] = []
-    for i in idx:
-        primes.extend(pool[i][1])
-    dec = Decomposition(h=h, target=x, primes=tuple(sorted(primes)))
-    check = verify(dec)
-    if not check.valid:
-        raise RuntimeError(f"internal: assembly produced invalid result: {check.reason}")
-    return dec
+    # light items first: the backtrack prefers early items
+    return _pool_dp(x, h, target,
+                    sorted(_assembly_items(h, M, exclude, limit)))
 
 
 def _dp_moduli(t: Fraction) -> list[int]:
@@ -625,8 +615,10 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     """
     x = _gate(x, h)
     used = set(exclude)
-    for t in [Fraction(1)] * int(x) + ([x % 1] if x % 1 else []):
-        used.update(_solve_single(t, h, used, budget))
+    for _ in range(int(x)):
+        used.update(_solve_single(Fraction(1), h, used, budget))
+    if x % 1:
+        used.update(_solve_single(x % 1, h, used, budget))
     dec = Decomposition(h=h, target=x,
                         primes=tuple(sorted(used.difference(exclude))))
     check = verify(dec)

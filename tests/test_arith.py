@@ -186,6 +186,16 @@ class TestPrimeCache:
             with pytest.raises(DomainError):
                 build(-5)
 
+    def test_over_cap_refused_before_building(self):
+        def build(n):
+            raise AssertionError(f"built to {n}")
+
+        before = set(arith._cache)
+        for kind in ("primes", "flags", "omega", "maxpp"):
+            with pytest.raises(CapacityError):
+                arith._cached(kind, arith.MAX_ARRAY_LIMIT + 1, build)
+        assert set(arith._cache) == before
+
     def test_read_only(self):
         _drop_cached("primes")
         for arr in (prime_array(1000), prime_array(500), prime_flags(1000),

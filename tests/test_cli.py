@@ -163,6 +163,23 @@ class TestExitCodes:
             assert rc == 1, h
             assert capsys.readouterr().err.startswith("exhausted:"), h
 
+    def test_huge_integer_target_exits_1(self, capsys):
+        # the units of x are solved one at a time, never listed up front
+        rc = main(["decompose", "--target", "1000000000000", "--shift", "1",
+                   "--max-prime", "1000"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("exhausted:")
+
+    @pytest.mark.parametrize("argv", [
+        ["sieve", "--limit", "100000000000"],
+        ["analyze", "--lemma", "1", "--N", "100000000000", "--shift", "1",
+         "--epsilon", "3/10"],
+        ["analyze", "--lemma", "2", "--N", "100000000000", "--delta", "1/2"],
+    ])
+    def test_whole_range_array_over_cap_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "over the 500000000 limit" in capsys.readouterr().err
+
     def test_malformed_grid_values_exit_2(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         for bad in ({"N": "big"}, {"shift": 1.5}, {"epsilon": "abc"}):

@@ -749,13 +749,33 @@ class TestAssemblyItems:
             assert {ps[0] for _, ps in items if len(ps) == 1} == direct, h
             used = [p for _, ps in items for p in ps]
             assert len(used) == len(set(used)), h
-            for v, ps in items:
-                assert v == sum(Fraction(1, p - h) for p in ps), (h, ps)
-                assert (v * M).denominator == 1, (h, ps)
+            for w, ps in items:
+                assert isinstance(w, int), (h, ps)
+                assert Fraction(w, M) == sum(Fraction(1, p - h) for p in ps), \
+                    (h, ps)
                 if len(ps) == 2:
                     (e1, q1), (e2, q2) = pair_q[ps[0]], pair_q[ps[1]]
                     assert q1 == q2 and (e1 + e2) % q1 == 0, (h, ps)
             assert h == -1001 or len(items) > len(direct), h
+
+    def test_exhausted_reports_pool(self):
+        # x = 1/97 at primes <= 200: every weight M/e and every pair's
+        # weight is a multiple of 97 (no p - 1 <= 199 has the factor 97),
+        # the target M/97 is not, so the DP misses although the weights
+        # <= target add up to more than it
+        x, limit = Fraction(1, 97), 200
+        M = egypt._ASSEMBLY_MODULUS * 97
+        with pytest.raises(SearchExhausted) as exc:
+            egypt._assembly_decompose(x, 1, frozenset(),
+                                      SearchBudget(max_prime=limit))
+        items = _assembly_items(1, M, frozenset(), limit)
+        target = egypt._ASSEMBLY_MODULUS
+        assert exc.value.proven_absent_in_pool
+        assert exc.value.target == target
+        assert exc.value.pool_size == len(items)
+        assert any(w > target for w, _ in items)
+        assert exc.value.weight_total == \
+            sum(w for w, _ in items if w <= target) > target
 
 
 def _dp_parts(value, h, count, exclude=frozenset()):

@@ -34,18 +34,12 @@ from .errors import (
 )
 from .spectrum import (
     DensityReport,
-    FilterParams,
     ShiftParams,
-    ShiftedPrimeRecord,
     SieveEstimate,
-    check_hypotheses,
-    classify,
     divisor_window_density,
     friability_density,
     halberstam_variance,
-    interval_reciprocal_sum,
     legendre_sieve_count,
-    log_density,
     mertens_product,
     omega_deviation_density,
     prime_count_ap,

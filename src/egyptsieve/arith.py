@@ -490,15 +490,6 @@ def reciprocal_sum(values) -> Fraction:
     return _coprime_fraction(a // g // cancel, s // g * (b // cancel))
 
 
-def prime_reciprocal_sum(primes) -> tuple[int, int]:
-    """Exact (numerator, denominator) of sum of 1/p over distinct primes:
-    the s = 1 case of reciprocal_sum's merge.  The denominators are
-    pairwise coprime, so the pair is already in lowest terms."""
-    a, _, b = _pairwise([(1, 1, int(p)) for p in primes], _sum_merge,
-                        (0, 1, 1))
-    return a, b
-
-
 def balanced_product(values) -> int:
     """Product of the integers, multiplied in a balanced tree."""
     return _pairwise([int(v) for v in values], operator.mul, 1)

@@ -240,10 +240,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise DomainError(f"grid cardinality {len(points)} exceeds 1e4")
     reps = []
     for pt in points:
-        N = _as_int("N", pt.get("N", cfg.N or 0))
-        shift = ShiftParams(_as_int("shift", pt.get("shift", cfg.shift)),
-                            _as_int("modulus", pt.get("modulus", cfg.modulus)))
-        reps.append(_analyze_one(_as_int("lemma", pt["lemma"]), N, shift, pt))
+        # a grid value overrides the resolved config, lemma parameters too
+        pt = {**cfg.as_dict(), **pt}
+        shift = ShiftParams(_as_int("shift", pt["shift"]),
+                            _as_int("modulus", pt["modulus"]))
+        reps.append(_analyze_one(_as_int("lemma", pt["lemma"]),
+                                 _as_int("N", pt["N"]), shift, pt))
     rows = reports.density_rows(reps)
     if cfg.format == "csv":
         text = reports.render_csv(rows, cfg.as_dict(), __version__)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .egypt import Decomposition
 from .errors import DomainError
-from .spectrum import DensityReport, SieveEstimate
+from .spectrum import DensityReport
 
 
 def fraction_dict(x: Fraction) -> dict:
@@ -57,17 +57,6 @@ def density_report_dict(rep: DensityReport) -> dict:
         "baseline": rep.baseline,
         "reciprocal_sum": fraction_dict(rep.reciprocal_sum),
         "excluded": rep.excluded,
-    }
-
-
-def sieve_estimate_dict(est: SieveEstimate) -> dict:
-    return {
-        "X": fraction_dict(est.X),
-        "f": {str(p): fraction_dict(v) for p, v in sorted(est.f.items())},
-        "remainders": {str(d): fraction_dict(r)
-                       for d, r in sorted(est.remainders.items())},
-        "main_term": est.main_term,
-        "exact_count": est.exact_count,
     }
 
 

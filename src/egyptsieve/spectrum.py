@@ -1,16 +1,16 @@
 """Desk-scale density measurements over shifted primes.
 
-Counts are exact set cardinalities (no sampling).  Conditions are the
-four filter conditions on n = p - h: friability of the largest prime
-power, the omega window around loglog n, and the two divisor windows.
-Bulk operations run on sieve arrays; ``classify`` reproduces the same
-verdicts one prime at a time from its factorization.
+Counts are exact set cardinalities (no sampling), taken in bulk on sieve
+arrays over n = p - h: friability of the largest prime power, the
+deviation of omega(n) from loglog n, and prime factors in a window
+[y, z].  Beside them: Legendre sieve counts, prime counts in
+progressions and Mertens products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -27,17 +27,10 @@ from .arith import (
     li_approx,
     prime_array,
     prime_power_sieve,
-    prime_reciprocal_sum,
     reciprocal_sum,
     trial_factor,
 )
 from .errors import CapacityError, DomainError
-
-# The asymptotic omega-window tolerance is vacuous at desk scale (no
-# integer omega sits within 0.1% of loglog n below 1e8), so the desk
-# default is 1/2; both constants are recorded in every report.
-OMEGA_TOL_ASYMPTOTIC = Fraction(1, 1000)
-OMEGA_TOL_DESK = Fraction(1, 2)
 
 # smallest n whose loglog (natural logs) exceeds 1; below this the
 # omega-window statistics are undefined and elements are excluded
@@ -118,57 +111,6 @@ class ShiftParams:
 
 
 @dataclass(frozen=True)
-class FilterParams:
-    """Parameters of the four filter conditions.
-
-    epsilon: friability exponent; omega_tol: relative omega window;
-    delta: deviation threshold; [y, w) and [4w, z): divisor windows.
-    """
-
-    epsilon: Fraction = Fraction(1, 10)
-    omega_tol: Fraction = OMEGA_TOL_DESK
-    delta: Fraction = Fraction(1, 2)
-    y: Fraction = Fraction(4)
-    w: Fraction = Fraction(8)
-    z: Fraction = Fraction(64)
-
-    def __post_init__(self):
-        for name in ("epsilon", "omega_tol", "delta", "y", "w", "z"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
-        if not 0 < self.epsilon < 1:
-            raise DomainError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.omega_tol <= 0 or self.delta <= 0:
-            raise DomainError("omega_tol and delta must be positive")
-        if self.y < 4:
-            raise DomainError(f"y must be >= 4, got {self.y}")
-        if not self.y <= self.w:
-            raise DomainError("need y <= w")
-        if not 4 * self.w <= self.z:
-            raise DomainError("need 4w <= z")
-
-
-@dataclass(frozen=True)
-class ConditionVerdicts:
-    """Booleans for the four filter conditions, in order."""
-
-    friable: bool
-    omega_window: bool
-    d1: bool
-    d2: bool
-
-
-@dataclass(frozen=True)
-class ShiftedPrimeRecord:
-    p: int
-    n: int
-    omega: int
-    max_prime_power: int
-    d1_witness: int | None
-    d2_witness: int | None
-    verdicts: ConditionVerdicts
-
-
-@dataclass(frozen=True)
 class DensityReport:
     """Exact count of a condition set within an arithmetic progression.
 
@@ -206,41 +148,6 @@ def _progression(N: int, shift: ShiftParams) -> np.ndarray:
     sel = (primes % shift.q) == (shift.h % shift.q)
     sel &= primes - shift.h >= shift.q
     return primes[sel]
-
-
-def classify(p: int, shift: ShiftParams,
-             filt: FilterParams) -> ShiftedPrimeRecord:
-    """Per-prime dossier for n = (p - h) / q with the four condition
-    verdicts; witnesses recorded when the divisor windows are hit.
-    n is factored by ``trial_factor``, which raises CapacityError for a
-    composite cofactor without prime factors up to TRIAL_PRIME_BOUND."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p % shift.q != shift.h % shift.q:
-        raise DomainError(f"{p} is not {shift.h} mod {shift.q}")
-    if p - shift.h < shift.q:
-        raise DomainError(f"need p - h >= q, got p={p}")
-    n = (p - shift.h) // shift.q
-    fz = trial_factor(n)
-    mpp = fz.max_prime_power
-    friable = not _exceeds_power(mpp, n, 1 - filt.epsilon)
-    if n >= MIN_OMEGA_N:
-        ll = math.log(math.log(n))
-        omega_ok = abs(fz.omega - ll) <= float(filt.omega_tol) * ll
-    else:
-        omega_ok = False
-    d1 = d2 = None
-    lo2 = 4 * filt.w
-    for d in fz.divisors():
-        if d1 is None and filt.y <= d < filt.w:
-            d1 = d
-        if d2 is None and lo2 <= d < filt.z:
-            d2 = d
-    return ShiftedPrimeRecord(
-        p=p, n=n, omega=fz.omega, max_prime_power=mpp,
-        d1_witness=d1, d2_witness=d2,
-        verdicts=ConditionVerdicts(friable, omega_ok, d1 is not None,
-                                   d2 is not None))
 
 
 def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
@@ -549,113 +456,3 @@ def mertens_product(w: int, shifted: bool = False, lo: int = 2) -> Fraction:
     num = balanced_product(q ** k for q, k in zip(qs, ks) if k > 0)
     den = balanced_product(q ** -k for q, k in zip(qs, ks) if k < 0)
     return _coprime_fraction(num, den)
-
-
-def log_density(shift: ShiftParams, N: int, predicate) -> tuple[float, float]:
-    """(sum of 1/p over the progression subset) / loglog N, and the
-    count over N / log N.
-
-    The sum is ``math.fsum`` of the float reciprocals.  Each 1.0 / p is
-    correctly rounded, and fsum rounds the exact sum of those terms once
-    (Shewchuk 1997); all terms being positive, the float sum lies within
-    2^-52 relative of the exact sum of 1/p, before the final division."""
-    if N < 100:
-        raise DomainError("need N >= 100")
-    primes = [int(p) for p in _progression(N, shift) if predicate(int(p))]
-    if not primes:
-        return 0.0, 0.0
-    loglog = math.log(math.log(N))
-    return (math.fsum(1.0 / p for p in primes) / loglog,
-            len(primes) / (N / math.log(N)))
-
-
-def interval_reciprocal_sum(N: int) -> Fraction:
-    """Exact sum of 1/p over primes in the closed interval [N/2, N]."""
-    if N < 4:
-        raise DomainError("need N >= 4")
-    primes = [int(p) for p in prime_array(N) if 2 * p >= N]
-    return _coprime_fraction(*prime_reciprocal_sum(primes))
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Which subset-selection hypotheses hold for a record set at scale N.
-
-    condition_counts / condition_all cover the four per-element filter
-    conditions; the remaining fields are the set-level hypotheses
-    (exact reciprocal-sum threshold, per-element divisor pair
-    y <= d1, 4 d1 <= d2 <= z, prime powers <= N^(1-eps), the
-    [99/100, 2] loglog N omega window, the element range, and the
-    window constraint z <= (log N)^(1/500)).
-    """
-
-    n_records: int
-    reciprocal_sum: Fraction
-    sum_threshold: float
-    sum_ok: bool
-    divisor_pair_ok: bool
-    prime_power_ok: bool
-    omega_window_ok: bool
-    range_ok: bool
-    window_ok: bool
-    condition_counts: dict = field(default_factory=dict)
-    condition_all: dict = field(default_factory=dict)
-
-
-def check_hypotheses(records, N: int, filt: FilterParams) -> HypothesisReport:
-    """Evaluate the subset-selection hypotheses for the n-values of the
-    given records; empty record lists report every hypothesis false."""
-    records = list(records)
-    log_n = math.log(N)
-    threshold = 2 / float(filt.y) + log_n ** (-1 / 200)
-    if not records:
-        return HypothesisReport(
-            n_records=0, reciprocal_sum=Fraction(0), sum_threshold=threshold,
-            sum_ok=False, divisor_pair_ok=False, prime_power_ok=False,
-            omega_window_ok=False, range_ok=False, window_ok=False,
-            condition_counts={k: 0 for k in (1, 2, 3, 4)},
-            condition_all={k: False for k in (1, 2, 3, 4)})
-
-    rsum = reciprocal_sum(r.n for r in records)
-    sum_ok = float(rsum) >= threshold
-
-    c = float(filt.epsilon) / 4
-    lo_range = N ** (1 - c)
-    llN = math.log(log_n)
-    pair_ok = True
-    power_ok = True
-    omega_ok = True
-    range_ok = True
-    for r in records:
-        divs = trial_factor(r.n).divisors()
-        found = False
-        for d1 in divs:
-            if d1 < filt.y:
-                continue
-            if any(4 * d1 <= d2 <= filt.z for d2 in divs):
-                found = True
-                break
-        pair_ok &= found
-        power_ok &= not _exceeds_power(r.max_prime_power, N, 1 - filt.epsilon)
-        omega_ok &= (99 / 100) * llN <= r.omega <= 2 * llN
-        range_ok &= lo_range <= r.n <= N
-
-    counts = {
-        1: sum(r.verdicts.friable for r in records),
-        2: sum(r.verdicts.omega_window for r in records),
-        3: sum(r.verdicts.d1 for r in records),
-        4: sum(r.verdicts.d2 for r in records),
-    }
-    return HypothesisReport(
-        n_records=len(records),
-        reciprocal_sum=rsum,
-        sum_threshold=threshold,
-        sum_ok=sum_ok,
-        divisor_pair_ok=pair_ok,
-        prime_power_ok=power_ok,
-        omega_window_ok=omega_ok,
-        range_ok=range_ok,
-        window_ok=float(filt.z) <= log_n ** (1 / 500),
-        condition_counts=counts,
-        condition_all={k: v == len(records) for k, v in counts.items()},
-    )

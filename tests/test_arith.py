@@ -22,7 +22,6 @@ from egyptsieve.arith import (
     prime_flags,
     prime_power_sieve,
     prime_segments,
-    prime_reciprocal_sum,
     reciprocal_sum,
     sieve_primes,
     trial_factor,
@@ -503,12 +502,6 @@ class TestExactRationals:
         vals = [12, 10, 10, 7, 360360]
         assert reciprocal_sum(vals) == sum(Fraction(1, v) for v in vals)
         assert reciprocal_sum([]) == 0
-
-    def test_prime_reciprocal_sum(self):
-        num, den = prime_reciprocal_sum([2, 3, 5, 7])
-        assert Fraction(num, den) == Fraction(1, 2) + Fraction(1, 3) \
-            + Fraction(1, 5) + Fraction(1, 7)
-        assert math.gcd(num, den) == 1
 
     def test_balanced_product(self):
         assert balanced_product([]) == 1

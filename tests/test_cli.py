@@ -312,6 +312,36 @@ class TestSweep:
             expect = math.log(float(row["y"])) / math.log(float(row["z"]))
             assert float(row["baseline"]) == pytest.approx(expect)
 
+    @staticmethod
+    def _rows(tmp_path, grid, config=None):
+        gfile = tmp_path / "grid.json"
+        gfile.write_text(json.dumps(grid))
+        argv = ["sweep", "--grid", str(gfile), "--format", "csv",
+                "--out", str(tmp_path / "sweep.csv")]
+        if config is not None:
+            cfile = tmp_path / "cfg.json"
+            cfile.write_text(json.dumps(config))
+            argv = ["--config", str(cfile), *argv]
+        assert main(argv) == 0
+        return [ln for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+
+    def test_config_file_lemma_parameter(self, tmp_path):
+        from_config = self._rows(tmp_path, {"lemma": 1, "N": [1000]},
+                                 {"epsilon": "0.3"})
+        from_grid = self._rows(tmp_path, {"lemma": 1, "N": [1000],
+                                          "epsilon": "0.3"})
+        assert from_config == from_grid
+        assert len(from_config) == 2
+
+    def test_grid_overrides_config(self, tmp_path):
+        rows = self._rows(tmp_path, {"lemma": 1, "N": 1000, "shift": -1,
+                                     "epsilon": "0.2"},
+                          {"N": 5000, "shift": 1, "epsilon": "0.3"})
+        header = rows[0].split(",")
+        row = dict(zip(header, rows[1].split(",")))
+        assert (row["N"], row["h"], row["epsilon"]) == ("1000", "-1", "1/5")
+
     def test_empty_grid(self, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text("{}")

@@ -14,13 +14,8 @@ from egyptsieve.reports import (
     fraction_from_dict,
     render_csv,
     render_report,
-    sieve_estimate_dict,
 )
-from egyptsieve.spectrum import (
-    ShiftParams,
-    friability_density,
-    legendre_sieve_count,
-)
+from egyptsieve.spectrum import ShiftParams, friability_density
 
 
 def test_fraction_round_trip():
@@ -81,13 +76,3 @@ def test_density_rows_and_csv():
 def test_render_csv_empty():
     text = render_csv([], {"c": 1}, __version__, timestamp="T")
     assert text.count("\n") == 3
-
-
-def test_sieve_estimate_dict():
-    est = legendre_sieve_count((1, 30), [2, 3, 5])
-    doc = sieve_estimate_dict(est)
-    assert doc["exact_count"] == 8
-    assert doc["X"] == {"num": "30", "den": "1"}
-    assert doc["f"]["2"] == {"num": "1", "den": "2"}
-    assert set(doc["remainders"]) == {str(d) for d in est.remainders}
-    json.dumps(doc)    # JSON-serializable end to end

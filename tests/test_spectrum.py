@@ -6,26 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from egyptsieve.arith import (
-    balanced_product,
-    is_prime,
-    li_approx,
-    prime_array,
-    prime_reciprocal_sum,
-)
+from egyptsieve.arith import balanced_product, li_approx, prime_array
 from egyptsieve.errors import CapacityError, DomainError
 from egyptsieve import spectrum
 from egyptsieve.spectrum import (
-    FilterParams,
     ShiftParams,
-    check_hypotheses,
-    classify,
     divisor_window_density,
     friability_density,
     halberstam_variance,
-    interval_reciprocal_sum,
     legendre_sieve_count,
-    log_density,
     mertens_product,
     omega_deviation_density,
     prime_count_ap,
@@ -46,71 +35,6 @@ class TestParams:
         with pytest.raises(DomainError):
             ShiftParams(2, 4)
         ShiftParams(-2, 5)
-
-    def test_filter_validation(self):
-        with pytest.raises(DomainError):
-            FilterParams(epsilon=0)
-        with pytest.raises(DomainError):
-            FilterParams(y=3)
-        with pytest.raises(DomainError):
-            FilterParams(y=5, w=4)
-        with pytest.raises(DomainError):
-            FilterParams(y=4, w=8, z=30)
-
-    def test_filter_params_exact(self):
-        f = FilterParams(epsilon="0.2", y=4, w=5, z=24)
-        assert f.epsilon == Fraction(1, 5)
-
-
-class TestClassify:
-    def test_p13_friable(self):
-        rec = classify(13, ShiftParams(1), FilterParams(epsilon="0.2"))
-        assert rec.n == 12
-        assert rec.omega == 2
-        assert rec.max_prime_power == 4
-        # 4 <= 12**0.8 ~ 7.3
-        assert rec.verdicts.friable
-
-    def test_p3_prime_n_never_friable(self):
-        for eps in ("0.1", "0.5", "0.9"):
-            rec = classify(3, ShiftParams(1), FilterParams(epsilon=eps))
-            assert rec.n == 2
-            assert rec.max_prime_power == 2
-            assert not rec.verdicts.friable
-
-    def test_divisor_windows(self):
-        rec = classify(13, ShiftParams(1),
-                       FilterParams(epsilon="0.2", y=4, w=5, z=24))
-        assert rec.d1_witness == 4
-        assert rec.verdicts.d1
-        # window [20, 24) holds no divisor of 12
-        assert rec.d2_witness is None
-        assert not rec.verdicts.d2
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            classify(12, ShiftParams(1), FilterParams())
-        with pytest.raises(DomainError):
-            classify(5, ShiftParams(1, 3), FilterParams())
-        with pytest.raises(DomainError):
-            classify(2, ShiftParams(1, 5), FilterParams())
-
-    def test_reproducible(self):
-        a = classify(101, ShiftParams(1), FilterParams())
-        b = classify(101, ShiftParams(1), FilterParams())
-        assert a == b
-
-    def test_exact_tie_goes_friable(self):
-        # 16 = 32**(4/5) exactly: the boundary comparison is exact and a
-        # tie does not land in the bad set
-        from egyptsieve.spectrum import _exceeds_power
-        assert not _exceeds_power(16, 32, Fraction(4, 5))
-        assert _exceeds_power(17, 32, Fraction(4, 5))
-        assert not _exceeds_power(15, 32, Fraction(4, 5))
-        rec = classify(97, ShiftParams(1),
-                       FilterParams(epsilon="0.2"))
-        assert rec.n == 96 and rec.max_prime_power == 32
-        assert rec.verdicts.friable  # 32 <= 96**0.8 ~ 38.6
 
 
 class TestFriability:
@@ -150,14 +74,17 @@ class TestFriability:
         for r in reps:
             assert 0.0 <= r.relative_density <= 1.0
 
-    def test_matches_classify(self, shift_plus1):
-        # bulk count equals the per-prime classification, N = 2000
-        filt = FilterParams(epsilon="0.25")
+    def test_oracle_2000(self, shift_plus1):
+        # epsilon = 1/4: n counts when its largest prime power exceeds
+        # n**(3/4), that is mpp**4 > n**3
         rep = friability_density(2000, shift_plus1, "0.25")
-        per_prime = sum(
-            not classify(int(p), shift_plus1, filt).verdicts.friable
-            for p in prime_array(2000).tolist())
-        assert rep.count == per_prime
+        expect = sum(n >= 2 and _max_prime_power(n) ** 4 > n ** 3
+                     for n in (p - 1 for p in prime_array(2000).tolist()))
+        assert rep.count == expect
+
+    def test_epsilon_string_exact(self, shift_plus1):
+        rep = friability_density(1000, shift_plus1, "0.2")
+        assert rep.params["epsilon"] == "1/5"
 
 
 class TestOmegaDeviation:
@@ -421,102 +348,6 @@ class TestMertens:
             got = mertens_product(w, shifted=shifted, lo=lo)
             assert (got.numerator, got.denominator) == (
                 want.numerator, want.denominator), (w, shifted, lo)
-
-
-class TestLogDensity:
-    def test_empty(self, shift_plus1):
-        assert log_density(shift_plus1, 10 ** 4, lambda p: False) == (0.0, 0.0)
-
-    def test_all_primes_dirichlet_shape(self, shift_plus1):
-        ld, lower = log_density(shift_plus1, 10 ** 6, lambda p: True)
-        # phi(1) = 1; the Dirichlet shape says ld ~ 1 with o(1) drift
-        assert 0.9 <= ld <= 1.3
-        assert lower > 0
-
-    @pytest.mark.parametrize("N,q,h", [(100, 1, 1), (10 ** 4, 4, 3),
-                                       (10 ** 5, 1, -1), (10 ** 5, 3, 2)])
-    def test_float_sum_matches_exact_quotient(self, N, q, h):
-        ld, _ = log_density(ShiftParams(h, q), N, lambda p: p % 3 != 2)
-        primes = [int(p) for p in spectrum._progression(N, ShiftParams(h, q))
-                  if p % 3 != 2]
-        num, den = prime_reciprocal_sum(primes)
-        assert ld == pytest.approx(num / den / math.log(math.log(N)),
-                                   rel=1e-12, abs=0)
-
-    def test_mod4_classes_close(self):
-        ld1, _ = log_density(ShiftParams(1, 4), 10 ** 7, lambda p: True)
-        ld3, _ = log_density(ShiftParams(3, 4), 10 ** 7, lambda p: True)
-        assert abs(ld1 - ld3) / max(ld1, ld3) < 0.10
-
-
-class TestIntervalReciprocalSum:
-    def test_n10(self):
-        assert interval_reciprocal_sum(10) == Fraction(12, 35)
-
-    def test_n4(self):
-        assert interval_reciprocal_sum(4) == Fraction(5, 6)
-
-    def test_log_bound(self):
-        for n in (10 ** 4, 10 ** 5, 10 ** 6):
-            assert float(interval_reciprocal_sum(n)) * math.log(n) <= 2
-
-    def test_running_sum_oracle(self):
-        # [N/2, N] for N + 1 gains N + 1 if prime and loses p = N/2
-        total = Fraction(1, 2) + Fraction(1, 3)
-        for n in range(4, 5001):
-            if is_prime(n):
-                total += Fraction(1, n)
-            if n % 2 == 1 and is_prime((n - 1) // 2):
-                total -= Fraction(2, n - 1)
-            got = interval_reciprocal_sum(n)
-            assert type(got) is Fraction
-            assert (got.numerator, got.denominator) == (
-                total.numerator, total.denominator), n
-
-
-class TestCheckHypotheses:
-    def test_singleton_sum_fails(self):
-        rec = classify(13, ShiftParams(1),
-                       FilterParams(epsilon="0.2", y=4, w=5, z=24))
-        rep = check_hypotheses([rec], 1000, FilterParams(epsilon="0.2", y=4,
-                                                         w=5, z=24))
-        assert rep.reciprocal_sum == Fraction(1, 12)
-        assert not rep.sum_ok
-        assert rep.sum_threshold > 0.5
-
-    def test_empty(self):
-        rep = check_hypotheses([], 1000, FilterParams())
-        assert rep.n_records == 0
-        assert not rep.sum_ok
-        assert not rep.divisor_pair_ok
-
-    def test_window_never_holds_at_desk_scale(self):
-        rec = classify(13, ShiftParams(1), FilterParams())
-        rep = check_hypotheses([rec], 10 ** 6, FilterParams())
-        assert not rep.window_ok
-
-    def test_synthetic_recheck(self):
-        filt = FilterParams(epsilon="0.1", y=4, w=5, z=24)
-        shift = ShiftParams(1)
-        records = []
-        for p in prime_array(10 ** 4).tolist():
-            rec = classify(int(p), shift, filt)
-            if rec.n % 20 == 0 and rec.verdicts.friable:
-                records.append(rec)
-        assert records
-        rep = check_hypotheses(records, 10 ** 4, filt)
-        # independent recheck of every per-condition count
-        c1 = c2 = c3 = c4 = 0
-        for rec in records:
-            n = rec.n
-            mpp = _max_prime_power(n)
-            c1 += mpp ** 10 <= n ** 9
-            ll = math.log(math.log(n))
-            c2 += n >= 16 and abs(len(naive_factor(n)) - ll) <= 0.5 * ll
-            divs = [d for d in range(1, n + 1) if n % d == 0]
-            c3 += any(4 <= d < 5 for d in divs)
-            c4 += any(20 <= d < 24 for d in divs)
-        assert rep.condition_counts == {1: c1, 2: c2, 3: c3, 4: c4}
 
 
 class TestReportReciprocalSums:

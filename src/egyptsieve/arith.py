@@ -22,19 +22,34 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Strong-pseudoprime witnesses: the first twelve primes are deterministic
-# below psi_12 (Sorenson & Webster, Math. Comp. 86, 2017), hence for every
-# 64-bit input; from psi_12 on base 41 is added, which makes the test
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Strong-pseudoprime witnesses, tiered by n: a row (psi_k, bases) holds
+# the first k prime bases, which decide every n below psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233, tabulated by Jaeschke,
+# Math. Comp. 61, 1993, to psi_8 and by Sorenson & Webster, Math. Comp.
+# 86, 2017, to psi_13).  k = 8, 10 and 11 have no row: psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, so the extra base decides nothing more.  The
+# last row adds base 41 from psi_12 on, which makes the test
 # deterministic below psi_13.  psi_13 itself is a strong pseudoprime to
 # all thirteen bases, so from psi_13 on a strong Lucas test follows
-# (together with base 2 that is BPSW, Baillie & Wagstaff, Math. Comp. 35,
-# 1980): no counterexample is known, but above psi_13 it is a
+# (together with base 2 that is BPSW, Baillie & Wagstaff, Math. Comp.
+# 35, 1980): no counterexample is known, but above psi_13 it is a
 # probable-prime test, not a proof.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 _PSI_13 = 3317044064679887385961981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_WITNESSES = tuple((psi, _SMALL_PRIMES[:k]) for psi, k in (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (_PSI_12, 12),
+    (_PSI_13, 13),
+))
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # prime_segments refuses limits whose base sieve would not fit in memory
@@ -49,10 +64,13 @@ _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for all n below psi_13 (Miller-Rabin with a
-    fixed witness set, trial division first for small factors); from
-    psi_13 on the Miller-Rabin rounds are followed by a strong Lucas
-    test (BPSW)."""
+    """Deterministic primality for all n below psi_13, BPSW from there on.
+
+    Trial division by the primes to 47 comes first.  Then Miller-Rabin
+    runs on the first k prime bases, k the least count proven to decide
+    n (the ``_MR_WITNESSES`` rows: base 2 below 2,047, bases 2 and 3
+    below 1,373,653, ..., 2..37 below psi_12, 2..41 from there on), and
+    from psi_13 on a strong Lucas test follows."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -61,7 +79,10 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    witnesses = _MR_WITNESSES if n < _PSI_12 else _MR_WITNESSES + (41,)
+    # the first row whose bound exceeds n; from psi_13 on, the last row
+    for bound, witnesses in _MR_WITNESSES:
+        if n < bound:
+            break
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

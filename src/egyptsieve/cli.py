@@ -205,8 +205,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
         dec = reports.certificate_from_dict(entry)
         res = verify(dec)
         all_ok &= res.valid
-        results.append({"valid": res.valid, "reason": res.reason,
-                        "primes": len(dec.primes)})
+        result = {"valid": res.valid, "reason": res.reason,
+                  "primes": len(dec.primes)}
+        if res.probable_primes:
+            result["probable_primes"] = res.probable_primes
+        results.append(result)
     payload = {"results": results, "all_valid": all_ok}
     _write_or_print(reports.render_report(payload, cfg.as_dict(), __version__),
                     cfg.out)

@@ -33,11 +33,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import add
 
 import numpy as np
 
-from .arith import _pairwise, is_prime, prime_array, prime_flags, trial_factor
+from .arith import (
+    _PSI_13,
+    _pairwise,
+    is_prime,
+    prime_array,
+    prime_flags,
+    trial_factor,
+)
 from .errors import (
     DomainError,
     MergeInsufficient,
@@ -100,8 +106,13 @@ class PartialSolution:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """``probable_primes`` counts the primes of a valid certificate at or
+    above psi_13, where ``is_prime`` is the BPSW probable-prime test and
+    not a proof."""
+
     valid: bool
     reason: str | None = None
+    probable_primes: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,10 +134,16 @@ class FeasibilityResult:
     explanation: str = "feasible"
 
 
+def _add_ratios(x, y):
+    """Sum of two (num, den) pairs, not reduced: no gcd."""
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
 def verify(d: Decomposition) -> VerificationResult:
     """Independent certificate check: primality, strict increase,
-    positive denominators, exact rational sum (added in a balanced
-    tree)."""
+    positive denominators, exact rational sum (added in a balanced tree
+    of unreduced (num, den) pairs, then cross-multiplied against the
+    target, so no gcd is taken)."""
     try:
         target = Fraction(d.target)
     except (TypeError, ValueError):
@@ -143,15 +160,19 @@ def verify(d: Decomposition) -> VerificationResult:
             return VerificationResult(False, f"{p} not prime")
         if p - d.h < 1:
             return VerificationResult(False, f"denominator {p - d.h} < 1")
-    total = _pairwise([Fraction(1, p - d.h) for p in d.primes], add,
-                      Fraction(0))
-    if total != target:
+    num, den = _pairwise([(1, p - d.h) for p in d.primes], _add_ratios,
+                         (0, 1))
+    # den > 0 and target.denominator > 0, so the cross products compare
+    # like the fractions
+    lhs, rhs = num * target.denominator, target.numerator * den
+    if lhs != rhs:
         # no digits: the sum may be far past int-to-decimal's limit
-        side = "above" if total > target else "below"
+        side = "above" if lhs > rhs else "below"
         return VerificationResult(
             False, f"sum of the {len(d.primes)} reciprocals is {side} "
                    "the target")
-    return VerificationResult(True)
+    return VerificationResult(
+        True, probable_primes=sum(p >= _PSI_13 for p in d.primes))
 
 
 def _valuation(n: int, p: int) -> int:

@@ -290,6 +290,77 @@ class TestIsPrime:
                 if _strong_lucas_prp(n) != is_strong_lucas_prp(n)]
         assert mism == []
 
+    # A014233: psi_k, the least strong pseudoprime to the first k prime
+    # bases, for each k that ends a witness tier
+    PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
+           5: 2152302898747, 6: 3474749660383, 7: 341550071728321,
+           9: 3825123056546413051, 12: 318665857834031151167461,
+           13: 3317044064679887385961981}
+    BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    @staticmethod
+    def _strong_probable_prime(n, bases):
+        """Miller-Rabin to the given bases, written apart from is_prime."""
+        d, r = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            r += 1
+        for a in bases:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(r - 1):
+                x = pow(x, 2, n)
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    def test_tier_table(self):
+        # row k holds the first k prime bases and ends at psi_k, which
+        # fools all k of them and which is_prime still rejects
+        tiers = arith._MR_WITNESSES
+        assert [(bound, len(ws)) for bound, ws in tiers] == \
+            [(psi, k) for k, psi in self.PSI.items()]
+        for bound, ws in tiers:
+            assert ws == self.BASES[:len(ws)]
+            assert self._strong_probable_prime(bound, ws), bound
+            assert not is_prime(bound), bound
+
+    def test_every_tier_needs_its_last_base(self):
+        # each tier holds a composite without a prime factor to 47 that
+        # fools every base of the tier but its last: the previous bound,
+        # or for the (2, 3) tier, where 2047 = 23 * 89 falls to trial
+        # division, the least such base-2 pseudoprime (8321 = 53 * 157)
+        sympy = pytest.importorskip("sympy")
+        tiers = list(self.PSI.items())
+        for (_, lo), (k, bound) in zip(tiers, tiers[1:]):
+            n = lo
+            while not (all(n % p for p in range(2, 48))
+                       and self._strong_probable_prime(n, self.BASES[:k - 1])
+                       and not sympy.isprime(n)):
+                n += 2
+            assert n < bound, bound
+            assert not is_prime(n), (bound, n)
+
+    def test_tiers_against_sympy(self):
+        # the 4,001 integers around each bound, then seeded odd n and
+        # primes drawn in every tier
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261019)
+        cases = []
+        lo = 2
+        for bound in self.PSI.values():
+            cases += range(bound - 2000, bound + 2001)
+            cases += [rng.randrange(lo, bound) | 1 for _ in range(300)]
+            cases += [int(sympy.nextprime(rng.randrange(lo, bound - 2000)))
+                      for _ in range(30)]
+            lo = bound
+        mism = [n for n in cases if is_prime(n) != sympy.isprime(n)]
+        assert mism == []
+        assert sum(map(is_prime, cases)) > 300
+
 
 class TestFactorize:
     def test_12(self):

@@ -92,6 +92,23 @@ class TestDecomposeVerifyRoundTrip:
         assert result == {"valid": False, "primes": 6000, "reason":
                           "sum of the 6000 reciprocals is above the target"}
 
+    def test_probable_prime_reported(self, tmp_path):
+        # a prime above psi_13 passes only BPSW; the report says so, and
+        # a certificate of small primes keeps its former keys
+        p = 100000000000000000000000000319
+        cert = tmp_path / "big.json"
+        out = tmp_path / "report.json"
+        cert.write_text(json.dumps({"decompositions": [
+            {"h": 1, "target": {"num": "1", "den": str(p - 1)},
+             "primes": [str(p)]},
+            {"h": 1, "target": {"num": "1", "den": "1"},
+             "primes": ["3", "5", "7", "13"]}]}))
+        assert main(["verify", "--cert", str(cert), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"] == [
+            {"valid": True, "reason": None, "primes": 1,
+             "probable_primes": 1},
+            {"valid": True, "reason": None, "primes": 4}]
+
     def test_malformed_certificate_exits_2(self, tmp_path):
         cert = tmp_path / "junk.json"
         cert.write_text("{not json")

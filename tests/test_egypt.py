@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -9,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from egyptsieve import egypt
-from egyptsieve.arith import is_prime, trial_factor
+from egyptsieve.arith import (
+    _PSI_13,
+    _pairwise,
+    is_prime,
+    prime_array,
+    trial_factor,
+)
 from egyptsieve.egypt import (
     Decomposition,
     PartialSolution,
@@ -638,7 +645,72 @@ class TestMemoOrder:
         assert egypt._divisor_pool.cache_info().hits > 0
 
 
+def _reference_verify(d):
+    """The verifier's former sum: Fraction(1, p - h) added in a balanced
+    tree, each addition reducing by a gcd, compared as fractions.  The
+    checks before the sum are the same."""
+    target = Fraction(d.target)
+    if target <= 0:
+        return False, f"target {target} not positive"
+    last = 0
+    for p in d.primes:
+        if p <= last:
+            return False, f"primes not strictly increasing at {p}"
+        last = p
+        if not is_prime(p):
+            return False, f"{p} not prime"
+        if p - d.h < 1:
+            return False, f"denominator {p - d.h} < 1"
+    total = _pairwise([Fraction(1, p - d.h) for p in d.primes],
+                      operator.add, Fraction(0))
+    if total != target:
+        side = "above" if total > target else "below"
+        return False, (f"sum of the {len(d.primes)} reciprocals is {side} "
+                       "the target")
+    return True, None
+
+
 class TestVerify:
+    def test_against_fraction_sum(self):
+        # the 64 pinned certificates, each as found, with one prime
+        # dropped, with one prime added and with the target moved by
+        # +-1/den
+        rng = random.Random(20261019)
+        small = [int(p) for p in prime_array(2000)]
+        cases = []
+        for a, b, h in TestDecompose.PINNED_TARGETS:
+            dec = decompose(Fraction(a, b), h)
+            ps = list(dec.primes)
+            x = dec.target
+            dropped = ps[:]
+            del dropped[rng.randrange(len(ps))]
+            added = sorted(ps + [rng.choice([q for q in small
+                                             if q not in ps])])
+            nudge = Fraction(1, x.denominator)
+            cases += [dec,
+                      Decomposition(h, x, tuple(dropped)),
+                      Decomposition(h, x, tuple(added)),
+                      Decomposition(h, x + nudge, dec.primes),
+                      Decomposition(h, x - nudge, dec.primes)]
+        outcomes = set()
+        for d in cases:
+            res = verify(d)
+            assert (res.valid, res.reason) == _reference_verify(d), d
+            assert res.probable_primes == 0
+            outcomes.add(res.reason and res.reason.split()[-3])
+        assert outcomes >= {None, "above", "below"}
+
+    def test_probable_prime_counted(self):
+        # a 30-digit prime is above psi_13: is_prime says BPSW, no proof
+        p = 100000000000000000000000000319
+        assert p > _PSI_13
+        for h in (1, -2):
+            res = verify(Decomposition(h, Fraction(1, p - h), (p,)))
+            assert res.valid and res.probable_primes == 1
+        res = verify(Decomposition(1, Fraction(1, 2) + Fraction(1, p - 1),
+                                   (3, p)))
+        assert res.valid and res.probable_primes == 1
+
     def test_valid_witness(self):
         dec = Decomposition(h=1, target=ONE, primes=(3, 5, 7, 13))
         assert verify(dec).valid

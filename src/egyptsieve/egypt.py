@@ -15,10 +15,12 @@ a/k, with disjoint prime sets:
 4. greedy largest-fraction steps with DP retries on the residual.
 
 Stages 1 and 3 end in one subset-sum tail over (integer weight,
-primes) items.  Every returned decomposition is re-checked by the
-independent verifier before it leaves this module.  A failed search
-raises SearchExhausted and never claims nonexistence beyond its
-explicit pool.
+primes) items, which hands back primes; the cascade works in primes.
+The independent verifier runs once at each public exit
+(``decompose``, ``smooth_dp_decompose``, ``greedy_decompose``,
+``merge_by_pigeonhole``) before a decomposition leaves this module.  A
+failed search raises SearchExhausted and never claims nonexistence
+beyond its explicit pool.
 
 Stage 1's divisor pools are memoized per process (LRU, at most 1,024
 unfiltered pools keyed on (h, L, max_prime); ``exclude`` is applied to
@@ -362,11 +364,23 @@ def _bitset_subset_sum(weights: list[int], target: int,
     return [keep[i] for i in chosen]
 
 
-def _pool_dp(x: Fraction, h: int, target: int,
-             pool: list[tuple[int, tuple[int, ...]]]) -> Decomposition:
+def _certified(x: Fraction, h: int, primes, stage: str) -> Decomposition:
+    """The decomposition of x over primes, checked by ``verify``; the one
+    check each public search makes before its result leaves this module.
+    A failed check is a fault of the named stage (RuntimeError)."""
+    dec = Decomposition(h=h, target=x, primes=tuple(sorted(primes)))
+    check = verify(dec)
+    if not check.valid:
+        raise RuntimeError(
+            f"internal: {stage} produced invalid result: {check.reason}")
+    return dec
+
+
+def _pool_dp(target: int,
+             pool: list[tuple[int, tuple[int, ...]]]) -> list[int]:
     """The subset-sum tail of both pool stages: pool holds (integer
     weight, primes) items, and the union of the primes of a subset whose
-    weights sum to target is returned as a verified decomposition of x.
+    weights sum to target is returned sorted.
 
     Raises SearchExhausted, proven for this pool only, when no subset
     hits target; its weight_total counts only the weights <= target.
@@ -378,13 +392,7 @@ def _pool_dp(x: Fraction, h: int, target: int,
             pool_size=len(pool),
             weight_total=sum(w for w, _ in pool if w <= target),
             target=target, proven_absent_in_pool=True)
-    primes = tuple(sorted(p for i in idx for p in pool[i][1]))
-    dec = Decomposition(h=h, target=x, primes=primes)
-    check = verify(dec)
-    if not check.valid:
-        raise RuntimeError(
-            f"internal: pool DP produced invalid result: {check.reason}")
-    return dec
+    return sorted(p for i in idx for p in pool[i][1])
 
 
 def smooth_dp_decompose(x, h: int, L: int,
@@ -403,8 +411,8 @@ def smooth_dp_decompose(x, h: int, L: int,
     if target > _MAX_DP_TARGET:
         raise DomainError(
             f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
-    return _pool_dp(x, h, target,
-                    [(w, (p,)) for w, p in smooth_pool(h, L, budget, exclude)])
+    pool = [(w, (p,)) for w, p in smooth_pool(h, L, budget, exclude)]
+    return _certified(x, h, _pool_dp(target, pool), "pool DP")
 
 
 def _greedy_prime(rem: Fraction, h: int, used,
@@ -452,11 +460,7 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
                 f"greedy used {budget.max_terms} terms, remainder {rem}")
         raise SearchExhausted(
             f"greedy ran past max_prime {budget.max_prime}, remainder {rem}")
-    dec = Decomposition(h=h, target=x, primes=tuple(sorted(chosen)))
-    check = verify(dec)
-    if not check.valid:
-        raise RuntimeError(f"internal: greedy produced invalid result: {check.reason}")
-    return dec
+    return _certified(x, h, chosen, "greedy")
 
 
 def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
@@ -542,9 +546,10 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
 
 
 def _assembly_decompose(x: Fraction, h: int, exclude,
-                        budget: SearchBudget) -> Decomposition:
+                        budget: SearchBudget) -> list[int]:
     """Pair-cancellation assembly: one subset-sum DP over direct smooth
-    items plus q-cancelling pairs, at a high-exponent modulus."""
+    items plus q-cancelling pairs, at a high-exponent modulus; returns
+    the primes, sorted."""
     k = x.denominator
     M = _ASSEMBLY_MODULUS // gcd(_ASSEMBLY_MODULUS, k) * k
     target = x.numerator * (M // k)
@@ -553,8 +558,7 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
             f"assembly target for {x} exceeds DP budget", target=str(x))
     limit = min(budget.max_prime, _ASSEMBLY_PRIME_LIMIT)
     # light items first: the backtrack prefers early items
-    return _pool_dp(x, h, target,
-                    sorted(_assembly_items(h, M, exclude, limit)))
+    return _pool_dp(target, sorted(_assembly_items(h, M, exclude, limit)))
 
 
 def _dp_moduli(t: Fraction) -> list[int]:
@@ -606,8 +610,7 @@ def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
             pass
     if depth == 0:
         try:
-            return list(_assembly_decompose(t, h, frozenset(used),
-                                            budget).primes)
+            return _assembly_decompose(t, h, frozenset(used), budget)
         except SearchExhausted:
             pass
     # greedy steps on the residual, retrying the divisor-pool DP after each
@@ -640,12 +643,7 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
         used.update(_solve_single(Fraction(1), h, used, budget))
     if x % 1:
         used.update(_solve_single(x % 1, h, used, budget))
-    dec = Decomposition(h=h, target=x,
-                        primes=tuple(sorted(used.difference(exclude))))
-    check = verify(dec)
-    if not check.valid:
-        raise RuntimeError(f"internal: cascade produced invalid result: {check.reason}")
-    return dec
+    return _certified(x, h, used.difference(exclude), "cascade")
 
 
 def r_fold_disjoint(x, h: int, r: int,
@@ -694,10 +692,5 @@ def merge_by_pigeonhole(parts: PartialSolution) -> Decomposition:
             primes: list[int] = []
             for members in by_d[d][:d]:
                 primes.extend(members)
-            dec = Decomposition(h=parts.h, target=Fraction(1),
-                                primes=tuple(sorted(primes)))
-            check = verify(dec)
-            if not check.valid:
-                raise RuntimeError(f"internal: merge produced invalid result: {check.reason}")
-            return dec
+            return _certified(Fraction(1), parts.h, primes, "merge")
     raise MergeInsufficient(counts)

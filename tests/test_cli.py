@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from egyptsieve import cli
+from egyptsieve import cli, egypt
 from egyptsieve.arith import sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
@@ -131,6 +131,8 @@ class TestDecomposeVerifyRoundTrip:
         {"decompositions": 5},
         {"decompositions": {"h": 1}},
         {"decompositions": [5]},
+        # certifies nothing, so nothing was checked
+        {"decompositions": []},
     ])
     def test_unsound_reads_exit_2(self, tmp_path, capsys, cert_doc):
         cert = tmp_path / "cert.json"
@@ -143,6 +145,31 @@ class TestDecomposeVerifyRoundTrip:
         cert.write_text(json.dumps({
             "h": -1, "target": {"num": 1, "den": 3}, "primes": [2]}))
         assert main(["verify", "--cert", str(cert)]) == 0
+
+
+class TestVerifiedOnce:
+    def test_decompose_checks_each_certificate_once(self, tmp_path,
+                                                    monkeypatch):
+        # egypt checks each certificate at its public exit; the divisor-
+        # pool DP parts of a split are checked at theirs too, and nothing
+        # else re-checks what a search returned
+        checked = []
+
+        def counting(real):
+            def wrapped(d):
+                checked.append(len(d.primes))
+                return real(d)
+            return wrapped
+
+        monkeypatch.setattr(egypt, "verify", counting(egypt.verify))
+        monkeypatch.setattr(cli, "verify", counting(cli.verify))
+        out = tmp_path / "rf.json"
+        assert main(["decompose", "--target", "1", "--shift", "1",
+                     "--r-fold", "3", "--max-prime", "1000000",
+                     "--out", str(out)]) == 0
+        certs = json.loads(out.read_text())["decompositions"]
+        terms = sum(len(c["primes"]) for c in certs)
+        assert terms <= sum(checked) <= 1.05 * terms
 
 
 class TestExitCodes:

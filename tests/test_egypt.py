@@ -758,6 +758,34 @@ class TestVerify:
         assert res.reason == "sum of the 8000 reciprocals is above the target"
 
 
+class TestPublicExitsCheck:
+    # a verify that rejects the whole target: each public exit must turn
+    # the rejection into an internal error naming its own stage, after
+    # its inner stages (which check nothing, or a smaller target) ran
+    @pytest.mark.parametrize("stage, x, run", [
+        ("cascade", Fraction(3, 2), lambda: decompose(Fraction(3, 2), 1)),
+        ("pool DP", ONE, lambda: smooth_dp_decompose(ONE, 1, 12)),
+        ("greedy", Fraction(1, 2), lambda: greedy_decompose(Fraction(1, 2), 1)),
+        ("merge", ONE, lambda: merge_by_pigeonhole(PartialSolution(
+            h=1, parts=((Fraction(1, 2), (3,)),
+                        (Fraction(1, 2), (5, 7, 13)))))),
+    ])
+    def test_invalid_result_is_internal_error(self, monkeypatch, stage, x,
+                                              run):
+        real = egypt.verify
+
+        def forced(d):
+            if d.target == x:
+                return egypt.VerificationResult(False, "forced")
+            return real(d)
+
+        monkeypatch.setattr(egypt, "verify", forced)
+        with pytest.raises(RuntimeError) as exc:
+            run()
+        assert str(exc.value) == \
+            f"internal: {stage} produced invalid result: forced"
+
+
 class TestRFold:
     def test_r1_half(self):
         decs = r_fold_disjoint(Fraction(1, 2), 1, 1)

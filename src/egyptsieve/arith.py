@@ -386,17 +386,6 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     return arr
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array over 0..limit, True at prime indices, marked from
-    ``prime_array(limit)`` (cached, read-only)."""
-    def build(n):
-        flags = np.zeros(n + 1, dtype=bool)
-        flags[prime_array(n)] = True
-        return flags
-
-    return _cached("flags", limit, build)
-
-
 def _build_primes(limit: int) -> np.ndarray:
     """The primes <= limit, uncached.  Base primes and trial-division
     lists come from here: a _cached build nested in the build of a larger

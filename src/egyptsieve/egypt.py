@@ -16,9 +16,11 @@ a/k, with disjoint prime sets:
 
 Stages 1 and 3 end in one subset-sum tail over (integer weight,
 primes) items, which hands back primes; the cascade works in primes.
-The independent verifier runs once at each public exit
-(``decompose``, ``smooth_dp_decompose``, ``greedy_decompose``,
-``merge_by_pigeonhole``) before a decomposition leaves this module.  A
+Each public search (``decompose``, ``smooth_dp_decompose``,
+``greedy_decompose``) is the gate, a private stage that returns primes,
+then the independent verifier; ``merge_by_pigeonhole`` checks its union
+the same way.  No private function calls a public search, so the
+verifier runs once per decomposition that leaves this module.  A
 failed search raises SearchExhausted and never claims nonexistence
 beyond its explicit pool.
 
@@ -43,7 +45,6 @@ from .arith import (
     _pairwise,
     is_prime,
     prime_array,
-    prime_flags,
     trial_factor,
 )
 from .errors import (
@@ -72,13 +73,14 @@ _POOL_MEMO_SIZE = 1024
 @dataclass(frozen=True)
 class SearchBudget:
     """Resource bounds for the decomposition search: the largest prime
-    a certificate may use and the number of greedy steps per run."""
+    a certificate may use (at least 2) and the number of greedy steps
+    per run (at least 0)."""
 
     max_prime: int = 10 ** 8
     max_terms: int = 256
 
     def __post_init__(self):
-        if self.max_prime < 2:
+        if self.max_prime < 2 or self.max_terms < 0:
             raise DomainError("malformed budget")
 
 
@@ -395,6 +397,14 @@ def _pool_dp(target: int,
     return sorted(p for i in idx for p in pool[i][1])
 
 
+def _divisor_dp(t: Fraction, h: int, M: int, budget: SearchBudget,
+                exclude) -> list[int]:
+    """The divisor-pool DP on t over the pool of M, a multiple of den(t),
+    with the primes in exclude barred: the primes found, sorted."""
+    pool = [(w, (p,)) for w, p in smooth_pool(h, M, budget, exclude)]
+    return _pool_dp(t.numerator * (M // t.denominator), pool)
+
+
 def smooth_dp_decompose(x, h: int, L: int,
                         budget: SearchBudget = DEFAULT_BUDGET,
                         exclude=frozenset()) -> Decomposition:
@@ -411,8 +421,7 @@ def smooth_dp_decompose(x, h: int, L: int,
     if target > _MAX_DP_TARGET:
         raise DomainError(
             f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
-    pool = [(w, (p,)) for w, p in smooth_pool(h, L, budget, exclude)]
-    return _certified(x, h, _pool_dp(target, pool), "pool DP")
+    return _certified(x, h, _divisor_dp(x, h, L, budget, exclude), "pool DP")
 
 
 def _greedy_prime(rem: Fraction, h: int, used,
@@ -477,15 +486,17 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     A pair needs q <= e1 + e2 with e1 q and e2 q at most D =
     prime_limit - h, so q^2 <= 2D: larger q are never looked up.  A
     negative shift that puts this bound past prime_limit raises
-    SearchExhausted, so the primality flags never outgrow the primes.
+    SearchExhausted, so the primality flags to q_max are marked from
+    the primes already listed.
     """
     q_max = isqrt(2 * (prime_limit - min(h, 0)))
     if q_max > prime_limit:
         raise SearchExhausted(
             f"assembly pairs at shift {h} need primes up to {q_max}, past "
             f"the prime limit {prime_limit}")
-    flags = prime_flags(q_max)
     primes = prime_array(prime_limit)
+    flags = np.zeros(q_max + 1, dtype=bool)
+    flags[prime_array(q_max)] = True
     div_arr = np.array(trial_factor(modulus).divisors(), dtype=np.int64)
     direct: list[tuple[int, tuple[int, ...]]] = []
     q_rows = []
@@ -578,11 +589,14 @@ def _dp_solve(t: Fraction, h: int, exclude,
               budget: SearchBudget) -> list[int] | None:
     """The divisor-pool DP on t over each modulus of _dp_moduli(t) in
     order, with the primes in exclude barred: the primes of the first
-    pool that hits t, or None."""
-    for M in _dp_moduli(t):
+    pool that hits t, or None.  When there is a modulus to try, t passes
+    the gate first (ObstructionError)."""
+    moduli = _dp_moduli(t)
+    if moduli:
+        _gate(t, h)
+    for M in moduli:
         try:
-            return list(smooth_dp_decompose(t, h, M, budget,
-                                            exclude=frozenset(exclude)).primes)
+            return _divisor_dp(t, h, M, budget, exclude)
         except SearchExhausted:
             continue
     return None

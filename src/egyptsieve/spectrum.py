@@ -314,14 +314,13 @@ def _subset_counts(A, window_primes):
     return out
 
 
-def legendre_sieve_count(A, window_primes, X=None, density=None) -> SieveEstimate:
+def legendre_sieve_count(A, window_primes) -> SieveEstimate:
     """Exact inclusion-exclusion count of elements of A coprime to all
     window primes, with the sieve bookkeeping |A_d| = f(d) X + R_d.
 
     A is an inclusive interval (lo, hi) or an explicit collection of
-    positive integers.  f defaults to d -> 1/d and X to |A|; R_d values
-    are exact rationals.  Counts are re-verified by a direct scan when
-    |A| <= 1e6.
+    positive integers.  f is d -> 1/d and X is |A|; R_d values are exact
+    rationals.  Counts are re-verified by a direct scan when |A| <= 1e6.
     """
     window_primes = sorted(set(int(p) for p in window_primes))
     if len(window_primes) > MAX_WINDOW_PRIMES:
@@ -339,26 +338,14 @@ def legendre_sieve_count(A, window_primes, X=None, density=None) -> SieveEstimat
         size = len(A)
     if size > 10 ** 8:
         raise CapacityError(f"set of size {size} exceeds the 1e8 budget")
-    if X is None:
-        X = Fraction(size)
-    else:
-        X = Fraction(X)
-    if density is None:
-        density = lambda p: Fraction(1, p)
-
-    fmap = {p: Fraction(density(p)) for p in window_primes}
+    X = Fraction(size)
+    fmap = {p: Fraction(1, p) for p in window_primes}
     counts = _subset_counts(A, window_primes)
     exact = 0
     remainders = {}
     for d, mu, cnt in counts:
         exact += mu * cnt
-        fd = Fraction(1)
-        dd = d
-        for p in window_primes:
-            if dd % p == 0:
-                fd *= fmap[p]
-                dd //= p
-        remainders[d] = cnt - fd * X
+        remainders[d] = cnt - X / d
     main = X
     for p in window_primes:
         main *= (1 - fmap[p])

@@ -19,7 +19,6 @@ from egyptsieve.arith import (
     is_prime,
     li_approx,
     prime_array,
-    prime_flags,
     prime_power_sieve,
     prime_segments,
     reciprocal_sum,
@@ -179,8 +178,7 @@ class TestPrimeCache:
             [("primes", 3000)]
 
     def test_negative_limit_refused_when_cached(self):
-        for build in (prime_array, prime_flags, omega_array,
-                      max_prime_power_array):
+        for build in (prime_array, omega_array, max_prime_power_array):
             build(100)
             with pytest.raises(DomainError):
                 build(-5)
@@ -190,22 +188,17 @@ class TestPrimeCache:
             raise AssertionError(f"built to {n}")
 
         before = set(arith._cache)
-        for kind in ("primes", "flags", "omega", "maxpp"):
+        for kind in ("primes", "omega", "maxpp"):
             with pytest.raises(CapacityError):
                 arith._cached(kind, arith.MAX_ARRAY_LIMIT + 1, build)
         assert set(arith._cache) == before
 
     def test_read_only(self):
         _drop_cached("primes")
-        for arr in (prime_array(1000), prime_array(500), prime_flags(1000),
-                    omega_array(1000), max_prime_power_array(1000)):
+        for arr in (prime_array(1000), prime_array(500), omega_array(1000),
+                    max_prime_power_array(1000)):
             with pytest.raises(ValueError):
                 arr[0] = 1
-
-    def test_prime_flags_match_monolithic_1e6(self):
-        flags = prime_flags(10 ** 6)
-        assert flags.dtype == np.bool_
-        assert np.array_equal(flags, _monolithic_flags(10 ** 6))
 
 
 class TestIsPrime:
@@ -225,7 +218,7 @@ class TestIsPrime:
         assert is_prime(m)
 
     def test_agrees_with_sieve_to_1e6(self):
-        flags = prime_flags(10 ** 6)
+        flags = _monolithic_flags(10 ** 6)
         mism = [n for n in range(10 ** 6 + 1) if is_prime(n) != bool(flags[n])]
         assert mism == []
 

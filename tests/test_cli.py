@@ -150,8 +150,7 @@ class TestDecomposeVerifyRoundTrip:
 class TestVerifiedOnce:
     def test_decompose_checks_each_certificate_once(self, tmp_path,
                                                     monkeypatch):
-        # egypt checks each certificate at its public exit; the divisor-
-        # pool DP parts of a split are checked at theirs too, and nothing
+        # egypt checks each certificate at its public exit, and nothing
         # else re-checks what a search returned
         checked = []
 
@@ -169,7 +168,7 @@ class TestVerifiedOnce:
                      "--out", str(out)]) == 0
         certs = json.loads(out.read_text())["decompositions"]
         terms = sum(len(c["primes"]) for c in certs)
-        assert terms <= sum(checked) <= 1.05 * terms
+        assert sum(checked) == terms
 
 
 class TestExitCodes:
@@ -189,6 +188,12 @@ class TestExitCodes:
         rc = main(["decompose", "--target", "1/97", "--shift", "1",
                    "--max-prime", "50"])
         assert rc == 1
+
+    def test_negative_max_terms_exits_2(self):
+        with pytest.raises(egypt.DomainError, match="malformed budget"):
+            egypt.SearchBudget(max_terms=-5)
+        assert main(["decompose", "--target", "1/2", "--shift", "1",
+                     "--max-terms", "-5"]) == 2
 
     def test_missing_grid_file(self):
         assert main(["sweep", "--grid", "/nonexistent/grid.json"]) == 2

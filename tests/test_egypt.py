@@ -761,7 +761,7 @@ class TestVerify:
 class TestPublicExitsCheck:
     # a verify that rejects the whole target: each public exit must turn
     # the rejection into an internal error naming its own stage, after
-    # its inner stages (which check nothing, or a smaller target) ran
+    # its inner stages, which check nothing, ran
     @pytest.mark.parametrize("stage, x, run", [
         ("cascade", Fraction(3, 2), lambda: decompose(Fraction(3, 2), 1)),
         ("pool DP", ONE, lambda: smooth_dp_decompose(ONE, 1, 12)),
@@ -784,6 +784,41 @@ class TestPublicExitsCheck:
             run()
         assert str(exc.value) == \
             f"internal: {stage} produced invalid result: forced"
+
+
+class TestVerifiedOnce:
+    # the cascade's stages hand back primes: verify runs once per
+    # returned certificate, at the public exit that returns it
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        real = egypt.verify
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(egypt, "verify", counting)
+        return calls
+
+    def test_split_solution(self, checked):
+        # the first divisor-pool DP misses 2/73 at h = 6; the split's
+        # two parts are solved by divisor-pool DPs
+        assert checked == [decompose(Fraction(2, 73), 6)]
+
+    def test_r_fold(self, checked):
+        decs = r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
+        assert checked == decs
+
+    def test_universe_sample(self, checked):
+        solved = []
+        for x, h in random.Random(20261019).sample(_targets_universe(), 300):
+            try:
+                solved.append(decompose(x, h))
+            except ObstructionError:
+                pass
+        assert len(solved) > 150
+        assert checked == solved
 
 
 class TestRFold:

@@ -540,16 +540,12 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
         for r in sorted(by_res):
             if r == 0:
                 continue
-            comp = (q - r) % q
+            # q is an odd prime and r != 0, so comp != r
+            comp = q - r
             if comp < r or comp not in by_res:
                 continue
             # rows are lexsorted by (q, e, p), so each list is in order
-            if comp == r:
-                cl = by_res[r]
-                matched = zip(cl[::2], cl[1::2])
-            else:
-                matched = zip(by_res[r], by_res[comp])
-            for (e1, p1), (e2, p2) in matched:
+            for (e1, p1), (e2, p2) in zip(by_res[r], by_res[comp]):
                 w, frac = divmod(modulus * (e1 + e2), q * e1 * e2)
                 if not frac:
                     items.append((w, (p1, p2)))
@@ -661,13 +657,13 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
 
 
 def r_fold_disjoint(x, h: int, r: int,
-                    budget: SearchBudget = DEFAULT_BUDGET,
-                    exclude=frozenset()) -> list[Decomposition]:
+                    budget: SearchBudget = DEFAULT_BUDGET
+                    ) -> list[Decomposition]:
     """r decompositions of x with pairwise disjoint prime sets; each
     search excludes all previously used primes."""
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    used = set(exclude)
+    used: set[int] = set()
     out = []
     for _ in range(r):
         dec = decompose(x, h, budget, exclude=frozenset(used))

@@ -3,13 +3,15 @@
 Counts are exact set cardinalities (no sampling), taken in bulk on sieve
 arrays over n = p - h: friability of the largest prime power, the
 deviation of omega(n) from loglog n, and prime factors in a window
-[y, z].  Beside them: Legendre sieve counts, prime counts in
-progressions and Mertens products.
+[y, z]: each lemma gives its parameter check and its mask of counted
+n, and ``_report`` builds the report.  Beside them: Legendre sieve
+counts over an interval, prime counts in progressions, Mertens products.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,16 +61,6 @@ def max_prime_power_array(limit: int) -> np.ndarray:
     uint32 (values never exceed limit), from the same segmented kernel
     as ``omega_array``."""
     return _cached("maxpp", limit, lambda n: prime_power_sieve(n, "maxpp"))
-
-
-def _as_fraction(x) -> Fraction:
-    """Exact rational view of a parameter given as int, Fraction, str or
-    decimal-literal float."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
 
 
 def _exceeds_power(value: int, base: int, expo: Fraction) -> bool:
@@ -133,88 +125,95 @@ class DensityReport:
 
 @dataclass(frozen=True)
 class SieveEstimate:
-    """Inclusion-exclusion bookkeeping: |A_d| = f(d) X + R_d exactly."""
+    """Inclusion-exclusion bookkeeping: |A_d| = |A| / d + R_d exactly."""
 
-    X: Fraction
-    f: dict
     remainders: dict
     main_term: float
     exact_count: int
 
 
-def _progression(N: int, shift: ShiftParams) -> np.ndarray:
-    """Primes p <= N with p = h (mod q) and p - h >= q."""
+def _report(N: int, shift: ShiftParams, baseline, select,
+            **params) -> DensityReport:
+    """The density report of one lemma over n = p - h, for the primes
+    p <= N with p = h (mod q) and p - h >= q.
+
+    ``params`` (in report order) are ints, Fractions, strings or
+    decimal-literal floats, read as exact rationals.
+    ``baseline(*params)`` refuses them with DomainError or returns the
+    baseline; ``select(n, *params)`` on a nonempty n returns the mask
+    of the counted n and how many n it keeps out of the normalizer.  N
+    is checked first; a refused call builds no array.
+    """
+    if N < 100:
+        raise DomainError("need N >= 100")
+    params = {k: Fraction(v if isinstance(v, (int, Fraction)) else str(v))
+              for k, v in params.items()}
+    base = baseline(*params.values())
     primes = prime_array(N)
     sel = (primes % shift.q) == (shift.h % shift.q)
     sel &= primes - shift.h >= shift.q
-    return primes[sel]
+    n = primes[sel] - shift.h
+    counted, excluded = (select(n, *params.values()) if len(n)
+                         else (np.zeros(0, dtype=bool), 0))
+    count = int(counted.sum())
+    normalizer = len(n) - excluded
+    return DensityReport(
+        N=N,
+        params={"h": shift.h, "q": shift.q,
+                **{k: str(v) for k, v in params.items()}},
+        count=count,
+        normalizer=normalizer,
+        relative_density=count / normalizer if normalizer else 0.0,
+        baseline=base,
+        reciprocal_sum=reciprocal_sum(n[counted].tolist()),
+        excluded=excluded,
+    )
 
 
 def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
     """Relative density of primes whose n = p - h has a prime-power
     divisor exceeding n**(1 - epsilon); baseline is epsilon itself."""
-    if N < 100:
-        raise DomainError("need N >= 100")
-    eps = _as_fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise DomainError(f"epsilon must be in [0,1], got {epsilon}")
-    primes = _progression(N, shift)
-    narr = (primes - shift.h).astype(np.int64)
-    normalizer = len(narr)
-    if eps == 0 or normalizer == 0:
-        bad = np.zeros(len(narr), dtype=bool)
-    else:
-        mpp = max_prime_power_array(int(narr.max()))[narr]
-        multi = narr >= 2
+    def baseline(eps):
+        if not 0 <= eps <= 1:
+            raise DomainError(f"epsilon must be in [0,1], got {epsilon}")
+        return float(eps)
+
+    def select(n, eps):
+        if eps == 0:
+            return np.zeros(len(n), dtype=bool), 0
+        mpp = max_prime_power_array(int(n.max()))[n]
+        multi = n >= 2
         lhs = np.log(mpp.astype(np.float64))
-        rhs = float(1 - eps) * np.log(np.maximum(narr, 2).astype(np.float64))
+        rhs = float(1 - eps) * np.log(np.maximum(n, 2).astype(np.float64))
         bad = (lhs > rhs + 1e-9) & multi
         near = (np.abs(lhs - rhs) <= 1e-9) & multi
         for i in np.flatnonzero(near):
-            bad[i] = _exceeds_power(int(mpp[i]), int(narr[i]), 1 - eps)
-    count = int(bad.sum())
-    return DensityReport(
-        N=N,
-        params={"h": shift.h, "q": shift.q, "epsilon": str(eps)},
-        count=count,
-        normalizer=normalizer,
-        relative_density=count / normalizer if normalizer else 0.0,
-        baseline=float(eps),
-        reciprocal_sum=reciprocal_sum(narr[bad].tolist()),
-    )
+            bad[i] = _exceeds_power(int(mpp[i]), int(n[i]), 1 - eps)
+        return bad, 0
+
+    return _report(N, shift, baseline, select, epsilon=epsilon)
 
 
 def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
     """Relative density of |omega(n) - loglog n| >= delta * loglog n over
     n = p - h >= 16; smaller n are excluded from both sides and counted
-    in ``excluded``.  The asymptotic baseline is 0."""
-    if N < 100:
-        raise DomainError("need N >= 100")
-    delta = _as_fraction(delta)
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
-    primes = _progression(N, shift)
-    narr = (primes - shift.h).astype(np.int64)
-    keep = narr >= MIN_OMEGA_N
-    excluded = int((~keep).sum())
-    m = narr[keep]
-    if len(m):
-        om = omega_array(int(m.max()))[m].astype(np.float64)
+    in ``excluded``.  The asymptotic baseline is 0.  A delta past the
+    float range reads as infinity: nothing deviates that far."""
+    def baseline(d):
+        if d < 0:
+            raise DomainError("delta must be >= 0")
+        return 0.0
+
+    def select(n, d):
+        keep = n >= MIN_OMEGA_N
+        m = n[keep]
         ll = np.log(np.log(m.astype(np.float64)))
-        dev = np.abs(om - ll) >= float(delta) * ll
-    else:
-        dev = np.zeros(0, dtype=bool)
-    count = int(dev.sum())
-    return DensityReport(
-        N=N,
-        params={"h": shift.h, "q": shift.q, "delta": str(delta)},
-        count=count,
-        normalizer=len(m),
-        relative_density=count / len(m) if len(m) else 0.0,
-        baseline=0.0,
-        reciprocal_sum=reciprocal_sum(m[dev].tolist()),
-        excluded=excluded,
-    )
+        thr = math.inf if d > sys.float_info.max else float(d)
+        # counted: the kept n whose omega deviates that far
+        keep[keep] = np.abs(omega_array(int(n.max()))[m] - ll) >= thr * ll
+        return keep, len(n) - len(m)
+
+    return _report(N, shift, baseline, select, delta=delta)
 
 
 def halberstam_variance(N: int, shift: ShiftParams) -> float:
@@ -228,7 +227,7 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     if N < 100:
         raise DomainError("need N >= 100")
     primes = prime_array(N)
-    narr = (primes - shift.h).astype(np.int64)
+    narr = primes - shift.h
     m = narr[narr >= 2]
     if len(m) == 0:
         return 0.0
@@ -242,71 +241,40 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
 
 def divisor_window_density(N: int, shift: ShiftParams, y, z) -> DensityReport:
     """Relative density of primes whose n = p - h has no prime factor in
-    the closed window [y, z]; baseline log y / log z."""
-    if N < 100:
-        raise DomainError("need N >= 100")
-    y = _as_fraction(y)
-    z = _as_fraction(z)
-    if not 4 <= y < z:
-        raise DomainError(f"need 4 <= y < z, got y={y} z={z}")
-    primes = _progression(N, shift)
-    narr = (primes - shift.h).astype(np.int64)
-    if len(narr):
-        top = int(narr.max())
-        window = [int(p) for p in prime_array(min(top, int(z)))
-                  if y <= p <= z]
+    the closed window [y, z]; baseline log y / log z, which holds past
+    the float range too."""
+    def log(x):
+        if x > sys.float_info.max:
+            return math.log(x.numerator) - math.log(x.denominator)
+        return math.log(float(x))
+
+    def baseline(y, z):
+        if not 4 <= y < z:
+            raise DomainError(f"need 4 <= y < z, got y={y} z={z}")
+        return log(y) / log(z)
+
+    def select(n, y, z):
+        top = int(n.max())
         marked = np.zeros(top + 1, dtype=bool)
-        for q in window:
-            marked[q::q] = True
-        good = ~marked[narr]
-    else:
-        good = np.zeros(0, dtype=bool)
-    count = int(good.sum())
-    return DensityReport(
-        N=N,
-        params={"h": shift.h, "q": shift.q, "y": str(y), "z": str(z)},
-        count=count,
-        normalizer=len(narr),
-        relative_density=count / len(narr) if len(narr) else 0.0,
-        baseline=math.log(float(y)) / math.log(float(z)),
-        reciprocal_sum=reciprocal_sum(narr[good].tolist()),
-    )
+        for p in prime_array(min(top, int(z))).tolist():
+            if p >= y:
+                marked[p::p] = True
+        return ~marked[n], 0
+
+    return _report(N, shift, baseline, select, y=y, z=z)
 
 
 def _subset_counts(A, window_primes):
-    """Enumerate squarefree d | P(z) with |A_d| possibly nonzero.
-
-    Yields (d, mu, |A_d|).  Subsets whose product exceeds max(A) are
-    pruned; they contribute zero to the count.
-    """
-    if isinstance(A, tuple) and len(A) == 2:
-        lo, hi = A
-        if lo > hi:
-            raise DomainError(f"empty interval {A}")
-
-        def count_div(d):
-            return hi // d - (lo - 1) // d
-
-        top = hi
-    else:
-        arr = np.asarray(list(A), dtype=np.int64)
-        if len(arr) == 0:
-            raise DomainError("empty set")
-        if int(arr.min()) < 1:
-            raise DomainError("set elements must be positive")
-
-        def count_div(d):
-            return int((arr % d == 0).sum())
-
-        top = int(arr.max())
-
+    """(d, mu(d), |A_d|) for the interval A = (lo, hi) and each
+    squarefree d | P(z) up to hi; larger d have A_d empty."""
+    lo, hi = A
     out = []
 
     def rec(i, d, mu):
-        out.append((d, mu, count_div(d)))
+        out.append((d, mu, hi // d - (lo - 1) // d))
         for j in range(i, len(window_primes)):
             nd = d * window_primes[j]
-            if nd > top:
+            if nd > hi:
                 break
             rec(j + 1, nd, -mu)
 
@@ -315,13 +283,13 @@ def _subset_counts(A, window_primes):
 
 
 def legendre_sieve_count(A, window_primes) -> SieveEstimate:
-    """Exact inclusion-exclusion count of elements of A coprime to all
-    window primes, with the sieve bookkeeping |A_d| = f(d) X + R_d.
-
-    A is an inclusive interval (lo, hi) or an explicit collection of
-    positive integers.  f is d -> 1/d and X is |A|; R_d values are exact
-    rationals.  Counts are re-verified by a direct scan when |A| <= 1e6.
-    """
+    """Exact inclusion-exclusion count of the integers in the interval
+    A = (lo, hi), 1 <= lo <= hi, coprime to all window primes, with the
+    exact sieve bookkeeping |A_d| = X / d + R_d, X = hi - lo + 1.  The
+    count is re-verified by a direct scan when X <= 1e6."""
+    # d > hi divides no n in A only when lo >= 1; zero is in every A_d
+    if not (isinstance(A, tuple) and len(A) == 2 and 1 <= A[0] <= A[1]):
+        raise DomainError(f"need an interval 1 <= lo <= hi, got {A!r}")
     window_primes = sorted(set(int(p) for p in window_primes))
     if len(window_primes) > MAX_WINDOW_PRIMES:
         raise CapacityError(
@@ -331,30 +299,18 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
         if not is_prime(p):
             raise DomainError(f"window element {p} is not prime")
 
-    if isinstance(A, tuple) and len(A) == 2:
-        size = A[1] - A[0] + 1
-    else:
-        A = list(A)
-        size = len(A)
+    lo, hi = A
+    size = hi - lo + 1
     if size > 10 ** 8:
         raise CapacityError(f"set of size {size} exceeds the 1e8 budget")
-    X = Fraction(size)
-    fmap = {p: Fraction(1, p) for p in window_primes}
     counts = _subset_counts(A, window_primes)
-    exact = 0
-    remainders = {}
-    for d, mu, cnt in counts:
-        exact += mu * cnt
-        remainders[d] = cnt - X / d
-    main = X
-    for p in window_primes:
-        main *= (1 - fmap[p])
+    exact = sum(mu * cnt for _, mu, cnt in counts)
+    remainders = {d: cnt - Fraction(size, d) for d, _, cnt in counts}
+    main = Fraction(size * math.prod(p - 1 for p in window_primes),
+                    math.prod(window_primes))
 
     if size <= 10 ** 6:
-        if isinstance(A, tuple):
-            elems = np.arange(A[0], A[1] + 1, dtype=np.int64)
-        else:
-            elems = np.asarray(A, dtype=np.int64)
+        elems = np.arange(lo, hi + 1, dtype=np.int64)
         keep = np.ones(len(elems), dtype=bool)
         for p in window_primes:
             keep &= elems % p != 0
@@ -363,8 +319,8 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
             raise RuntimeError(
                 f"inclusion-exclusion {exact} disagrees with scan {scan}")
 
-    return SieveEstimate(X=X, f=fmap, remainders=remainders,
-                         main_term=float(main), exact_count=exact)
+    return SieveEstimate(remainders=remainders, main_term=float(main),
+                         exact_count=exact)
 
 
 @lru_cache(maxsize=_HIST_MEMO_SIZE)
@@ -407,37 +363,21 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     return count, li_approx(N) / trial_factor(d, roots).totient
 
 
-def mertens_product(w: int, shifted: bool = False, lo: int = 2) -> Fraction:
-    """Exact product of (1 - 1/p) over primes lo <= p <= w; with
-    ``shifted`` the factors are (1 - 1/(p - 1)), for window products
-    over shifted moduli (then lo must be at least 3).
+def mertens_product(w: int) -> Fraction:
+    """Exact product of (1 - 1/p) over primes p <= w.
 
-    The product is prod(p - 1) / prod(p), or prod(p - 2) / prod(p - 1),
-    and every factor is w-smooth: the exponent of each prime q <= w is
-    counted on both sides (``_split_rough`` on the shifted values) and
-    subtracted, so numerator and denominator come out coprime, each one
-    balanced product of prime powers, with no gcd."""
+    The product is prod(p - 1) / prod(p), and every factor is w-smooth:
+    the exponent of each prime q <= w in prod(p - 1) is counted
+    (``_split_rough``), less one at each p, so the coprime numerator and
+    denominator come out as balanced products of prime powers, no gcd."""
     if w < 2:
         raise DomainError("need w >= 2")
-    if shifted and lo < 3:
-        raise DomainError("shifted product needs lo >= 3 (p = 2 gives 0)")
     ps = prime_array(w)
-    ps = ps[ps >= lo]
-    if not len(ps):
-        return Fraction(1)
-
-    def exponents(values):
-        # index 1 counts the values without a prime above B; 1 ** k is 1
-        base, exps, rough = _split_rough(values)
-        out = np.bincount(rough, minlength=w + 1)
-        out[base] += exps
-        return out
-
-    expo = exponents(ps - 2 if shifted else ps - 1)
-    if shifted:
-        expo -= exponents(ps - 1)
-    else:
-        expo[ps] -= 1
+    # index 1 counts the values without a prime above B; 1 ** k is 1
+    base, exps, rough = _split_rough(ps - 1)
+    expo = np.bincount(rough, minlength=w + 1)
+    expo[base] += exps
+    expo[ps] -= 1
     qs = np.flatnonzero(expo).tolist()
     ks = expo[qs].tolist()
     num = balanced_product(q ** k for q, k in zip(qs, ks) if k > 0)

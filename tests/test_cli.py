@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -247,6 +248,25 @@ class TestExitCodes:
         assert err.startswith("internal error:")
         assert "Traceback" in err and "RuntimeError: injected fault" in err
 
+    @pytest.mark.parametrize("argv,baseline", [
+        (["--lemma", "3", "--y", "5", "--z", "1e400"],
+         math.log(5) / (400 * math.log(10))),
+        (["--lemma", "3", "--y", "1e400", "--z", "1e401"], 400 / 401),
+        (["--lemma", "2", "--delta", "1e400"], 0.0),
+    ], ids=["z-1e400", "y-1e400", "delta-1e400"])
+    def test_parameters_past_float_range_exit_0(self, argv, baseline,
+                                                capsys):
+        assert main(["analyze", "--N", "1000", *argv]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["baseline"] == pytest.approx(baseline, rel=1e-12)
+        if "--delta" in argv:
+            # delta saturates to infinity: the report --delta 1e300 gives
+            assert main(["analyze", "--N", "1000", "--lemma", "2",
+                         "--delta", "1e300"]) == 0
+            finite = json.loads(capsys.readouterr().out)["report"]
+            del rep["params"]["delta"], finite["params"]["delta"]
+            assert rep == finite and rep["count"] == 0
+
     def test_unfactorable_modulus_exits_2(self, capsys):
         den = (10 ** 6 + 3) * (10 ** 6 + 33)
         rc = main(["decompose", "--target", f"1/{den}", "--shift", "1"])
@@ -292,6 +312,66 @@ class TestAnalyze:
         assert main(args) == 0
         second = out.read_text()
         assert _strip_timestamp(first) == _strip_timestamp(second)
+
+
+class TestGoldenReports:
+    """sha256 of report text, timestamp line removed: any byte a change
+    moves in a count, a density, a baseline, a parameter string, a CSV
+    column or a reciprocal sum fails here."""
+
+    LEMMA_ARGS = {1: ["--epsilon", "0.3"], 2: ["--delta", "0.5"],
+                  3: ["--y", "7", "--z", "100"]}
+    ANALYZE = {
+        (1, 1, 1, "json"): "05b2d32decb5dc713e260b983fe4e297"
+                           "40f91511fc9122309d2dcaa83e2713fb",
+        (1, 1, 1, "csv"): "617b7af17d45e743ffef38166216fa82"
+                          "dbc6fea1b1e1dc3491ad44a1e6f1a86e",
+        (1, -2, 5, "json"): "8204dee75243db69bdf1d269de703c7b"
+                            "b0a384b0861f78aca76563d9dc5be63a",
+        (1, -2, 5, "csv"): "db3d380579fb8267b830490c233e5cd4"
+                           "81305704bf324f7231d2d56d4fbdae94",
+        (2, 1, 1, "json"): "3c81886cfcd679ca0dd610bc97f73f41"
+                           "c81ce6c1329000338f9c5d2356ee2f93",
+        (2, 1, 1, "csv"): "79f6045466c15e41ec382f1435f6c407"
+                          "dc4a05e916e954001e4efc3c1bf66f69",
+        (2, -2, 5, "json"): "f5b7e52d70177d4671f66b0dcdc2b238"
+                            "b827a24efaae6af39a92fb0e2fe37389",
+        (2, -2, 5, "csv"): "3c8cf6081aa6dc679fcf2ba1bcf4c4f9"
+                           "d3db594738a063bc338fe621c8928118",
+        (3, 1, 1, "json"): "5af60382780a9bd17272f796e7579f26"
+                           "ea8aba16c2285e7be6b72d52328c6bfe",
+        (3, 1, 1, "csv"): "99a2f07d04426a1a8f38fe89f7386427"
+                          "9b8e499fd07d77efdb4165e4cd030ab1",
+        (3, -2, 5, "json"): "6adea0442de61faeb793438c79b03976"
+                            "105dcd29c4459c35b20c3af0abe489dc",
+        (3, -2, 5, "csv"): "13faf58722316aec8125d033a61f7000"
+                           "794b5a20e29e6af647ba09e6106f4cd0",
+    }
+    SWEEP = ("b9131643bd59a7640db1bf8c3d1e3cd0"
+             "fc07f5945c343d45af809ddfedbbd371")
+
+    @staticmethod
+    def _digest(capsys) -> str:
+        text = _strip_timestamp(capsys.readouterr().out)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("key", sorted(ANALYZE, key=str),
+                             ids=lambda k: "-".join(map(str, k)))
+    def test_analyze(self, capsys, key):
+        lemma, h, q, fmt = key
+        assert main(["analyze", "--lemma", str(lemma), "--N", "10000",
+                     "--shift", str(h), "--modulus", str(q),
+                     "--format", fmt, *self.LEMMA_ARGS[lemma]]) == 0
+        assert self._digest(capsys) == self.ANALYZE[key]
+
+    def test_sweep_csv(self, tmp_path, monkeypatch, capsys):
+        # a relative grid path keeps the embedded config free of tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.json").write_text(json.dumps({
+            "lemma": 3, "N": 10000, "shift": [1, -2], "modulus": [1, 5],
+            "y": 7, "z": 100}))
+        assert main(["sweep", "--grid", "grid.json", "--format", "csv"]) == 0
+        assert self._digest(capsys) == self.SWEEP
 
 
 class TestSieveCommand:

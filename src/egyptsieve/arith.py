@@ -3,10 +3,13 @@ exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
-gcd on a large integer: each value splits at sqrt(max) into a smooth
-part and at most one big prime, gcds and lcms touch only the small
-smooth parts, the big primes cancel by an exact divisibility test, and
-the coprime result is built without the constructor's gcd.
+gcd on a large integer: each value splits at B = sqrt(max) into a
+smooth part and at most one big prime, gcds and lcms touch only the
+small smooth parts, the big primes cancel by an exact divisibility
+test, and the coprime result is built without the constructor's gcd.
+The big primes are read off the cached largest-prime-power table when
+it has fewer entries than len(values) * pi(B) and fits under
+MAX_ARRAY_LIMIT; sparser inputs are trial-divided value by value.
 """
 
 from __future__ import annotations
@@ -401,6 +404,13 @@ def prime_array(limit: int) -> np.ndarray:
     return _cached("primes", limit, _build_primes)
 
 
+def max_prime_power_array(limit: int) -> np.ndarray:
+    """Largest prime power exactly dividing n, for all n <= limit, as
+    uint32 (values never exceed limit), from the segmented kernel
+    ``prime_power_sieve`` (cached, read-only)."""
+    return _cached("maxpp", limit, lambda n: prime_power_sieve(n, "maxpp"))
+
+
 def _pairwise(items: list, merge, empty):
     """items reduced by merge over a balanced tree: neighbours merge level
     by level, an odd last item moves up unchanged; empty for no items."""
@@ -422,25 +432,46 @@ _coprime_fraction = (getattr(Fraction, "_from_coprime_ints", None)
                      or functools.partial(Fraction, _normalize=False))
 
 
-def _split_rough(values: np.ndarray):
-    """Split every value v >= 1 of an int64 array as v = m * r, where r
-    is 1 or the one prime factor of v above B = isqrt(max v) (it divides
-    v once: (B + 1)^2 > max v) and m is B-smooth.
+def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
+    """r(v) for every v of an int64 array with 1 <= v <= top: the prime
+    factor of v above B = isqrt(top), or 1 when v is B-smooth.  That
+    prime divides v once, since (B + 1)^2 > top, and v / r(v) <= B.
 
-    One divisibility test over the array per prime p <= B; only its hits
-    are tested again for p^2, p^3, ...  Returns the primes up to B, the
-    exponent of each summed over all values, and r for every value.
+    r is defined by B alone, so both paths return the same array.  When
+    a table to top fits under MAX_ARRAY_LIMIT and has fewer entries than
+    the len(vals) * pi(B) that trial division would touch, r is read off
+    ``max_prime_power_array(top)``: a prime above B is v's largest prime
+    power, and the only other prime powers above B are the q^k with
+    k >= 2 and q <= B, which read as 1.  Otherwise each value is
+    trial-divided by the primes up to sqrt(v), found in one numpy call,
+    and the cofactor left is r(v) when it exceeds B.
     """
-    rest = values.copy()
-    primes = _build_primes(isqrt(int(rest.max())))
-    exps = np.zeros(len(primes), dtype=np.int64)
-    for i, p in enumerate(primes.tolist()):
-        hit = np.flatnonzero(rest % p == 0)
-        while len(hit):
-            rest[hit] //= p
-            exps[i] += len(hit)
-            hit = hit[rest[hit] % p == 0]
-    return primes, exps, rest
+    b = isqrt(top)
+    primes = _build_primes(b)
+    if top <= MAX_ARRAY_LIMIT and top < len(vals) * len(primes):
+        rough = max_prime_power_array(top)[vals].astype(np.int64)
+        powers = []
+        for q in primes.tolist():
+            qk = q * q
+            while qk <= top:
+                if qk > b:
+                    powers.append(qk)
+                qk *= q
+        rough[(rough <= b) | np.isin(rough, powers)] = 1
+        return rough
+    rough = np.ones(len(vals), dtype=np.int64)
+    for i, v in enumerate(vals.tolist()):
+        ps = primes[:np.searchsorted(primes, isqrt(v), "right")]
+        for q in ps[v % ps == 0].tolist():
+            while v % q == 0:
+                v //= q
+        if v > b:
+            rough[i] = v
+    return rough
+
+
+# values per leaf of reciprocal_sum's B-smooth group
+_SMOOTH_RUN = 32
 
 
 def _sum_merge(x, y):
@@ -452,49 +483,55 @@ def _sum_merge(x, y):
 
 
 def reciprocal_sum(values) -> Fraction:
-    """Exact sum of 1/v over an iterable of integers v >= 1, repeats
-    counted, without a gcd on a large integer.
+    """Exact sum of 1/v over an iterable or array of integers v >= 1,
+    repeats counted, without a gcd on a large integer.
 
-    Each v splits as m * r (``_split_rough``: m is B-smooth for
-    B = isqrt(max v), r is 1 or a prime above B).  The values sharing an
-    r sum to u_r / (s_r * r) with s_r the lcm of their m, and the groups
-    merge in one balanced tree into a / (s * b), s = lcm of the s_r,
-    b = product of the r.  One gcd(a, s) costs O(len a), s being small;
-    then r divides a exactly when it divides u_r (modulo r every other
-    group's term vanishes and the rest of r's term is a unit), so those
-    r leave a and b once each: [5, 20] gives 1/4.  The result is in
-    lowest terms by construction.
+    Each v splits as m * r (``_rough_parts``: r is 1 or the prime of v
+    above B = isqrt(max v), read off the cached largest-prime-power
+    table for inputs dense enough to pay for it, else found by trial
+    division per value; m is B-smooth).  The values sharing an r > 1
+    sum to u_r / (s_r * r) with s_r the lcm of their m <= B, in one
+    lcm over the group (a single value is u_r = 1, s_r = m); the
+    B-smooth values (r = 1) do the same in runs of _SMOOTH_RUN, so no
+    run's lcm grows large.  These leaves merge in one balanced tree
+    into a / (s * b), s = lcm of the s_r, b = product of the r.  One
+    gcd(a, s) costs O(len a), s being small; then r divides a exactly
+    when it divides u_r (modulo r every other leaf's term vanishes and
+    the rest of r's term is a unit), so those r leave a and b once
+    each: [5, 20] gives 1/4.  The result is in lowest terms by
+    construction.
 
     Values below 1 raise DomainError; a B above MAX_BASE_PRIME, that is
     max v >= (MAX_BASE_PRIME + 1)^2, raises CapacityError.
     """
-    vals = list(values)
-    if not vals:
+    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
+    if arr.size == 0:
         return Fraction(0)
-    if min(vals) < 1:
-        raise DomainError(f"reciprocal_sum needs values >= 1, got "
-                          f"{min(vals)}")
-    top = int(max(vals))
+    low, top = int(arr.min()), int(arr.max())
+    if low < 1:
+        raise DomainError(f"reciprocal_sum needs values >= 1, got {low}")
     if isqrt(top) > MAX_BASE_PRIME:
         raise CapacityError(
             f"value {top} needs split primes to {isqrt(top)}, over the "
             f"{MAX_BASE_PRIME} budget")
-    arr = np.array(vals, dtype=np.int64)
-    _, _, rough = _split_rough(arr)
+    arr = arr.astype(np.int64, copy=False)
+    rough = _rough_parts(arr, top)
     order = np.argsort(rough, kind="stable")
     rough = rough[order]
     smooth = (arr[order] // rough).tolist()
-    cuts = [0, *(np.flatnonzero(np.diff(rough)) + 1).tolist(), len(vals)]
-    rough = rough.tolist()
+    cuts = (np.flatnonzero(np.diff(rough)) + 1).tolist()
     leaves = []
     cancel = 1
-    for lo, hi in zip(cuts, cuts[1:]):
-        r = rough[lo]
-        u, s, _ = _pairwise([(1, m, 1) for m in smooth[lo:hi]], _sum_merge,
-                            None)
-        if r > 1 and u % r == 0:
-            cancel *= r
-        leaves.append((u, s, r))
+    for lo, hi, r in zip([0, *cuts], [*cuts, len(arr)],
+                         rough[[0, *cuts]].tolist()):
+        step = hi - lo if r > 1 else _SMOOTH_RUN
+        for i in range(lo, hi, step):
+            ms = smooth[i:min(i + step, hi)]
+            s = lcm(*ms)
+            u = sum([s // m for m in ms])
+            if r > 1 and u % r == 0:
+                cancel *= r
+            leaves.append((u, s, r))
     a, s, b = _pairwise(leaves, _sum_merge, None)
     g = gcd(a, s)
     return _coprime_fraction(a // g // cancel, s // g * (b // cancel))

@@ -428,9 +428,13 @@ def _greedy_prime(rem: Fraction, h: int, used,
                   budget: SearchBudget) -> int | None:
     """One greedy step: the smallest prime p <= max_prime not in used
     whose 1/(p - h) is the largest unit fraction <= rem, i.e. with
-    p - h >= ceil(1/rem); None when there is no such prime."""
+    p - h >= ceil(1/rem); None when there is no such prime.  After 2
+    only odd p are tested."""
     d0 = max(1, -(-rem.denominator // rem.numerator))    # ceil(1/rem)
-    for p in range(max(d0 + h, 2), budget.max_prime + 1):
+    start = max(d0 + h, 2)
+    if start == 2 and 2 not in used:
+        return 2
+    for p in range(max(start, 3) | 1, budget.max_prime + 1, 2):
         if p not in used and is_prime(p):
             return p
     return None

@@ -115,7 +115,9 @@ def density_rows(reports) -> list[dict]:
 def render_csv(rows, config: dict, version: str,
                timestamp: str | None = None) -> str:
     """CSV with provenance comment lines; the timestamp comment is a
-    separate line, like the JSON key."""
+    separate line, like the JSON key.  The columns are the rows' keys in
+    order of first appearance, so rows of different lemmas share one
+    header and leave each other's parameters empty."""
     buf = io.StringIO()
     buf.write(f"# version: {version}\n")
     buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
@@ -123,8 +125,8 @@ def render_csv(rows, config: dict, version: str,
     buf.write(f"# timestamp: {ts}\n")
     rows = list(rows)
     if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                lineterminator="\n")
+        fields = list(dict.fromkeys(k for row in rows for k in row))
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     return buf.getvalue()

@@ -23,10 +23,11 @@ from .arith import (
     TRIAL_PRIME_BOUND,
     _cached,
     _coprime_fraction,
-    _split_rough,
+    _rough_parts,
     balanced_product,
     is_prime,
     li_approx,
+    max_prime_power_array,
     prime_array,
     prime_power_sieve,
     reciprocal_sum,
@@ -54,13 +55,6 @@ def omega_array(limit: int) -> np.ndarray:
     int8, from the segmented kernel ``prime_power_sieve``: base primes
     up to sqrt(limit) only, no prime table up to limit."""
     return _cached("omega", limit, lambda n: prime_power_sieve(n, "omega"))
-
-
-def max_prime_power_array(limit: int) -> np.ndarray:
-    """Largest prime power exactly dividing n, for all n <= limit, as
-    uint32 (values never exceed limit), from the same segmented kernel
-    as ``omega_array``."""
-    return _cached("maxpp", limit, lambda n: prime_power_sieve(n, "maxpp"))
 
 
 def _exceeds_power(value: int, base: int, expo: Fraction) -> bool:
@@ -165,7 +159,7 @@ def _report(N: int, shift: ShiftParams, baseline, select,
         normalizer=normalizer,
         relative_density=count / normalizer if normalizer else 0.0,
         baseline=base,
-        reciprocal_sum=reciprocal_sum(n[counted].tolist()),
+        reciprocal_sum=reciprocal_sum(n[counted]),
         excluded=excluded,
     )
 
@@ -366,17 +360,28 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
 def mertens_product(w: int) -> Fraction:
     """Exact product of (1 - 1/p) over primes p <= w.
 
-    The product is prod(p - 1) / prod(p), and every factor is w-smooth:
-    the exponent of each prime q <= w in prod(p - 1) is counted
-    (``_split_rough``), less one at each p, so the coprime numerator and
-    denominator come out as balanced products of prime powers, no gcd."""
+    The product is prod(p - 1) / prod(p), and every factor is w-smooth.
+    Each p - 1 splits as m * r (``_rough_parts``, the split of
+    ``reciprocal_sum``: r is 1 or a prime above B = isqrt(max(p - 1)),
+    m is B-smooth); the exponent of each q <= w is its count among the
+    r plus, for q <= B, its exponent in prod(m), summed over the
+    multiples of q, q^2, ... in a bincount of the m; less one at each p.
+    The coprime numerator and denominator come out as balanced products
+    of prime powers, no gcd."""
     if w < 2:
         raise DomainError("need w >= 2")
     ps = prime_array(w)
+    vals = ps - 1
+    top = int(vals[-1])
+    rough = _rough_parts(vals, top)
     # index 1 counts the values without a prime above B; 1 ** k is 1
-    base, exps, rough = _split_rough(ps - 1)
     expo = np.bincount(rough, minlength=w + 1)
-    expo[base] += exps
+    count = np.bincount(vals // rough)
+    for q in ps[:np.searchsorted(ps, isqrt(top), "right")].tolist():
+        qk = q
+        while qk < len(count):
+            expo[q] += count[qk::qk].sum()
+            qk *= q
     expo[ps] -= 1
     qs = np.flatnonzero(expo).tolist()
     ks = expo[qs].tolist()

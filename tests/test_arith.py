@@ -27,7 +27,11 @@ from egyptsieve.arith import (
 )
 from egyptsieve.egypt import Decomposition, verify
 from egyptsieve.errors import CapacityError, DomainError
-from egyptsieve.spectrum import max_prime_power_array, omega_array
+from egyptsieve.spectrum import (
+    max_prime_power_array,
+    mertens_product,
+    omega_array,
+)
 
 from conftest import naive_factor, naive_is_prime
 
@@ -634,3 +638,78 @@ class TestReciprocalSum:
     def test_split_past_base_budget_raises(self, top):
         with pytest.raises(CapacityError):
             reciprocal_sum([2, top])
+
+
+def _assert_exact(values):
+    got = reciprocal_sum(values)
+    want = _sequential_sum(values)
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def _maxpp_limits():
+    return [n for kind, n in arith._cache if kind == "maxpp"]
+
+
+class TestRoughSplit:
+    """The split v = m * r behind reciprocal_sum, through both of its
+    paths: the largest-prime-power table (cold, or already built to a
+    larger limit) and trial division per value."""
+
+    # 2^11 and 3^7 are each value's largest prime power and lie above
+    # isqrt(6144) = 78, but they are not primes above it
+    TRAP = [3 * 2 ** 11, 2 * 3 ** 7, 2 * 1031, 4099]
+
+    @given(st.lists(st.integers(1, 5000), min_size=1, max_size=200),
+           st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_multisets_cold_warm_and_by_trial(self, values, copies):
+        values = values * copies
+        _drop_cached("maxpp")
+        _assert_exact(values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "MAX_ARRAY_LIMIT", 0)
+            _assert_exact(values)
+        max_prime_power_array(10 ** 5)
+        _assert_exact(values)
+
+    def test_dense_input_reads_the_table(self):
+        _drop_cached("maxpp")
+        _assert_exact(list(range(1, 3001)))
+        assert _maxpp_limits() == [3000]
+
+    @pytest.mark.parametrize("values", [
+        [2 ** k for k in range(31)],
+        [100000000000031],
+        [10 ** 12 + 39, 6],
+    ])
+    def test_sparse_input_builds_no_table(self, values):
+        _drop_cached("maxpp")
+        _assert_exact(values)
+        assert _maxpp_limits() == []
+
+    @pytest.mark.parametrize("copies", [1, 80])
+    def test_prime_power_trap(self, copies):
+        values = self.TRAP * copies
+        _drop_cached("maxpp")
+        _assert_exact(values)
+        # 80 copies are dense enough for the table, one copy is not
+        assert _maxpp_limits() == ([6144] if copies == 80 else [])
+        arr = np.array(values, dtype=np.int64)
+        rough = arith._rough_parts(arr, 6144)
+        assert rough[:4].tolist() == [1, 1, 1031, 4099]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "MAX_ARRAY_LIMIT", 0)
+            assert np.array_equal(arith._rough_parts(arr, 6144), rough)
+
+    @pytest.mark.parametrize("w", [2, 3, 10, 1000, 30011])
+    def test_mertens_product_against_fraction_product(self, w):
+        want = Fraction(1)
+        for p in prime_array(w).tolist():
+            want *= Fraction(p - 1, p)
+        _drop_cached("maxpp")
+        got = mertens_product(w)
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+        assert math.gcd(got.numerator, got.denominator) == 1

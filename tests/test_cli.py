@@ -471,6 +471,17 @@ class TestSweep:
         row = dict(zip(header, rows[1].split(",")))
         assert (row["N"], row["h"], row["epsilon"]) == ("1000", "-1", "1/5")
 
+    def test_mixed_lemma_grid(self, tmp_path):
+        rows = self._rows(tmp_path, {"lemma": [1, 2], "N": 1000,
+                                     "epsilon": "0.3", "delta": "0.5"})
+        header = rows[0].split(",")
+        assert header.index("epsilon") < header.index("count")
+        assert header[-1] == "delta"
+        lemma1, lemma2 = (dict(zip(header, ln.split(","))) for ln in rows[1:])
+        assert (lemma1["epsilon"], lemma1["delta"]) == ("3/10", "")
+        assert (lemma2["epsilon"], lemma2["delta"]) == ("", "1/2")
+        assert lemma2["excluded"] != ""
+
     def test_empty_grid(self, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text("{}")

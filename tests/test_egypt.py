@@ -151,6 +151,22 @@ class TestGreedy:
         with pytest.raises(ObstructionError):
             greedy_decompose(Fraction(1, 8), -2)
 
+    def test_walk_tests_no_even_integer(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(egypt, "is_prime",
+                            lambda n: seen.append(n) or is_prime(n))
+        budget = SearchBudget()
+        # walks from 1001, 999 and 2, with the primes a walk over every
+        # integer finds
+        for rem, h, used, want in [(Fraction(1, 1000), 1, set(), 1009),
+                                   (Fraction(1, 1000), -1, {1009}, 1013),
+                                   (ONE, 1, set(), 2), (ONE, 1, {2}, 3),
+                                   (ONE, -1, set(), 2)]:
+            assert egypt._greedy_prime(rem, h, used, budget) == want
+        assert seen and all(n % 2 for n in seen)
+        assert egypt._greedy_prime(ONE, 1, {2, 3}, SearchBudget(
+            max_prime=4)) is None
+
 
 class TestSmoothDP:
     def test_third_L12(self):

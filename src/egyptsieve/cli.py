@@ -240,15 +240,19 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     points = _grid_points(grid) if grid else []
     if len(points) > 10 ** 4:
         raise DomainError(f"grid cardinality {len(points)} exceeds 1e4")
-    reps = []
+    lemmas, reps = [], []
     for pt in points:
         # a grid value overrides the resolved config, lemma parameters too
         pt = {**cfg.as_dict(), **pt}
         shift = ShiftParams(_as_int("shift", pt["shift"]),
                             _as_int("modulus", pt["modulus"]))
-        reps.append(_analyze_one(_as_int("lemma", pt["lemma"]),
-                                 _as_int("N", pt["N"]), shift, pt))
-    rows = reports.density_rows(reps)
+        lemmas.append(_as_int("lemma", pt["lemma"]))
+        reps.append(_analyze_one(lemmas[-1], _as_int("N", pt["N"]), shift,
+                                 pt))
+    # each row names its lemma first: rows of different lemmas share one
+    # CSV header
+    rows = [{"lemma": lemma, **row}
+            for lemma, row in zip(lemmas, reports.density_rows(reps))]
     if cfg.format == "csv":
         text = reports.render_csv(rows, cfg.as_dict(), __version__)
     else:

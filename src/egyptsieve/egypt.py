@@ -55,6 +55,11 @@ from .errors import (
 )
 
 _SMOOTH_BASIS = (2, 3, 5, 7, 11, 13)
+# (f, f^-1 mod 2^64, (2^64 - 1) // f) per odd basis prime: the exact
+# divisibility test of _smooth_split
+_ODD_INVERSES = tuple((f, np.uint64(pow(f, -1, 1 << 64)),
+                       np.uint64(((1 << 64) - 1) // f))
+                      for f in _SMOOTH_BASIS[1:])
 
 # cascade settings: base moduli of the divisor-pool DP (scaled to
 # multiples of the target denominator), the bitset length cap, the
@@ -476,16 +481,60 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     return _certified(x, h, chosen, "greedy")
 
 
+def _smooth_split(d: np.ndarray, modulus: int):
+    """Split each entry of d (uint64, all >= 1) as e * rest with e the
+    13-smooth part: returns rest and whether e divides modulus.
+
+    The 2-part comes off the lowest set bit.  Each odd basis prime f
+    takes one full-array test, then only the entries still divisible
+    are divided again.  The test is exact: for odd f, v * f^-1 mod 2^64
+    is v / f when f | v and exceeds (2^64 - 1) // f otherwise.
+    e | modulus is v_f(e) <= v_f(modulus) for every basis prime f,
+    counted while dividing, so modulus may have any size.
+    """
+    twos = np.bitwise_count((d & -d) - 1)
+    rest = d >> twos
+    ok = twos <= _valuation(modulus, 2)
+    for f, inv, top in _ODD_INVERSES:
+        quo = rest * inv
+        hit = np.flatnonzero(quo <= top)
+        quo = quo[hit]
+        room = _valuation(modulus, f)
+        while hit.size:
+            if not room:
+                ok[hit] = False
+                break
+            room -= 1
+            rest[hit] = quo
+            quo = quo * inv
+            again = quo <= top
+            hit, quo = hit[again], quo[again]
+    return rest, ok
+
+
+def _valuation(n: int, f: int) -> int:
+    """The exponent of the prime f in the positive integer n."""
+    k = 0
+    while n % f == 0:
+        n //= f
+        k += 1
+    return k
+
+
 def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     """Item list for the assembly DP: (integer weight, primes) with the
     weight modulus * sum of 1/(p - h) over the primes.
 
-    Every prime p <= prime_limit is classified by d = p - h = e * q with
-    e the 13-smooth part.  q = 1 and e | modulus gives a direct item of
-    weight modulus / e.  Prime q > 13 gives a pairing candidate; two
-    candidates with q | e1 + e2 combine into one item of q-free value
-    (e1 + e2) / (q e1 e2), kept when its weight modulus (e1 + e2) /
-    (q e1 e2) is an integer.
+    Every prime p <= prime_limit outside exclude is classified by
+    d = p - h = e * q with e the 13-smooth part.  q = 1 and e | modulus
+    gives a direct item of weight modulus / e.  Prime q > 13 with
+    e | modulus gives a pairing candidate of residue r = e mod q.  Per
+    q, the candidates of each residue class are listed in (e, p) order,
+    and the i-th of class r < q/2 pairs with the i-th of class q - r:
+    q | e1 + e2, so the pair's value (e1 + e2) / (q e1 e2) is q-free.
+    The pair is kept when its weight modulus (e1 + e2) / (q e1 e2) is
+    an integer.  exclude is removed before the pairing, so it can move
+    later pairs.
 
     A pair needs q <= e1 + e2 with e1 q and e2 q at most D =
     prime_limit - h, so q^2 <= 2D: larger q are never looked up.  A
@@ -498,61 +547,60 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
         raise SearchExhausted(
             f"assembly pairs at shift {h} need primes up to {q_max}, past "
             f"the prime limit {prime_limit}")
+    if h >= prime_limit:
+        return []       # no p - h >= 1, and h may not fit an int64
     primes = prime_array(prime_limit)
     flags = np.zeros(q_max + 1, dtype=bool)
     flags[prime_array(q_max)] = True
-    div_arr = np.array(trial_factor(modulus).divisors(), dtype=np.int64)
-    direct: list[tuple[int, tuple[int, ...]]] = []
-    q_rows = []
     excl_arr = np.array(sorted(exclude), dtype=np.int64) if exclude else None
+    items: list[tuple[int, tuple[int, ...]]] = []
+    qs, es, ps = [], [], []
     for lo in range(0, len(primes), 1 << 20):
         chunk = primes[lo:lo + (1 << 20)]
         if excl_arr is not None:
             chunk = chunk[~np.isin(chunk, excl_arr)]
-        d = chunk - h
-        ok = d >= 1
-        chunk, d = chunk[ok], d[ok]
-        rest = d.copy()
-        for f in _SMOOTH_BASIS:
-            while True:
-                m = rest % f == 0
-                if not m.any():
-                    break
-                rest[m] //= f
-        e = d // rest
-        smooth_e = np.isin(e, div_arr)
-        dmask = smooth_e & (rest == 1)
-        for ev, pv in zip(e[dmask].tolist(), chunk[dmask].tolist()):
-            direct.append((modulus // ev, (pv,)))
-        pmask = smooth_e & (rest > _SMOOTH_BASIS[-1]) & (rest <= q_max) \
+        chunk = chunk[chunk > h]
+        d = (chunk - h).astype(np.uint64)
+        rest, ok = _smooth_split(d, modulus)
+        dmask = ok & (rest == 1)
+        for ev, pv in zip(d[dmask].tolist(), chunk[dmask].tolist()):
+            items.append((modulus // ev, (pv,)))
+        pmask = ok & (rest > _SMOOTH_BASIS[-1]) & (rest <= q_max) \
             & flags[np.minimum(rest, q_max)]
-        q_rows.append(np.stack(
-            [rest[pmask], e[pmask], chunk[pmask]], axis=1))
-    items = direct
-    rows = np.concatenate(q_rows) if q_rows else np.empty((0, 3), np.int64)
-    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-    rows = rows[order]
-    bounds = np.flatnonzero(np.diff(rows[:, 0], prepend=-1, append=-1))
-    for bi in range(len(bounds) - 1):
-        grp = rows[bounds[bi]:bounds[bi + 1]]
-        if len(grp) < 2:
-            continue
-        q = int(grp[0, 0])
-        by_res: dict[int, list[tuple[int, int]]] = {}
-        for _, ev, pv in grp.tolist():
-            by_res.setdefault(ev % q, []).append((ev, pv))
-        for r in sorted(by_res):
-            if r == 0:
-                continue
-            # q is an odd prime and r != 0, so comp != r
-            comp = q - r
-            if comp < r or comp not in by_res:
-                continue
-            # rows are lexsorted by (q, e, p), so each list is in order
-            for (e1, p1), (e2, p2) in zip(by_res[r], by_res[comp]):
-                w, frac = divmod(modulus * (e1 + e2), q * e1 * e2)
-                if not frac:
-                    items.append((w, (p1, p2)))
+        q = rest[pmask]
+        qs.append(q.astype(np.int64))
+        es.append((d[pmask] // q).astype(np.int64))
+        ps.append(chunk[pmask])
+    q, e, p = (np.concatenate(a) for a in (qs, es, ps))
+    r = e % q
+    keep = r != 0
+    q, e, p, r = q[keep], e[keep], p[keep], r[keep]
+    # q is an odd prime and r != 0, so r != q - r: side 0 holds the
+    # class's residue below q/2, side 1 its complement
+    cls = np.minimum(r, q - r)
+    side = r > q - r
+    order = np.lexsort((p, e, side, cls, q))
+    q, e, p, cls, side = (a[order] for a in (q, e, p, cls, side))
+    # runs of equal (q, class, side), each in (e, p) order; a run pairs
+    # rank by rank with the next one when that has the same (q, class),
+    # so it is side 0 and the next one side 1
+    new = np.ones(len(q), dtype=bool)
+    new[1:] = (q[1:] != q[:-1]) | (cls[1:] != cls[:-1]) \
+        | (side[1:] != side[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(q))
+    a, b = starts[:-1], starts[1:]
+    lower = np.flatnonzero((q[a] == q[b]) & (cls[a] == cls[b]))
+    n = np.minimum(sizes[lower], sizes[lower + 1])
+    rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    i = np.repeat(a[lower], n) + rank
+    j = np.repeat(b[lower], n) + rank
+    for qv, e1, e2, p1, p2 in zip(q[i].tolist(), e[i].tolist(),
+                                  e[j].tolist(), p[i].tolist(),
+                                  p[j].tolist()):
+        w, frac = divmod(modulus * (e1 + e2), qv * e1 * e2)
+        if not frac:
+            items.append((w, (p1, p2)))
     return items
 
 

@@ -220,6 +220,21 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("exhausted:")
 
+    @pytest.mark.parametrize("target", ["1/100000000000000000000001",
+                                        "7/100000000000000000000001"])
+    def test_huge_assembly_modulus_exits_1(self, target, capsys):
+        # the assembly modulus passes 2^63; e | M is tested exactly
+        rc = main(["decompose", "--target", target, "--shift", "1",
+                   "--max-prime", "1000"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("exhausted:")
+
+    def test_shift_past_int64_exits_1(self, capsys):
+        rc = main(["decompose", "--target", "1/2", "--shift",
+                   "100000000000000000001", "--max-prime", "1000"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("exhausted:")
+
     @pytest.mark.parametrize("argv", [
         ["sieve", "--limit", "100000000000"],
         ["analyze", "--lemma", "1", "--N", "100000000000", "--shift", "1",
@@ -347,8 +362,8 @@ class TestGoldenReports:
         (3, -2, 5, "csv"): "13faf58722316aec8125d033a61f7000"
                            "794b5a20e29e6af647ba09e6106f4cd0",
     }
-    SWEEP = ("b9131643bd59a7640db1bf8c3d1e3cd0"
-             "fc07f5945c343d45af809ddfedbbd371")
+    SWEEP = ("2126444b78c5e160104f01f447b701fe"
+             "d3b4e02365a6bfd8c95308ec16786ff8")
 
     @staticmethod
     def _digest(capsys) -> str:
@@ -481,6 +496,19 @@ class TestSweep:
         assert (lemma1["epsilon"], lemma1["delta"]) == ("3/10", "")
         assert (lemma2["epsilon"], lemma2["delta"]) == ("", "1/2")
         assert lemma2["excluded"] != ""
+
+    def test_rows_name_their_lemma(self, tmp_path):
+        grid = {"lemma": [1, 2], "N": 1000, "epsilon": "0.3", "delta": "0.5"}
+        rows = self._rows(tmp_path, grid)
+        assert rows[0].split(",")[0] == "lemma"
+        assert [ln.split(",")[0] for ln in rows[1:]] == ["1", "2"]
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--grid", str(tmp_path / "grid.json"),
+                     "--out", str(out)]) == 0
+        # the JSON text sorts its keys, so there the field is by name
+        assert [row["lemma"] for row in json.loads(out.read_text())["rows"]] \
+            == [1, 2]
 
     def test_empty_grid(self, tmp_path):
         grid = tmp_path / "grid.json"

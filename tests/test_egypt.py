@@ -928,6 +928,66 @@ class TestAssemblyItems:
         assert exc.value.weight_total == \
             sum(w for w, _ in items if w <= target) > target
 
+    @staticmethod
+    def _reference_items(h, M, exclude, limit):
+        """The per-q dict pairing the array passes replaced, on a pure
+        Python split of each p - h: the oracle for pair order."""
+        q_max = math.isqrt(2 * (limit - min(h, 0)))
+        flags = set(prime_array(q_max).tolist())
+        items, rows = [], []
+        for p in prime_array(limit).tolist():
+            if p in exclude or p - h < 1:
+                continue
+            e, q = 1, p - h
+            for f in (2, 3, 5, 7, 11, 13):
+                while q % f == 0:
+                    e, q = e * f, q // f
+            if M % e:
+                continue
+            if q == 1:
+                items.append((M // e, (p,)))
+            elif 13 < q <= q_max and q in flags:
+                rows.append((q, e, p))
+        by_q = {}
+        for q, e, p in sorted(rows):
+            by_q.setdefault(q, {}).setdefault(e % q, []).append((e, p))
+        for q, by_res in by_q.items():
+            for r in sorted(by_res):
+                comp = q - r
+                if r == 0 or comp < r or comp not in by_res:
+                    continue
+                for (e1, p1), (e2, p2) in zip(by_res[r], by_res[comp]):
+                    w, frac = divmod(M * (e1 + e2), q * e1 * e2)
+                    if not frac:
+                        items.append((w, (p1, p2)))
+        return sorted(items)
+
+    @pytest.mark.parametrize("h", [1, -1, 6, -6, -10])
+    @pytest.mark.parametrize("scale", [1, 2, 7, 97])
+    def test_matches_dict_pairing(self, h, scale):
+        M, limit = egypt._ASSEMBLY_MODULUS * scale, 10 ** 5
+        got = sorted(_assembly_items(h, M, frozenset(), limit))
+        assert got == self._reference_items(h, M, frozenset(), limit)
+        assert any(len(ps) == 2 for _, ps in got)
+
+    def test_exclude_before_pairing(self):
+        # 52361 sits in a pair; barring it moves a later partner of its
+        # class, so the items differ from the unbarred ones minus its pair
+        M, limit = egypt._ASSEMBLY_MODULUS, 10 ** 5
+        full = sorted(_assembly_items(1, M, frozenset(), limit))
+        exclude = frozenset({52361})
+        assert any(len(ps) == 2 and 52361 in ps for _, ps in full)
+        got = sorted(_assembly_items(1, M, exclude, limit))
+        assert got == self._reference_items(1, M, exclude, limit)
+        assert got != [it for it in full if not exclude & set(it[1])]
+
+    def test_wide_denominators(self):
+        # q_max = 94,869 <= limit, and d = p - h passes 2^32
+        h, M, limit = -4_500_000_000, egypt._ASSEMBLY_MODULUS, 10 ** 5
+        got = sorted(_assembly_items(h, M, frozenset(), limit))
+        assert got == self._reference_items(h, M, frozenset(), limit)
+        assert 2 - h > 2 ** 32
+
 
 def _dp_parts(value, h, count, exclude=frozenset()):
     """Build ``count`` disjoint verified parts of the given value."""

@@ -7,12 +7,13 @@ a/k, with disjoint prime sets:
 
 1. subset-sum DP over divisor pools of smooth moduli (weights L/(p-h)
    for (p-h) | L, solved on a big-integer bitset),
-2. recursive splitting a/k = a/(k+1) + a/(k(k+1)) feeding 1.,
+2. recursive splitting a/k = a/(k+1) + a/(k(k+1)) feeding 1. and 2.,
 3. pair-cancellation assembly: denominators p - h = e * q with one
    large prime q are combined in pairs with q | e1 + e2, so each pair
    contributes a q-free value; direct smooth denominators and pairs
    then feed one subset-sum DP over a high-exponent assembly modulus,
 4. greedy largest-fraction steps with DP retries on the residual.
+   Stages 3 and 4 run once, on the cascade's own target.
 
 Stages 1 and 3 end in one subset-sum tail over (integer weight,
 primes) items, which hands back primes; the cascade works in primes.
@@ -184,12 +185,13 @@ def verify(d: Decomposition) -> VerificationResult:
         True, probable_primes=sum(p >= _PSI_13 for p in d.primes))
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0 and n:
-        n //= p
-        v += 1
-    return v
+def _valuation(n: int, f: int) -> int:
+    """The exponent of the prime f in the positive integer n."""
+    k = 0
+    while n % f == 0:
+        n //= f
+        k += 1
+    return k
 
 
 def feasibility_check(x, h: int) -> FeasibilityResult:
@@ -512,15 +514,6 @@ def _smooth_split(d: np.ndarray, modulus: int):
     return rest, ok
 
 
-def _valuation(n: int, f: int) -> int:
-    """The exponent of the prime f in the positive integer n."""
-    k = 0
-    while n % f == 0:
-        n //= f
-        k += 1
-    return k
-
-
 def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     """Item list for the assembly DP: (integer weight, primes) with the
     weight modulus * sum of 1/(p - h) over the primes.
@@ -650,31 +643,35 @@ def _dp_solve(t: Fraction, h: int, exclude,
     return None
 
 
-def _solve_single(t: Fraction, h: int, used: set, budget: SearchBudget,
-                  depth: int = 0) -> list[int]:
-    """The cascade on t = a/k with the primes in used barred; returns
-    the primes used.  In order: the divisor-pool DP; the split
-    t = a/(k+1) + a/(k(k+1)), both parts solved disjointly by this
-    cascade to depth _SPLIT_DEPTH; assembly, at the top level only;
-    greedy steps with a DP retry on each residual."""
+def _split_solve(t: Fraction, h: int, used: set, budget: SearchBudget,
+                 depth: int = 0) -> list[int] | None:
+    """The divisor-pool DP on t = a/k, then the split t = a/(k+1) +
+    a/(k(k+1)), both parts solved disjointly the same way, to depth
+    _SPLIT_DEPTH: the primes found, or None."""
     got = _dp_solve(t, h, used, budget)
+    if got is not None or depth == _SPLIT_DEPTH:
+        return got
+    a, k = t.numerator, t.denominator
+    first = _split_solve(Fraction(a, k + 1), h, used, budget, depth + 1)
+    if first is None:
+        return None
+    rest = _split_solve(Fraction(a, k * (k + 1)), h, used | set(first),
+                        budget, depth + 1)
+    return None if rest is None else first + rest
+
+
+def _solve_single(t: Fraction, h: int, used: set,
+                  budget: SearchBudget) -> list[int]:
+    """The cascade on t with the primes in used barred, returning the
+    primes: _split_solve, then on t itself assembly, then greedy steps
+    with a DP retry on each residual."""
+    got = _split_solve(t, h, used, budget)
     if got is not None:
         return got
-    if depth < _SPLIT_DEPTH:
-        a, k = t.numerator, t.denominator
-        try:
-            first = _solve_single(Fraction(a, k + 1), h, used, budget,
-                                  depth + 1)
-            rest = _solve_single(Fraction(a, k * (k + 1)), h,
-                                 used | set(first), budget, depth + 1)
-            return first + rest
-        except SearchExhausted:
-            pass
-    if depth == 0:
-        try:
-            return _assembly_decompose(t, h, frozenset(used), budget)
-        except SearchExhausted:
-            pass
+    try:
+        return _assembly_decompose(t, h, frozenset(used), budget)
+    except SearchExhausted:
+        pass
     # greedy steps on the residual, retrying the divisor-pool DP after each
     extra: list[int] = []
     for p, rem in _greedy_steps(t, h, used, budget):
@@ -694,7 +691,8 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     whole unit of x and on its fractional part a/k (solved whole, never
     as a copies of 1/k), with disjoint prime sets and the primes in
     exclude barred, then the independent verifier.  Units are cut off
-    because assembly only takes targets below about 2.3.
+    because assembly, run once per cascade and never on a split part,
+    only takes targets below about 2.3.
 
     Raises ObstructionError at the feasibility gate and SearchExhausted
     when every strategy runs out of budget (never a nonexistence claim).

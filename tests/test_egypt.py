@@ -855,8 +855,8 @@ class TestRFold:
             r_fold_disjoint(ONE, 1, 0)
 
     # the third certificate runs the unit split (exhausted at every
-    # depth), the greedy DP retries and the assembly stage, none of which
-    # test_pinned_certificates reaches
+    # depth) and the assembly stage, which test_pinned_certificates
+    # does not reach
     CERTIFY_PATH_SHA256 = \
         "9b4a19d5c2256a45bc005f7c19b60f75637591bdc1a85c08187284dbfd410ff9"
 
@@ -877,6 +877,33 @@ class TestRFold:
         lines = [",".join(map(str, d.primes)) for d in decs]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.CERTIFY_HALF_SHA256
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The targets each greedy walk starts at, in call order."""
+        starts = []
+        walk = egypt._greedy_steps
+
+        def spy(x, *args):
+            starts.append(x)
+            return walk(x, *args)
+
+        monkeypatch.setattr(egypt, "_greedy_steps", spy)
+        return starts
+
+    @pytest.mark.parametrize("x, r", [(ONE, 3), (Fraction(1, 2), 4)])
+    def test_certify_path_runs_no_greedy_walk(self, walks, x, r):
+        # the split's parts get only the DP and the split; assembly
+        # finds the last certificate before any walk
+        r_fold_disjoint(x, 1, r, SearchBudget(max_prime=10 ** 6))
+        assert walks == []
+
+    def test_greedy_walk_runs_once_at_the_top(self, walks):
+        # the DP and the split miss 8/97 at h = 6, and assembly refuses
+        # it (DP target 8 * 43243200 > 1e8): one walk on 8/97 itself
+        dec = decompose(Fraction(8, 97), 6)
+        assert walks == [Fraction(8, 97)]
+        assert verify(dec).valid
 
 
 class TestAssemblyItems:

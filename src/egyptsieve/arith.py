@@ -9,7 +9,9 @@ small smooth parts, the big primes cancel by an exact divisibility
 test, and the coprime result is built without the constructor's gcd.
 The big primes are read off the cached largest-prime-power table when
 it has fewer entries than len(values) * pi(B) and fits under
-MAX_ARRAY_LIMIT; sparser inputs are trial-divided value by value.
+MAX_ARRAY_LIMIT; sparser inputs are trial-divided value by value.  The
+leaves of the sum come from the sorted arrays, Python folds them in runs
+of _FOLD, and only the folded nodes enter the balanced merge tree.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -470,8 +472,9 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     return rough
 
 
-# values per leaf of reciprocal_sum's B-smooth group
-_SMOOTH_RUN = 32
+# leaves per node of reciprocal_sum's fold: Python runs once per run of
+# _FOLD leaves, and only the nodes enter the merge tree
+_FOLD = 32
 
 
 def _sum_merge(x, y):
@@ -482,6 +485,36 @@ def _sum_merge(x, y):
     return a1 * (s // s1) * b2 + a2 * (s // s2) * b1, s, b1 * b2
 
 
+def _fold(us: list, ss: list, rs: list) -> list:
+    """The leaves u / (s * r) summed in runs of _FOLD, each run as one
+    node (a, S, P) of a / (S * P): P the product of its r, S the lcm of
+    its s, a the sum of u * (S / s) * (P / r)."""
+    nodes = []
+    for i in range(0, len(ss), _FOLD):
+        s, r = ss[i:i + _FOLD], rs[i:i + _FOLD]
+        S, P = lcm(*s), prod(r)
+        nodes.append((sum([u * (S // m) * (P // q) for u, m, q
+                           in zip(us[i:i + _FOLD], s, r)]), S, P))
+    return nodes
+
+
+def _integer_array(values) -> np.ndarray:
+    """values as an integer array.  An integer array passes as it is;
+    other input is read entry by entry, and any entry that is not an
+    int or numpy integer (a bool, a float, a Fraction) raises
+    DomainError rather than being truncated."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            return values
+        values = values.tolist()
+    vals = list(values)
+    for t in set(map(type, vals)):
+        if t is bool or not issubclass(t, (int, np.integer)):
+            raise DomainError(
+                f"reciprocal_sum needs integers, got {t.__name__}")
+    return np.array(vals)
+
+
 def reciprocal_sum(values) -> Fraction:
     """Exact sum of 1/v over an iterable or array of integers v >= 1,
     repeats counted, without a gcd on a large integer.
@@ -489,22 +522,25 @@ def reciprocal_sum(values) -> Fraction:
     Each v splits as m * r (``_rough_parts``: r is 1 or the prime of v
     above B = isqrt(max v), read off the cached largest-prime-power
     table for inputs dense enough to pay for it, else found by trial
-    division per value; m is B-smooth).  The values sharing an r > 1
-    sum to u_r / (s_r * r) with s_r the lcm of their m <= B, in one
-    lcm over the group (a single value is u_r = 1, s_r = m); the
-    B-smooth values (r = 1) do the same in runs of _SMOOTH_RUN, so no
-    run's lcm grows large.  These leaves merge in one balanced tree
-    into a / (s * b), s = lcm of the s_r, b = product of the r.  One
-    gcd(a, s) costs O(len a), s being small; then r divides a exactly
-    when it divides u_r (modulo r every other leaf's term vanishes and
-    the rest of r's term is a unit), so those r leave a and b once
-    each: [5, 20] gives 1/4.  The result is in lowest terms by
-    construction.
+    division per value; m is B-smooth).  Every B-smooth value and every
+    r > 1 that only one value has is a leaf u / (s * r) = 1 / (m * r),
+    built from the sorted arrays without a Python call.  The values
+    sharing an r > 1 sum to u_r / (s_r * r) with s_r the lcm of their
+    m <= B, in one lcm over the group.  ``_fold`` sums runs of _FOLD
+    leaves into one node each, and the nodes merge in one balanced tree
+    into a / (s * b), s = lcm of all m, b = product of the distinct
+    r.  That triple does not depend on how the leaves are bracketed.
+    One gcd(a, s) costs O(len a), s being small; then r divides a
+    exactly when it divides u_r (modulo r every other leaf's term
+    vanishes and the rest of r's term is a unit), so those r leave a
+    and b once each: [5, 20] gives 1/4.  The result is in lowest terms
+    by construction.
 
-    Values below 1 raise DomainError; a B above MAX_BASE_PRIME, that is
-    max v >= (MAX_BASE_PRIME + 1)^2, raises CapacityError.
+    Entries that are not integers, bools included, and values below 1
+    raise DomainError; a B above MAX_BASE_PRIME, that is max v >=
+    (MAX_BASE_PRIME + 1)^2, raises CapacityError.
     """
-    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
+    arr = _integer_array(values)
     if arr.size == 0:
         return Fraction(0)
     low, top = int(arr.min()), int(arr.max())
@@ -516,23 +552,30 @@ def reciprocal_sum(values) -> Fraction:
             f"{MAX_BASE_PRIME} budget")
     arr = arr.astype(np.int64, copy=False)
     rough = _rough_parts(arr, top)
-    order = np.argsort(rough, kind="stable")
+    order = np.argsort(rough)
     rough = rough[order]
-    smooth = (arr[order] // rough).tolist()
-    cuts = (np.flatnonzero(np.diff(rough)) + 1).tolist()
-    leaves = []
-    cancel = 1
-    for lo, hi, r in zip([0, *cuts], [*cuts, len(arr)],
-                         rough[[0, *cuts]].tolist()):
-        step = hi - lo if r > 1 else _SMOOTH_RUN
-        for i in range(lo, hi, step):
-            ms = smooth[i:min(i + step, hi)]
-            s = lcm(*ms)
-            u = sum([s // m for m in ms])
-            if r > 1 and u % r == 0:
-                cancel *= r
-            leaves.append((u, s, r))
-    a, s, b = _pairwise(leaves, _sum_merge, None)
+    smooth = arr[order] // rough
+    new = np.ones(len(rough), dtype=bool)
+    new[1:] = rough[1:] != rough[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(rough))
+    alone = (rough == 1) | (np.repeat(sizes, sizes) == 1)
+    ss, rs = smooth[alone].tolist(), rough[alone].tolist()
+    us = [1] * len(ss)
+    shared = (sizes > 1) & (rough[starts] > 1)
+    grouped = smooth[~alone].tolist()
+    cancel, lo = 1, 0
+    for n, r in zip(sizes[shared].tolist(), rough[starts[shared]].tolist()):
+        ms = grouped[lo:lo + n]
+        lo += n
+        s = lcm(*ms)
+        u = sum([s // m for m in ms])
+        if u % r == 0:
+            cancel *= r
+        us.append(u)
+        ss.append(s)
+        rs.append(r)
+    a, s, b = _pairwise(_fold(us, ss, rs), _sum_merge, None)
     g = gcd(a, s)
     return _coprime_fraction(a // g // cancel, s // g * (b // cancel))
 

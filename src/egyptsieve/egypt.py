@@ -62,6 +62,11 @@ _ODD_INVERSES = tuple((f, np.uint64(pow(f, -1, 1 << 64)),
                        np.uint64(((1 << 64) - 1) // f))
                       for f in _SMOOTH_BASIS[1:])
 
+# primes per _assembly_items chunk: the chunk's uint64 arrays (512 KB
+# each) stay in cache across _smooth_split's ~25 passes; at 2^20 entries
+# (8 MB each) they do not
+_ASSEMBLY_CHUNK = 1 << 16
+
 # cascade settings: base moduli of the divisor-pool DP (scaled to
 # multiples of the target denominator), the bitset length cap, the
 # assembly modulus and prime bound, and the unit-split depth
@@ -548,8 +553,8 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     excl_arr = np.array(sorted(exclude), dtype=np.int64) if exclude else None
     items: list[tuple[int, tuple[int, ...]]] = []
     qs, es, ps = [], [], []
-    for lo in range(0, len(primes), 1 << 20):
-        chunk = primes[lo:lo + (1 << 20)]
+    for lo in range(0, len(primes), _ASSEMBLY_CHUNK):
+        chunk = primes[lo:lo + _ASSEMBLY_CHUNK]
         if excl_arr is not None:
             chunk = chunk[~np.isin(chunk, excl_arr)]
         chunk = chunk[chunk > h]

@@ -633,11 +633,89 @@ class TestReciprocalSum:
         with pytest.raises(DomainError):
             reciprocal_sum(values)
 
+    @pytest.mark.parametrize("values", [
+        [2.5],
+        [Fraction(5, 2), 3],
+        [True, 2],
+        [np.float64(4), 2],
+        np.array([2.0, 3.0]),
+        np.array([True, True]),
+        np.array([Fraction(1, 2), 3], dtype=object),
+    ])
+    def test_non_integers_raise(self, values):
+        # each of these once summed its entries truncated to integers
+        with pytest.raises(DomainError, match="needs integers"):
+            reciprocal_sum(values)
+
+    def test_numpy_integers_and_big_ints_pass(self):
+        assert reciprocal_sum([np.int64(2), 3, np.uint8(6)]) == 1
+        assert reciprocal_sum(np.array([2, 6], dtype=object)) == \
+            Fraction(2, 3)
+        assert reciprocal_sum(np.array([3, 6], dtype=np.uint16)) == \
+            Fraction(1, 2)
+
     @pytest.mark.parametrize("top", [(arith.MAX_BASE_PRIME + 1) ** 2,
                                      10 ** 40])
     def test_split_past_base_budget_raises(self, top):
         with pytest.raises(CapacityError):
             reciprocal_sum([2, top])
+
+
+class TestFold:
+    """The leaves of reciprocal_sum sum in runs of arith._FOLD into one
+    node each, and only the nodes enter the merge tree."""
+
+    @staticmethod
+    def _leaves(values):
+        arr = np.array(values, dtype=np.int64)
+        rough = arith._rough_parts(arr, int(arr.max()))
+        return int((rough == 1).sum()) + len(set(rough[rough > 1].tolist()))
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        calls = []
+        merge = arith._sum_merge
+
+        def spy(x, y):
+            calls.append(1)
+            return merge(x, y)
+
+        monkeypatch.setattr(arith, "_sum_merge", spy)
+        return calls
+
+    @pytest.mark.parametrize("count", [31, 32, 33, 64, 65])
+    def test_leaf_counts_around_the_fold_width(self, count, merges):
+        # count distinct primes above B = isqrt(max) = 54, one value each
+        # or shared by two or three values: count leaves, no smooth one
+        qs = prime_array(1500)[-count:].tolist()
+        values = qs + [2 * q for q in qs[::3]] + [3 * q for q in qs[::5]]
+        assert self._leaves(values) == count
+        _assert_exact(values)
+        assert len(merges) == -(-count // arith._FOLD) - 1
+
+    def test_cancellation_inside_a_folded_run(self):
+        # 1/101 + 1/(101 * 100) = 1/100: r = 101 > B = isqrt(10100) = 100
+        # leaves its group, which folds with 40 other rough primes
+        others = prime_array(10100)[-40:].tolist()
+        values = [101, 101 * 100] + others
+        assert self._leaves(values) == 41
+        _assert_exact(values)
+        _assert_exact([101 * 100, 7, 101, 49] + others + others[:9])
+
+    @given(st.lists(st.integers(1, 4000), min_size=300, max_size=600))
+    @settings(max_examples=25, deadline=None)
+    def test_dense_multisets_read_the_table(self, values):
+        values = values + [4000]
+        _drop_cached("maxpp")
+        _assert_exact(values)
+        assert _maxpp_limits() == [4000]
+
+    def test_merge_tree_runs_over_fold_nodes(self, merges):
+        values = list(range(1, 6001)) + list(range(2000, 4000))
+        leaves = self._leaves(values)
+        assert leaves > 100
+        assert reciprocal_sum(values) == _sequential_sum(values)
+        assert len(merges) <= -(-leaves // 32) - 1
 
 
 def _assert_exact(values):

@@ -1015,6 +1015,18 @@ class TestAssemblyItems:
         assert got == self._reference_items(h, M, frozenset(), limit)
         assert 2 - h > 2 ** 32
 
+    @pytest.mark.parametrize("h", [1, -1])
+    def test_chunks_do_not_change_the_items(self, h, monkeypatch):
+        # 9,592 primes to 1e5: one chunk against ten chunks and a ragged
+        # last one, with an excluded prime in the middle of a chunk
+        M, limit = egypt._ASSEMBLY_MODULUS, 10 ** 5
+        exclude = frozenset({52361, 99991})
+        monkeypatch.setattr(egypt, "_ASSEMBLY_CHUNK", 1 << 20)
+        whole = _assembly_items(h, M, exclude, limit)
+        monkeypatch.setattr(egypt, "_ASSEMBLY_CHUNK", 1000)
+        assert _assembly_items(h, M, exclude, limit) == whole
+        assert any(len(ps) == 2 for _, ps in whole)
+
 
 def _dp_parts(value, h, count, exclude=frozenset()):
     """Build ``count`` disjoint verified parts of the given value."""

@@ -643,7 +643,7 @@ class TestReciprocalSum:
         np.array([Fraction(1, 2), 3], dtype=object),
     ])
     def test_non_integers_raise(self, values):
-        # each of these once summed its entries truncated to integers
+        # an entry truncated to an integer would give a wrong sum
         with pytest.raises(DomainError, match="needs integers"):
             reciprocal_sum(values)
 

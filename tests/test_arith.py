@@ -685,8 +685,8 @@ class TestFold:
 
     @pytest.mark.parametrize("count", [31, 32, 33, 64, 65])
     def test_leaf_counts_around_the_fold_width(self, count, merges):
-        # count distinct primes above B = isqrt(max) = 54, one value each
-        # or shared by two or three values: count leaves, no smooth one
+        # count distinct primes above 1000 > B = isqrt(max) <= 67, one
+        # value each or shared by two or three: count leaves, none smooth
         qs = prime_array(1500)[-count:].tolist()
         values = qs + [2 * q for q in qs[::3]] + [3 * q for q in qs[::5]]
         assert self._leaves(values) == count

@@ -1,5 +1,6 @@
-"""Exact arithmetic substrate: primality, sieving, factorization, li,
-exact reciprocal sums.
+"""Exact arithmetic substrate: primality, sieving into one array cache
+(every prime list, base primes too, is a slice of ``prime_array``),
+factorization, li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -56,7 +57,7 @@ _MR_WITNESSES = tuple((psi, _SMALL_PRIMES[:k]) for psi, k in (
     (_PSI_13, 13),
 ))
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 20       # numbers per segment of the sieve kernels
 # prime_segments refuses limits whose base sieve would not fit in memory
 MAX_BASE_PRIME = 1 << 27
 # _cached builds whole-range arrays to here: 2 GB at the 4 B per entry
@@ -158,26 +159,24 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def prime_segments(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
+def prime_segments(limit: int):
     """Yield the primes in [2, limit] as one increasing int64 array per
-    segment [lo, hi) of ``segment_size`` odd numbers.  A segment is a bool
+    segment [lo, hi) of SEGMENT_SIZE odd numbers.  A segment is a bool
     array cleared by one strided slice per base prime p <= sqrt(hi); the
-    first starts at 1, whose entry stands for 2.  The base primes come
-    from this kernel itself, run to sqrt(limit); below limit 4 there are
-    none.  Limits whose base sieve exceeds the budget raise CapacityError.
+    first starts at 1, whose entry stands for 2.  The base primes are
+    ``prime_array(isqrt(limit))``, none below limit 4.  Limits whose
+    base sieve exceeds the budget raise CapacityError.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if segment_size < 64:
-        raise DomainError("segment_size too small")
     base_limit = isqrt(limit)
     if base_limit > MAX_BASE_PRIME:
         raise CapacityError(
             f"limit {limit} needs base primes to {base_limit}, over the "
             f"{MAX_BASE_PRIME} budget")
-    odd_base = _build_primes(base_limit)[1:]
-    for lo in range(1, limit + 1, 2 * segment_size):
-        hi = min(lo + 2 * segment_size, limit + 1)
+    odd_base = prime_array(base_limit)[1:]
+    for lo in range(1, limit + 1, 2 * SEGMENT_SIZE):
+        hi = min(lo + 2 * SEGMENT_SIZE, limit + 1)
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)
         ps = odd_base[:np.searchsorted(odd_base, isqrt(hi - 1), "right")]
         start = np.maximum(ps * ps, -(-lo // ps) * ps)
@@ -190,26 +189,25 @@ def prime_segments(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
         yield primes
 
 
-def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
+def sieve_primes(limit: int):
     """Yield the primes in [2, limit], increasing, as Python ints, one
     segment of ``prime_segments`` converted at a time."""
-    for primes in prime_segments(limit, segment_size):
+    for primes in prime_segments(limit):
         yield from primes.tolist()
 
 
-def prime_power_sieve(limit: int, kind: str,
-                      segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def prime_power_sieve(limit: int, kind: str) -> np.ndarray:
     """omega(n) (kind "omega", int8) or the largest prime power exactly
     dividing n (kind "maxpp", uint32) for every 0 <= n <= limit; n = 0
     and n = 1 get omega 0 and prime power 1.
 
-    One segment [lo, hi) at a time, each base prime p with p^2 < hi
-    marks its multiples and multiplies every power p^k < hi into the
-    segment's smooth part.  What is left of n after dividing that out is
-    1 or a single prime to the first power (two factors of at least
-    sqrt(hi) would exceed n), which adds one to omega and is a
-    prime-power candidate.  The Python loop runs only over the base
-    primes p <= sqrt(limit) (and their powers), once per segment.
+    One segment [lo, hi) of SEGMENT_SIZE numbers at a time, each base
+    prime p with p^2 < hi marks its multiples and multiplies every power
+    p^k < hi into the segment's smooth part.  What is left of n after
+    dividing that out is 1 or a single prime to the first power (two
+    factors of at least sqrt(hi) would exceed n), which adds one to
+    omega and is a prime-power candidate.  The Python loop runs only
+    over the base primes, ``prime_array(isqrt(limit))``, once per segment.
     """
     if kind not in ("omega", "maxpp"):
         raise DomainError(f"unknown kind {kind!r}")
@@ -217,16 +215,14 @@ def prime_power_sieve(limit: int, kind: str,
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit > np.iinfo(np.uint32).max:
         raise CapacityError(f"limit {limit} exceeds the uint32 range")
-    if segment_size < 64:
-        raise DomainError("segment_size too small")
     omega = kind == "omega"
     if omega:
         out = np.zeros(limit + 1, dtype=np.int8)
     else:
         out = np.ones(limit + 1, dtype=np.uint32)
-    base = _build_primes(isqrt(limit)).tolist()
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    base = prime_array(isqrt(limit)).tolist()
+    for lo in range(0, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
         seg = out[lo:hi]
         smooth = np.ones(hi - lo, dtype=np.uint32)
         for p in base:
@@ -299,7 +295,7 @@ class Factorization:
 
 @functools.cache
 def _trial_primes() -> list[int]:
-    return _build_primes(TRIAL_PRIME_BOUND).tolist()
+    return prime_array(TRIAL_PRIME_BOUND).tolist()
 
 
 def trial_factor(n: int, primes: list[int] | None = None) -> Factorization:
@@ -366,44 +362,53 @@ def li_approx(n: int) -> float:
 _cache: dict[tuple[str, int], np.ndarray] = {}
 
 
+def _check_array_limit(kind: str, limit: int) -> None:
+    """CapacityError for a whole-range array past MAX_ARRAY_LIMIT."""
+    if limit > MAX_ARRAY_LIMIT:
+        raise CapacityError(f"{kind} array to {limit} is over the "
+                            f"{MAX_ARRAY_LIMIT} limit")
+
+
 def _cached(kind: str, limit: int, build) -> np.ndarray:
     """build(limit), cached per kind.  The one array kept for a kind
     serves every limit up to its own as a slice (prime arrays after their
     last prime <= limit, arrays indexed by n at limit + 1), and a build
-    for a larger limit replaces it.  Stored arrays are read-only, and so
+    for a larger limit replaces it.  A build may itself ask for a smaller
+    array of its kind (the kernels' base primes); whatever that left is
+    dropped when the build returns.  Stored arrays are read-only, and so
     are the slices handed out.  A build above MAX_ARRAY_LIMIT raises
     CapacityError."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    held = [n for k, n in _cache if k == kind]
-    if held and held[0] >= limit:
-        arr = _cache[(kind, held[0])]
+    held = next((n for k, n in _cache if k == kind), -1)
+    if held >= limit:
+        arr = _cache[(kind, held)]
         return arr[:np.searchsorted(arr, limit, "right") if kind == "primes"
                    else limit + 1]
-    if limit > MAX_ARRAY_LIMIT:
-        raise CapacityError(f"{kind} array to {limit} is over the "
-                            f"{MAX_ARRAY_LIMIT} limit")
+    _check_array_limit(kind, limit)
     arr = build(limit)
     arr.flags.writeable = False
-    for n in held:
-        del _cache[(kind, n)]
+    for key in [key for key in _cache if key[0] == kind]:
+        del _cache[key]
     _cache[(kind, limit)] = arr
     return arr
-
-
-def _build_primes(limit: int) -> np.ndarray:
-    """The primes <= limit, uncached.  Base primes and trial-division
-    lists come from here: a _cached build nested in the build of a larger
-    prime array would leave a second "primes" entry behind."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(list(prime_segments(limit)))
 
 
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty below 2): the segments
     of ``prime_segments`` concatenated (cached, read-only)."""
-    return _cached("primes", limit, _build_primes)
+    def build(n):
+        if n < 2:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(list(prime_segments(n)))
+
+    return _cached("primes", limit, build)
+
+
+def omega_array(limit: int) -> np.ndarray:
+    """omega(n), the number of distinct prime factors, for all n <= limit
+    as int8, from the kernel ``prime_power_sieve`` (cached, read-only)."""
+    return _cached("omega", limit, lambda n: prime_power_sieve(n, "omega"))
 
 
 def max_prime_power_array(limit: int) -> np.ndarray:
@@ -449,7 +454,7 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     and the cofactor left is r(v) when it exceeds B.
     """
     b = isqrt(top)
-    primes = _build_primes(b)
+    primes = prime_array(b)
     if top <= MAX_ARRAY_LIMIT and top < len(vals) * len(primes):
         rough = max_prime_power_array(top)[vals].astype(np.int64)
         powers = []

@@ -112,8 +112,6 @@ def _budget(cfg: RunConfig) -> SearchBudget:
 
 
 def _cmd_sieve(cfg: RunConfig) -> int:
-    if cfg.limit is None:
-        raise DomainError("sieve needs --limit")
     limit = cfg.limit
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -185,8 +183,6 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.cert is None:
-        raise DomainError("verify needs --cert")
     try:
         doc = json.loads(Path(cfg.cert).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -229,8 +225,6 @@ def _grid_points(grid: dict) -> list[dict]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.grid is None:
-        raise DomainError("sweep needs --grid")
     try:
         grid = json.loads(Path(cfg.grid).read_text())
     except (OSError, json.JSONDecodeError) as exc:

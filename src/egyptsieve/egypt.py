@@ -75,6 +75,7 @@ _MAX_DP_TARGET = 10 ** 8
 _ASSEMBLY_MODULUS = 43243200                # 2^6 3^3 5^2 7 11 13
 _ASSEMBLY_PRIME_LIMIT = 10 ** 8
 _SPLIT_DEPTH = 3
+_MAX_SNAPSHOTS = 24     # bitsets a subset-sum pass keeps for its backtrack
 
 # memo bound: the benchmark's targets universe (2,512 targets) builds
 # 416 distinct divisor pools
@@ -105,10 +106,6 @@ class Decomposition:
     h: int
     target: Fraction
     primes: tuple[int, ...]
-
-    @property
-    def denominators(self) -> tuple[int, ...]:
-        return tuple(p - self.h for p in self.primes)
 
 
 @dataclass(frozen=True)
@@ -280,8 +277,7 @@ def _slide(dp: int, off: int, w: int, target: int,
     return dp | (up << w), off
 
 
-def _bitset_subset_sum(weights: list[int], target: int,
-                       max_snapshots: int = 24) -> list[int] | None:
+def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     """Indices of a subset of the positive weights summing exactly to
     target, or None.
 
@@ -291,7 +287,7 @@ def _bitset_subset_sum(weights: list[int], target: int,
 
     Forward pass: a big-integer bitset DP over the items in order,
     stopping at the first item that reaches target, with a snapshot
-    every ``stride`` items so that about ``max_snapshots`` bitsets are
+    every ``stride`` items so that about _MAX_SNAPSHOTS bitsets are
     kept.  After a prefix whose remaining items weigh ``suffix`` the
     bitset holds only the live sums ``off..target``, ``off = max(0,
     target - suffix)``, as bits ``0..target - off``, and each item
@@ -322,7 +318,7 @@ def _bitset_subset_sum(weights: list[int], target: int,
     suffix = sum(weights)
     if suffix < target:
         return None
-    stride = max(8, -(-n // max_snapshots))
+    stride = max(8, -(-n // _MAX_SNAPSHOTS))
     # dp bit j is the sum off + j
     dp, off = 1, 0
     snaps = {0: (0, 1)}
@@ -550,7 +546,9 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
     primes = prime_array(prime_limit)
     flags = np.zeros(q_max + 1, dtype=bool)
     flags[prime_array(q_max)] = True
-    excl_arr = np.array(sorted(exclude), dtype=np.int64) if exclude else None
+    # an excluded prime above prime_limit is in no chunk (nor int64)
+    excl = sorted(p for p in exclude if p <= prime_limit)
+    excl_arr = np.array(excl, dtype=np.int64) if excl else None
     items: list[tuple[int, tuple[int, ...]]] = []
     qs, es, ps = [], [], []
     for lo in range(0, len(primes), _ASSEMBLY_CHUNK):

@@ -21,15 +21,15 @@ import numpy as np
 
 from .arith import (
     TRIAL_PRIME_BOUND,
-    _cached,
+    _check_array_limit,
     _coprime_fraction,
     _rough_parts,
     balanced_product,
     is_prime,
     li_approx,
     max_prime_power_array,
+    omega_array,
     prime_array,
-    prime_power_sieve,
     reciprocal_sum,
     trial_factor,
 )
@@ -48,13 +48,6 @@ MAX_POWER_BITS = 1 << 20
 # them all
 _HIST_MODULUS = 720720
 _HIST_MEMO_SIZE = 4
-
-
-def omega_array(limit: int) -> np.ndarray:
-    """omega(n) for all n <= limit (number of distinct prime factors), as
-    int8, from the segmented kernel ``prime_power_sieve``: base primes
-    up to sqrt(limit) only, no prime table up to limit."""
-    return _cached("omega", limit, lambda n: prime_power_sieve(n, "omega"))
 
 
 def _exceeds_power(value: int, base: int, expo: Fraction) -> bool:
@@ -126,6 +119,19 @@ class SieveEstimate:
     exact_count: int
 
 
+def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
+    """n = p - h for the primes p of the nonempty array with p = h
+    (mod q) and n >= least, bounding h and q in Python ints first: a
+    shift past max p - least selects nothing, and one that puts max p - h
+    past MAX_ARRAY_LIMIT raises CapacityError."""
+    top = int(primes[-1])
+    if h + least > top or h % q > top:
+        return np.zeros(0, dtype=np.int64)
+    _check_array_limit("n = p - h", top - h)
+    sel = (primes if q > top else primes % q) == h % q
+    return primes[sel & (primes >= h + least)] - h
+
+
 def _report(N: int, shift: ShiftParams, baseline, select,
             **params) -> DensityReport:
     """The density report of one lemma over n = p - h, for the primes
@@ -143,10 +149,7 @@ def _report(N: int, shift: ShiftParams, baseline, select,
     params = {k: Fraction(v if isinstance(v, (int, Fraction)) else str(v))
               for k, v in params.items()}
     base = baseline(*params.values())
-    primes = prime_array(N)
-    sel = (primes % shift.q) == (shift.h % shift.q)
-    sel &= primes - shift.h >= shift.q
-    n = primes[sel] - shift.h
+    n = _shifted(prime_array(N), shift.h, shift.q, shift.q)
     counted, excluded = (select(n, *params.values()) if len(n)
                          else (np.zeros(0, dtype=bool), 0))
     count = int(counted.sum())
@@ -221,8 +224,7 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     if N < 100:
         raise DomainError("need N >= 100")
     primes = prime_array(N)
-    narr = primes - shift.h
-    m = narr[narr >= 2]
+    m = _shifted(primes, shift.h, 1, 2)
     if len(m) == 0:
         return 0.0
     om = omega_array(int(m.max()))[m].astype(np.int64)

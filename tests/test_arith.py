@@ -12,12 +12,13 @@ from egyptsieve import arith
 from egyptsieve.arith import (
     _PSI_13,
     Factorization,
-    _build_primes,
     _strong_lucas_prp,
     _trial_primes,
     balanced_product,
     is_prime,
     li_approx,
+    max_prime_power_array,
+    omega_array,
     prime_array,
     prime_power_sieve,
     prime_segments,
@@ -27,11 +28,7 @@ from egyptsieve.arith import (
 )
 from egyptsieve.egypt import Decomposition, verify
 from egyptsieve.errors import CapacityError, DomainError
-from egyptsieve.spectrum import (
-    max_prime_power_array,
-    mertens_product,
-    omega_array,
-)
+from egyptsieve.spectrum import mertens_product
 
 from conftest import naive_factor, naive_is_prime
 
@@ -83,25 +80,30 @@ class TestSievePrimes:
         assert count == 78498
         assert count == int(_monolithic_flags(10 ** 6).sum())
 
-    def test_segment_boundaries(self):
+    def test_segment_boundaries(self, monkeypatch):
         # tiny segments force many boundary crossings
-        assert list(sieve_primes(10 ** 4, segment_size=64)) == \
-            list(sieve_primes(10 ** 4))
+        whole = list(sieve_primes(10 ** 4))
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
+        assert list(sieve_primes(10 ** 4)) == whole
 
-    def test_python_ints_at_segment_edges(self):
+    def test_python_ints_at_segment_edges(self, monkeypatch):
         # a segment of 64 odd candidates starting at 1 ends at 127; the
         # limits sit on and one past the first and fifth boundaries
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
         for limit in (127, 128, 129, 130, 639, 640, 641, 642):
-            got = list(sieve_primes(limit, segment_size=64))
-            assert got == prime_array(limit).tolist()
+            got = list(sieve_primes(limit))
+            assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
 
     def test_base_prime_list(self):
         # trial_factor takes m % p on big ints, which np.int64 would overflow
         for limit in [*range(1, 201), 10 ** 3]:
-            got = _build_primes(limit).tolist()
+            _drop_cached("primes")
+            got = prime_array(limit).tolist()
             assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
+        _trial_primes.cache_clear()
+        _drop_cached("primes")
         got = _trial_primes()
         assert got == np.flatnonzero(
             _monolithic_flags(arith.TRIAL_PRIME_BOUND)).tolist()
@@ -109,37 +111,36 @@ class TestSievePrimes:
 
 
 class TestPrimeSegments:
-    def test_every_limit_to_700(self):
+    def test_every_limit_to_700(self, monkeypatch):
         for limit in range(701):
             if limit < 2:
                 assert prime_array(limit).tolist() == []
-                for size in (64, 65, 100):
-                    with pytest.raises(DomainError):
-                        list(prime_segments(limit, size))
+                with pytest.raises(DomainError):
+                    list(prime_segments(limit))
                 continue
             _drop_cached("primes")
             assert prime_array(limit).tolist() == _naive_primes_to(limit)
             for size in (64, 65, 100):
-                segs = list(prime_segments(limit, size))
+                monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+                segs = list(prime_segments(limit))
                 assert all(s.dtype == np.int64 for s in segs)
                 # one segment per block of `size` odd numbers up to limit
                 assert len(segs) == -(-((limit + 1) // 2) // size)
                 got = np.concatenate(segs).tolist()
                 assert got == _naive_primes_to(limit), (limit, size)
 
-    def test_first_five_segment_boundaries(self):
+    def test_first_five_segment_boundaries(self, monkeypatch):
         for size in (64, 65, 100):
+            monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
             # segment k - 1 ends at the odd number 2 size k - 1
             for k in range(1, 6):
                 last = 2 * size * k - 1
                 for limit in (last - 1, last, last + 1):
-                    got = np.concatenate(list(prime_segments(limit, size)))
+                    got = np.concatenate(list(prime_segments(limit)))
                     assert got.tolist() == _naive_primes_to(limit), \
                         (limit, size)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            list(prime_segments(100, segment_size=63))
         with pytest.raises(CapacityError):
             list(prime_segments((1 << 28) ** 2))
 
@@ -180,6 +181,15 @@ class TestPrimeCache:
         prime_array(3000)
         assert [k for k in arith._cache if k[0] == "primes"] == \
             [("primes", 3000)]
+
+    def test_nested_builds_leave_one_entry(self):
+        # the build to 10^6 asks for its base primes to 1000, whose build
+        # asks for those to 31, and so on down to 2
+        _drop_cached("primes")
+        arr = prime_array(10 ** 6)
+        assert [k for k in arith._cache if k[0] == "primes"] == \
+            [("primes", 10 ** 6)]
+        assert len(arr) == 78498
 
     def test_negative_limit_refused_when_cached(self):
         for build in (prime_array, omega_array, max_prime_power_array):
@@ -387,7 +397,7 @@ class TestFactorize:
 
     def test_segmented_table_agrees(self):
         limit = (1 << 24) + 2 ** 20
-        roots = _build_primes(math.isqrt(limit)).tolist()
+        roots = prime_array(math.isqrt(limit)).tolist()
         for n in (2, 97, 720720, 999983, (1 << 24) + 7, (1 << 24) + 2 ** 20):
             assert trial_factor(n, roots).factors == tuple(naive_factor(n))
 
@@ -463,9 +473,10 @@ class TestPrimePowerSieve:
             assert om.tolist() == om_ref[:limit + 1].tolist()
             assert mp.tolist() == mp_ref[:limit + 1].tolist()
 
-    def test_segment_boundaries(self):
+    def test_segment_boundaries(self, monkeypatch):
         om_ref, mp_ref = _oracle_arrays(3000)
         for size in (64, 65):
+            monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
             limits = set()
             for k in range(1, 6):
                 limits |= {k * size - 1, k * size, k * size + 1}
@@ -477,8 +488,8 @@ class TestPrimePowerSieve:
                         limits |= {q - 1, q, q + 1}
                 limits |= {p * p - 1, p * p, p * p + 1}
             for limit in sorted(limits):
-                om = prime_power_sieve(limit, "omega", segment_size=size)
-                mp = prime_power_sieve(limit, "maxpp", segment_size=size)
+                om = prime_power_sieve(limit, "omega")
+                mp = prime_power_sieve(limit, "maxpp")
                 assert om.tolist() == om_ref[:limit + 1].tolist(), limit
                 assert mp.tolist() == mp_ref[:limit + 1].tolist(), limit
 
@@ -489,22 +500,24 @@ class TestPrimePowerSieve:
         assert max_prime_power_array(1001).dtype == np.uint32
 
     def test_wrappers_build_no_prime_table(self):
+        limit = 54321
         for build, kind in ((omega_array, "omega"),
                             (max_prime_power_array, "maxpp")):
-            limit = 54321
             _drop_cached(kind)
+            _drop_cached("primes")
             before = set(arith._cache)
             build(limit)
             added = set(arith._cache) - before
-            assert added == {(kind, limit)}
+            # the array itself and its base primes up to sqrt(limit)
+            assert (kind, limit) in added
+            (other, n), = added - {(kind, limit)}
+            assert other == "primes" and n <= math.isqrt(limit)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             prime_power_sieve(-1, "omega")
         with pytest.raises(DomainError):
             prime_power_sieve(10, "spf")
-        with pytest.raises(DomainError):
-            prime_power_sieve(100, "maxpp", segment_size=63)
         with pytest.raises(CapacityError):
             prime_power_sieve(2 ** 32, "omega")
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from egyptsieve import cli, egypt
+from egyptsieve import arith, cli, egypt
 from egyptsieve.arith import sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
@@ -287,6 +287,35 @@ class TestExitCodes:
         rc = main(["decompose", "--target", f"1/{den}", "--shift", "1"])
         assert rc == 2
         assert "composite cofactor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,rc", [
+        (["--lemma", "1", "--shift", str(10 ** 20), "--epsilon", "0.3"], 0),
+        (["--lemma", "2", "--shift", str(-10 ** 20), "--delta", "0.3"], 2),
+        (["--lemma", "1", "--shift", "1", "--modulus", str(10 ** 20 + 1),
+          "--epsilon", "0.3"], 0),
+    ], ids=["shift-1e20", "shift-minus-1e20", "modulus-1e20"])
+    def test_shift_or_modulus_past_int64(self, argv, rc, capsys):
+        # a shift above N - q or a modulus above N selects no n; a shift
+        # below -N puts n past every table
+        assert main(["analyze", "--N", "1000", *argv]) == rc
+        out = capsys.readouterr()
+        if rc == 0:
+            assert json.loads(out.out)["report"]["count"] == 0
+        else:
+            assert "over the 500000000 limit" in out.err
+
+    @pytest.mark.parametrize("lemma", [
+        ["--lemma", "1", "--epsilon", "0.3"],
+        ["--lemma", "2", "--delta", "0.3"],
+        ["--lemma", "3", "--y", "5", "--z", "10"],
+    ], ids=["lemma1", "lemma2", "lemma3"])
+    def test_n_over_cap_exits_2(self, lemma, monkeypatch, capsys):
+        # n = p + 10^5 passes a cap of 10^4: refused before any array
+        # indexed by n, lemma 3's window mask included, is built
+        monkeypatch.setattr(arith, "MAX_ARRAY_LIMIT", 10 ** 4)
+        argv = ["analyze", "--N", "1000", "--shift", "-100000", *lemma]
+        assert main(argv) == 2
+        assert "over the 10000 limit" in capsys.readouterr().err
 
 
 class TestAnalyze:

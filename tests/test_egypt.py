@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from egyptsieve import egypt
+from egyptsieve import arith, egypt
 from egyptsieve.arith import (
     _PSI_13,
     _pairwise,
@@ -119,7 +119,7 @@ class TestGreedy:
     def test_unit_excluding_2(self):
         dec = greedy_decompose(ONE, 1, exclude=frozenset({2}))
         assert dec.primes == (3, 5, 7, 13)
-        assert dec.denominators == (2, 4, 6, 12)
+        assert tuple(p - dec.h for p in dec.primes) == (2, 4, 6, 12)
 
     def test_half(self):
         dec = greedy_decompose(Fraction(1, 2), 1)
@@ -365,7 +365,9 @@ class TestSubsetSumBacktrack:
     SIZES = (1, 7, 8, 9, 16, 17, 191, 192, 193, 215, 216, 217, 239, 240, 241)
 
     def _check(self, weights, target, max_snapshots=24):
-        got = _bitset_subset_sum(weights, target, max_snapshots)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(egypt, "_MAX_SNAPSHOTS", max_snapshots)
+            got = _bitset_subset_sum(weights, target)
         assert got == _reference_subset_sum(weights, target, max_snapshots)
         if got is not None:
             assert len(set(got)) == len(got)
@@ -878,6 +880,23 @@ class TestRFold:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.CERTIFY_HALF_SHA256
 
+    def test_certify_path_sieves_once(self, monkeypatch):
+        # the trial-division primes and assembly's primes are one cached
+        # array: from a cold cache the kernel runs to 10^6 once
+        limits = []
+        segments = arith.prime_segments
+
+        def spy(limit):
+            limits.append(limit)
+            return segments(limit)
+
+        monkeypatch.setattr(arith, "prime_segments", spy)
+        monkeypatch.setattr(arith, "_cache", {})
+        arith._trial_primes.cache_clear()
+        egypt._divisor_pool.cache_clear()
+        r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
+        assert limits.count(10 ** 6) == 1
+
     @pytest.fixture
     def walks(self, monkeypatch):
         """The targets each greedy walk starts at, in call order."""
@@ -1007,6 +1026,15 @@ class TestAssemblyItems:
         got = sorted(_assembly_items(1, M, exclude, limit))
         assert got == self._reference_items(1, M, exclude, limit)
         assert got != [it for it in full if not exclude & set(it[1])]
+
+    def test_excluded_prime_past_int64(self):
+        # a barred prime above the prime limit is in no chunk, however
+        # wide: the items and the certificate are those of no exclusion
+        x, budget = Fraction(1, 3), SearchBudget(max_prime=1000)
+        got = egypt._assembly_decompose(x, 1, frozenset({2 ** 64 + 13}),
+                                        budget)
+        assert got == egypt._assembly_decompose(x, 1, frozenset(), budget)
+        assert len(got) == 52
 
     def test_wide_denominators(self):
         # q_max = 94,869 <= limit, and d = p - h passes 2^32

@@ -130,6 +130,12 @@ class TestHalberstam:
                 for n in (10 ** 5, 10 ** 6)]
         assert max(vals) / min(vals) < 2
 
+    def test_shift_past_int64(self):
+        # no p - h >= 2 above N; below, n passes every table's reach
+        assert halberstam_variance(1000, ShiftParams(10 ** 20)) == 0.0
+        with pytest.raises(CapacityError):
+            halberstam_variance(1000, ShiftParams(-10 ** 20))
+
 
 class TestDivisorWindow:
     def test_empty_window(self, shift_plus1):

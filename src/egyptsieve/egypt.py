@@ -44,6 +44,7 @@ import numpy as np
 from .arith import (
     _PSI_13,
     _pairwise,
+    _products,
     is_prime,
     prime_array,
     trial_factor,
@@ -148,14 +149,16 @@ class FeasibilityResult:
 
 def _add_ratios(x, y):
     """Sum of two (num, den) pairs, not reduced: no gcd."""
-    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+    num, den = _products([[(x[0], y[1]), (y[0], x[1])], [(x[1], y[1])]])
+    return num, den
 
 
 def verify(d: Decomposition) -> VerificationResult:
     """Independent certificate check: primality, strict increase,
     positive denominators, exact rational sum (added in a balanced tree
-    of unreduced (num, den) pairs, then cross-multiplied against the
-    target, so no gcd is taken)."""
+    of unreduced (num, den) pairs, whose products go through
+    ``arith._products``, then cross-multiplied against the target, so
+    no gcd is taken)."""
     try:
         target = Fraction(d.target)
     except (TypeError, ValueError):

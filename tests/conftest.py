@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,16 @@ def naive_factor(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def factor_product(factors):
+    """The integer whose ((prime, exponent), ...) factorization is given."""
+    return math.prod(p ** e for p, e in factors)
+
+
+def max_prime_power(factors):
+    """Largest p^e of a factorization; 1 for the empty one."""
+    return max((p ** e for p, e in factors), default=1)
 
 
 def naive_is_prime(n):

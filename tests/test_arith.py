@@ -28,9 +28,18 @@ from egyptsieve.arith import (
 )
 from egyptsieve.egypt import Decomposition, verify
 from egyptsieve.errors import CapacityError, DomainError
-from egyptsieve.spectrum import mertens_product
+from egyptsieve.spectrum import (
+    ShiftParams,
+    friability_density,
+    mertens_product,
+)
 
-from conftest import naive_factor, naive_is_prime
+from conftest import (
+    factor_product,
+    max_prime_power,
+    naive_factor,
+    naive_is_prime,
+)
 
 
 def _monolithic_flags(limit):
@@ -379,13 +388,11 @@ class TestFactorize:
     def test_720720_multiplies_back(self):
         fz = trial_factor(720720)
         assert fz.factors == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
-        assert fz.value == 720720
+        assert factor_product(fz.factors) == 720720
 
     def test_one(self):
         fz = trial_factor(1)
         assert fz.factors == ()
-        assert fz.omega == 0
-        assert fz.max_prime_power == 1
 
     def test_zero(self):
         with pytest.raises(DomainError):
@@ -393,7 +400,7 @@ class TestFactorize:
 
     def test_round_trip_full_range(self):
         for n in range(2, 10 ** 6 + 1):
-            assert trial_factor(n).value == n
+            assert factor_product(trial_factor(n).factors) == n
 
     def test_segmented_table_agrees(self):
         limit = (1 << 24) + 2 ** 20
@@ -404,10 +411,6 @@ class TestFactorize:
     def test_divisors(self):
         assert trial_factor(12).divisors() == [1, 2, 3, 4, 6, 12]
         assert trial_factor(1).divisors() == [1]
-
-    def test_max_prime_power(self):
-        assert trial_factor(12).max_prime_power == 4
-        assert trial_factor(97).max_prime_power == 97
 
     def test_totient_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -459,8 +462,8 @@ def _oracle_arrays(limit):
     om, mp = [0, 0], [1, 1]
     for n in range(2, limit + 1):
         fz = trial_factor(n)
-        om.append(fz.omega)
-        mp.append(fz.max_prime_power)
+        om.append(len(fz.factors))
+        mp.append(max_prime_power(fz.factors))
     return np.array(om[:limit + 1]), np.array(mp[:limit + 1])
 
 
@@ -528,7 +531,7 @@ class TestOmegaAdditivity:
     def test_additive_on_coprime(self, m, n):
         assume(math.gcd(m, n) == 1)
         fm, fn, fmn = (trial_factor(k) for k in (m, n, m * n))
-        assert fmn.omega == fm.omega + fn.omega
+        assert len(fmn.factors) == len(fm.factors) + len(fn.factors)
 
 
 class TestLiApprox:
@@ -588,6 +591,8 @@ class TestExactRationals:
         assert balanced_product([]) == 1
         assert balanced_product([7]) == 7
         assert balanced_product(range(1, 11)) == math.factorial(10)
+        assert balanced_product(range(1, 200)) == math.factorial(199)
+        assert balanced_product([-3] * 65) == (-3) ** 65
 
 
 def _sequential_sum(values):
@@ -729,6 +734,159 @@ class TestFold:
         assert leaves > 100
         assert reciprocal_sum(values) == _sequential_sum(values)
         assert len(merges) <= -(-leaves // 32) - 1
+
+
+def _operand(kind, bits, seed):
+    """A nonnegative int of at most the given bits: random, all ones
+    (every limb 0xFF, the largest coefficients) or a power of two."""
+    if kind == "ones":
+        return (1 << bits) - 1
+    if kind == "power":
+        return 1 << bits >> 1
+    return random.Random(seed).getrandbits(bits)
+
+
+_T = arith._FFT_MIN_BITS
+_OPERANDS = st.one_of(
+    st.sampled_from([0, 1]),
+    st.builds(_operand, st.sampled_from(["random", "ones", "power"]),
+              st.one_of(st.sampled_from([_T - 1, _T, _T + 1]),
+                        st.integers(_T // 2, 3 * _T)),
+              st.integers(0, 2 ** 32)))
+
+
+def _ones_product(a, b):
+    """(2^a - 1) (2^b - 1) without a multiplication."""
+    return (1 << a + b) - (1 << a) - (1 << b) + 1
+
+
+class TestProducts:
+    """arith._products against *: through the FFT when every operand has
+    _FFT_MIN_BITS bits and the transform fits _FFT_MAX_LEN, else by *."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(a, n):
+            lengths.append(n)
+            return rfft(a, n)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        return lengths
+
+    @given(_OPERANDS, _OPERANDS, _OPERANDS, _OPERANDS)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_int_products(self, a, b, c, d):
+        assert arith._products([[(a, b)]]) == [a * b]
+        assert arith._products([[(a, d), (c, b)], [(b, d)]]) == \
+            [a * d + c * b, b * d]
+
+    def test_threshold_selects_the_path(self, transforms):
+        x, y = _operand("random", 3 * _T, 1), _operand("ones", _T, 0)
+        assert arith._products([[(x, y)]]) == [x * y]
+        assert len(transforms) == 2
+        transforms.clear()
+        assert arith._products([[(x, y >> 1)]]) == [x * (y >> 1)]
+        assert arith._products([[(-x, y)]]) == [-x * y]
+        assert transforms == []
+
+    def test_each_operand_transformed_once(self, transforms):
+        a1, b1, a2, b2 = (_operand("random", _T + k, k) | 1 << _T
+                          for k in range(4))
+        assert arith._products([[(a1, b2), (a2, b1)], [(b1, b2)]]) == \
+            [a1 * b2 + a2 * b1, b1 * b2]
+        assert len(transforms) == 4
+
+    def test_all_ones_at_the_longest_length(self, transforms):
+        # len x + len y - 1 = _FFT_MAX_LEN limbs, all 0xFF
+        n = arith._FFT_MAX_LEN
+        half = (1 << 4 * n) - 1
+        assert arith._products([[(half, half)]]) == \
+            [_ones_product(4 * n, 4 * n)]
+        assert arith._products([[(half, half), (half, half)]]) == \
+            [2 * _ones_product(4 * n, 4 * n)]
+        short = 8 * (_T // 8 + 1)
+        long_, low = (1 << 8 * n - short) - 1, (1 << short + 8) - 1
+        assert arith._products([[(long_, low)]]) == \
+            [_ones_product(8 * n - short, short + 8)]
+        assert transforms == [n] * 4
+
+    def test_past_the_longest_length_multiplies_by_star(self, monkeypatch,
+                                                         transforms):
+        monkeypatch.setattr(arith, "_FFT_MIN_BITS", 8)
+        monkeypatch.setattr(arith, "_FFT_MAX_LEN", 1 << 10)
+        x = (1 << 8 * 512) - 1
+        assert arith._products([[(x, x)]]) == [_ones_product(4096, 4096)]
+        assert transforms == [1 << 10]
+        transforms.clear()
+        # 513 + 513 - 1 limbs need a transform of 2^11
+        y = (1 << 8 * 513) - 1
+        assert arith._products([[(y, y)]]) == [_ones_product(4104, 4104)]
+        assert transforms == []
+
+    def test_rounding_guard_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        x = (1 << _T) - 1
+        with pytest.raises(ArithmeticError, match="from an integer"):
+            arith._products([[(x, x)]])
+
+    def test_twiddle_factors_within_the_assumed_error(self):
+        # the error bound of _products takes pocketfft's roots of unity
+        # within 8 eps; the transform of a unit impulse at index 1 is the
+        # roots exp(-2 pi i j / n) as every pass computes them
+        mpmath = pytest.importorskip("mpmath")
+        n = 1 << 16
+        impulse = np.zeros(n)
+        impulse[1] = 1
+        roots = np.fft.rfft(impulse)
+        with mpmath.workdps(30):
+            for j in range(0, n // 2 + 1, 31):
+                exact = mpmath.expjpi(mpmath.mpf(-2 * j) / n)
+                got = mpmath.mpc(roots[j].real, roots[j].imag)
+                assert abs(got - exact) <= 8 * 2.0 ** -53, j
+
+
+class TestFFTWholePath:
+    """Exact sums, Mertens products and verify read the same with every
+    merge-tree product through the FFT (_FFT_MIN_BITS = 0) and with
+    none (a threshold no operand reaches)."""
+
+    @staticmethod
+    def _both(monkeypatch, compute):
+        out = []
+        for bits in (0, 1 << 62):
+            monkeypatch.setattr(arith, "_FFT_MIN_BITS", bits)
+            out.append(compute())
+        return out
+
+    def test_reciprocal_sum_to_1e6(self, monkeypatch, primes6):
+        fft, star = self._both(monkeypatch,
+                               lambda: reciprocal_sum(primes6 - 1))
+        assert (fft.numerator, fft.denominator) == \
+            (star.numerator, star.denominator)
+
+    def test_lemma_set_at_2e6(self, monkeypatch):
+        fft, star = self._both(monkeypatch, lambda: friability_density(
+            2 * 10 ** 6, ShiftParams(2, 1), Fraction(3, 10)))
+        assert fft == star
+        assert fft.reciprocal_sum.denominator.bit_length() > 600_000
+
+    def test_mertens_product(self, monkeypatch):
+        fft, star = self._both(monkeypatch, lambda: mertens_product(300000))
+        assert (fft.numerator, fft.denominator) == \
+            (star.numerator, star.denominator)
+
+    def test_verify_a_certificate_of_3000_primes(self, monkeypatch):
+        primes = tuple(prime_array(30000)[1:3001].tolist())
+        total = reciprocal_sum([p - 1 for p in primes])
+        for target, valid in ((total, True), (total + Fraction(1, 7), False)):
+            d = Decomposition(1, target, primes)
+            fft, star = self._both(monkeypatch, lambda: verify(d))
+            assert fft == star
+            assert fft.valid is valid
 
 
 def _assert_exact(values):

@@ -282,7 +282,10 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
     """Exact inclusion-exclusion count of the integers in the interval
     A = (lo, hi), 1 <= lo <= hi, coprime to all window primes, with the
     exact sieve bookkeeping |A_d| = X / d + R_d, X = hi - lo + 1.  The
-    count is re-verified by a direct scan when X <= 1e6."""
+    count is re-verified by a direct scan when X <= 1e6: a boolean array
+    over A loses every multiple of each window prime, one strided store
+    per prime from the first multiple at or above lo, and its survivors
+    are counted."""
     # d > hi divides no n in A only when lo >= 1; zero is in every A_d
     if not (isinstance(A, tuple) and len(A) == 2 and 1 <= A[0] <= A[1]):
         raise DomainError(f"need an interval 1 <= lo <= hi, got {A!r}")
@@ -306,11 +309,11 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
                     math.prod(window_primes))
 
     if size <= 10 ** 6:
-        elems = np.arange(lo, hi + 1, dtype=np.int64)
-        keep = np.ones(len(elems), dtype=bool)
+        # entry i is lo + i, so the multiples of p sit at i = -lo mod p
+        keep = np.ones(size, dtype=bool)
         for p in window_primes:
-            keep &= elems % p != 0
-        scan = int(keep.sum())
+            keep[(-lo) % p::p] = False
+        scan = int(np.count_nonzero(keep))
         if scan != exact:
             raise RuntimeError(
                 f"inclusion-exclusion {exact} disagrees with scan {scan}")

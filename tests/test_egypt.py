@@ -479,6 +479,103 @@ class TestSubsetSumBacktrack:
         assert got == [3, 2, 1, 0]
         assert peak < 1 << 20
 
+    def _wide_pools(self, rng):
+        # few items, wide windows: the totals sit near twice the target
+        for _ in range(30):
+            n = rng.randrange(2, 41)
+            target = int(2 ** rng.uniform(20, math.log2(10 ** 8)))
+            weights = [rng.randrange(1, 4 * target // n + 2)
+                       for _ in range(n)]
+            if rng.random() < 0.3:
+                weights[rng.randrange(n)] = target + rng.randrange(1, 99)
+            picked = [w for w in weights if w <= target and rng.random() < .5]
+            hit = sum(picked)
+            evens = [2 * (w // 2) + 2 for w in weights]
+            yield weights, [target, hit, hit + 1, hit - 1]
+            yield evens, [target | 1, hit | 1]
+
+    def test_meet_in_middle_exit_matches_the_dp(self):
+        # the exit only refutes: every answer, index list included, is the
+        # one the DP gives with the exit switched off.  Where the exit does
+        # not run, the two calls run the same code, so only the calls that
+        # reach it are repeated.
+        rng = random.Random(20261019)
+        verdicts = []
+        real = egypt._meets
+
+        def recording(weights, target):
+            verdicts.append(real(weights, target))
+            return verdicts[-1]
+
+        for weights, targets in self._wide_pools(rng):
+            for target in targets:
+                if target < 1 << 20:
+                    continue
+                fired = len(verdicts)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(egypt, "_meets", recording)
+                    got = _bitset_subset_sum(weights, target)
+                if len(verdicts) > fired:
+                    assert (got is not None) == verdicts[-1]
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(egypt, "_MITM_MIN_WINDOW", 1 << 62)
+                        assert _bitset_subset_sum(weights, target) == got
+                if got is not None:
+                    assert sum(weights[i] for i in got) == target
+                if len(weights) <= 16:
+                    reachable = any(
+                        sum(c) == target for r in range(len(weights) + 1)
+                        for c in itertools.combinations(weights, r))
+                    assert (got is not None) == reachable
+        refuted = verdicts.count(False)
+        assert len(verdicts) > 50 and 20 < refuted < len(verdicts)
+
+    def test_wide_unreachable_pool_builds_no_bitset(self, monkeypatch):
+        # 4/107 at h = 6 over 462702240 = 2^5 3^3 5 7 11 13 107: 15 of
+        # the 20 pool weights are at most the target 17297280, and no
+        # subset of them hits it.  With the exit off the forward pass
+        # slides a 2 MB window once per item to learn that.
+        slides = []
+        real = egypt._slide
+
+        def spy(*args):
+            slides.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(egypt, "_slide", spy)
+        for floor in (egypt._MITM_MIN_WINDOW, 1 << 62):
+            monkeypatch.setattr(egypt, "_MITM_MIN_WINDOW", floor)
+            with pytest.raises(SearchExhausted):
+                egypt._divisor_dp(Fraction(4, 107), 6, 462702240,
+                                  egypt.DEFAULT_BUDGET, frozenset())
+            assert bool(slides) == (floor == 1 << 62)
+
+    def test_meet_in_middle_exit_allocates_less_than_the_bitset(self):
+        # the exit's arrays stay under one window-wide bitset, at the
+        # smallest window that fires it, for odd and even item counts
+        weights = [w for w, _ in smooth_pool(6, 462702240)]
+        target = 4 * (462702240 // 107)
+        kept = sum(w for w in weights if w <= target)
+        window_bytes = min(target, kept - target) // 8
+        got, peak = self._peak(weights, target)
+        assert got is None and peak < window_bytes // 64
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(egypt, "_MITM_MIN_WINDOW", 1 << 62)
+            got, dp_peak = self._peak(weights, target)
+        assert got is None and dp_peak > window_bytes
+
+        rng = random.Random(5)
+        for n in (2, 3, 20, 21, 28, 29):
+            weights = [2 * rng.randrange(1, 10 ** 9) for _ in range(n)]
+            tracemalloc.start()
+            try:
+                assert not egypt._meets(weights, sum(weights) // 2 | 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            smallest = max(egypt._MITM_MIN_WINDOW, 512 << (n // 2))
+            assert peak < smallest // 8, n
+
 
 class TestDecompose:
     def test_two_is_two_disjoint_units(self):

@@ -248,6 +248,20 @@ class TestLegendreSieve:
                        if all(n % p for p in window))
             assert est.exact_count == scan
 
+    @pytest.mark.parametrize("lo", [1, 2, 13, 1001, 30030,
+                                    10 ** 12 - 10 ** 12 % 13, 10 ** 12,
+                                    10 ** 12 + 1])
+    def test_scan_offsets(self, lo):
+        # the scan clears each prime's multiples from offset -lo mod p:
+        # lo itself a multiple of a window prime (offset 0), lo = 1, and
+        # lo near 1e12; a wrong offset makes the scan disagree with
+        # inclusion-exclusion (RuntimeError) or the count wrong
+        window = [2, 3, 5, 7, 11, 13]
+        for hi in (lo, lo + 1, lo + 12, lo + 3001):
+            est = legendre_sieve_count((lo, hi), window)
+            assert est.exact_count == sum(
+                1 for n in range(lo, hi + 1) if all(n % p for p in window))
+
     def test_scan_catches_wrong_count(self, monkeypatch):
         # the direct scan checks inclusion-exclusion independently
         real = spectrum._subset_counts

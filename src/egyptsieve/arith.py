@@ -10,18 +10,23 @@ small smooth parts, the big primes cancel by an exact divisibility
 test, and the coprime result is built without the constructor's gcd.
 The big primes are read off the cached largest-prime-power table when
 it has fewer entries than len(values) * pi(B) and fits under
-MAX_ARRAY_LIMIT; sparser inputs are trial-divided value by value.  The
-leaves of the sum come from the sorted arrays, Python folds them in runs
-of _FOLD, and only the folded nodes enter the balanced merge tree.  The
-products of the merge trees (exact sums, ``balanced_product`` and
-``egypt.verify``) go through ``_products``: a float FFT over 8-bit
-limbs once every operand has _FFT_MIN_BITS bits, exact by a stated
-error bound up to transforms of _FFT_MAX_LEN limbs, and ``*`` otherwise.
-"""
+MAX_ARRAY_LIMIT; sparser inputs are trial-divided value by value.
 
+Every exact sum of reciprocals has one tree format, leaves u / (s * r)
+and nodes a / (s * b): ``_fold`` sums runs of _FOLD leaves in Python,
+and only the folded nodes enter the balanced merge tree of
+``_sum_merge``.  ``reciprocal_sum`` builds its leaves from the sorted
+arrays; ``_reciprocal_tree`` (the unreduced sum that ``egypt.verify``
+and ``egypt.merge_by_pigeonhole`` check) takes u = s = 1 and r = d.
+The products of the merge trees (these sums and ``balanced_product``)
+go through ``_products``: a float FFT over 8-bit limbs once every
+operand has _FFT_MIN_BITS bits, exact by a stated error bound up to
+transforms of _FFT_MAX_LEN limbs, and ``*`` otherwise.
+"""
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -75,11 +80,13 @@ _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 def is_prime(n: int) -> bool:
     """Deterministic primality for all n below psi_13, BPSW from there on.
 
-    Trial division by the primes to 47 comes first.  Then Miller-Rabin
+    n is read with ``operator.index``: a numpy integer counts as the int
+    it holds, and a float or Fraction raises TypeError.  Trial division by the primes to 47 comes first.  Then Miller-Rabin
     runs on the first k prime bases, k the least count proven to decide
     n (the ``_MR_WITNESSES`` rows: base 2 below 2,047, bases 2 and 3
     below 1,373,653, ..., 2..37 below psi_12, 2..41 from there on), and
     from psi_13 on a strong Lucas test follows."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -553,14 +560,16 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     return rough
 
 
-# leaves per node of reciprocal_sum's fold: Python runs once per run of
-# _FOLD leaves, and only the nodes enter the merge tree
+# leaves per node of _fold: Python runs once per run of _FOLD leaves,
+# and only the nodes enter the merge tree
 _FOLD = 32
 
 
 def _sum_merge(x, y):
-    """Sum of two reciprocal sums held as a / (s * b): s from small lcms,
-    b a product of distinct primes, the b of x and y coprime."""
+    """Sum of two reciprocal sums held as a / (s * b), unreduced: s from
+    small lcms, b the product of the leaves' r.  The formula holds for
+    any b; only ``reciprocal_sum``'s final cancellation needs the b of x
+    and y coprime, as its distinct rough primes make them."""
     (a1, s1, b1), (a2, s2, b2) = x, y
     s = lcm(s1, s2)
     a, b = _products([[(a1 * (s // s1), b2), (a2 * (s // s2), b1)],
@@ -579,6 +588,16 @@ def _fold(us: list, ss: list, rs: list) -> list:
         nodes.append((sum([u * (S // m) * (P // q) for u, m, q
                            in zip(us[i:i + _FOLD], s, r)]), S, P))
     return nodes
+
+
+def _reciprocal_tree(ds: list) -> tuple[int, int]:
+    """The sum of 1/d over a list of ints d >= 1 as an unreduced pair
+    (num, den), den the product of the ds: the leaves u = s = 1, r = d
+    folded by ``_fold`` and merged by ``_sum_merge``, so no gcd is
+    taken; (0, 1) for no terms."""
+    ones = [1] * len(ds)
+    a, _, b = _pairwise(_fold(ones, ones, ds), _sum_merge, (0, 1, 1))
+    return a, b
 
 
 def _integer_array(values) -> np.ndarray:

@@ -34,6 +34,7 @@ universe repeat a question.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,8 +44,7 @@ import numpy as np
 
 from .arith import (
     _PSI_13,
-    _pairwise,
-    _products,
+    _reciprocal_tree,
     is_prime,
     prime_array,
     trial_factor,
@@ -159,36 +159,49 @@ class FeasibilityResult:
     explanation: str = "feasible"
 
 
-def _add_ratios(x, y):
-    """Sum of two (num, den) pairs, not reduced: no gcd."""
-    num, den = _products([[(x[0], y[1]), (y[0], x[1])], [(x[1], y[1])]])
-    return num, den
+def _exact_ints(values, what: str) -> list[int]:
+    """values read with ``operator.index`` (a numpy integer becomes the
+    int it holds); the first entry that is no integer (a float, a
+    Fraction, a string) raises DomainError naming it."""
+    out = []
+    for v in values:
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise DomainError(f"{what} {v!r} not an integer") from None
+    return out
 
 
 def verify(d: Decomposition) -> VerificationResult:
-    """Independent certificate check: primality, strict increase,
-    positive denominators, exact rational sum (added in a balanced tree
-    of unreduced (num, den) pairs, whose products go through
-    ``arith._products``, then cross-multiplied against the target, so
-    no gcd is taken)."""
+    """Independent certificate check: exact integers, primality, strict
+    increase, positive denominators, exact rational sum.  h and each
+    prime are read with ``operator.index``, so a numpy integer counts as
+    its int and a float, Fraction or string makes the certificate
+    invalid; a target that is not a finite rational does too.  The sum
+    is ``arith._reciprocal_tree``'s unreduced (num, den), cross-multiplied
+    against the target, so no gcd is taken."""
     try:
         target = Fraction(d.target)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ArithmeticError):    # "1/0", inf
         return VerificationResult(False, f"target {d.target!r} not rational")
     if target <= 0:
         return VerificationResult(False, f"target {target} not positive")
+    try:
+        (h,) = _exact_ints((d.h,), "shift")
+        primes = _exact_ints(d.primes, "prime")
+    except DomainError as exc:
+        return VerificationResult(False, str(exc))
     last = 0
-    for p in d.primes:
+    for p in primes:
         if p <= last:
             return VerificationResult(
                 False, f"primes not strictly increasing at {p}")
         last = p
         if not is_prime(p):
             return VerificationResult(False, f"{p} not prime")
-        if p - d.h < 1:
-            return VerificationResult(False, f"denominator {p - d.h} < 1")
-    num, den = _pairwise([(1, p - d.h) for p in d.primes], _add_ratios,
-                         (0, 1))
+        if p - h < 1:
+            return VerificationResult(False, f"denominator {p - h} < 1")
+    num, den = _reciprocal_tree([p - h for p in primes])
     # den > 0 and target.denominator > 0, so the cross products compare
     # like the fractions
     lhs, rhs = num * target.denominator, target.numerator * den
@@ -196,10 +209,10 @@ def verify(d: Decomposition) -> VerificationResult:
         # no digits: the sum may be far past int-to-decimal's limit
         side = "above" if lhs > rhs else "below"
         return VerificationResult(
-            False, f"sum of the {len(d.primes)} reciprocals is {side} "
+            False, f"sum of the {len(primes)} reciprocals is {side} "
                    "the target")
     return VerificationResult(
-        True, probable_primes=sum(p >= _PSI_13 for p in d.primes))
+        True, probable_primes=sum(p >= _PSI_13 for p in primes))
 
 
 def _valuation(n: int, f: int) -> int:
@@ -782,32 +795,39 @@ def r_fold_disjoint(x, h: int, r: int,
 def merge_by_pigeonhole(parts: PartialSolution) -> Decomposition:
     """Union d disjoint parts of value 1/d into a decomposition of 1.
 
-    Picks the smallest d whose value occurs at least d times; raises
+    h and every member are read with ``operator.index`` and each part's
+    sum by ``arith._reciprocal_tree``, as ``verify`` reads them; a shift
+    or member that is no integer, a value not of shape 1/d, a prime in
+    two parts or a part that misses its value raises DomainError.  Picks
+    the smallest d whose value occurs at least d times; raises
     MergeInsufficient (with the value multiset) when none does.
     """
+    (h,) = _exact_ints((parts.h,), "shift")
     seen: set[int] = set()
     by_d: dict[int, list[tuple[int, ...]]] = {}
     for value, members in parts.parts:
-        value = Fraction(value)
-        if value.numerator != 1 or value.denominator < 1:
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise DomainError(f"part value {value!r} not rational") from None
+        if value.numerator != 1:
             raise DomainError(f"part value {value} is not of shape 1/d")
-        got = Fraction(0)
+        members = tuple(_exact_ints(members, "prime"))
         for p in members:
             if p in seen:
                 raise DomainError(f"prime {p} appears in two parts")
             seen.add(p)
-            if p - parts.h < 1:
-                raise DomainError(f"denominator {p - parts.h} < 1")
-            got += Fraction(1, p - parts.h)
-        if got != value:
-            raise DomainError(
-                f"part {members} sums to {got}, not {value}")
-        by_d.setdefault(value.denominator, []).append(tuple(members))
+            if p - h < 1:
+                raise DomainError(f"denominator {p - h} < 1")
+        num, den = _reciprocal_tree([p - h for p in members])
+        if num * value.denominator != den:
+            raise DomainError(f"part {members} does not sum to {value}")
+        by_d.setdefault(value.denominator, []).append(members)
     counts = {d: len(v) for d, v in by_d.items()}
     for d in sorted(by_d):
         if counts[d] >= d:
             primes: list[int] = []
             for members in by_d[d][:d]:
                 primes.extend(members)
-            return _certified(Fraction(1), parts.h, primes, "merge")
+            return _certified(Fraction(1), h, primes, "merge")
     raise MergeInsufficient(counts)

@@ -235,6 +235,16 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     return total / (len(primes) * c)
 
 
+def _coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
+    """A bool array over lo..hi, entry i standing for lo + i, False at
+    the multiples of each listed prime: one strided store per prime from
+    its first multiple at or above lo, i = -lo mod p."""
+    keep = np.ones(hi - lo + 1, dtype=bool)
+    for p in primes:
+        keep[(-lo) % p::p] = False
+    return keep
+
+
 def divisor_window_density(N: int, shift: ShiftParams, y, z) -> DensityReport:
     """Relative density of primes whose n = p - h has no prime factor in
     the closed window [y, z]; baseline log y / log z, which holds past
@@ -250,12 +260,10 @@ def divisor_window_density(N: int, shift: ShiftParams, y, z) -> DensityReport:
         return log(y) / log(z)
 
     def select(n, y, z):
+        # entry 0 of the mask is never read: n >= q >= 1
         top = int(n.max())
-        marked = np.zeros(top + 1, dtype=bool)
-        for p in prime_array(min(top, int(z))).tolist():
-            if p >= y:
-                marked[p::p] = True
-        return ~marked[n], 0
+        primes = [p for p in prime_array(min(top, int(z))).tolist() if p >= y]
+        return _coprime_mask(0, top, primes)[n], 0
 
     return _report(N, shift, baseline, select, y=y, z=z)
 
@@ -282,10 +290,8 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
     """Exact inclusion-exclusion count of the integers in the interval
     A = (lo, hi), 1 <= lo <= hi, coprime to all window primes, with the
     exact sieve bookkeeping |A_d| = X / d + R_d, X = hi - lo + 1.  The
-    count is re-verified by a direct scan when X <= 1e6: a boolean array
-    over A loses every multiple of each window prime, one strided store
-    per prime from the first multiple at or above lo, and its survivors
-    are counted."""
+    count is re-verified by a direct scan when X <= 1e6: the survivors
+    of ``_coprime_mask`` over A are counted."""
     # d > hi divides no n in A only when lo >= 1; zero is in every A_d
     if not (isinstance(A, tuple) and len(A) == 2 and 1 <= A[0] <= A[1]):
         raise DomainError(f"need an interval 1 <= lo <= hi, got {A!r}")
@@ -309,11 +315,7 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
                     math.prod(window_primes))
 
     if size <= 10 ** 6:
-        # entry i is lo + i, so the multiples of p sit at i = -lo mod p
-        keep = np.ones(size, dtype=bool)
-        for p in window_primes:
-            keep[(-lo) % p::p] = False
-        scan = int(np.count_nonzero(keep))
+        scan = int(np.count_nonzero(_coprime_mask(lo, hi, window_primes)))
         if scan != exact:
             raise RuntimeError(
                 f"inclusion-exclusion {exact} disagrees with scan {scan}")

@@ -2,9 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from egyptsieve.arith import prime_array
 from egyptsieve.spectrum import ShiftParams
+
+# every property test draws the same examples on every run: Tier-1 is
+# deterministic, and no example database is read or written
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -231,6 +231,17 @@ class TestIsPrime:
     def test_one(self):
         assert not is_prime(1)
 
+    def test_reads_numpy_integers(self):
+        # primes straight from the array, above the trial divisors to 47
+        for p in prime_array(200)[15:].tolist():
+            assert is_prime(np.int64(p)) and is_prime(np.uint32(p))
+            assert not is_prime(np.int64(p * 53))
+
+    @pytest.mark.parametrize("n", [53.0, Fraction(53), "53"])
+    def test_refuses_non_integers(self, n):
+        with pytest.raises(TypeError):
+            is_prime(n)
+
     def test_mersenne_61(self):
         # Lucas-Lehmer is the independent certificate for 2^61 - 1
         m = 2 ** 61 - 1

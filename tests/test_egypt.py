@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from egyptsieve import arith, egypt
@@ -873,6 +874,69 @@ class TestVerify:
         assert res.reason == "sum of the 8000 reciprocals is above the target"
 
 
+class TestVerifyFold:
+    """verify's sum is arith's fold and merge: lengths at the edges of
+    _FOLD's runs and one of 2,000 primes, read against the Fraction
+    reference with the real FFT threshold and with every merge product
+    through the FFT."""
+
+    @pytest.mark.parametrize("fft_min_bits", [arith._FFT_MIN_BITS, 0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 65, 2000])
+    def test_against_reference(self, monkeypatch, n, fft_min_bits):
+        monkeypatch.setattr(arith, "_FFT_MIN_BITS", fft_min_bits)
+        primes = tuple(prime_array(20000)[:n].tolist())
+        for h in (1, -2):
+            total = _pairwise([Fraction(1, p - h) for p in primes],
+                              operator.add, Fraction(0))
+            nudge = Fraction(1, total.denominator)
+            for x in (total, total + nudge, total - nudge):
+                d = Decomposition(h, x, primes)
+                res = verify(d)
+                assert (res.valid, res.reason) == _reference_verify(d), \
+                    (n, h, x - total)
+                assert res.valid is (n > 0 and x == total)
+
+
+class TestVerifyReadsExactly:
+    """verify reads h and every prime as an exact integer, numpy
+    integers included, and refuses anything else by name."""
+
+    def test_half_shift_refused_at_both_targets(self):
+        # 1/1.5 + 1/2.5 is 16/15; floor-dividing floats would read 4/5
+        for target in (Fraction(4, 5), Fraction(16, 15)):
+            res = verify(Decomposition(0.5, target, (2, 3)))
+            assert (res.valid, res.reason) == \
+                (False, "shift 0.5 not an integer")
+
+    @pytest.mark.parametrize("h, primes, reason", [
+        (Fraction(1), (3, 5, 7, 13), "shift Fraction(1, 1) not an integer"),
+        ("1", (3, 5, 7, 13), "shift '1' not an integer"),
+        (1, (3, 5.0, 7, 13), "prime 5.0 not an integer"),
+        (1, (3, 5, Fraction(7), 13), "prime Fraction(7, 1) not an integer"),
+        (1, (3, 5, 7, "13"), "prime '13' not an integer"),
+    ])
+    def test_non_integers_refused(self, h, primes, reason):
+        res = verify(Decomposition(h, ONE, primes))
+        assert (res.valid, res.reason) == (False, reason)
+
+    @pytest.mark.parametrize("target", ["1/0", float("nan"), float("inf")])
+    def test_target_not_rational(self, target):
+        res = verify(Decomposition(1, target, (3, 5, 7, 13)))
+        assert (res.valid, res.reason) == \
+            (False, f"target {target!r} not rational")
+
+    def test_numpy_primes(self):
+        # int64 primes straight from the array, above 47 too
+        primes = tuple(prime_array(1000)[10:80])
+        assert type(primes[0]) is np.int64 and primes[-1] > 47
+        for h in (1, np.int64(1), np.int32(-2)):
+            total = _pairwise([Fraction(1, int(p - h)) for p in primes],
+                              operator.add, Fraction(0))
+            res = verify(Decomposition(h, total, primes))
+            assert res.valid
+            assert type(res.probable_primes) is int
+
+
 class TestPublicExitsCheck:
     # a verify that rejects the whole target: each public exit must turn
     # the rejection into an internal error naming its own stage, after
@@ -1213,6 +1277,25 @@ class TestMerge:
         parts = PartialSolution(h=1, parts=((Fraction(1, 2), (5,)),))
         with pytest.raises(DomainError):
             merge_by_pigeonhole(parts)
+
+    @pytest.mark.parametrize("h, parts", [
+        (1.0, ((Fraction(1, 2), (3,)), (Fraction(1, 2), (5, 7, 13)))),
+        (1.5, ((Fraction(1, 2), (3,)),)),
+        (1, ((Fraction(1, 2), (3.0,)), (Fraction(1, 2), (5, 7, 13)))),
+        (1, ((Fraction(1, 2), (3,)), (Fraction(1, 2), (5, Fraction(7), 13)))),
+        (1, (("1/0", (3,)),)),
+    ])
+    def test_non_integers_rejected(self, h, parts):
+        with pytest.raises(DomainError):
+            merge_by_pigeonhole(PartialSolution(h=h, parts=parts))
+
+    def test_numpy_members(self):
+        parts = _dp_parts(Fraction(1, 2), 1, 2)
+        as_numpy = tuple((v, tuple(np.int64(p) for p in m)) for v, m in parts)
+        dec = merge_by_pigeonhole(PartialSolution(h=np.int64(1),
+                                                  parts=as_numpy))
+        assert dec == merge_by_pigeonhole(PartialSolution(1, tuple(parts)))
+        assert all(type(p) is int for p in dec.primes) and type(dec.h) is int
 
     def test_non_unit_value_rejected(self):
         parts = PartialSolution(h=1, parts=((Fraction(2, 3), (3, 7)),))

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: primality, sieving into one array cache
-(every prime list, base primes too, is a slice of ``prime_array``),
-factorization, li, exact reciprocal sums.
+(every prime list is a slice of ``prime_array``: the kernels' base
+primes, the split primes of exact sums and ``trial_factor``'s divisors
+alike), factorization, li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -71,7 +72,7 @@ MAX_BASE_PRIME = 1 << 27
 # _cached builds whole-range arrays to here: 2 GB at the 4 B per entry
 # of max_prime_power_array
 MAX_ARRAY_LIMIT = 5 * 10 ** 8
-# trial_factor's default prime list runs to here; built on first use
+# trial_factor divides by the primes of prime_array up to here
 TRIAL_PRIME_BOUND = 10 ** 6
 
 _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
@@ -286,26 +287,21 @@ class Factorization:
         return out
 
 
-@functools.cache
-def _trial_primes() -> list[int]:
-    return prime_array(TRIAL_PRIME_BOUND).tolist()
-
-
-def trial_factor(n: int, primes: list[int] | None = None) -> Factorization:
-    """Factorization of n >= 1 by trial division over ``primes``, all the
-    primes up to some bound in increasing order (default: those up to
-    TRIAL_PRIME_BOUND).  Division stops once p^2 exceeds the cofactor,
-    which is then 1 or prime; a cofactor left over after the last listed
-    prime must pass is_prime, or CapacityError is raised."""
+def trial_factor(n: int) -> Factorization:
+    """Factorization of n >= 1 by trial division over the cached
+    ``prime_array(TRIAL_PRIME_BOUND)``, read through a memoryview: it
+    yields each prime as a Python int, so m % p stays exact on big m,
+    and only the primes the loop reaches are read.  Division stops once
+    p^2 exceeds the cofactor, which is then 1 or prime; a cofactor left
+    over after the last prime must pass is_prime, or CapacityError is
+    raised."""
     if n == 0:
         raise DomainError("cannot factor 0")
     if n < 0:
         raise DomainError(f"cannot factor negative {n}")
-    if primes is None:
-        primes = _trial_primes()
     factors = []
     m = n
-    for p in primes:
+    for p in memoryview(prime_array(TRIAL_PRIME_BOUND)):
         if m % p == 0:
             m //= p
             e = 1
@@ -321,7 +317,7 @@ def trial_factor(n: int, primes: list[int] | None = None) -> Factorization:
         if m > 1 and not is_prime(m):
             raise CapacityError(
                 f"{n} has a composite cofactor {m} without prime factors "
-                f"among the {len(primes)} listed primes")
+                f"up to {TRIAL_PRIME_BOUND}")
     if m > 1:
         factors.append((m, 1))
     return Factorization(tuple(factors))
@@ -364,9 +360,10 @@ def _check_array_limit(kind: str, limit: int) -> None:
 
 def _cached(kind: str, limit: int, build) -> np.ndarray:
     """build(limit), cached per kind.  The one array kept for a kind
-    serves every limit up to its own as a slice (prime arrays after their
-    last prime <= limit, arrays indexed by n at limit + 1), and a build
-    for a larger limit replaces it.  A build may itself ask for a smaller
+    serves its own limit as it is (no search: ``trial_factor`` asks for
+    it on every call) and every smaller limit as a slice (prime arrays
+    after their last prime <= limit, arrays indexed by n at limit + 1),
+    and a build for a larger limit replaces it.  A build may itself ask for a smaller
     array of its kind (the kernels' base primes); whatever that left is
     dropped when the build returns.  Stored arrays are read-only, and so
     are the slices handed out.  A build above MAX_ARRAY_LIMIT raises
@@ -374,7 +371,9 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = next((n for k, n in _cache if k == kind), -1)
-    if held >= limit:
+    if held == limit:
+        return _cache[(kind, held)]
+    if held > limit:
         arr = _cache[(kind, held)]
         return arr[:np.searchsorted(arr, limit, "right") if kind == "primes"
                    else limit + 1]
@@ -600,21 +599,31 @@ def _reciprocal_tree(ds: list) -> tuple[int, int]:
     return a, b
 
 
+def _exact_ints(values, what: str) -> list[int]:
+    """values read with ``operator.index`` (a numpy integer becomes the
+    int it holds); the first entry that is no integer (a bool, a float,
+    a Fraction, a string) raises DomainError naming it."""
+    out = []
+    for v in values:
+        try:
+            if isinstance(v, bool):
+                raise TypeError
+            out.append(operator.index(v))
+        except TypeError:
+            raise DomainError(f"{what} {v!r} not an integer") from None
+    return out
+
+
 def _integer_array(values) -> np.ndarray:
     """values as an integer array.  An integer array passes as it is;
-    other input is read entry by entry, and any entry that is not an
-    int or numpy integer (a bool, a float, a Fraction) raises
+    other input is read entry by entry through ``_exact_ints``, so an
+    entry that is no integer (a bool, a float, a Fraction) raises
     DomainError rather than being truncated."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":
             return values
         values = values.tolist()
-    vals = list(values)
-    for t in set(map(type, vals)):
-        if t is bool or not issubclass(t, (int, np.integer)):
-            raise DomainError(
-                f"reciprocal_sum needs integers, got {t.__name__}")
-    return np.array(vals)
+    return np.array(_exact_ints(values, "reciprocal_sum value"))
 
 
 def reciprocal_sum(values) -> Fraction:

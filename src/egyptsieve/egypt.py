@@ -21,9 +21,11 @@ Each public search (``decompose``, ``smooth_dp_decompose``,
 ``greedy_decompose``) is the gate, a private stage that returns primes,
 then the independent verifier; ``merge_by_pigeonhole`` checks its union
 the same way.  No private function calls a public search, so the
-verifier runs once per decomposition that leaves this module.  A
+verifier runs once per decomposition that leaves this module, and
+ObstructionError is only ever about the caller's own target.  A
 failed search raises SearchExhausted and never claims nonexistence
-beyond its explicit pool.
+beyond its explicit pool; a split part or greedy residual whose
+denominator shares a factor with h ends the cascade that way too.
 
 Stage 1's divisor pools are memoized per process (LRU, at most 1,024
 unfiltered pools keyed on (h, L, max_prime); ``exclude`` is applied to
@@ -34,7 +36,6 @@ universe repeat a question.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +45,7 @@ import numpy as np
 
 from .arith import (
     _PSI_13,
+    _exact_ints,
     _reciprocal_tree,
     is_prime,
     prime_array,
@@ -159,27 +161,14 @@ class FeasibilityResult:
     explanation: str = "feasible"
 
 
-def _exact_ints(values, what: str) -> list[int]:
-    """values read with ``operator.index`` (a numpy integer becomes the
-    int it holds); the first entry that is no integer (a float, a
-    Fraction, a string) raises DomainError naming it."""
-    out = []
-    for v in values:
-        try:
-            out.append(operator.index(v))
-        except TypeError:
-            raise DomainError(f"{what} {v!r} not an integer") from None
-    return out
-
-
 def verify(d: Decomposition) -> VerificationResult:
     """Independent certificate check: exact integers, primality, strict
     increase, positive denominators, exact rational sum.  h and each
-    prime are read with ``operator.index``, so a numpy integer counts as
-    its int and a float, Fraction or string makes the certificate
-    invalid; a target that is not a finite rational does too.  The sum
-    is ``arith._reciprocal_tree``'s unreduced (num, den), cross-multiplied
-    against the target, so no gcd is taken."""
+    prime are read by ``arith._exact_ints``, so a numpy integer counts
+    as its int and a bool, float, Fraction or string makes the
+    certificate invalid; a target that is not a finite rational does
+    too.  The sum is ``arith._reciprocal_tree``'s unreduced (num, den),
+    cross-multiplied against the target, so no gcd is taken."""
     try:
         target = Fraction(d.target)
     except (TypeError, ValueError, ArithmeticError):    # "1/0", inf
@@ -700,11 +689,16 @@ def _dp_solve(t: Fraction, h: int, exclude,
               budget: SearchBudget) -> list[int] | None:
     """The divisor-pool DP on t over each modulus of _dp_moduli(t) in
     order, with the primes in exclude barred: the primes of the first
-    pool that hits t, or None.  When there is a modulus to try, t passes
-    the gate first (ObstructionError)."""
+    pool that hits t, or None.  When there is a modulus to try and
+    gcd(|h|, den t) > 1, SearchExhausted names t and the search stops:
+    t is a split part or a greedy residual, so that gcd proves nothing
+    about the cascade's own target."""
     moduli = _dp_moduli(t)
-    if moduli:
-        _gate(t, h)
+    if moduli and gcd(abs(h), t.denominator) != 1:
+        raise SearchExhausted(
+            f"part {t} of the search has a denominator sharing a factor "
+            f"with |h| = {abs(h)}; the search stops there",
+            target=str(t))
     for M in moduli:
         try:
             return _divisor_dp(t, h, M, budget, exclude)
@@ -764,8 +758,9 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     because assembly, run once per cascade and never on a split part,
     only takes targets below about 2.3.
 
-    Raises ObstructionError at the feasibility gate and SearchExhausted
-    when every strategy runs out of budget (never a nonexistence claim).
+    Raises ObstructionError at the feasibility gate on x only, and
+    SearchExhausted when every strategy runs out of budget or a split
+    part or greedy residual fails the gate (never a nonexistence claim).
     """
     x = _gate(x, h)
     used = set(exclude)
@@ -795,12 +790,13 @@ def r_fold_disjoint(x, h: int, r: int,
 def merge_by_pigeonhole(parts: PartialSolution) -> Decomposition:
     """Union d disjoint parts of value 1/d into a decomposition of 1.
 
-    h and every member are read with ``operator.index`` and each part's
+    h and every member are read by ``arith._exact_ints`` and each part's
     sum by ``arith._reciprocal_tree``, as ``verify`` reads them; a shift
-    or member that is no integer, a value not of shape 1/d, a prime in
-    two parts or a part that misses its value raises DomainError.  Picks
-    the smallest d whose value occurs at least d times; raises
-    MergeInsufficient (with the value multiset) when none does.
+    or member that is no integer (a bool included), a value not of shape
+    1/d, a prime in two parts or a part that misses its value raises
+    DomainError.  Picks the smallest d whose value occurs at least d
+    times; raises MergeInsufficient (with the value multiset) when none
+    does.
     """
     (h,) = _exact_ints((parts.h,), "shift")
     seen: set[int] = set()

@@ -82,14 +82,13 @@ def certificate_from_dict(d) -> Decomposition:
         raise DomainError(f"malformed certificate: {exc}") from exc
 
 
-def render_report(payload: dict, config: dict, version: str,
-                  timestamp: str | None = None) -> str:
+def render_report(payload: dict, config: dict, version: str) -> str:
     """Stable JSON text: sorted keys, embedded config and version, the
     timestamp isolated on its own line."""
     doc = dict(payload)
     doc["config"] = config
     doc["version"] = version
-    doc["timestamp"] = timestamp or datetime.now(timezone.utc).isoformat()
+    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -112,8 +111,7 @@ def density_rows(reports) -> list[dict]:
     return rows
 
 
-def render_csv(rows, config: dict, version: str,
-               timestamp: str | None = None) -> str:
+def render_csv(rows, config: dict, version: str) -> str:
     """CSV with provenance comment lines; the timestamp comment is a
     separate line, like the JSON key.  The columns are the rows' keys in
     order of first appearance, so rows of different lemmas share one
@@ -121,8 +119,7 @@ def render_csv(rows, config: dict, version: str,
     buf = io.StringIO()
     buf.write(f"# version: {version}\n")
     buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    ts = timestamp or datetime.now(timezone.utc).isoformat()
-    buf.write(f"# timestamp: {ts}\n")
+    buf.write(f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n")
     rows = list(rows)
     if rows:
         fields = list(dict.fromkeys(k for row in rows for k in row))

@@ -20,7 +20,6 @@ from math import gcd, isqrt
 import numpy as np
 
 from .arith import (
-    TRIAL_PRIME_BOUND,
     _check_array_limit,
     _coprime_fraction,
     _rough_parts,
@@ -358,10 +357,7 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
         count = int(_residue_histogram(N)[h % d::d].sum())
     else:
         count = int(((prime_array(N) % d) == (h % d)).sum())
-    # the primes up to sqrt(d) factor d as the default list would, without
-    # keeping that list of 78,498 ints (3.5 MB) for small d
-    roots = prime_array(min(isqrt(d), TRIAL_PRIME_BOUND)).tolist()
-    return count, li_approx(N) / trial_factor(d, roots).totient
+    return count, li_approx(N) / trial_factor(d).totient
 
 
 def mertens_product(w: int) -> Fraction:

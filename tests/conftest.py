@@ -23,6 +23,13 @@ def shift_plus1():
     return ShiftParams(h=1, q=1)
 
 
+def strip_timestamp(text: str) -> str:
+    """A report's text without its timestamp line, JSON or CSV."""
+    return "\n".join(ln for ln in text.splitlines()
+                     if '"timestamp"' not in ln
+                     and not ln.startswith("# timestamp"))
+
+
 def naive_factor(n):
     """Independent trial-division factorization used as the test oracle."""
     out = []

@@ -13,7 +13,6 @@ from egyptsieve.arith import (
     _PSI_13,
     Factorization,
     _strong_lucas_prp,
-    _trial_primes,
     balanced_product,
     is_prime,
     li_approx,
@@ -111,12 +110,9 @@ class TestSievePrimes:
             got = prime_array(limit).tolist()
             assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
-        _trial_primes.cache_clear()
         _drop_cached("primes")
-        got = _trial_primes()
-        assert got == np.flatnonzero(
+        assert prime_array(arith.TRIAL_PRIME_BOUND).tolist() == np.flatnonzero(
             _monolithic_flags(arith.TRIAL_PRIME_BOUND)).tolist()
-        assert all(type(p) is int for p in got)
 
 
 class TestPrimeSegments:
@@ -190,6 +186,8 @@ class TestPrimeCache:
         prime_array(3000)
         assert [k for k in arith._cache if k[0] == "primes"] == \
             [("primes", 3000)]
+        # its own limit is served as the kept array, with no search
+        assert prime_array(3000) is arith._cache[("primes", 3000)]
 
     def test_nested_builds_leave_one_entry(self):
         # the build to 10^6 asks for its base primes to 1000, whose build
@@ -414,10 +412,8 @@ class TestFactorize:
             assert factor_product(trial_factor(n).factors) == n
 
     def test_segmented_table_agrees(self):
-        limit = (1 << 24) + 2 ** 20
-        roots = prime_array(math.isqrt(limit)).tolist()
         for n in (2, 97, 720720, 999983, (1 << 24) + 7, (1 << 24) + 2 ** 20):
-            assert trial_factor(n, roots).factors == tuple(naive_factor(n))
+            assert trial_factor(n).factors == tuple(naive_factor(n))
 
     def test_divisors(self):
         assert trial_factor(12).divisors() == [1, 2, 3, 4, 6, 12]
@@ -454,12 +450,26 @@ class TestTrialFactor:
         with pytest.raises(CapacityError):
             trial_factor((10 ** 6 + 3) * (10 ** 6 + 33))
 
-    def test_given_list(self):
-        assert trial_factor(360, [2, 3, 5]).factors == ((2, 3), (3, 2), (5, 1))
-        assert trial_factor(2 * 53, [2, 3, 5]).factors == ((2, 1), (53, 1))
-        with pytest.raises(CapacityError):
-            trial_factor(7 * 11, [2, 3, 5])
-        assert trial_factor(3, []).factors == ((3, 1),)
+    def test_prime_squares_keep_the_root(self):
+        # p^2 needs p itself, the largest prime up to isqrt(p^2): a prime
+        # list cut below isqrt(n) leaves 49 an unfactored composite, and
+        # one that stops short of 999983 leaves 999983^2 one
+        sympy = pytest.importorskip("sympy")
+        for p in [*sympy.primerange(2, 1001), 999983]:
+            assert trial_factor(p * p).factors == \
+                tuple(sorted(sympy.factorint(p * p).items())) == ((p, 2),)
+
+    def test_divides_by_the_cached_prime_array(self, monkeypatch):
+        # trial_factor keeps no prime list of its own: it reads the one
+        # prime_array holds, here a stand-in that stops at 5
+        fake = np.array([2, 3, 5], dtype=np.int64)
+        monkeypatch.setattr(arith, "_cache",
+                            {("primes", arith.TRIAL_PRIME_BOUND): fake})
+        assert trial_factor(360).factors == ((2, 3), (3, 2), (5, 1))
+        assert trial_factor(2 * 53).factors == ((2, 1), (53, 1))
+        assert trial_factor(3).factors == ((3, 1),)
+        with pytest.raises(CapacityError, match="cofactor 77 "):
+            trial_factor(7 * 11)
 
     def test_one_and_domain(self):
         assert trial_factor(1).factors == ()
@@ -673,7 +683,7 @@ class TestReciprocalSum:
     ])
     def test_non_integers_raise(self, values):
         # an entry truncated to an integer would give a wrong sum
-        with pytest.raises(DomainError, match="needs integers"):
+        with pytest.raises(DomainError, match="not an integer"):
             reciprocal_sum(values)
 
     def test_numpy_integers_and_big_ints_pass(self):

@@ -12,11 +12,7 @@ from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
 from egyptsieve.egypt import verify
 
-
-def _strip_timestamp(text: str) -> str:
-    return "\n".join(ln for ln in text.splitlines()
-                     if '"timestamp"' not in ln
-                     and not ln.startswith("# timestamp"))
+from conftest import strip_timestamp
 
 
 class TestDecomposeVerifyRoundTrip:
@@ -282,6 +278,14 @@ class TestExitCodes:
             del rep["params"]["delta"], finite["params"]["delta"]
             assert rep == finite and rep["count"] == 0
 
+    def test_gated_split_part_exits_1(self, capsys):
+        # 4/5 passes the gate at h = 6; a part of its split does not,
+        # which proves nothing about 4/5 (the paper's theorem covers it)
+        rc = main(["decompose", "--target", "4/5", "--shift", "6"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("exhausted:") and "provably" not in err
+
     def test_unfactorable_modulus_exits_2(self, capsys):
         den = (10 ** 6 + 3) * (10 ** 6 + 33)
         rc = main(["decompose", "--target", f"1/{den}", "--shift", "1"])
@@ -355,7 +359,7 @@ class TestAnalyze:
         first = out.read_text()
         assert main(args) == 0
         second = out.read_text()
-        assert _strip_timestamp(first) == _strip_timestamp(second)
+        assert strip_timestamp(first) == strip_timestamp(second)
 
 
 class TestGoldenReports:
@@ -396,7 +400,7 @@ class TestGoldenReports:
 
     @staticmethod
     def _digest(capsys) -> str:
-        text = _strip_timestamp(capsys.readouterr().out)
+        text = strip_timestamp(capsys.readouterr().out)
         return hashlib.sha256(text.encode()).hexdigest()
 
     @pytest.mark.parametrize("key", sorted(ANALYZE, key=str),

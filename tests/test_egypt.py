@@ -722,27 +722,55 @@ def _outcome(x, h):
         return ("exhausted", str(exc))
 
 
+# The ungated universe targets whose search stops at a split part or a
+# greedy residual that shares a factor with h = +-6.  Such a part says
+# nothing about x itself (the paper's theorem covers every ungated
+# target), so the search is exhausted, not obstructed.
+_PART_GATED = """
+    2/5:-6 3/5:-6 4/5:6 4/5:-6 2/7:-6 3/7:-6 4/7:-6 2/11:-6 3/11:-6
+    4/11:-6 4/13:-6 3/19:6 3/29:6 2/31:-6 1/41:-6 2/41:-6 3/41:-6 2/53:6
+    3/53:6 4/53:6 1/59:6 3/59:6 4/59:6 1/61:-6 2/61:6 2/61:-6 4/61:-6
+    2/67:-6 1/71:-6 2/71:-6 3/71:-6 4/71:6 4/71:-6 3/73:6 3/73:-6 1/79:6
+    2/79:6 3/79:6 3/79:-6 4/79:6 4/79:-6 1/83:-6 2/83:-6 1/89:6 2/89:6
+    3/89:6 4/89:6 1/101:-6 2/101:-6 3/101:-6 4/101:-6 2/103:6 2/103:-6
+    3/103:6 3/103:-6 4/103:6 4/103:-6 3/107:6 4/107:6 1/109:6 2/109:6
+    3/109:6 4/109:6 2/113:-6 3/113:-6 4/113:-6
+"""
+
+
 class TestTargetsUniverse:
     def test_every_ungated_target(self):
-        # ungated targets that still raise fail the gate on a part of
-        # the split a/k = a/(k+1) + a/(k(k+1)), all at h = +-6
+        # no ungated target is obstructed; those that raise stop at a
+        # part of the split a/k = a/(k+1) + a/(k(k+1)), all at h = +-6
         sympy = pytest.importorskip("sympy")
-        solved, obstructed = 0, []
+        solved, exhausted = 0, []
         for x, h in _targets_universe():
             if not feasibility_check(x, h).feasible:
                 continue
             try:
                 dec = decompose(x, h)
-            except ObstructionError:
-                obstructed.append((x, h))
+            except SearchExhausted:
+                exhausted.append((x, h))
                 continue
             assert all(map(sympy.isprime, dec.primes)), (x, h)
             assert len(set(dec.primes)) == len(dec.primes), (x, h)
             assert sum(Fraction(1, p - h) for p in dec.primes) == x, (x, h)
             solved += 1
         assert solved >= 1789
-        assert len(obstructed) <= 66
-        assert {h for _, h in obstructed} <= {6, -6}
+        assert len(exhausted) <= 66
+        assert {h for _, h in exhausted} <= {6, -6}
+
+    def test_gated_part_is_no_proof_about_x(self):
+        pairs = [pair.split(":") for pair in _PART_GATED.split()]
+        assert len(pairs) == 66 and ["4/5", "6"] in pairs
+        for x, h in ((Fraction(x), int(h)) for x, h in pairs):
+            assert feasibility_check(x, h).feasible, (x, h)
+            with pytest.raises(SearchExhausted) as exc:
+                decompose(x, h)
+            # the exhaustion names the part, never x
+            part = Fraction(exc.value.target)
+            assert part != x and math.gcd(abs(h), part.denominator) > 1
+            assert "provably" not in str(exc.value)
 
 
 class TestMemoOrder:
@@ -919,6 +947,15 @@ class TestVerifyReadsExactly:
         res = verify(Decomposition(h, ONE, primes))
         assert (res.valid, res.reason) == (False, reason)
 
+    def test_bools_refused(self):
+        # operator.index(True) is 1, so 1/(3 - True) would read 1/2
+        res = verify(Decomposition(True, Fraction(1, 2), (3,)))
+        assert (res.valid, res.reason) == (False, "shift True not an integer")
+        res = verify(Decomposition(1, Fraction(1, 2), (True, 3)))
+        assert (res.valid, res.reason) == (False, "prime True not an integer")
+        res = verify(Decomposition(np.int64(1), Fraction(1, 2), (3,)))
+        assert res.valid
+
     @pytest.mark.parametrize("target", ["1/0", float("nan"), float("inf")])
     def test_target_not_rational(self, target):
         res = verify(Decomposition(1, target, (3, 5, 7, 13)))
@@ -990,13 +1027,16 @@ class TestVerifiedOnce:
         assert checked == decs
 
     def test_universe_sample(self, checked):
-        solved = []
+        solved, exhausted = [], []
         for x, h in random.Random(20261019).sample(_targets_universe(), 300):
             try:
                 solved.append(decompose(x, h))
             except ObstructionError:
-                pass
+                assert not feasibility_check(x, h).feasible, (x, h)
+            except SearchExhausted:
+                exhausted.append(h)
         assert len(solved) > 150
+        assert set(exhausted) <= {6, -6}
         assert checked == solved
 
 
@@ -1053,7 +1093,6 @@ class TestRFold:
 
         monkeypatch.setattr(arith, "prime_segments", spy)
         monkeypatch.setattr(arith, "_cache", {})
-        arith._trial_primes.cache_clear()
         egypt._divisor_pool.cache_clear()
         r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
         assert limits.count(10 ** 6) == 1
@@ -1288,6 +1327,14 @@ class TestMerge:
     def test_non_integers_rejected(self, h, parts):
         with pytest.raises(DomainError):
             merge_by_pigeonhole(PartialSolution(h=h, parts=parts))
+
+    def test_bool_shift_rejected(self):
+        # with h = True read as 1 the two halves would merge into 1
+        halves = ((Fraction(1, 2), (3,)), (Fraction(1, 2), (5, 7, 13)))
+        assert merge_by_pigeonhole(PartialSolution(1, halves)).primes == \
+            (3, 5, 7, 13)
+        with pytest.raises(DomainError, match="shift True not an integer"):
+            merge_by_pigeonhole(PartialSolution(h=True, parts=halves))
 
     def test_numpy_members(self):
         parts = _dp_parts(Fraction(1, 2), 1, 2)

@@ -7,7 +7,6 @@ windows, Legendre sieve counts, progression prime counts).
 """
 
 from .arith import (
-    Factorization,
     is_prime,
     li_approx,
     sieve_primes,

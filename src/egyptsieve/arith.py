@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: primality, sieving into one array cache
 (every prime list is a slice of ``prime_array``: the kernels' base
 primes, the split primes of exact sums and ``trial_factor``'s divisors
-alike), factorization, li, exact reciprocal sums.
+alike), factorization into plain (prime, exponent) pairs, li, exact
+reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -257,38 +257,9 @@ def prime_power_sieve(limit: int, kind: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ((prime, exponent), ...) with primes increasing."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = 1
-        for p, e in self.factors:
-            if p <= last or e < 1:
-                raise DomainError(f"malformed factorization {self.factors}")
-            last = p
-
-    @property
-    def totient(self) -> int:
-        """Euler's phi of the value: the product of p^(e-1) (p - 1)."""
-        out = 1
-        for p, e in self.factors:
-            out *= p ** (e - 1) * (p - 1)
-        return out
-
-    def divisors(self) -> list[int]:
-        """All divisors, sorted ascending."""
-        out = [1]
-        for p, e in self.factors:
-            out = [d * p ** k for d in out for k in range(e + 1)]
-        out.sort()
-        return out
-
-
-def trial_factor(n: int) -> Factorization:
-    """Factorization of n >= 1 by trial division over the cached
+def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n >= 1 as (prime, exponent) pairs,
+    primes increasing (() for 1), by trial division over the cached
     ``prime_array(TRIAL_PRIME_BOUND)``, read through a memoryview: it
     yields each prime as a Python int, so m % p stays exact on big m,
     and only the primes the loop reaches are read.  Division stops once
@@ -320,7 +291,7 @@ def trial_factor(n: int) -> Factorization:
                 f"up to {TRIAL_PRIME_BOUND}")
     if m > 1:
         factors.append((m, 1))
-    return Factorization(tuple(factors))
+    return tuple(factors)
 
 
 def li_approx(n: int) -> float:

@@ -18,10 +18,11 @@ a/k, with disjoint prime sets:
 Stages 1 and 3 end in one subset-sum tail over (integer weight,
 primes) items, which hands back primes; the cascade works in primes.
 Each public search (``decompose``, ``smooth_dp_decompose``,
-``greedy_decompose``) is the gate, a private stage that returns primes,
-then the independent verifier; ``merge_by_pigeonhole`` checks its union
-the same way.  No private function calls a public search, so the
-verifier runs once per decomposition that leaves this module, and
+``greedy_decompose``) is the gate, which reads h as an int, a private
+stage that returns primes, then the independent verifier;
+``merge_by_pigeonhole`` checks each given part with the verifier and
+its union the same way.  No private function calls a public search, so
+the verifier runs once per decomposition that leaves this module, and
 ObstructionError is only ever about the caller's own target.  A
 failed search raises SearchExhausted and never claims nonexistence
 beyond its explicit pool; a split part or greedy residual whose
@@ -227,7 +228,7 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     if g == 1:
         return FeasibilityResult(feasible=True)
     chosen = None
-    for ell, _ in trial_factor(g).factors:
+    for ell, _ in trial_factor(g):
         floor = -_valuation(ell - h, ell) if ell - h >= 1 else 0
         v = -_valuation(x.denominator, ell)
         if chosen is None:
@@ -246,12 +247,16 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
         target_valuation=v, provably_impossible=provable, explanation=expl)
 
 
-def _gate(x, h: int) -> Fraction:
+def _gate(x, h: int) -> tuple[Fraction, int]:
+    """x as a Fraction and h as the int ``arith._exact_ints`` reads (a
+    bool or float shift is a DomainError), once x passes
+    ``feasibility_check``; ObstructionError otherwise."""
     x = Fraction(x)
+    (h,) = _exact_ints((h,), "shift")
     res = feasibility_check(x, h)
     if not res.feasible:
         raise ObstructionError(res)
-    return x
+    return x, h
 
 
 @lru_cache(maxsize=_POOL_MEMO_SIZE)
@@ -259,8 +264,11 @@ def _divisor_pool(h: int, L: int,
                   max_prime: int) -> tuple[tuple[int, int], ...]:
     """Every (weight L/(p-h), p) for primes p <= max_prime with
     (p-h) | L and p - h >= 1, sorted by decreasing weight; memoized."""
+    divisors = [1]
+    for q, e in trial_factor(L):
+        divisors = [d * q ** k for d in divisors for k in range(e + 1)]
     pool = []
-    for d in trial_factor(L).divisors():
+    for d in divisors:
         p = d + h
         if p < 2 or p > max_prime:
             continue
@@ -478,7 +486,7 @@ def smooth_dp_decompose(x, h: int, L: int,
     Raises SearchExhausted when no subset of this pool works (that
     outcome is proven for the pool, never a global claim).
     """
-    x = _gate(x, h)
+    x, h = _gate(x, h)
     if L % x.denominator != 0:
         raise DomainError(f"den({x}) does not divide modulus {L}")
     target = x.numerator * (L // x.denominator)
@@ -526,7 +534,7 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     """Repeatedly subtract the largest available 1/(p - h) <= remainder
     (smallest admissible p); succeeds only when the remainder reaches
     exactly zero within max_terms."""
-    x = _gate(x, h)
+    x, h = _gate(x, h)
     rem = x
     chosen: list[int] = []
     for p, rem in _greedy_steps(x, h, exclude, budget):
@@ -762,7 +770,7 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     SearchExhausted when every strategy runs out of budget or a split
     part or greedy residual fails the gate (never a nonexistence claim).
     """
-    x = _gate(x, h)
+    x, h = _gate(x, h)
     used = set(exclude)
     for _ in range(int(x)):
         used.update(_solve_single(Fraction(1), h, used, budget))
@@ -776,6 +784,7 @@ def r_fold_disjoint(x, h: int, r: int,
                     ) -> list[Decomposition]:
     """r decompositions of x with pairwise disjoint prime sets; each
     search excludes all previously used primes."""
+    (r,) = _exact_ints((r,), "fold count")
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
     used: set[int] = set()
@@ -790,13 +799,14 @@ def r_fold_disjoint(x, h: int, r: int,
 def merge_by_pigeonhole(parts: PartialSolution) -> Decomposition:
     """Union d disjoint parts of value 1/d into a decomposition of 1.
 
-    h and every member are read by ``arith._exact_ints`` and each part's
-    sum by ``arith._reciprocal_tree``, as ``verify`` reads them; a shift
-    or member that is no integer (a bool included), a value not of shape
-    1/d, a prime in two parts or a part that misses its value raises
-    DomainError.  Picks the smallest d whose value occurs at least d
-    times; raises MergeInsufficient (with the value multiset) when none
-    does.
+    h and every member are read by ``arith._exact_ints``, and each part,
+    its members sorted, is checked by ``verify``; a shift or member that
+    is no integer (a bool included), a value not of shape 1/d, a prime
+    in two parts or a part that ``verify`` refuses (a composite member,
+    a denominator below 1, a sum that misses its value) raises
+    DomainError with the reason.  Picks the smallest d whose value
+    occurs at least d times; raises MergeInsufficient (with the value
+    multiset) when none does.
     """
     (h,) = _exact_ints((parts.h,), "shift")
     seen: set[int] = set()
@@ -808,16 +818,14 @@ def merge_by_pigeonhole(parts: PartialSolution) -> Decomposition:
             raise DomainError(f"part value {value!r} not rational") from None
         if value.numerator != 1:
             raise DomainError(f"part value {value} is not of shape 1/d")
-        members = tuple(_exact_ints(members, "prime"))
+        members = tuple(sorted(_exact_ints(members, "prime")))
         for p in members:
             if p in seen:
                 raise DomainError(f"prime {p} appears in two parts")
             seen.add(p)
-            if p - h < 1:
-                raise DomainError(f"denominator {p - h} < 1")
-        num, den = _reciprocal_tree([p - h for p in members])
-        if num * value.denominator != den:
-            raise DomainError(f"part {members} does not sum to {value}")
+        check = verify(Decomposition(h, value, members))
+        if not check.valid:
+            raise DomainError(f"part {members}: {check.reason}")
         by_d.setdefault(value.denominator, []).append(members)
     counts = {d: len(v) for d, v in by_d.items()}
     for d in sorted(by_d):

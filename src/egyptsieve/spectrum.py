@@ -22,6 +22,7 @@ import numpy as np
 from .arith import (
     _check_array_limit,
     _coprime_fraction,
+    _exact_ints,
     _rough_parts,
     balanced_product,
     is_prime,
@@ -289,12 +290,17 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
     """Exact inclusion-exclusion count of the integers in the interval
     A = (lo, hi), 1 <= lo <= hi, coprime to all window primes, with the
     exact sieve bookkeeping |A_d| = X / d + R_d, X = hi - lo + 1.  The
+    ends and the window primes are read by ``arith._exact_ints``, so a
+    float or bool among them is a DomainError, never truncated.  The
     count is re-verified by a direct scan when X <= 1e6: the survivors
     of ``_coprime_mask`` over A are counted."""
+    if not (isinstance(A, tuple) and len(A) == 2):
+        raise DomainError(f"need an interval (lo, hi), got {A!r}")
+    lo, hi = _exact_ints(A, "interval end")
     # d > hi divides no n in A only when lo >= 1; zero is in every A_d
-    if not (isinstance(A, tuple) and len(A) == 2 and 1 <= A[0] <= A[1]):
+    if not 1 <= lo <= hi:
         raise DomainError(f"need an interval 1 <= lo <= hi, got {A!r}")
-    window_primes = sorted(set(int(p) for p in window_primes))
+    window_primes = sorted(set(_exact_ints(window_primes, "window element")))
     if len(window_primes) > MAX_WINDOW_PRIMES:
         raise CapacityError(
             f"{len(window_primes)} window primes exceed the "
@@ -303,11 +309,10 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
         if not is_prime(p):
             raise DomainError(f"window element {p} is not prime")
 
-    lo, hi = A
     size = hi - lo + 1
     if size > 10 ** 8:
         raise CapacityError(f"set of size {size} exceeds the 1e8 budget")
-    counts = _subset_counts(A, window_primes)
+    counts = _subset_counts((lo, hi), window_primes)
     exact = sum(mu * cnt for _, mu, cnt in counts)
     remainders = {d: cnt - Fraction(size, d) for d, _, cnt in counts}
     main = Fraction(size * math.prod(p - 1 for p in window_primes),
@@ -357,7 +362,8 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
         count = int(_residue_histogram(N)[h % d::d].sum())
     else:
         count = int(((prime_array(N) % d) == (h % d)).sum())
-    return count, li_approx(N) / trial_factor(d).totient
+    phi = math.prod(p ** (e - 1) * (p - 1) for p, e in trial_factor(d))
+    return count, li_approx(N) / phi
 
 
 def mertens_product(w: int) -> Fraction:

@@ -6,7 +6,7 @@ import egyptsieve
 # Adding or removing a public name changes this list in the same diff.
 PUBLIC = [
     "CapacityError", "DEFAULT_BUDGET", "Decomposition", "DensityReport",
-    "DomainError", "Factorization", "MergeInsufficient", "ObstructionError",
+    "DomainError", "MergeInsufficient", "ObstructionError",
     "PartialSolution", "SearchBudget", "SearchExhausted", "ShiftParams",
     "SieveEstimate", "__version__", "decompose", "divisor_window_density",
     "feasibility_check", "friability_density", "greedy_decompose",
@@ -24,7 +24,6 @@ SIGNATURES = {
     "DensityReport": ["N", "params", "count", "normalizer",
                       "relative_density", "baseline", "reciprocal_sum",
                       "excluded"],
-    "Factorization": ["factors"],
     "MergeInsufficient": ["value_counts"],
     "ObstructionError": ["result"],
     "PartialSolution": ["h", "parts"],

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from egyptsieve import arith
+from egyptsieve import arith, egypt
 from egyptsieve.arith import (
     _PSI_13,
-    Factorization,
     _strong_lucas_prp,
     balanced_product,
     is_prime,
@@ -389,19 +388,18 @@ class TestIsPrime:
 
 class TestFactorize:
     def test_12(self):
-        assert trial_factor(12).factors == ((2, 2), (3, 1))
+        assert trial_factor(12) == ((2, 2), (3, 1))
 
     def test_prime_input(self):
-        assert trial_factor(97).factors == ((97, 1),)
+        assert trial_factor(97) == ((97, 1),)
 
     def test_720720_multiplies_back(self):
         fz = trial_factor(720720)
-        assert fz.factors == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
-        assert factor_product(fz.factors) == 720720
+        assert fz == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+        assert factor_product(fz) == 720720
 
     def test_one(self):
-        fz = trial_factor(1)
-        assert fz.factors == ()
+        assert trial_factor(1) == ()
 
     def test_zero(self):
         with pytest.raises(DomainError):
@@ -409,26 +407,19 @@ class TestFactorize:
 
     def test_round_trip_full_range(self):
         for n in range(2, 10 ** 6 + 1):
-            assert factor_product(trial_factor(n).factors) == n
+            assert factor_product(trial_factor(n)) == n
 
     def test_segmented_table_agrees(self):
         for n in (2, 97, 720720, 999983, (1 << 24) + 7, (1 << 24) + 2 ** 20):
-            assert trial_factor(n).factors == tuple(naive_factor(n))
+            assert trial_factor(n) == tuple(naive_factor(n))
 
     def test_divisors(self):
-        assert trial_factor(12).divisors() == [1, 2, 3, 4, 6, 12]
-        assert trial_factor(1).divisors() == [1]
-
-    def test_totient_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        for d in range(1, 2001):
-            assert trial_factor(d).totient == sympy.totient(d), d
-
-    def test_malformed_rejected(self):
-        with pytest.raises(DomainError):
-            Factorization(((3, 1), (2, 1)))
-        with pytest.raises(DomainError):
-            Factorization(((2, 0),))
+        # the search's pool builds the divisors of L from trial_factor's
+        # pairs; shifts h = 1..6 make d + h prime for every divisor d of 12
+        pool = egypt._divisor_pool.__wrapped__
+        for L, want in ((12, {1, 2, 3, 4, 6, 12}), (1, {1})):
+            got = {L // w for h in range(1, 7) for w, _ in pool(h, L, 100)}
+            assert got == want, L
 
 
 class TestTrialFactor:
@@ -443,7 +434,7 @@ class TestTrialFactor:
         cases += [big, 720720 * big, 10 ** 12 + 39, 2 * (10 ** 12 + 39),
                   999983 ** 2, 999979 * 999983]
         for n in cases:
-            assert trial_factor(n).factors == \
+            assert trial_factor(n) == \
                 tuple(sorted(sympy.factorint(n).items())), n
 
     def test_composite_cofactor_raises(self):
@@ -456,7 +447,7 @@ class TestTrialFactor:
         # one that stops short of 999983 leaves 999983^2 one
         sympy = pytest.importorskip("sympy")
         for p in [*sympy.primerange(2, 1001), 999983]:
-            assert trial_factor(p * p).factors == \
+            assert trial_factor(p * p) == \
                 tuple(sorted(sympy.factorint(p * p).items())) == ((p, 2),)
 
     def test_divides_by_the_cached_prime_array(self, monkeypatch):
@@ -465,14 +456,14 @@ class TestTrialFactor:
         fake = np.array([2, 3, 5], dtype=np.int64)
         monkeypatch.setattr(arith, "_cache",
                             {("primes", arith.TRIAL_PRIME_BOUND): fake})
-        assert trial_factor(360).factors == ((2, 3), (3, 2), (5, 1))
-        assert trial_factor(2 * 53).factors == ((2, 1), (53, 1))
-        assert trial_factor(3).factors == ((3, 1),)
+        assert trial_factor(360) == ((2, 3), (3, 2), (5, 1))
+        assert trial_factor(2 * 53) == ((2, 1), (53, 1))
+        assert trial_factor(3) == ((3, 1),)
         with pytest.raises(CapacityError, match="cofactor 77 "):
             trial_factor(7 * 11)
 
     def test_one_and_domain(self):
-        assert trial_factor(1).factors == ()
+        assert trial_factor(1) == ()
         for n in (0, -6):
             with pytest.raises(DomainError):
                 trial_factor(n)
@@ -483,8 +474,8 @@ def _oracle_arrays(limit):
     om, mp = [0, 0], [1, 1]
     for n in range(2, limit + 1):
         fz = trial_factor(n)
-        om.append(len(fz.factors))
-        mp.append(max_prime_power(fz.factors))
+        om.append(len(fz))
+        mp.append(max_prime_power(fz))
     return np.array(om[:limit + 1]), np.array(mp[:limit + 1])
 
 
@@ -552,7 +543,7 @@ class TestOmegaAdditivity:
     def test_additive_on_coprime(self, m, n):
         assume(math.gcd(m, n) == 1)
         fm, fn, fmn = (trial_factor(k) for k in (m, n, m * n))
-        assert len(fmn.factors) == len(fm.factors) + len(fn.factors)
+        assert len(fmn) == len(fm) + len(fn)
 
 
 class TestLiApprox:

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import json
 import math
 import operator
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +18,6 @@ from egyptsieve.arith import (
     _pairwise,
     is_prime,
     prime_array,
-    trial_factor,
 )
 from egyptsieve.egypt import (
     Decomposition,
@@ -40,6 +41,7 @@ from egyptsieve.errors import (
     ObstructionError,
     SearchExhausted,
 )
+from egyptsieve.reports import certificate_dict
 
 from conftest import naive_is_prime
 
@@ -97,13 +99,20 @@ class TestFeasibility:
 
 class TestOneFactorizer:
     def test_divisors_of_scaled_moduli_against_sympy(self):
+        # the pool's divisors come from trial_factor's (prime, exponent)
+        # pairs; the reference pool lists sympy's divisors of each modulus
         sympy = pytest.importorskip("sympy")
-        moduli = set()
-        for L in egypt._DP_MODULI + (egypt._ASSEMBLY_MODULUS,):
-            for k in range(1, 121):
-                moduli |= {L // math.gcd(L, k) * k, L * k}
-        for M in sorted(moduli):
-            assert trial_factor(M).divisors() == sympy.divisors(M), M
+        build = egypt._divisor_pool.__wrapped__
+        for h in (1, -1, 6, -5):
+            for L in (1, 12) + egypt._DP_MODULI + (egypt._ASSEMBLY_MODULUS,):
+                for M, max_prime in ((L, 10 ** 8), (L * 113, 10 ** 8),
+                                     (L * 120, 1000)):
+                    want = sorted(((M // d, d + h) for d in sympy.divisors(M)
+                                   if 2 <= d + h <= max_prime
+                                   and sympy.isprime(d + h)),
+                                  key=lambda t: (-t[0], t[1]))
+                    assert build(h, M, max_prime) == tuple(want), \
+                        (h, M, max_prime)
 
     def test_unfactorable_modulus_is_capacity(self):
         x = Fraction(1, (10 ** 6 + 3) * (10 ** 6 + 33))
@@ -974,6 +983,38 @@ class TestVerifyReadsExactly:
             assert type(res.probable_primes) is int
 
 
+class TestShiftReadExactly:
+    """The gate reads h through arith._exact_ints, and each public search
+    builds its certificate with the int it returns."""
+
+    @pytest.mark.parametrize("search", [
+        lambda h: decompose(Fraction(1, 2), h),
+        lambda h: greedy_decompose(Fraction(1, 2), h),
+        lambda h: smooth_dp_decompose(Fraction(1, 2), h, 12),
+    ], ids=["cascade", "greedy", "pool DP"])
+    def test_bool_and_float_shifts_refused(self, search):
+        assert search(1).primes == (3,)
+        for h in (True, 1.0, Fraction(1)):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"shift {h!r} not an")):
+                search(h)
+
+    def test_numpy_shift_gives_an_int_certificate(self):
+        for search in (decompose, greedy_decompose):
+            dec = search(Fraction(1, 2), np.int64(1))
+            assert type(dec.h) is int and dec.primes == (3,)
+            json.dumps(certificate_dict(dec))
+        dec = smooth_dp_decompose(Fraction(1, 2), np.int32(1), 12)
+        assert type(dec.h) is int
+        decs = r_fold_disjoint(Fraction(1, 2), np.int64(1), np.int64(2))
+        assert len(decs) == 2 and all(type(d.h) is int for d in decs)
+
+    @pytest.mark.parametrize("r", [True, 2.0, Fraction(2)])
+    def test_fold_count_read_exactly(self, r):
+        with pytest.raises(DomainError, match="fold count"):
+            r_fold_disjoint(Fraction(1, 2), 1, r)
+
+
 class TestPublicExitsCheck:
     # a verify that rejects the whole target: each public exit must turn
     # the rejection into an internal error naming its own stage, after
@@ -1348,6 +1389,15 @@ class TestMerge:
         parts = PartialSolution(h=1, parts=((Fraction(2, 3), (3, 7)),))
         with pytest.raises(DomainError):
             merge_by_pigeonhole(parts)
+
+    def test_composite_member_rejected(self):
+        # 1/3 + 1/6 is 1/2, but 4 is no prime: verify refuses the part
+        # before the union is built, unsorted members included
+        for members in ((4, 7), (7, 4)):
+            parts = PartialSolution(1, ((Fraction(1, 2), (3,)),
+                                        (Fraction(1, 2), members)))
+            with pytest.raises(DomainError, match="part .4, 7.: 4 not prime"):
+                merge_by_pigeonhole(parts)
 
 
 class TestObstructionSoundness:

@@ -235,6 +235,23 @@ class TestLegendreSieve:
         with pytest.raises(CapacityError):
             legendre_sieve_count((1, 100), list(prime_array(120).tolist()))
 
+    @pytest.mark.parametrize("A, window, what", [
+        ((1, 100), [2.5, 3], "window element 2.5"),
+        ((1, 100), [True, 3], "window element True"),
+        ((1.0, 100), [2, 3], "interval end 1.0"),
+        ((1, 100.5), [2, 3], "interval end 100.5"),
+    ], ids=["float prime", "bool prime", "float lo", "float hi"])
+    def test_non_integers_refused(self, A, window, what):
+        # int(2.5) would count the window {2, 3}; a float end would fail
+        # inside the count
+        with pytest.raises(DomainError, match=f"{what} not an integer"):
+            legendre_sieve_count(A, window)
+
+    def test_numpy_integers_read_as_ints(self):
+        est = legendre_sieve_count((np.int64(1), np.int32(30)),
+                                   prime_array(5))
+        assert est.exact_count == 8
+
     def test_randomized_against_scan(self):
         rng = np.random.default_rng(7)
         wnd_src = prime_array(200).tolist()
@@ -299,6 +316,14 @@ class TestPrimeCountAP:
     def test_baseline_is_li_over_phi(self):
         _, base = prime_count_ap(10 ** 4, 4, 1)
         assert base == pytest.approx(li_approx(10 ** 4) / 2)
+
+    def test_baseline_against_sympy_totient(self):
+        # phi(d) from trial_factor's (prime, exponent) pairs
+        sympy = pytest.importorskip("sympy")
+        li = li_approx(10 ** 4)
+        for d in range(1, 2001):
+            _, base = prime_count_ap(10 ** 4, d, 1)
+            assert base == li / int(sympy.totient(d)), d
 
     def test_huge_modulus_returns_at_once(self):
         # phi(d) from the factorization of d, not a loop over 1..d

@@ -585,6 +585,14 @@ def _exact_ints(values, what: str) -> list[int]:
     return out
 
 
+def _exact_fields(obj, *names: str) -> None:
+    """Each named field of the frozen dataclass obj set to the int
+    ``_exact_ints`` reads from it, in ``__post_init__``."""
+    for name in names:
+        (v,) = _exact_ints((getattr(obj, name),), name)
+        object.__setattr__(obj, name, v)
+
+
 def _integer_array(values) -> np.ndarray:
     """values as an integer array.  An integer array passes as it is;
     other input is read entry by entry through ``_exact_ints``, so an

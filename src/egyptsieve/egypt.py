@@ -16,17 +16,17 @@ a/k, with disjoint prime sets:
    Stages 3 and 4 run once, on the cascade's own target.
 
 Stages 1 and 3 end in one subset-sum tail over (integer weight,
-primes) items, which hands back primes; the cascade works in primes.
-Each public search (``decompose``, ``smooth_dp_decompose``,
-``greedy_decompose``) is the gate, which reads h as an int, a private
-stage that returns primes, then the independent verifier;
-``merge_by_pigeonhole`` checks each given part with the verifier and
-its union the same way.  No private function calls a public search, so
-the verifier runs once per decomposition that leaves this module, and
-ObstructionError is only ever about the caller's own target.  A
-failed search raises SearchExhausted and never claims nonexistence
-beyond its explicit pool; a split part or greedy residual whose
-denominator shares a factor with h ends the cascade that way too.
+primes) items.  Each stage returns ``_Attempt`` records (part, pool,
+DP target, primes or None), never SearchExhausted.  Each public search
+(``decompose``, ``smooth_dp_decompose``, ``greedy_decompose``) is the
+gate, which reads h as an int, a private stage, then the independent
+verifier or SearchExhausted with the records; ``merge_by_pigeonhole``
+checks each given part with the verifier and its union the same way.
+No private function calls a public search, so the verifier runs once
+per decomposition that leaves this module, and ObstructionError is
+only ever about the caller's own target.  SearchExhausted never claims
+nonexistence beyond a record's pool; a split part or greedy residual
+whose denominator shares a factor with h ends the cascade that way.
 
 Stage 1's divisor pools are memoized per process (LRU, at most 1,024
 unfiltered pools keyed on (h, L, max_prime); ``exclude`` is applied to
@@ -40,12 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import (
     _PSI_13,
+    _exact_fields,
     _exact_ints,
     _reciprocal_tree,
     is_prime,
@@ -102,12 +105,13 @@ _POOL_MEMO_SIZE = 1024
 class SearchBudget:
     """Resource bounds for the decomposition search: the largest prime
     a certificate may use (at least 2) and the number of greedy steps
-    per run (at least 0)."""
+    per run (at least 0), as the ints ``arith._exact_ints`` reads."""
 
     max_prime: int = 10 ** 8
     max_terms: int = 256
 
     def __post_init__(self):
+        _exact_fields(self, "max_prime", "max_terms")
         if self.max_prime < 2 or self.max_terms < 0:
             raise DomainError("malformed budget")
 
@@ -130,6 +134,21 @@ class PartialSolution:
 
     h: int
     parts: tuple[tuple[Fraction, tuple[int, ...]], ...]
+
+
+class _Attempt(NamedTuple):
+    """A cascade stage's outcome on part: the primes summing to it, or
+    None, which with a pool_size is a miss proven for that pool, and
+    without one a refusal before any DP, a greedy walk run out, or, as
+    stage "gate", the search's stop."""
+
+    stage: str
+    part: Fraction
+    modulus: int | None = None
+    pool_size: int | None = None
+    weight_total: int | None = None
+    dp_target: int | None = None
+    primes: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -218,8 +237,10 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     """Congruence gate: feasible iff gcd(|h|, den(x)) = 1; otherwise an
     obstruction certificate with a witness prime and valuation floor.
     Raises CapacityError when ``trial_factor`` cannot factor that gcd
-    (a composite cofactor without prime factors up to 1e6)."""
+    (a composite cofactor without prime factors up to 1e6), DomainError
+    for a shift that ``arith._exact_ints`` refuses (a bool, a float)."""
     x = Fraction(x)
+    (h,) = _exact_ints((h,), "shift")
     if x <= 0:
         raise DomainError(f"target must be positive, got {x}")
     if h == 0:
@@ -227,16 +248,11 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     g = gcd(abs(h), x.denominator)
     if g == 1:
         return FeasibilityResult(feasible=True)
-    chosen = None
-    for ell, _ in trial_factor(g):
-        floor = -_valuation(ell - h, ell) if ell - h >= 1 else 0
-        v = -_valuation(x.denominator, ell)
-        if chosen is None:
-            chosen = (ell, floor, v, v < floor)
-        if v < floor:
-            chosen = (ell, floor, v, True)
-            break
-    ell, floor, v, provable = chosen
+    # the first prime of g that proves x unrepresentable, else the least
+    cands = [(ell, -_valuation(ell - h, ell) if ell - h >= 1 else 0,
+              -_valuation(x.denominator, ell)) for ell, _ in trial_factor(g)]
+    ell, floor, v = next((c for c in cands if c[2] < c[1]), cands[0])
+    provable = v < floor
     expl = (
         f"gcd(|h|={abs(h)}, den={x.denominator}) = {g} > 1: only p = {ell} "
         f"can give a denominator divisible by {ell}, so every achievable "
@@ -248,15 +264,13 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
 
 
 def _gate(x, h: int) -> tuple[Fraction, int]:
-    """x as a Fraction and h as the int ``arith._exact_ints`` reads (a
-    bool or float shift is a DomainError), once x passes
-    ``feasibility_check``; ObstructionError otherwise."""
-    x = Fraction(x)
-    (h,) = _exact_ints((h,), "shift")
+    """x as a Fraction and h as the int ``arith._exact_ints`` reads, as
+    ``feasibility_check`` does, once x passes that gate; ObstructionError
+    otherwise."""
     res = feasibility_check(x, h)
     if not res.feasible:
         raise ObstructionError(res)
-    return x, h
+    return Fraction(x), _exact_ints((h,), "shift")[0]
 
 
 @lru_cache(maxsize=_POOL_MEMO_SIZE)
@@ -267,15 +281,9 @@ def _divisor_pool(h: int, L: int,
     divisors = [1]
     for q, e in trial_factor(L):
         divisors = [d * q ** k for d in divisors for k in range(e + 1)]
-    pool = []
-    for d in divisors:
-        p = d + h
-        if p < 2 or p > max_prime:
-            continue
-        if is_prime(p):
-            pool.append((L // d, p))
-    pool.sort(key=lambda t: (-t[0], t[1]))
-    return tuple(pool)
+    pool = [(L // d, d + h) for d in divisors
+            if 2 <= d + h <= max_prime and is_prime(d + h)]
+    return tuple(sorted(pool, key=lambda t: (-t[0], t[1])))
 
 
 def smooth_pool(h: int, L: int, budget: SearchBudget = DEFAULT_BUDGET,
@@ -386,24 +394,21 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     # dp bit j is the sum off + j
     dp, off = 1, 0
     snaps = {0: (0, 1)}
-    hit_at = None
-    for i, w in enumerate(weights):
+    for top, w in enumerate(weights):
         suffix -= w
         dp, off = _slide(dp, off, w, target, suffix)
         if not dp:
             return None
-        if (i + 1) % stride == 0:
-            snaps[i + 1] = (off, dp)
+        if (top + 1) % stride == 0:
+            snaps[top + 1] = (off, dp)
         if dp.bit_length() == target - off + 1:
-            hit_at = i
             break
-    del dp
-    if hit_at is None:
+    else:
         return None
+    del dp
 
     chosen = []
     t = target
-    top = hit_at
     while t and top >= 0:
         base = top - top % stride
         rest = sum(weights[base:top + 1])
@@ -450,31 +455,28 @@ def _certified(x: Fraction, h: int, primes, stage: str) -> Decomposition:
     return dec
 
 
-def _pool_dp(target: int,
-             pool: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-    """The subset-sum tail of both pool stages: pool holds (integer
-    weight, primes) items, and the union of the primes of a subset whose
-    weights sum to target is returned sorted.
-
-    Raises SearchExhausted, proven for this pool only, when no subset
-    hits target; its weight_total counts only the weights <= target.
-    """
+def _pool_dp(stage: str, t: Fraction, M: int,
+             pool: list[tuple[int, tuple[int, ...]]]) -> _Attempt:
+    """The subset-sum tail of both pool stages on t over M, a multiple of
+    den(t): pool holds (integer weight, primes) items, and the record's
+    primes are the union of those of a subset whose weights sum to the
+    DP target t * M, sorted.  A miss is proven for this pool only; its
+    weight_total, summed on a miss alone, counts the weights <= target."""
+    target = t.numerator * (M // t.denominator)
     idx = _bitset_subset_sum([w for w, _ in pool], target)
     if idx is None:
-        raise SearchExhausted(
-            f"no subset of the {len(pool)}-element pool hits {target}",
-            pool_size=len(pool),
-            weight_total=sum(w for w, _ in pool if w <= target),
-            target=target, proven_absent_in_pool=True)
-    return sorted(p for i in idx for p in pool[i][1])
+        return _Attempt(stage, t, M, len(pool),
+                        sum(w for w, _ in pool if w <= target), target)
+    return _Attempt(stage, t, M, len(pool), None, target,
+                    tuple(sorted(p for i in idx for p in pool[i][1])))
 
 
 def _divisor_dp(t: Fraction, h: int, M: int, budget: SearchBudget,
-                exclude) -> list[int]:
+                exclude) -> _Attempt:
     """The divisor-pool DP on t over the pool of M, a multiple of den(t),
-    with the primes in exclude barred: the primes found, sorted."""
+    with the primes in exclude barred."""
     pool = [(w, (p,)) for w, p in smooth_pool(h, M, budget, exclude)]
-    return _pool_dp(t.numerator * (M // t.denominator), pool)
+    return _pool_dp("dp", t, M, pool)
 
 
 def smooth_dp_decompose(x, h: int, L: int,
@@ -493,7 +495,12 @@ def smooth_dp_decompose(x, h: int, L: int,
     if target > _MAX_DP_TARGET:
         raise DomainError(
             f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
-    return _certified(x, h, _divisor_dp(x, h, L, budget, exclude), "pool DP")
+    got = _divisor_dp(x, h, L, budget, exclude)
+    if got.primes is None:
+        raise SearchExhausted(
+            f"no subset of the {got.pool_size}-element pool hits {target}",
+            target=str(x), attempts=(got,))
+    return _certified(x, h, got.primes, "pool DP")
 
 
 def _greedy_prime(rem: Fraction, h: int, used,
@@ -540,10 +547,9 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     for p, rem in _greedy_steps(x, h, exclude, budget):
         chosen.append(p)
     if rem:
-        if len(chosen) >= budget.max_terms:
-            raise SearchExhausted(
-                f"greedy used {budget.max_terms} terms, remainder {rem}")
         raise SearchExhausted(
+            f"greedy used {budget.max_terms} terms, remainder {rem}"
+            if len(chosen) >= budget.max_terms else
             f"greedy ran past max_prime {budget.max_prime}, remainder {rem}")
     return _certified(x, h, chosen, "greedy")
 
@@ -596,29 +602,27 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
 
     A pair needs q <= e1 + e2 with e1 q and e2 q at most D =
     prime_limit - h, so q^2 <= 2D: larger q are never looked up.  A
-    negative shift that puts this bound past prime_limit raises
-    SearchExhausted, so the primality flags to q_max are marked from
-    the primes already listed.
+    negative shift that puts this bound past prime_limit gets None, a
+    refusal, so the primality flags to q_max are marked from the primes
+    already listed.
     """
     q_max = isqrt(2 * (prime_limit - min(h, 0)))
     if q_max > prime_limit:
-        raise SearchExhausted(
-            f"assembly pairs at shift {h} need primes up to {q_max}, past "
-            f"the prime limit {prime_limit}")
+        return None
     if h >= prime_limit:
         return []       # no p - h >= 1, and h may not fit an int64
     primes = prime_array(prime_limit)
     flags = np.zeros(q_max + 1, dtype=bool)
     flags[prime_array(q_max)] = True
     # an excluded prime above prime_limit is in no chunk (nor int64)
-    excl = sorted(p for p in exclude if p <= prime_limit)
-    excl_arr = np.array(excl, dtype=np.int64) if excl else None
+    excl = np.array(sorted(p for p in exclude if p <= prime_limit),
+                    dtype=np.int64)
     items: list[tuple[int, tuple[int, ...]]] = []
     qs, es, ps = [], [], []
     for lo in range(0, len(primes), _ASSEMBLY_CHUNK):
         chunk = primes[lo:lo + _ASSEMBLY_CHUNK]
-        if excl_arr is not None:
-            chunk = chunk[~np.isin(chunk, excl_arr)]
+        if excl.size:
+            chunk = chunk[~np.isin(chunk, excl)]
         chunk = chunk[chunk > h]
         d = (chunk - h).astype(np.uint64)
         rest, ok = _smooth_split(d, modulus)
@@ -665,19 +669,20 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
 
 
 def _assembly_decompose(x: Fraction, h: int, exclude,
-                        budget: SearchBudget) -> list[int]:
+                        budget: SearchBudget) -> _Attempt:
     """Pair-cancellation assembly: one subset-sum DP over direct smooth
-    items plus q-cancelling pairs, at a high-exponent modulus; returns
-    the primes, sorted."""
+    items plus q-cancelling pairs at a high-exponent modulus, refused
+    (no pool) over _MAX_DP_TARGET or when ``_assembly_items`` refuses."""
     k = x.denominator
     M = _ASSEMBLY_MODULUS // gcd(_ASSEMBLY_MODULUS, k) * k
     target = x.numerator * (M // k)
-    if target > _MAX_DP_TARGET:
-        raise SearchExhausted(
-            f"assembly target for {x} exceeds DP budget", target=str(x))
     limit = min(budget.max_prime, _ASSEMBLY_PRIME_LIMIT)
+    items = (_assembly_items(h, M, exclude, limit)
+             if target <= _MAX_DP_TARGET else None)
+    if items is None:
+        return _Attempt("assembly", x, M, dp_target=target)
     # light items first: the backtrack prefers early items
-    return _pool_dp(target, sorted(_assembly_items(h, M, exclude, limit)))
+    return _pool_dp("assembly", x, M, sorted(items))
 
 
 def _dp_moduli(t: Fraction) -> list[int]:
@@ -693,68 +698,59 @@ def _dp_moduli(t: Fraction) -> list[int]:
     return out
 
 
-def _dp_solve(t: Fraction, h: int, exclude,
-              budget: SearchBudget) -> list[int] | None:
-    """The divisor-pool DP on t over each modulus of _dp_moduli(t) in
-    order, with the primes in exclude barred: the primes of the first
-    pool that hits t, or None.  When there is a modulus to try and
-    gcd(|h|, den t) > 1, SearchExhausted names t and the search stops:
-    t is a split part or a greedy residual, so that gcd proves nothing
-    about the cascade's own target."""
+def _split_solve(t: Fraction, h: int, used: set, budget: SearchBudget,
+                 depth: int = 0) -> list[_Attempt]:
+    """With the primes in used barred, the divisor-pool DP on t = a/k over
+    each modulus of _dp_moduli(t) up to the first hit, then the split t
+    = a/(k+1) + a/(k(k+1)), both parts solved disjointly the same way,
+    to depth _SPLIT_DEPTH (where only the DP runs): a record per pool (a
+    refusal if no modulus fits), the parts' and "split" when they solve
+    t.  A lone "gate" record stops the search when t, a split part or
+    greedy residual, has a modulus to try and gcd(|h|, den t) > 1: that
+    gcd proves nothing about the cascade's own target."""
     moduli = _dp_moduli(t)
     if moduli and gcd(abs(h), t.denominator) != 1:
-        raise SearchExhausted(
-            f"part {t} of the search has a denominator sharing a factor "
-            f"with |h| = {abs(h)}; the search stops there",
-            target=str(t))
+        return [_Attempt("gate", t)]
+    recs = [] if moduli else [_Attempt("dp", t)]
     for M in moduli:
-        try:
-            return _divisor_dp(t, h, M, budget, exclude)
-        except SearchExhausted:
-            continue
-    return None
-
-
-def _split_solve(t: Fraction, h: int, used: set, budget: SearchBudget,
-                 depth: int = 0) -> list[int] | None:
-    """The divisor-pool DP on t = a/k, then the split t = a/(k+1) +
-    a/(k(k+1)), both parts solved disjointly the same way, to depth
-    _SPLIT_DEPTH: the primes found, or None."""
-    got = _dp_solve(t, h, used, budget)
-    if got is not None or depth == _SPLIT_DEPTH:
-        return got
+        recs.append(_divisor_dp(t, h, M, budget, used))
+        if recs[-1].primes is not None:
+            return recs
+    if depth == _SPLIT_DEPTH:
+        return recs
     a, k = t.numerator, t.denominator
-    first = _split_solve(Fraction(a, k + 1), h, used, budget, depth + 1)
-    if first is None:
-        return None
-    rest = _split_solve(Fraction(a, k * (k + 1)), h, used | set(first),
-                        budget, depth + 1)
-    return None if rest is None else first + rest
+    found: tuple[int, ...] = ()
+    for part in (Fraction(a, k + 1), Fraction(a, k * (k + 1))):
+        recs += _split_solve(part, h, used | set(found), budget, depth + 1)
+        if recs[-1].primes is None:
+            return recs
+        found += recs[-1].primes
+    return recs + [_Attempt("split", t, primes=found)]
 
 
 def _solve_single(t: Fraction, h: int, used: set,
-                  budget: SearchBudget) -> list[int]:
-    """The cascade on t with the primes in used barred, returning the
-    primes: _split_solve, then on t itself assembly, then greedy steps
-    with a DP retry on each residual."""
-    got = _split_solve(t, h, used, budget)
-    if got is not None:
-        return got
-    try:
-        return _assembly_decompose(t, h, frozenset(used), budget)
-    except SearchExhausted:
-        pass
+                  budget: SearchBudget) -> list[_Attempt]:
+    """The cascade on t with the primes in used barred: _split_solve,
+    then on t itself assembly, then greedy steps with a DP retry on each
+    residual.  The last record is a "gate" or one on t: its primes or None."""
+    recs = _split_solve(t, h, used, budget)
+    if recs[-1].primes is None and recs[-1].stage != "gate":
+        recs.append(_assembly_decompose(t, h, frozenset(used), budget))
+    if recs[-1].primes is not None or recs[-1].stage == "gate":
+        return recs
     # greedy steps on the residual, retrying the divisor-pool DP after each
     extra: list[int] = []
     for p, rem in _greedy_steps(t, h, used, budget):
         extra.append(p)
-        if rem == 0:
-            return extra
-        got = _dp_solve(rem, h, used | set(extra), budget)
-        if got is not None:
-            return extra + got
-    raise SearchExhausted(f"all strategies exhausted for target {t}",
-                          target=str(t))
+        if rem:
+            recs += _split_solve(rem, h, used | set(extra), budget,
+                                 _SPLIT_DEPTH)
+        if rem == 0 or recs[-1].primes is not None:
+            rest = recs[-1].primes if rem else ()
+            return recs + [_Attempt("greedy", t, primes=(*extra, *rest))]
+        if recs[-1].stage == "gate":
+            return recs
+    return recs + [_Attempt("greedy", t)]
 
 
 def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
@@ -772,10 +768,18 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     """
     x, h = _gate(x, h)
     used = set(exclude)
-    for _ in range(int(x)):
-        used.update(_solve_single(Fraction(1), h, used, budget))
-    if x % 1:
-        used.update(_solve_single(x % 1, h, used, budget))
+    attempts: list[_Attempt] = []
+    for t in chain(repeat(Fraction(1), int(x)), [x % 1] if x % 1 else ()):
+        attempts += _solve_single(t, h, used, budget)
+        last = attempts[-1]
+        if last.primes is None:
+            raise SearchExhausted(
+                f"part {last.part} of the search has a denominator sharing "
+                f"a factor with |h| = {abs(h)}; the search stops there"
+                if last.stage == "gate" else
+                f"all strategies exhausted for target {last.part}",
+                target=str(last.part), attempts=tuple(attempts))
+        used.update(last.primes)
     return _certified(x, h, used.difference(exclude), "cascade")
 
 
@@ -827,11 +831,8 @@ def merge_by_pigeonhole(parts: PartialSolution) -> Decomposition:
         if not check.valid:
             raise DomainError(f"part {members}: {check.reason}")
         by_d.setdefault(value.denominator, []).append(members)
-    counts = {d: len(v) for d, v in by_d.items()}
     for d in sorted(by_d):
-        if counts[d] >= d:
-            primes: list[int] = []
-            for members in by_d[d][:d]:
-                primes.extend(members)
+        if len(by_d[d]) >= d:
+            primes = [p for members in by_d[d][:d] for p in members]
             return _certified(Fraction(1), h, primes, "merge")
-    raise MergeInsufficient(counts)
+    raise MergeInsufficient({d: len(v) for d, v in by_d.items()})

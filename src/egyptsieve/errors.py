@@ -12,18 +12,17 @@ class CapacityError(RuntimeError):
 class SearchExhausted(Exception):
     """A search ran out of budget without finding a result.
 
-    Never a nonexistence claim, except within the explicit pool recorded
-    in the diagnostics (``proven_absent_in_pool``).
+    ``target`` names the part searched, and ``attempts`` holds the
+    search's stage records in order.  Never a nonexistence claim, except
+    within the explicit pool of a record: one with a pool size and no
+    primes is a miss proven for that pool.
     """
 
-    def __init__(self, reason, *, pool_size=None, weight_total=None,
-                 target=None, proven_absent_in_pool=False):
+    def __init__(self, reason, *, target=None, attempts=()):
         super().__init__(reason)
         self.reason = reason
-        self.pool_size = pool_size
-        self.weight_total = weight_total
         self.target = target
-        self.proven_absent_in_pool = proven_absent_in_pool
+        self.attempts = tuple(attempts)
 
 
 class MergeInsufficient(SearchExhausted):

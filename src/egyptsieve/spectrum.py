@@ -22,6 +22,7 @@ import numpy as np
 from .arith import (
     _check_array_limit,
     _coprime_fraction,
+    _exact_fields,
     _exact_ints,
     _rough_parts,
     balanced_product,
@@ -74,12 +75,14 @@ def _exceeds_power(value: int, base: int, expo: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class ShiftParams:
-    """Shift h and progression modulus q, with gcd(|h|, q) = 1."""
+    """Shift h and progression modulus q, with gcd(|h|, q) = 1, as the
+    ints ``arith._exact_ints`` reads."""
 
     h: int
     q: int = 1
 
     def __post_init__(self):
+        _exact_fields(self, "h", "q")
         if self.h == 0:
             raise DomainError("shift h must be nonzero")
         if self.q < 1:
@@ -349,7 +352,9 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     per N (an LRU memo of 4 entries, 2.9 MB each); any other d reduces
     the primes up to N modulo d in one pass.  All give the same count,
     so no result depends on the order of calls.  phi(d) comes from the
-    factorization of d by trial division."""
+    factorization of d by trial division.  N, d and h are read by
+    ``arith._exact_ints``: a bool or float is a DomainError."""
+    N, d, h = _exact_ints((N, d, h), "prime_count_ap argument")
     if N < 100:
         raise DomainError("need N >= 100")
     if d < 1:

@@ -28,8 +28,7 @@ SIGNATURES = {
     "ObstructionError": ["result"],
     "PartialSolution": ["h", "parts"],
     "SearchBudget": ["max_prime", "max_terms"],
-    "SearchExhausted": ["reason", "pool_size", "weight_total", "target",
-                        "proven_absent_in_pool"],
+    "SearchExhausted": ["reason", "target", "attempts"],
     "ShiftParams": ["h", "q"],
     "SieveEstimate": ["remainders", "main_term", "exact_count"],
     "decompose": ["x", "h", "budget", "exclude"],

@@ -286,6 +286,22 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("exhausted:") and "provably" not in err
 
+    @pytest.mark.parametrize("argv, rc, err", [
+        (["--target", "4/5", "--shift", "6"], 1,
+         "exhausted: part 2/3 of the search has a denominator sharing a "
+         "factor with |h| = 6; the search stops there\n"),
+        (["--target", "1/97", "--shift", "1", "--max-prime", "50"], 1,
+         "exhausted: all strategies exhausted for target 1/97\n"),
+        (["--target", "1/4", "--shift", "-2"], 2,
+         "error: gcd(|h|=2, den=4) = 2 > 1: only p = 2 can give a "
+         "denominator divisible by 2, so every achievable sum has 2-adic "
+         "valuation >= -2; target has -2\n"),
+    ], ids=["gated-part", "exhausted", "obstructed"])
+    def test_failed_search_messages(self, argv, rc, err, capsys):
+        assert main(["decompose", *argv]) == rc
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", err)
+
     def test_unfactorable_modulus_exits_2(self, capsys):
         den = (10 ** 6 + 3) * (10 ** 6 + 33)
         rc = main(["decompose", "--target", f"1/{den}", "--shift", "1"])

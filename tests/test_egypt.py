@@ -97,6 +97,34 @@ class TestFeasibility:
         assert not res.provably_impossible
 
 
+    @pytest.mark.parametrize("h", [True, 1.0, Fraction(-2), "1"])
+    def test_shift_read_exactly(self, h):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"shift {h!r} not an integer")):
+            feasibility_check(Fraction(1, 2), h)
+
+    def test_numpy_shift_reads_as_its_int(self):
+        for x in (Fraction(1, 8), Fraction(1, 3)):
+            assert feasibility_check(x, np.int64(-2)) == \
+                feasibility_check(x, -2)
+
+
+class TestSearchBudgetFields:
+    @pytest.mark.parametrize("field, value", [
+        ("max_prime", 1e6), ("max_prime", True), ("max_terms", 2.0),
+        ("max_terms", Fraction(4)),
+    ])
+    def test_fields_read_exactly(self, field, value):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"{field} {value!r} not an")):
+            SearchBudget(**{field: value})
+
+    def test_numpy_fields_stored_as_int(self):
+        budget = SearchBudget(np.int64(1000), np.int32(5))
+        assert budget == SearchBudget(1000, 5)
+        assert (type(budget.max_prime), type(budget.max_terms)) == (int, int)
+
+
 class TestOneFactorizer:
     def test_divisors_of_scaled_moduli_against_sympy(self):
         # the pool's divisors come from trial_factor's (prime, exponent)
@@ -200,17 +228,20 @@ class TestSmoothDP:
     def test_exhausted_reports_pool(self):
         with pytest.raises(SearchExhausted) as exc:
             smooth_dp_decompose(ONE, 1, 12, exclude=frozenset({2, 3}))
-        assert exc.value.proven_absent_in_pool
-        assert exc.value.pool_size == 3    # {5, 7, 13}
-        assert exc.value.weight_total == 6
+        (miss,) = exc.value.attempts
+        assert miss.primes is None    # a miss proven for this pool
+        assert miss.pool_size == 3    # {5, 7, 13}
+        assert miss.weight_total == 6
 
     def test_exhausted_counts_only_choosable_weight(self):
         # target 6: p = 2 carries weight 12 and can never be chosen
         with pytest.raises(SearchExhausted) as exc:
             smooth_dp_decompose(Fraction(1, 2), 1, 12,
                                 exclude=frozenset({3, 13}))
-        assert exc.value.weight_total == 5    # {5, 7}; 2 is not counted
-        assert exc.value.target == 6
+        (miss,) = exc.value.attempts
+        assert miss.weight_total == 5    # {5, 7}; 2 is not counted
+        assert miss.dp_target == 6
+        assert exc.value.target == "1/2"
 
     def test_pool_contents(self):
         pool = smooth_pool(1, 12)
@@ -555,9 +586,9 @@ class TestSubsetSumBacktrack:
         monkeypatch.setattr(egypt, "_slide", spy)
         for floor in (egypt._MITM_MIN_WINDOW, 1 << 62):
             monkeypatch.setattr(egypt, "_MITM_MIN_WINDOW", floor)
-            with pytest.raises(SearchExhausted):
-                egypt._divisor_dp(Fraction(4, 107), 6, 462702240,
-                                  egypt.DEFAULT_BUDGET, frozenset())
+            miss = egypt._divisor_dp(Fraction(4, 107), 6, 462702240,
+                                     egypt.DEFAULT_BUDGET, frozenset())
+            assert miss.primes is None and miss.pool_size == 20
             assert bool(slides) == (floor == 1 << 62)
 
     def test_meet_in_middle_exit_allocates_less_than_the_bitset(self):
@@ -780,6 +811,124 @@ class TestTargetsUniverse:
             part = Fraction(exc.value.target)
             assert part != x and math.gcd(abs(h), part.denominator) > 1
             assert "provably" not in str(exc.value)
+
+
+def _digest(attempts):
+    return hashlib.sha256(
+        repr([tuple(a) for a in attempts]).encode()).hexdigest()[:16]
+
+
+class TestAttemptRecords:
+    """Each cascade stage returns records; decompose raises SearchExhausted
+    once, at its end, with every record so far as its attempts."""
+
+    def test_gated_split_part(self):
+        # every pool of 4/5 misses; the split's first part 2/3 shares the
+        # factor 3 with h = 6, and its lone record stops the search
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(Fraction(4, 5), 6)
+        assert str(exc.value) == (
+            "part 2/3 of the search has a denominator sharing a factor "
+            "with |h| = 6; the search stops there")
+        assert exc.value.target == "2/3"
+        x = Fraction(4, 5)
+        assert [tuple(a) for a in exc.value.attempts] == [
+            ("dp", x, 27720, 7, 13680, 22176, None),
+            ("dp", x, 138600, 11, 75312, 110880, None),
+            ("dp", x, 360360, 13, 218448, 288288, None),
+            ("dp", x, 1801800, 21, 1189008, 1441440, None),
+            ("dp", x, 720720, 13, 436896, 576576, None),
+            ("dp", x, 3603600, 21, 2378016, 2882880, None),
+            ("dp", x, 4324320, 13, 2621376, 3459456, None),
+            ("dp", x, 21621600, 21, 14268096, 17297280, None),
+            ("gate", Fraction(2, 3), None, None, None, None, None),
+        ]
+
+    def test_split_chain_then_assembly_then_greedy(self):
+        # primes <= 50: every pool weight of 1/97 and of its split chain
+        # 1/98, 1/99, 1/100 (each the first part of the one before)
+        # exceeds the DP target, so no weight counts; assembly misses too,
+        # and greedy finds no prime at all (1/(p - 1) <= 1/97 needs p > 97)
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(Fraction(1, 97), 1, SearchBudget(max_prime=50))
+        assert str(exc.value) == "all strategies exhausted for target 1/97"
+        assert exc.value.target == "1/97"
+        got = exc.value.attempts
+        x = Fraction(1, 97)
+        split_chain = [Fraction(1, k) for k in (97, 98, 99, 100)]
+        assert [a.part for a in got[:-2]] == [split_chain[0]] * 4 + \
+            [t for t in split_chain[1:] for _ in range(8)]
+        assert all(a.stage == "dp" and a.pool_size and a.weight_total == 0
+                   and a.primes is None for a in got[:-2])
+        assert [tuple(a) for a in got[-2:]] == [
+            ("assembly", x, 4194590400, 14, 0, 43243200, None),
+            ("greedy", x, None, None, None, None, None),
+        ]
+        assert _digest(got) == "1da3ba619729db56"
+
+    def test_units_then_exhaustion(self):
+        # the first two units of 4 are solved by the first pool; the
+        # third one runs out at primes <= 1000
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(4, 1, SearchBudget(max_prime=1000))
+        assert str(exc.value) == "all strategies exhausted for target 1"
+        got = exc.value.attempts
+        assert [tuple(a) for a in got[:3]] == [
+            ("dp", ONE, 27720, 31, None, 27720, (2,)),
+            ("dp", ONE, 27720, 30, None, 27720, (3, 5, 7, 13)),
+            ("dp", ONE, 27720, 26, 12771, 27720, None),
+        ]
+        assert tuple(got[-1]) == ("greedy", ONE, None, None, None, None,
+                                  None)
+        kinds = [(a.stage, a.pool_size is not None, a.primes is not None)
+                 for a in got]
+        # 152 residuals that no modulus keeps within the DP budget
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            ("dp", True, True): 3, ("dp", True, False): 69,
+            ("dp", False, False): 152, ("assembly", True, False): 1,
+            ("greedy", False, False): 1}
+        assert _digest(got) == "cf230647764b6a0a"
+
+    def test_split_certificate(self):
+        # the pools of 2/73 at h = 6 miss; its split parts 1/37 and
+        # 1/2701 are hit at once, and the "split" record holds both
+        got = egypt._solve_single(Fraction(2, 73), 6, set(),
+                                  egypt.DEFAULT_BUDGET)
+        x = Fraction(2, 73)
+        assert [tuple(a) for a in got] == [
+            ("dp", x, 2023560, 11, 93888, 55440, None),
+            ("dp", x, 26306280, 20, 2167776, 720720, None),
+            ("dp", x, 52612560, 20, 4335552, 1441440, None),
+            ("dp", x, 315675360, 20, 26013312, 8648640, None),
+            ("dp", Fraction(1, 37), 1025640, 11, None, 27720, (43,)),
+            ("dp", Fraction(1, 2701), 74871720, 19, None, 27720, (2707,)),
+            ("split", x, None, None, None, None, (43, 2707)),
+        ]
+        assert decompose(x, 6).primes == (43, 2707)
+
+    def test_assembly_prime_limit_refusal(self):
+        # at h = -7 with primes <= 3 a pair may need primes up to
+        # isqrt(2 * (3 + 7)) = 4, past the limit: assembly refuses, and
+        # the cascade goes on to greedy
+        M = egypt._ASSEMBLY_MODULUS
+        assert _assembly_items(-7, M, frozenset(), 3) is None
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(Fraction(1, 3), -7, SearchBudget(max_prime=3))
+        assert str(exc.value) == "all strategies exhausted for target 1/3"
+        third = Fraction(1, 3)
+        (refusal,) = [a for a in exc.value.attempts if a.stage == "assembly"]
+        assert tuple(refusal) == ("assembly", third, M, None, None, M // 3,
+                                  None)
+        assert tuple(exc.value.attempts[-1]) == (
+            "greedy", third, None, None, None, None, None)
+
+    def test_assembly_over_the_dp_budget_is_refused(self):
+        # 8/97: DP target 8 * 43243200 > 1e8, so assembly builds no items
+        got = egypt._assembly_decompose(Fraction(8, 97), 6, frozenset(),
+                                        egypt.DEFAULT_BUDGET)
+        assert tuple(got) == ("assembly", Fraction(8, 97),
+                              egypt._ASSEMBLY_MODULUS * 97, None, None,
+                              8 * egypt._ASSEMBLY_MODULUS, None)
 
 
 class TestMemoOrder:
@@ -1203,16 +1352,16 @@ class TestAssemblyItems:
         # <= target add up to more than it
         x, limit = Fraction(1, 97), 200
         M = egypt._ASSEMBLY_MODULUS * 97
-        with pytest.raises(SearchExhausted) as exc:
-            egypt._assembly_decompose(x, 1, frozenset(),
-                                      SearchBudget(max_prime=limit))
+        miss = egypt._assembly_decompose(x, 1, frozenset(),
+                                         SearchBudget(max_prime=limit))
         items = _assembly_items(1, M, frozenset(), limit)
         target = egypt._ASSEMBLY_MODULUS
-        assert exc.value.proven_absent_in_pool
-        assert exc.value.target == target
-        assert exc.value.pool_size == len(items)
+        assert miss.primes is None    # a miss proven for this pool
+        assert (miss.stage, miss.part, miss.modulus) == ("assembly", x, M)
+        assert miss.dp_target == target
+        assert miss.pool_size == len(items)
         assert any(w > target for w, _ in items)
-        assert exc.value.weight_total == \
+        assert miss.weight_total == \
             sum(w for w, _ in items if w <= target) > target
 
     @staticmethod
@@ -1275,7 +1424,7 @@ class TestAssemblyItems:
         got = egypt._assembly_decompose(x, 1, frozenset({2 ** 64 + 13}),
                                         budget)
         assert got == egypt._assembly_decompose(x, 1, frozenset(), budget)
-        assert len(got) == 52
+        assert len(got.primes) == 52
 
     def test_wide_denominators(self):
         # q_max = 94,869 <= limit, and d = p - h passes 2^32

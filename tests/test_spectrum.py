@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from egyptsieve.arith import balanced_product, li_approx, prime_array
 from egyptsieve.errors import CapacityError, DomainError
+from egyptsieve.reports import density_report_dict
 from egyptsieve import spectrum
 from egyptsieve.spectrum import (
     ShiftParams,
@@ -35,6 +38,22 @@ class TestParams:
         with pytest.raises(DomainError):
             ShiftParams(2, 4)
         ShiftParams(-2, 5)
+
+    @pytest.mark.parametrize("h, q, what", [
+        (True, 1, "h True"), (1.0, 1, "h 1.0"), (1, 1.0, "q 1.0"),
+        (1, False, "q False"), (Fraction(1), 1, "h Fraction(1, 1)"),
+    ])
+    def test_fields_read_exactly(self, h, q, what):
+        with pytest.raises(DomainError, match=re.escape(f"{what} not an")):
+            ShiftParams(h, q)
+
+    def test_numpy_fields_stored_as_int(self):
+        params = ShiftParams(np.int64(1), np.int32(3))
+        assert (type(params.h), type(params.q)) == (int, int)
+        got = friability_density(1000, params, Fraction(3, 10))
+        want = friability_density(1000, ShiftParams(1, 3), Fraction(3, 10))
+        assert json.dumps(density_report_dict(got)) == \
+            json.dumps(density_report_dict(want))
 
 
 class TestFriability:
@@ -303,6 +322,21 @@ class TestPrimeCountAP:
     def test_gcd_violation(self):
         with pytest.raises(DomainError):
             prime_count_ap(100, 2, 2)
+
+    @pytest.mark.parametrize("args", [
+        (100, 4.0, 1), (100.0, 4, 1), (100, 4, True), (100, 4, Fraction(1)),
+    ])
+    def test_arguments_read_exactly(self, args):
+        with pytest.raises(DomainError, match="not an integer"):
+            prime_count_ap(*args)
+
+    def test_numpy_N_hits_the_int_memo_entry(self):
+        spectrum._residue_histogram.cache_clear()
+        want = prime_count_ap(1000, 4, 1)
+        assert prime_count_ap(np.int64(1000), np.int32(4), np.int64(1)) \
+            == want
+        info = spectrum._residue_histogram.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_residue_sum_invariant(self):
         N = 10 ** 4

@@ -1,8 +1,8 @@
 """Exact arithmetic substrate: primality, sieving into one array cache
-(every prime list is a slice of ``prime_array``: the kernels' base
-primes, the split primes of exact sums and ``trial_factor``'s divisors
-alike), factorization into plain (prime, exponent) pairs, li, exact
-reciprocal sums.
+of two kinds, primes and largest prime powers (every prime list is a
+slice of ``prime_array``: the kernels' base primes, the split primes of
+exact sums and ``trial_factor``'s divisors alike), omega read at the n
+asked for, factorization into (prime, exponent) pairs, li, reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -31,7 +31,7 @@ import functools
 import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, log, prod
 
 import numpy as np
 
@@ -176,8 +176,9 @@ def prime_segments(limit: int):
     array cleared by one strided slice per base prime p <= sqrt(hi); the
     first starts at 1, whose entry stands for 2.  The base primes are
     ``prime_array(isqrt(limit))``, none below limit 4.  Limits whose
-    base sieve exceeds the budget raise CapacityError.
-    """
+    base sieve exceeds the budget raise CapacityError, and a limit that
+    ``_exact_ints`` refuses DomainError."""
+    (limit,) = _exact_ints((limit,), "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     base_limit = isqrt(limit)
@@ -194,7 +195,9 @@ def prime_segments(limit: int):
         start += ps * (start % 2 == 0)
         for p, first in zip(ps.tolist(), ((start - lo) // 2).tolist()):
             seg[first::p] = False
-        primes = lo + 2 * np.flatnonzero(seg)
+        primes = np.flatnonzero(seg)
+        primes *= 2
+        primes += lo
         if lo == 1:
             primes[0] = 2
         yield primes
@@ -207,19 +210,19 @@ def sieve_primes(limit: int):
         yield from primes.tolist()
 
 
-def prime_power_sieve(limit: int, kind: str) -> np.ndarray:
-    """omega(n) (kind "omega", int8) or the largest prime power exactly
-    dividing n (kind "maxpp", uint32) for every 0 <= n <= limit; n = 0
-    and n = 1 get omega 0 and prime power 1.
+def prime_power_sieve(limit: int, kind: str):
+    """Yield omega(n) (kind "omega", int8) or the largest prime power
+    exactly dividing n (kind "maxpp", uint32) for 0 <= n <= limit, one
+    array per segment [lo, hi) of SEGMENT_SIZE numbers; n = 0 and n = 1
+    get omega 0 and prime power 1.
 
-    One segment [lo, hi) of SEGMENT_SIZE numbers at a time, each base
-    prime p with p^2 < hi marks its multiples and multiplies every power
-    p^k < hi into the segment's smooth part.  What is left of n after
-    dividing that out is 1 or a single prime to the first power (two
-    factors of at least sqrt(hi) would exceed n), which adds one to
-    omega and is a prime-power candidate.  The Python loop runs only
-    over the base primes, ``prime_array(isqrt(limit))``, once per segment.
-    """
+    In each segment, each base prime p with p^2 < hi marks its multiples
+    and multiplies every power p^k < hi into the segment's smooth part.
+    What is left of n after dividing that out is 1 or a single prime to
+    the first power (two factors of at least sqrt(hi) would exceed n),
+    which adds one to omega and is a prime-power candidate.  The Python
+    loop runs only over the base primes, ``prime_array(isqrt(limit))``,
+    once per segment.  Read by ``max_prime_power_array`` and ``_omega_at``."""
     if kind not in ("omega", "maxpp"):
         raise DomainError(f"unknown kind {kind!r}")
     if limit < 0:
@@ -227,14 +230,11 @@ def prime_power_sieve(limit: int, kind: str) -> np.ndarray:
     if limit > np.iinfo(np.uint32).max:
         raise CapacityError(f"limit {limit} exceeds the uint32 range")
     omega = kind == "omega"
-    if omega:
-        out = np.zeros(limit + 1, dtype=np.int8)
-    else:
-        out = np.ones(limit + 1, dtype=np.uint32)
     base = prime_array(isqrt(limit)).tolist()
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        seg = out[lo:hi]
+        seg = (np.zeros(hi - lo, np.int8) if omega
+               else np.ones(hi - lo, np.uint32))
         smooth = np.ones(hi - lo, dtype=np.uint32)
         for p in base:
             if p * p >= hi:
@@ -253,8 +253,28 @@ def prime_power_sieve(limit: int, kind: str) -> np.ndarray:
         if omega:
             seg += smooth < n
         else:
-            np.maximum(seg, n // smooth, out=seg)
+            np.maximum(seg, np.floor_divide(n, smooth, out=n), out=seg)
+        yield seg
+
+
+def _omega_at(n: np.ndarray) -> np.ndarray:
+    """omega at each entry of a sorted int64 array of n >= 0, as int8,
+    gathered one segment of ``prime_power_sieve`` at a time, no table."""
+    out = np.zeros(len(n), dtype=np.int8)
+    lo = i = 0
+    for seg in prime_power_sieve(int(n.max(initial=0)), "omega"):
+        j = int(np.searchsorted(n, lo + len(seg)))
+        out[i:j] = seg[n[i:j] - lo]
+        lo, i = lo + len(seg), j
     return out
+
+
+def _residues(N: int, d: int):
+    """Yield the primes p <= N modulo d <= N as uint32 (exact: no cached
+    prime reaches 2^32), one array per slice of SEGMENT_SIZE primes."""
+    primes = prime_array(N)
+    for i in range(0, len(primes), SEGMENT_SIZE):
+        yield primes[i:i + SEGMENT_SIZE].astype(np.uint32) % np.uint32(d)
 
 
 def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -298,8 +318,9 @@ def li_approx(n: int) -> float:
     """Logarithmic integral li(n), relative error well under 1e-9.
 
     Evaluated as Ei(log n) from the exponential-integral power series
-    around log n, carried in 40-digit decimal arithmetic internally.
-    """
+    around log n, carried in 40-digit decimal arithmetic internally; n
+    is read by ``_exact_ints``."""
+    (n,) = _exact_ints((n,), "li_approx argument")
     if n < 3:
         raise DomainError(f"li_approx needs n >= 3, got {n}")
     with localcontext() as ctx:
@@ -357,28 +378,42 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     return arr
 
 
+def _prime_bound(n: int) -> int:
+    """An upper bound on pi(n) for n >= 2: pi(x) < 1.25506 x / log x for
+    x > 1 (Rosser and Schoenfeld, Illinois J. Math. 6, 1962)."""
+    return int(1.25506 * n / log(n)) + 1
+
+
+def _fill(out: np.ndarray, segments, limit: int) -> np.ndarray:
+    """out[:k] after writing the segments into out in turn, k entries in
+    all; RuntimeError if they pass its end."""
+    k = 0
+    for seg in segments:
+        if k + len(seg) > len(out):
+            raise RuntimeError(f"segments to {limit} overflow {len(out)}")
+        out[k:k + len(seg)] = seg
+        k += len(seg)
+    return out[:k]
+
+
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty below 2): the segments
-    of ``prime_segments`` concatenated (cached, read-only)."""
+    of ``prime_segments`` ``_fill`` a ``_prime_bound`` buffer, whose
+    unwritten tail is never touched (cached, read-only)."""
     def build(n):
         if n < 2:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(list(prime_segments(n)))
+        return _fill(np.empty(_prime_bound(n), np.int64), prime_segments(n), n)
 
     return _cached("primes", limit, build)
 
 
-def omega_array(limit: int) -> np.ndarray:
-    """omega(n), the number of distinct prime factors, for all n <= limit
-    as int8, from the kernel ``prime_power_sieve`` (cached, read-only)."""
-    return _cached("omega", limit, lambda n: prime_power_sieve(n, "omega"))
-
-
 def max_prime_power_array(limit: int) -> np.ndarray:
     """Largest prime power exactly dividing n, for all n <= limit, as
-    uint32 (values never exceed limit), from the segmented kernel
-    ``prime_power_sieve`` (cached, read-only)."""
-    return _cached("maxpp", limit, lambda n: prime_power_sieve(n, "maxpp"))
+    uint32 (values never exceed limit), filled segment by segment from
+    the kernel ``prime_power_sieve`` (cached, read-only)."""
+    return _cached("maxpp", limit, lambda n: _fill(
+        np.empty(n + 1, dtype=np.uint32), prime_power_sieve(n, "maxpp"), n))
 
 
 def _pairwise(items: list, merge, empty):

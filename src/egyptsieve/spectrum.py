@@ -24,12 +24,13 @@ from .arith import (
     _coprime_fraction,
     _exact_fields,
     _exact_ints,
+    _omega_at,
+    _residues,
     _rough_parts,
     balanced_product,
     is_prime,
     li_approx,
     max_prime_power_array,
-    omega_array,
     prime_array,
     reciprocal_sum,
     trial_factor,
@@ -131,8 +132,8 @@ def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
     if h + least > top or h % q > top:
         return np.zeros(0, dtype=np.int64)
     _check_array_limit("n = p - h", top - h)
-    sel = (primes if q > top else primes % q) == h % q
-    return primes[sel & (primes >= h + least)] - h
+    ps = primes[np.searchsorted(primes, h + least):]
+    return (ps if q == 1 else ps[(ps if q > top else ps % q) == h % q]) - h
 
 
 def _report(N: int, shift: ShiftParams, baseline, select,
@@ -145,8 +146,9 @@ def _report(N: int, shift: ShiftParams, baseline, select,
     ``baseline(*params)`` refuses them with DomainError or returns the
     baseline; ``select(n, *params)`` on a nonempty n returns the mask
     of the counted n and how many n it keeps out of the normalizer.  N
-    is checked first; a refused call builds no array.
+    (``_exact_ints``) is checked first; a refused call builds no array.
     """
+    (N,) = _exact_ints((N,), "N")
     if N < 100:
         raise DomainError("need N >= 100")
     params = {k: Fraction(v if isinstance(v, (int, Fraction)) else str(v))
@@ -210,7 +212,7 @@ def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
         ll = np.log(np.log(m.astype(np.float64)))
         thr = math.inf if d > sys.float_info.max else float(d)
         # counted: the kept n whose omega deviates that far
-        keep[keep] = np.abs(omega_array(int(n.max()))[m] - ll) >= thr * ll
+        keep[keep] = np.abs(_omega_at(m) - ll) >= thr * ll
         return keep, len(n) - len(m)
 
     return _report(N, shift, baseline, select, delta=delta)
@@ -221,18 +223,19 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     p <= N with p - h >= 2, divided by pi(N) loglog N.
 
     The statistic ranges over all primes (the modulus q of the shift
-    plays no role here); omega sums are exact integers, combined with
-    the loglog N center in one float step at the end.
-    """
+    plays no role here); omega sums over ``arith._omega_at`` are exact
+    integers, combined with the loglog N center in one float step at
+    the end.  N is read by ``arith._exact_ints``."""
+    (N,) = _exact_ints((N,), "N")
     if N < 100:
         raise DomainError("need N >= 100")
     primes = prime_array(N)
     m = _shifted(primes, shift.h, 1, 2)
     if len(m) == 0:
         return 0.0
-    om = omega_array(int(m.max()))[m].astype(np.int64)
-    s1 = int(om.sum())
-    s2 = int((om * om).sum())
+    om = _omega_at(m).astype(np.int16)
+    s1 = int(om.sum(dtype=np.int64))
+    s2 = int((om * om).sum(dtype=np.int64))
     c = math.log(math.log(N))
     total = s2 - 2 * c * s1 + c * c * len(m)
     return total / (len(primes) * c)
@@ -335,8 +338,8 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
 def _residue_histogram(N: int) -> np.ndarray:
     """Number of primes p <= N in each class modulo _HIST_MODULUS, as a
     read-only int32 array (no entry exceeds pi(N)); memoized."""
-    hist = np.bincount(prime_array(N) % _HIST_MODULUS,
-                       minlength=_HIST_MODULUS).astype(np.int32)
+    hist = sum(np.bincount(r, minlength=_HIST_MODULUS)
+               for r in _residues(N, _HIST_MODULUS)).astype(np.int32)
     hist.flags.writeable = False
     return hist
 
@@ -349,11 +352,11 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     the count is 1 when h mod d is a prime up to N and 0 otherwise.  A
     modulus d dividing 720720 = lcm(1..16) sums every d-th entry of
     ``_residue_histogram(N)``, the prime counts modulo 720720, built once
-    per N (an LRU memo of 4 entries, 2.9 MB each); any other d reduces
-    the primes up to N modulo d in one pass.  All give the same count,
-    so no result depends on the order of calls.  phi(d) comes from the
-    factorization of d by trial division.  N, d and h are read by
-    ``arith._exact_ints``: a bool or float is a DomainError."""
+    per N (an LRU memo of 4 entries, 2.9 MB each); any other d counts
+    h's class in ``arith._residues``, as the histogram does.  All give
+    the same count, so no result depends on the order of calls.  phi(d)
+    comes from the factorization of d by trial division.  N, d and h
+    are read by ``arith._exact_ints``: a bool or float is a DomainError."""
     N, d, h = _exact_ints((N, d, h), "prime_count_ap argument")
     if N < 100:
         raise DomainError("need N >= 100")
@@ -366,7 +369,7 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     elif _HIST_MODULUS % d == 0:
         count = int(_residue_histogram(N)[h % d::d].sum())
     else:
-        count = int(((prime_array(N) % d) == (h % d)).sum())
+        count = sum(np.count_nonzero(r == h % d) for r in _residues(N, d))
     phi = math.prod(p ** (e - 1) * (p - 1) for p, e in trial_factor(d))
     return count, li_approx(N) / phi
 
@@ -381,7 +384,8 @@ def mertens_product(w: int) -> Fraction:
     r plus, for q <= B, its exponent in prod(m), summed over the
     multiples of q, q^2, ... in a bincount of the m; less one at each p.
     The coprime numerator and denominator come out as balanced products
-    of prime powers, no gcd."""
+    of prime powers, no gcd.  w is read by ``arith._exact_ints``."""
+    (w,) = _exact_ints((w,), "w")
     if w < 2:
         raise DomainError("need w >= 2")
     ps = prime_array(w)

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from egyptsieve.arith import (
     is_prime,
     li_approx,
     max_prime_power_array,
-    omega_array,
     prime_array,
     prime_power_sieve,
     prime_segments,
@@ -49,6 +49,11 @@ def _monolithic_flags(limit):
         if flags[p]:
             flags[p * p::p] = False
     return flags
+
+
+def _walk(limit, kind):
+    """prime_power_sieve's segments for 0..limit, joined."""
+    return np.concatenate(list(prime_power_sieve(limit, kind)))
 
 
 def _drop_cached(kind):
@@ -172,11 +177,11 @@ class TestPrimeCache:
             assert np.array_equal(sliced[m], prime_array(m)), m
 
     def test_index_arrays_sliced(self):
-        _drop_cached("omega")
-        omega_array(5000)
+        _drop_cached("maxpp")
+        max_prime_power_array(5000)
         before = set(arith._cache)
-        assert omega_array(1234).tolist() == \
-            prime_power_sieve(1234, "omega").tolist()
+        assert max_prime_power_array(1234).tolist() == \
+            _walk(1234, "maxpp").tolist()
         assert set(arith._cache) == before
 
     def test_larger_build_replaces_smaller(self):
@@ -198,7 +203,7 @@ class TestPrimeCache:
         assert len(arr) == 78498
 
     def test_negative_limit_refused_when_cached(self):
-        for build in (prime_array, omega_array, max_prime_power_array):
+        for build in (prime_array, max_prime_power_array):
             build(100)
             with pytest.raises(DomainError):
                 build(-5)
@@ -208,17 +213,52 @@ class TestPrimeCache:
             raise AssertionError(f"built to {n}")
 
         before = set(arith._cache)
-        for kind in ("primes", "omega", "maxpp"):
+        for kind in ("primes", "maxpp"):
             with pytest.raises(CapacityError):
                 arith._cached(kind, arith.MAX_ARRAY_LIMIT + 1, build)
         assert set(arith._cache) == before
 
     def test_read_only(self):
         _drop_cached("primes")
-        for arr in (prime_array(1000), prime_array(500), omega_array(1000),
+        for arr in (prime_array(1000), prime_array(500),
                     max_prime_power_array(1000)):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    def test_buffer_bound_covers_pi(self):
+        # every limit to 10^4, and limits on and one off the first five
+        # edges of the default segments (2 SEGMENT_SIZE odd numbers each)
+        primes = prime_array(10 * arith.SEGMENT_SIZE + 2)
+        edges = [2 * arith.SEGMENT_SIZE * k + e
+                 for k in range(1, 6) for e in (-1, 0, 1)]
+        for limit in [*range(2, 10 ** 4 + 1), *edges]:
+            pi = int(np.searchsorted(primes, limit, "right"))
+            assert arith._prime_bound(limit) >= pi, limit
+
+    def test_buffer_overflow_raises(self, monkeypatch):
+        # a bound below pi(limit) is a fault to report, never a truncation
+        monkeypatch.setattr(arith, "_cache", {})
+        bound = arith._prime_bound
+        # pi(1000) = 168; the base primes to 31 keep the true bound
+        monkeypatch.setattr(arith, "_prime_bound",
+                            lambda n: 167 if n == 1000 else bound(n))
+        with pytest.raises(RuntimeError, match="segments to 1000 overflow"):
+            prime_array(1000)
+
+    def test_cold_build_peak_memory(self, monkeypatch):
+        # the segments are written into one buffer of _prime_bound(limit)
+        # entries, about 1.18 times the final array at 10^8; a list of
+        # segments joined by np.concatenate peaks near twice it.  A fresh
+        # cache makes the build cold and is discarded afterwards
+        monkeypatch.setattr(arith, "_cache", {})
+        tracemalloc.start()
+        try:
+            arr = prime_array(10 ** 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arr) == 5761455
+        assert peak < 1.3 * arr.nbytes, peak / arr.nbytes
 
 
 class TestIsPrime:
@@ -483,13 +523,14 @@ class TestPrimePowerSieve:
     def test_against_factorize_0_200(self):
         om_ref, mp_ref = _oracle_arrays(200)
         for limit in range(201):
-            om = prime_power_sieve(limit, "omega")
-            mp = prime_power_sieve(limit, "maxpp")
-            assert om.tolist() == om_ref[:limit + 1].tolist()
-            assert mp.tolist() == mp_ref[:limit + 1].tolist()
+            assert _walk(limit, "omega").tolist() == \
+                om_ref[:limit + 1].tolist()
+            assert _walk(limit, "maxpp").tolist() == \
+                mp_ref[:limit + 1].tolist()
 
     def test_segment_boundaries(self, monkeypatch):
         om_ref, mp_ref = _oracle_arrays(3000)
+        monkeypatch.setattr(arith, "_cache", dict(arith._cache))
         for size in (64, 65):
             monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
             limits = set()
@@ -503,38 +544,78 @@ class TestPrimePowerSieve:
                         limits |= {q - 1, q, q + 1}
                 limits |= {p * p - 1, p * p, p * p + 1}
             for limit in sorted(limits):
-                om = prime_power_sieve(limit, "omega")
-                mp = prime_power_sieve(limit, "maxpp")
+                segs = list(prime_power_sieve(limit, "omega"))
+                assert [len(g) for g in segs[:-1]] == [size] * (len(segs) - 1)
+                om = np.concatenate(segs)
                 assert om.tolist() == om_ref[:limit + 1].tolist(), limit
+                # the cached array, filled from the generator's segments
+                _drop_cached("maxpp")
+                mp = max_prime_power_array(limit)
                 assert mp.tolist() == mp_ref[:limit + 1].tolist(), limit
+                assert np.array_equal(mp, _walk(limit, "maxpp")), limit
 
     def test_dtypes(self):
-        assert prime_power_sieve(1000, "omega").dtype == np.int8
-        assert prime_power_sieve(1000, "maxpp").dtype == np.uint32
-        assert omega_array(1001).dtype == np.int8
+        for kind, dtype in (("omega", np.int8), ("maxpp", np.uint32)):
+            assert {g.dtype for g in prime_power_sieve(1000, kind)} == \
+                {np.dtype(dtype)}
+        assert arith._omega_at(np.arange(5)).dtype == np.int8
         assert max_prime_power_array(1001).dtype == np.uint32
 
     def test_wrappers_build_no_prime_table(self):
         limit = 54321
-        for build, kind in ((omega_array, "omega"),
-                            (max_prime_power_array, "maxpp")):
+        for kind, read in (
+                ("maxpp", lambda: max_prime_power_array(limit)),
+                ("omega", lambda: arith._omega_at(np.array([limit])))):
             _drop_cached(kind)
             _drop_cached("primes")
             before = set(arith._cache)
-            build(limit)
+            read()
             added = set(arith._cache) - before
-            # the array itself and its base primes up to sqrt(limit)
-            assert (kind, limit) in added
+            # the maxpp array itself; for both, base primes to sqrt(limit)
+            if kind == "maxpp":
+                assert (kind, limit) in added
             (other, n), = added - {(kind, limit)}
             assert other == "primes" and n <= math.isqrt(limit)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            prime_power_sieve(-1, "omega")
+            next(prime_power_sieve(-1, "omega"))
         with pytest.raises(DomainError):
-            prime_power_sieve(10, "spf")
+            next(prime_power_sieve(10, "spf"))
         with pytest.raises(CapacityError):
-            prime_power_sieve(2 ** 32, "omega")
+            next(prime_power_sieve(2 ** 32, "omega"))
+
+
+class TestOmegaAt:
+    """omega gathered at the n asked for, against trial_factor."""
+
+    LIMIT = 700
+
+    @staticmethod
+    def _oracle(n):
+        return [len(trial_factor(int(v))) if v > 1 else 0 for v in n]
+
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_against_trial_factor(self, monkeypatch, size):
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+        primes = prime_array(self.LIMIT)
+        cases = [
+            np.arange(self.LIMIT + 1),                # every n <= limit
+            primes[primes >= 3] - 1,                  # sparse n = p - h
+            primes[primes >= 7] - 6,
+            np.array([3, 5, 6 * size + 7]),           # skips segments
+            np.array([4 * size + 9]),                 # a single n
+            np.array([0, 1]),
+            np.array([2, size - 1]),                  # last n on an edge
+            np.array([size, 3 * size - 1]),
+            np.array([3 * size]),
+        ]
+        for n in cases:
+            n = n.astype(np.int64)
+            assert arith._omega_at(n).tolist() == self._oracle(n), n
+
+    def test_empty(self):
+        assert arith._omega_at(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
 class TestOmegaAdditivity:

@@ -8,7 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from egyptsieve.arith import balanced_product, li_approx, prime_array
+from egyptsieve import arith
+from egyptsieve.arith import (
+    balanced_product,
+    li_approx,
+    prime_array,
+    sieve_primes,
+)
 from egyptsieve.errors import CapacityError, DomainError
 from egyptsieve.reports import density_report_dict
 from egyptsieve import spectrum
@@ -54,6 +60,40 @@ class TestParams:
         want = friability_density(1000, ShiftParams(1, 3), Fraction(3, 10))
         assert json.dumps(density_report_dict(got)) == \
             json.dumps(density_report_dict(want))
+
+
+HALF = Fraction(1, 2)
+
+# each sieve and density entry point, taking its integer argument x
+ENTRY_POINTS = {
+    "friability": lambda x: friability_density(x, ShiftParams(1), HALF),
+    "omega": lambda x: omega_deviation_density(x, ShiftParams(1), HALF),
+    "window": lambda x: divisor_window_density(x, ShiftParams(1), 5, 100),
+    "halberstam": lambda x: halberstam_variance(x, ShiftParams(1)),
+    "mertens": mertens_product,
+    "sieve_primes": lambda x: list(sieve_primes(x)),
+    "li_approx": li_approx,
+}
+
+
+class TestExactArguments:
+    """N, w, limit and n are read by arith._exact_ints: a float, bool or
+    string is a DomainError, and a numpy integer reads as the int."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("x", [1000.0, 1000.5, True, "1000"])
+    def test_arguments_read_exactly(self, entry, x):
+        with pytest.raises(DomainError, match="not an integer"):
+            ENTRY_POINTS[entry](x)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_numpy_integers_read_as_int(self, entry):
+        got = ENTRY_POINTS[entry](np.int64(1000))
+        want = ENTRY_POINTS[entry](1000)
+        if hasattr(got, "N"):
+            assert type(got.N) is int
+            got, want = density_report_dict(got), density_report_dict(want)
+        assert got == want
 
 
 class TestFriability:
@@ -148,6 +188,13 @@ class TestHalberstam:
         vals = [halberstam_variance(n, shift_plus1)
                 for n in (10 ** 5, 10 ** 6)]
         assert max(vals) / min(vals) < 2
+
+    def test_reads_omega_without_a_table(self, monkeypatch):
+        # omega is gathered at the n = p - h; from a fresh cache, only
+        # the primes (and base primes, replaced by them) are cached
+        monkeypatch.setattr(arith, "_cache", {})
+        halberstam_variance(2 * 10 ** 6, ShiftParams(1))
+        assert {kind for kind, _ in arith._cache} == {"primes"}
 
     def test_shift_past_int64(self):
         # no p - h >= 2 above N; below, n passes every table's reach
@@ -385,6 +432,18 @@ class TestPrimeCountAP:
                         li_approx(N) / int(sympy.totient(d)))
                 for h in (a, a - d, a + 5 * d):  # negative residues too
                     assert prime_count_ap(N, d, h) == want, (N, d, h)
+
+    def test_residues_read_in_slices(self, monkeypatch):
+        # slices of 64 primes: both paths add counts across slice edges
+        N = 10 ** 4
+        primes = prime_array(N)
+        spectrum._residue_histogram.cache_clear()
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
+        for d in (16, 17):
+            for a in range(d):
+                if math.gcd(a, d) == 1:
+                    assert prime_count_ap(N, d, a)[0] == \
+                        int((primes % d == a).sum()), (d, a)
 
     def test_memo_serves_each_N_its_own_counts(self):
         # large N, small N, large N again: a memo keyed on anything but N

@@ -1,8 +1,8 @@
 """Exact arithmetic substrate: primality, sieving into one array cache
-of two kinds, primes and largest prime powers (every prime list is a
-slice of ``prime_array``: the kernels' base primes, the split primes of
-exact sums and ``trial_factor``'s divisors alike), omega read at the n
-asked for, factorization into (prime, exponent) pairs, li, reciprocal sums.
+(every prime list is a slice of ``prime_array``: the kernels' base
+primes, the split primes of exact sums and ``trial_factor``'s divisors
+alike), omega also read at the n asked for with no table, factorization
+into (prime, exponent) pairs, li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -222,7 +222,7 @@ def prime_power_sieve(limit: int, kind: str):
     the first power (two factors of at least sqrt(hi) would exceed n),
     which adds one to omega and is a prime-power candidate.  The Python
     loop runs only over the base primes, ``prime_array(isqrt(limit))``,
-    once per segment.  Read by ``max_prime_power_array`` and ``_omega_at``."""
+    once per segment.  Read by the two tables and by ``_omega_at``."""
     if kind not in ("omega", "maxpp"):
         raise DomainError(f"unknown kind {kind!r}")
     if limit < 0:
@@ -254,6 +254,7 @@ def prime_power_sieve(limit: int, kind: str):
             seg += smooth < n
         else:
             np.maximum(seg, np.floor_divide(n, smooth, out=n), out=seg)
+        del smooth, n      # freed before the reader copies seg out
         yield seg
 
 
@@ -270,11 +271,10 @@ def _omega_at(n: np.ndarray) -> np.ndarray:
 
 
 def _residues(N: int, d: int):
-    """Yield the primes p <= N modulo d <= N as uint32 (exact: no cached
-    prime reaches 2^32), one array per slice of SEGMENT_SIZE primes."""
+    """Yield the primes p <= N modulo d, SEGMENT_SIZE primes at a time."""
     primes = prime_array(N)
     for i in range(0, len(primes), SEGMENT_SIZE):
-        yield primes[i:i + SEGMENT_SIZE].astype(np.uint32) % np.uint32(d)
+        yield primes[i:i + SEGMENT_SIZE] % d
 
 
 def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -406,6 +406,13 @@ def prime_array(limit: int) -> np.ndarray:
         return _fill(np.empty(_prime_bound(n), np.int64), prime_segments(n), n)
 
     return _cached("primes", limit, build)
+
+
+def omega_array(limit: int) -> np.ndarray:
+    """omega(n), the number of distinct prime factors, for all n <= limit
+    as int8, filled like ``max_prime_power_array`` (cached, read-only)."""
+    return _cached("omega", limit, lambda n: _fill(
+        np.empty(n + 1, dtype=np.int8), prime_power_sieve(n, "omega"), n))
 
 
 def max_prime_power_array(limit: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .arith import (
     is_prime,
     li_approx,
     max_prime_power_array,
+    omega_array,
     prime_array,
     reciprocal_sum,
     trial_factor,
@@ -212,7 +213,7 @@ def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
         ll = np.log(np.log(m.astype(np.float64)))
         thr = math.inf if d > sys.float_info.max else float(d)
         # counted: the kept n whose omega deviates that far
-        keep[keep] = np.abs(_omega_at(m) - ll) >= thr * ll
+        keep[keep] = np.abs(omega_array(int(n.max()))[m] - ll) >= thr * ll
         return keep, len(n) - len(m)
 
     return _report(N, shift, baseline, select, delta=delta)

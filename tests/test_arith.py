@@ -17,6 +17,7 @@ from egyptsieve.arith import (
     is_prime,
     li_approx,
     max_prime_power_array,
+    omega_array,
     prime_array,
     prime_power_sieve,
     prime_segments,
@@ -177,12 +178,13 @@ class TestPrimeCache:
             assert np.array_equal(sliced[m], prime_array(m)), m
 
     def test_index_arrays_sliced(self):
-        _drop_cached("maxpp")
-        max_prime_power_array(5000)
-        before = set(arith._cache)
-        assert max_prime_power_array(1234).tolist() == \
-            _walk(1234, "maxpp").tolist()
-        assert set(arith._cache) == before
+        for build, kind in ((omega_array, "omega"),
+                            (max_prime_power_array, "maxpp")):
+            _drop_cached(kind)
+            build(5000)
+            before = set(arith._cache)
+            assert build(1234).tolist() == _walk(1234, kind).tolist()
+            assert set(arith._cache) == before
 
     def test_larger_build_replaces_smaller(self):
         _drop_cached("primes")
@@ -203,7 +205,7 @@ class TestPrimeCache:
         assert len(arr) == 78498
 
     def test_negative_limit_refused_when_cached(self):
-        for build in (prime_array, max_prime_power_array):
+        for build in (prime_array, omega_array, max_prime_power_array):
             build(100)
             with pytest.raises(DomainError):
                 build(-5)
@@ -213,14 +215,14 @@ class TestPrimeCache:
             raise AssertionError(f"built to {n}")
 
         before = set(arith._cache)
-        for kind in ("primes", "maxpp"):
+        for kind in ("primes", "omega", "maxpp"):
             with pytest.raises(CapacityError):
                 arith._cached(kind, arith.MAX_ARRAY_LIMIT + 1, build)
         assert set(arith._cache) == before
 
     def test_read_only(self):
         _drop_cached("primes")
-        for arr in (prime_array(1000), prime_array(500),
+        for arr in (prime_array(1000), prime_array(500), omega_array(1000),
                     max_prime_power_array(1000)):
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -548,7 +550,9 @@ class TestPrimePowerSieve:
                 assert [len(g) for g in segs[:-1]] == [size] * (len(segs) - 1)
                 om = np.concatenate(segs)
                 assert om.tolist() == om_ref[:limit + 1].tolist(), limit
-                # the cached array, filled from the generator's segments
+                # the cached arrays, filled from the generator's segments
+                _drop_cached("omega")
+                assert np.array_equal(omega_array(limit), om), limit
                 _drop_cached("maxpp")
                 mp = max_prime_power_array(limit)
                 assert mp.tolist() == mp_ref[:limit + 1].tolist(), limit
@@ -559,21 +563,22 @@ class TestPrimePowerSieve:
             assert {g.dtype for g in prime_power_sieve(1000, kind)} == \
                 {np.dtype(dtype)}
         assert arith._omega_at(np.arange(5)).dtype == np.int8
+        assert omega_array(1001).dtype == np.int8
         assert max_prime_power_array(1001).dtype == np.uint32
 
     def test_wrappers_build_no_prime_table(self):
         limit = 54321
-        for kind, read in (
-                ("maxpp", lambda: max_prime_power_array(limit)),
-                ("omega", lambda: arith._omega_at(np.array([limit])))):
+        for kind, read, table in (
+                ("omega", lambda: omega_array(limit), True),
+                ("maxpp", lambda: max_prime_power_array(limit), True),
+                ("omega", lambda: arith._omega_at(np.array([limit])), False)):
             _drop_cached(kind)
             _drop_cached("primes")
             before = set(arith._cache)
             read()
             added = set(arith._cache) - before
-            # the maxpp array itself; for both, base primes to sqrt(limit)
-            if kind == "maxpp":
-                assert (kind, limit) in added
+            # a table itself, the gather none; base primes to sqrt(limit)
+            assert ((kind, limit) in added) == table
             (other, n), = added - {(kind, limit)}
             assert other == "primes" and n <= math.isqrt(limit)
 

@@ -168,6 +168,21 @@ class TestOmegaDeviation:
                 for d in (Fraction(1, 4), Fraction(1, 2), 1, 2)]
         assert dens == sorted(dens, reverse=True)
 
+    def test_sweep_reads_one_omega_table(self, monkeypatch, shift_plus1):
+        # points of a sweep at one N slice the cached omega array; only
+        # the first, whose n = p + 1 reach furthest, walks the kernel
+        monkeypatch.setattr(arith, "_cache", {})
+        walks = []
+        kernel = arith.prime_power_sieve
+        monkeypatch.setattr(arith, "prime_power_sieve",
+                            lambda n, kind: walks.append(kind) or
+                            kernel(n, kind))
+        for h, delta in ((-1, Fraction(1, 4)), (-1, Fraction(1, 2)),
+                         (1, Fraction(1, 2)), (6, 1)):
+            omega_deviation_density(10 ** 5, ShiftParams(h), delta)
+        assert walks.count("omega") == 1
+        assert ("omega", 99992) in arith._cache
+
     def test_all_small_n_excluded(self):
         # h = 85: the only qualifying primes below 100 give n < 16
         rep = omega_deviation_density(100, ShiftParams(85), Fraction(1, 2))

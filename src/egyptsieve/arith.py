@@ -1,8 +1,8 @@
-"""Exact arithmetic substrate: primality, sieving into one array cache
-(every prime list is a slice of ``prime_array``: the kernels' base
-primes, the split primes of exact sums and ``trial_factor``'s divisors
-alike), omega also read at the n asked for with no table, factorization
-into (prime, exponent) pairs, li, exact reciprocal sums.
+"""Exact arithmetic substrate: primality, two sieve kernels on the same
+odd segments (even n are read off their odd part) into one array cache
+(every prime list is a slice of ``prime_array``), omega also read at the
+n asked for with no table, factorization into (prime, exponent) pairs,
+li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -170,11 +170,24 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
+def _odd_segments(limit: int, qs: np.ndarray, least: np.ndarray):
+    """Both kernels' segments [lo, hi) of SEGMENT_SIZE odd n = lo + 2i
+    from lo = 1, as (lo, hi, first): the entry i of the first odd multiple
+    >= max(lo, least) of each odd q whose least (sorted) is below hi."""
+    for lo in range(1, limit + 1, 2 * SEGMENT_SIZE):
+        hi = min(lo + 2 * SEGMENT_SIZE, limit + 1)
+        k = int(np.searchsorted(least, hi))
+        q = qs[:k]
+        start = np.maximum(least[:k], -(-lo // q) * q)
+        start += q * (start % 2 == 0)
+        yield lo, hi, (start - lo) // 2
+
+
 def prime_segments(limit: int):
     """Yield the primes in [2, limit] as one increasing int64 array per
-    segment [lo, hi) of SEGMENT_SIZE odd numbers.  A segment is a bool
-    array cleared by one strided slice per base prime p <= sqrt(hi); the
-    first starts at 1, whose entry stands for 2.  The base primes are
+    segment of ``_odd_segments``.  A segment is a bool array cleared by
+    one strided slice per base prime p with p^2 < hi, from p^2 on; the
+    first's entry for 1 stands for 2.  The base primes are
     ``prime_array(isqrt(limit))``, none below limit 4.  Limits whose
     base sieve exceeds the budget raise CapacityError, and a limit that
     ``_exact_ints`` refuses DomainError."""
@@ -187,14 +200,10 @@ def prime_segments(limit: int):
             f"limit {limit} needs base primes to {base_limit}, over the "
             f"{MAX_BASE_PRIME} budget")
     odd_base = prime_array(base_limit)[1:]
-    for lo in range(1, limit + 1, 2 * SEGMENT_SIZE):
-        hi = min(lo + 2 * SEGMENT_SIZE, limit + 1)
+    for lo, hi, first in _odd_segments(limit, odd_base, odd_base * odd_base):
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)
-        ps = odd_base[:np.searchsorted(odd_base, isqrt(hi - 1), "right")]
-        start = np.maximum(ps * ps, -(-lo // ps) * ps)
-        start += ps * (start % 2 == 0)
-        for p, first in zip(ps.tolist(), ((start - lo) // 2).tolist()):
-            seg[first::p] = False
+        for p, i in zip(odd_base.tolist(), first.tolist()):
+            seg[i::p] = False
         primes = np.flatnonzero(seg)
         primes *= 2
         primes += lo
@@ -212,17 +221,16 @@ def sieve_primes(limit: int):
 
 def prime_power_sieve(limit: int, kind: str):
     """Yield omega(n) (kind "omega", int8) or the largest prime power
-    exactly dividing n (kind "maxpp", uint32) for 0 <= n <= limit, one
-    array per segment [lo, hi) of SEGMENT_SIZE numbers; n = 0 and n = 1
-    get omega 0 and prime power 1.
-
-    In each segment, each base prime p with p^2 < hi marks its multiples
-    and multiplies every power p^k < hi into the segment's smooth part.
-    What is left of n after dividing that out is 1 or a single prime to
-    the first power (two factors of at least sqrt(hi) would exceed n),
-    which adds one to omega and is a prime-power candidate.  The Python
-    loop runs only over the base primes, ``prime_array(isqrt(limit))``,
-    once per segment.  Read by the two tables and by ``_omega_at``."""
+    exactly dividing n (kind "maxpp", uint32) for the odd n <= limit
+    (``_exact_ints``), one array per segment of ``_odd_segments``; n = 1
+    gets omega 0 and prime power 1.  Its readers read each even n off
+    its odd part.  In a segment, each power q = p^k of an odd base prime
+    with p^2 < hi strikes its odd multiples from max(q, p^2) on and
+    multiplies p into the smooth part.  What is left of n after dividing
+    that out is 1 or one prime (n's least prime strikes it, and two
+    primes above sqrt(n) would exceed n), which adds one to omega and is
+    a prime-power candidate; 2 and its powers are never strided."""
+    (limit,) = _exact_ints((limit,), "limit")
     if kind not in ("omega", "maxpp"):
         raise DomainError(f"unknown kind {kind!r}")
     if limit < 0:
@@ -230,26 +238,23 @@ def prime_power_sieve(limit: int, kind: str):
     if limit > np.iinfo(np.uint32).max:
         raise CapacityError(f"limit {limit} exceeds the uint32 range")
     omega = kind == "omega"
-    base = prime_array(isqrt(limit)).tolist()
-    for lo in range(0, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        seg = (np.zeros(hi - lo, np.int8) if omega
-               else np.ones(hi - lo, np.uint32))
-        smooth = np.ones(hi - lo, dtype=np.uint32)
-        for p in base:
-            if p * p >= hi:
-                break
-            q = p
-            while q < hi:
-                first = max(q, -(-lo // q) * q) - lo
-                smooth[first::q] *= p
-                if not omega:
-                    marks = seg[first::q]
-                    np.maximum(marks, q, out=marks)
-                elif q == p:
-                    seg[first::q] += 1
-                q *= p
-        n = np.arange(lo, hi, dtype=np.uint32)
+    base = prime_array(isqrt(limit))[1:].tolist()
+    powers = sorted((max(p ** k, p * p), p ** k, p) for p in base
+                    for k in range(1, int(log(limit, p)) + 2)
+                    if p ** k <= limit)
+    least, qs = np.array(powers, dtype=np.int64).reshape(-1, 3).T[:2]
+    for lo, hi, first in _odd_segments(limit, qs, least):
+        size = (hi - lo + 1) // 2
+        seg = np.zeros(size, np.int8) if omega else np.ones(size, np.uint32)
+        smooth = np.ones(size, dtype=np.uint32)
+        for (_, q, p), i in zip(powers, first.tolist()):
+            smooth[i::q] *= p
+            if not omega:
+                marks = seg[i::q]
+                np.maximum(marks, q, out=marks)
+            elif q == p:
+                seg[i::q] += 1
+        n = np.arange(lo, hi, 2, dtype=np.uint32)
         if omega:
             seg += smooth < n
         else:
@@ -260,13 +265,26 @@ def prime_power_sieve(limit: int, kind: str):
 
 def _omega_at(n: np.ndarray) -> np.ndarray:
     """omega at each entry of a sorted int64 array of n >= 0, as int8,
-    gathered one segment of ``prime_power_sieve`` at a time, no table."""
+    with no table.  Each n >= 1 is 2^v u, u odd, and omega(n) = omega(u)
+    + (v > 0); the v fill an int8 array half a segment at a time.
+    One walk of ``prime_power_sieve`` up to the largest u serves every
+    v: a segment [lo, hi) of u serves the n between lo 2^v and hi 2^v
+    whose v matches.  No other array as long as n is held."""
     out = np.zeros(len(n), dtype=np.int8)
-    lo = i = 0
-    for seg in prime_power_sieve(int(n.max(initial=0)), "omega"):
-        j = int(np.searchsorted(n, lo + len(seg)))
-        out[i:j] = seg[n[i:j] - lo]
-        lo, i = lo + len(seg), j
+    v = np.empty(len(n), dtype=np.int8)
+    top, step = 0, SEGMENT_SIZE // 2 + 1
+    for c in range(0, len(n), step):
+        w, vc = n[c:c + step], v[c:c + step]
+        np.bitwise_count(w ^ (w - 1), out=vc)      # v + 1 set bits
+        vc -= 1
+        top = max(top, int((w >> vc).max()))
+    for lo, seg in zip(range(1, top + 1, 2 * SEGMENT_SIZE),
+                       prime_power_sieve(top, "omega")):
+        hi = lo + 2 * len(seg)
+        for e in range((int(n[-1]) // lo).bit_length()):
+            a, b = np.searchsorted(n, (lo << e, hi << e))
+            k = np.flatnonzero(v[a:b] == e) + a
+            out[k] = seg[((n[k] >> e) - lo) // 2] + (e > 0)
     return out
 
 
@@ -408,19 +426,34 @@ def prime_array(limit: int) -> np.ndarray:
     return _cached("primes", limit, build)
 
 
+def _prime_power_table(limit: int, kind: str) -> np.ndarray:
+    """The cached ``prime_power_sieve`` kind for all n <= limit
+    (``_exact_ints``), the odd n from the kernel, each n = 2^v u off u
+    in one strided pass per v: omega(u) + 1, or max(2^v, maxpp(u))."""
+    def build(limit):
+        out = np.empty(limit + 1, dtype=np.int8 if omega else np.uint32)
+        odd = _fill(out[1::2], prime_power_sieve(limit, kind), limit)
+        out[0] = not omega
+        for v in range(1, limit.bit_length()):
+            even = out[1 << v::2 << v]
+            (np.add if omega else np.maximum)(
+                odd[:len(even)], 1 if omega else 1 << v, out=even)
+        return out
+
+    (limit,) = _exact_ints((limit,), "limit")
+    omega = kind == "omega"
+    return _cached(kind, limit, build)
+
+
 def omega_array(limit: int) -> np.ndarray:
-    """omega(n), the number of distinct prime factors, for all n <= limit
-    as int8, filled like ``max_prime_power_array`` (cached, read-only)."""
-    return _cached("omega", limit, lambda n: _fill(
-        np.empty(n + 1, dtype=np.int8), prime_power_sieve(n, "omega"), n))
+    """omega(n) for all n <= limit as int8 (cached, read-only)."""
+    return _prime_power_table(limit, "omega")
 
 
 def max_prime_power_array(limit: int) -> np.ndarray:
     """Largest prime power exactly dividing n, for all n <= limit, as
-    uint32 (values never exceed limit), filled segment by segment from
-    the kernel ``prime_power_sieve`` (cached, read-only)."""
-    return _cached("maxpp", limit, lambda n: _fill(
-        np.empty(n + 1, dtype=np.uint32), prime_power_sieve(n, "maxpp"), n))
+    uint32 (cached, read-only)."""
+    return _prime_power_table(limit, "maxpp")
 
 
 def _pairwise(items: list, merge, empty):
@@ -724,4 +757,4 @@ def balanced_product(values) -> int:
             return x * y
         return _products([[(x, y)]])[0]
 
-    return _pairwise([int(v) for v in values], mul, 1)
+    return _pairwise([operator.index(v) for v in values], mul, 1)

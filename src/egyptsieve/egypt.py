@@ -485,10 +485,13 @@ def smooth_dp_decompose(x, h: int, L: int,
     """Exact subset-sum over the divisor pool of L: finds primes with
     (p - h) | L whose reciprocals sum to x.
 
-    Raises SearchExhausted when no subset of this pool works (that
-    outcome is proven for the pool, never a global claim).
+    Raises SearchExhausted when no subset of this pool works (proven for
+    the pool, never a global claim); L >= 1 is read by ``_exact_ints``.
     """
     x, h = _gate(x, h)
+    (L,) = _exact_ints((L,), "modulus")
+    if L < 1:
+        raise DomainError(f"modulus must be >= 1, got {L}")
     if L % x.denominator != 0:
         raise DomainError(f"den({x}) does not divide modulus {L}")
     target = x.numerator * (L // x.denominator)

@@ -225,8 +225,8 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
 
     The statistic ranges over all primes (the modulus q of the shift
     plays no role here); omega sums over ``arith._omega_at`` are exact
-    integers, combined with the loglog N center in one float step at
-    the end.  N is read by ``arith._exact_ints``."""
+    integers counted per omega value, combined with the loglog N center
+    in one float step at the end.  N is read by ``arith._exact_ints``."""
     (N,) = _exact_ints((N,), "N")
     if N < 100:
         raise DomainError("need N >= 100")
@@ -234,9 +234,10 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     m = _shifted(primes, shift.h, 1, 2)
     if len(m) == 0:
         return 0.0
-    om = _omega_at(m).astype(np.int16)
-    s1 = int(om.sum(dtype=np.int64))
-    s2 = int((om * om).sum(dtype=np.int64))
+    om = _omega_at(m)
+    counts = [int(np.count_nonzero(om == k)) for k in range(om.max() + 1)]
+    s1 = sum(k * c for k, c in enumerate(counts))
+    s2 = sum(k * k * c for k, c in enumerate(counts))
     c = math.log(math.log(N))
     total = s2 - 2 * c * s1 + c * c * len(m)
     return total / (len(primes) * c)

@@ -53,8 +53,10 @@ def _monolithic_flags(limit):
 
 
 def _walk(limit, kind):
-    """prime_power_sieve's segments for 0..limit, joined."""
-    return np.concatenate(list(prime_power_sieve(limit, kind)))
+    """prime_power_sieve's segments for the odd n <= limit, joined (none
+    for limit 0)."""
+    segs = list(prime_power_sieve(limit, kind))
+    return np.concatenate(segs) if segs else np.zeros(0, dtype=np.int64)
 
 
 def _drop_cached(kind):
@@ -183,7 +185,7 @@ class TestPrimeCache:
             _drop_cached(kind)
             build(5000)
             before = set(arith._cache)
-            assert build(1234).tolist() == _walk(1234, kind).tolist()
+            assert build(1234)[1::2].tolist() == _walk(1234, kind).tolist()
             assert set(arith._cache) == before
 
     def test_larger_build_replaces_smaller(self):
@@ -522,12 +524,19 @@ def _oracle_arrays(limit):
 
 
 class TestPrimePowerSieve:
-    def test_against_factorize_0_200(self):
+    def test_against_factorize_0_200(self, monkeypatch):
+        # the kernel at the odd n, the tables at every n
         om_ref, mp_ref = _oracle_arrays(200)
+        monkeypatch.setattr(arith, "_cache", dict(arith._cache))
         for limit in range(201):
             assert _walk(limit, "omega").tolist() == \
-                om_ref[:limit + 1].tolist()
+                om_ref[1:limit + 1:2].tolist()
             assert _walk(limit, "maxpp").tolist() == \
+                mp_ref[1:limit + 1:2].tolist()
+            _drop_cached("omega")
+            _drop_cached("maxpp")
+            assert omega_array(limit).tolist() == om_ref[:limit + 1].tolist()
+            assert max_prime_power_array(limit).tolist() == \
                 mp_ref[:limit + 1].tolist()
 
     def test_segment_boundaries(self, monkeypatch):
@@ -545,18 +554,21 @@ class TestPrimePowerSieve:
                     if q <= 2900 and q % size in (size - 1, 0, 1):
                         limits |= {q - 1, q, q + 1}
                 limits |= {p * p - 1, p * p, p * p + 1}
-            for limit in sorted(limits):
+            for limit in sorted(limits | {3000}):
                 segs = list(prime_power_sieve(limit, "omega"))
                 assert [len(g) for g in segs[:-1]] == [size] * (len(segs) - 1)
                 om = np.concatenate(segs)
-                assert om.tolist() == om_ref[:limit + 1].tolist(), limit
-                # the cached arrays, filled from the generator's segments
+                assert om.tolist() == om_ref[1:limit + 1:2].tolist(), limit
+                # the cached arrays: the generator's segments at the odd
+                # n, every n against the oracle
                 _drop_cached("omega")
-                assert np.array_equal(omega_array(limit), om), limit
+                table = omega_array(limit)
+                assert table.tolist() == om_ref[:limit + 1].tolist(), limit
+                assert np.array_equal(table[1::2], om), limit
                 _drop_cached("maxpp")
                 mp = max_prime_power_array(limit)
                 assert mp.tolist() == mp_ref[:limit + 1].tolist(), limit
-                assert np.array_equal(mp, _walk(limit, "maxpp")), limit
+                assert np.array_equal(mp[1::2], _walk(limit, "maxpp")), limit
 
     def test_dtypes(self):
         for kind, dtype in (("omega", np.int8), ("maxpp", np.uint32)):
@@ -590,11 +602,27 @@ class TestPrimePowerSieve:
         with pytest.raises(CapacityError):
             next(prime_power_sieve(2 ** 32, "omega"))
 
+    @pytest.mark.parametrize("limit", [1000.5, 1000.0, True, "1000"])
+    def test_limit_read_exactly(self, limit):
+        # a float is no longer left to numpy, and True no longer reads 1
+        for read in (lambda: next(prime_power_sieve(limit, "omega")),
+                     lambda: omega_array(limit),
+                     lambda: max_prime_power_array(limit)):
+            with pytest.raises(DomainError, match="limit .* not an integer"):
+                read()
+
+    def test_numpy_limit_reads_as_int(self):
+        for kind, build in (("omega", omega_array),
+                            ("maxpp", max_prime_power_array)):
+            assert np.array_equal(build(np.int64(1000)), build(1000))
+            assert _walk(np.int32(1000), kind).tolist() == \
+                _walk(1000, kind).tolist()
+
 
 class TestOmegaAt:
     """omega gathered at the n asked for, against trial_factor."""
 
-    LIMIT = 700
+    LIMIT = 3000
 
     @staticmethod
     def _oracle(n):
@@ -614,6 +642,14 @@ class TestOmegaAt:
             np.array([2, size - 1]),                  # last n on an edge
             np.array([size, 3 * size - 1]),
             np.array([3 * size]),
+            primes[primes >= 3] - 2,                  # n odd, v = 0 only
+            primes + 1,                               # h = -1: n = 3 alone odd
+            2 ** np.arange(12),                       # n = 2^k, v up to 11
+            # 2^k u with u on an edge of the odd segments (2 size numbers)
+            np.unique([u << k for j in range(1, 4)
+                       for u in (2 * size * j - 1, 2 * size * j + 1)
+                       for k in range(12) if u << k <= self.LIMIT]),
+            np.array([0, 0, 2, 4]),
         ]
         for n in cases:
             n = n.astype(np.int64)
@@ -691,6 +727,16 @@ class TestExactRationals:
         assert balanced_product(range(1, 11)) == math.factorial(10)
         assert balanced_product(range(1, 200)) == math.factorial(199)
         assert balanced_product([-3] * 65) == (-3) ** 65
+
+    def test_balanced_product_reads_exact_ints(self):
+        # numpy integers read as the ints they hold; a float is refused,
+        # never truncated (2.5 * 3 once gave 6)
+        got = balanced_product(np.array([2, 3, 5], dtype=np.int64))
+        assert got == 30 and type(got) is int
+        assert balanced_product([np.int32(7), 11]) == 77
+        for bad in ([2.5, 3], [3, 2.0], [Fraction(5, 2), 2]):
+            with pytest.raises(TypeError):
+                balanced_product(bad)
 
 
 def _sequential_sum(values):

@@ -1163,6 +1163,24 @@ class TestShiftReadExactly:
         with pytest.raises(DomainError, match="fold count"):
             r_fold_disjoint(Fraction(1, 2), 1, r)
 
+    @pytest.mark.parametrize("L", [True, 12.0, Fraction(12), "12"])
+    def test_pool_modulus_read_exactly(self, L):
+        # 12.0 once raised a bare TypeError and True read as 1
+        with pytest.raises(DomainError,
+                           match=re.escape(f"modulus {L!r} not an")):
+            smooth_dp_decompose(Fraction(1, 2), 1, L)
+
+    def test_numpy_pool_modulus(self):
+        # np.int64(12) once reached the bitset DP and had no bit_length
+        for L in (np.int64(12), np.int32(12)):
+            dec = smooth_dp_decompose(Fraction(1, 2), 1, L)
+            assert dec == smooth_dp_decompose(Fraction(1, 2), 1, 12)
+
+    @pytest.mark.parametrize("L", [0, -12])
+    def test_pool_modulus_below_one_refused(self, L):
+        with pytest.raises(DomainError, match="modulus must be >= 1"):
+            smooth_dp_decompose(Fraction(1, 2), 1, L)
+
 
 class TestPublicExitsCheck:
     # a verify that rejects the whole target: each public exit must turn

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,26 @@ class TestHalberstam:
         monkeypatch.setattr(arith, "_cache", {})
         halberstam_variance(2 * 10 ** 6, ShiftParams(1))
         assert {kind for kind, _ in arith._cache} == {"primes"}
+
+    @pytest.mark.parametrize("h", [1, -1])
+    def test_gather_memory(self, monkeypatch, h):
+        # on a warm prime cache, the traced peak is n = p - h (8 bytes an
+        # entry), the int8 omega and v arrays, one bool slice mask and the
+        # arrays of one segment: 11.6 len(n) bytes with small segments
+        # (12.5 for a gather over every n summed in int16 copies).  A
+        # gather that keeps an int64 array per v-group reads 19.6.  The
+        # bound allows 14 len(n) bytes plus 32 bytes per segment entry
+        N = 2 * 10 ** 6
+        prime_array(N)
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 12)
+        tracemalloc.start()
+        try:
+            halberstam_variance(N, ShiftParams(h))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(prime_array(N)) - (h == 1)      # p - h >= 2
+        assert peak < 14 * size + 32 * arith.SEGMENT_SIZE, peak / size
 
     def test_shift_past_int64(self):
         # no p - h >= 2 above N; below, n passes every table's reach

@@ -22,7 +22,9 @@ arrays; ``_reciprocal_tree`` (the unreduced sum that ``egypt.verify``
 and ``egypt.merge_by_pigeonhole`` check) takes u = s = 1 and r = d.
 The products of the merge trees (these sums and ``balanced_product``)
 go through ``_products``: a float FFT over 8-bit limbs once every
-operand has _FFT_MIN_BITS bits, exact by a stated error bound up to
+operand has _FFT_MIN_BITS bits, at the shortest of the lengths 2^k,
+3 * 2^(k - 2) and 5 * 2^(k - 3) that holds the product
+(``_fft_length``), exact by a stated error bound per radix up to
 transforms of _FFT_MAX_LEN limbs, and ``*`` otherwise.
 """
 from __future__ import annotations
@@ -81,13 +83,16 @@ _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 def is_prime(n: int) -> bool:
     """Deterministic primality for all n below psi_13, BPSW from there on.
 
-    n is read with ``operator.index``: a numpy integer counts as the int
-    it holds, and a float or Fraction raises TypeError.  Trial division by the primes to 47 comes first.  Then Miller-Rabin
-    runs on the first k prime bases, k the least count proven to decide
-    n (the ``_MR_WITNESSES`` rows: base 2 below 2,047, bases 2 and 3
-    below 1,373,653, ..., 2..37 below psi_12, 2..41 from there on), and
-    from psi_13 on a strong Lucas test follows."""
-    n = operator.index(n)
+    n is read by ``_exact_ints`` (after a test that passes a Python int
+    as it is): a numpy integer counts as the int it holds, and a bool,
+    float, Fraction or string raises DomainError.  Trial division by the
+    primes to 47 comes first.  Then Miller-Rabin runs on the first k
+    prime bases, k the least count proven to decide n (the
+    ``_MR_WITNESSES`` rows: base 2 below 2,047, bases 2 and 3 below
+    1,373,653, ..., 2..37 below psi_12, 2..41 from there on), and from
+    psi_13 on a strong Lucas test follows."""
+    if type(n) is not int:
+        (n,) = _exact_ints((n,), "is_prime argument")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -472,10 +477,11 @@ def _pairwise(items: list, merge, empty):
 
 # _products multiplies through the FFT when every operand has at least
 # _FFT_MIN_BITS bits and the transform needs at most _FFT_MAX_LEN limbs.
-# 20,000 bits is where _sum_merge's products by FFT start to beat * (on
-# a 2-core x86-64 host: 1.15x the time of * at 18k bits, 0.84x at 22k,
-# 0.46x at 32k); the longest length is argued in _products' docstring.
-_FFT_MIN_BITS = 20_000
+# 15,000 bits is where _sum_merge's products by FFT, at the lengths of
+# _fft_length, start to beat * (on a 2-core x86-64 host: 1.08x the time
+# of * at 14k bits, 0.96x at 15k, 0.86x at 16k, 0.54x at 32k); the
+# longest length is argued in _products' docstring.
+_FFT_MIN_BITS = 15_000
 _FFT_MAX_LEN = 1 << 22
 
 
@@ -490,18 +496,30 @@ def _int_products(sums: list) -> list[int]:
     return out
 
 
+def _fft_length(m: int) -> int:
+    """The transform length of a product with m >= 1 limb coefficients:
+    the shortest of 2^k, 3 * 2^(k - 2) and 5 * 2^(k - 3) that holds them,
+    2^k the least power of two >= m.  A shifted candidate that is no
+    such length (n < 8) is at most 2^(k - 1) < m and never chosen."""
+    n = 1 << (m - 1).bit_length()
+    return next(c for c in (5 * n >> 3, 3 * n >> 2, n) if c >= m)
+
+
 def _products(sums: list) -> list[int]:
     """[sum(x * y for x, y in terms) for terms in sums], exact; each sum
     holds one or two products.
 
     When every operand is a nonnegative int of at least _FFT_MIN_BITS
-    bits and every product fits a transform of N = 2^k <= _FFT_MAX_LEN
+    bits and every product fits a transform of at most _FFT_MAX_LEN
     limbs, the sums come from numpy's real FFT over 8-bit limbs (the
     bytes of ``int.to_bytes``): each distinct operand is transformed
     once, a sum's spectra are multiplied and added, and one inverse
     transform per sum gives its limb coefficients, which are rounded and
     carried by ``int.from_bytes`` on their byte columns.  Any other input
-    is multiplied by ``*``.
+    is multiplied by ``*``.  The length N is ``_fft_length`` of the
+    longest product's len x + len y - 1 coefficients: 2^k, 3 * 2^(k - 2)
+    or 5 * 2^(k - 3), so a transform is at most 4/3 of its product's
+    length, where the next power of two alone pads up to twice it.
 
     Exactness.  The result is exact when every computed coefficient is
     within 1/2 of the exact one.  For a length-2^k transform in double
@@ -509,22 +527,42 @@ def _products(sums: list) -> list[int]:
     exact roots, Percival (Math. Comp. 72, 2003; Brent and Zimmermann,
     Modern Computer Arithmetic, section 3.3) bounds that error for one
     product by ||x|| ||y|| ((1 + eps)^(3k) (1 + sqrt(5) eps)^(3k + 1)
-    (1 + beta)^(3k) - 1); adding two spectra costs one more (1 + eps).
-    Limbs are at most 255 and len x + len y <= N + 1, so ||x|| ||y|| <=
-    255^2 (N + 1) / 2, and a sum of two products is bounded with
-    255^2 (N + 1).  numpy's pocketfft builds each twiddle factor as the
+    (1 + beta)^(3k) - 1): each of the three transforms has k radix-2
+    levels, and each level multiplies by twiddle factors (sqrt(5) eps
+    and beta) and adds (eps).  Adding two spectra costs one more
+    (1 + eps).  Limbs are at most 255 and len x + len y <= N + 1, so
+    ||x|| ||y|| <= 255^2 (N + 1) / 2, and a sum of two products is
+    bounded with 255^2 (N + 1).
+
+    Per radix.  At N = 3 * 2^(k - 2) and 5 * 2^(k - 3) pocketfft adds
+    one radix-3 or radix-5 pass to the radix-2 levels.  That pass
+    multiplies by its twiddle factors, as a level does, and then takes
+    r-point DFTs by fixed formulas whose constants cos and sin(2 pi j / r)
+    are doubles within eps of the exact ones: each output is a sum of r
+    terms, each through at most 4 (r = 3) or 6 (r = 5) roundings, the
+    constant's included.  An r-point DFT of complex inputs v with such
+    per-term errors xi errs by at most sqrt(2) xi r ||v||, sqrt(2r) xi
+    times the norm sqrt(r) ||v|| of its exact output: 9.8 eps for radix
+    3 (xi = 4 eps) and 19 eps for radix 5 (xi = 6 eps), on top of the
+    twiddle's (sqrt(5) + 8) eps.  A radix-2 level costs 11.2 eps, so a
+    radix-3 pass costs less than two levels and a radix-5 pass less than
+    three.  The bound therefore holds at those N with the k of 2^k, and
+    a smaller N: at each k it is largest at 2^k.
+
+    numpy's pocketfft builds each twiddle factor, at every length, as the
     product of two tabulated roots, each a libm cos/sin of an angle
     reduced to the first octant, so they are a few units of eps from the
     exact roots (a test holds the transform of a unit impulse to 8 eps
-    of them); the bound takes beta = 8 eps.  It then reads 5.5e-4 at
-    N = 2^17 (the longest transform of the density reports) and 0.023
-    at N = 2^22 = _FFT_MAX_LEN; it stays under 1/2 to 2^26.  The 20-fold margin at
-    _FFT_MAX_LEN covers what the theorem does not: pocketfft makes a
-    real transform of length 2^k in radix-4 and radix-2 passes of
-    FFTPACK's real algorithm, assumed to lose no more per radix-2 level
-    than the complex butterfly analysed.  It also caps each spectrum at
-    32 MB.  As a guard, every FFT sum measures its largest distance to
-    the nearest integer and raises ArithmeticError from 1/4 on.
+    of them at 2^16, 3 * 2^14 and 5 * 2^13); the bound takes beta =
+    8 eps.  It then reads 3.4e-4 at N = 5 * 2^14 (the longest transform
+    of the density reports), 0.014 at 5 * 2^19, 0.017 at 3 * 2^20 and
+    0.023 at N = 2^22 = _FFT_MAX_LEN; it stays under 1/2 to 2^26.  The 20-fold margin at _FFT_MAX_LEN covers what the
+    theorem does not: pocketfft makes a real transform in radix-4,
+    radix-2 and the one radix-3 or radix-5 pass of FFTPACK's real
+    algorithm, assumed to lose no more per pass than the complex one
+    analysed.  It also caps each spectrum at 32 MB.  As a guard, every
+    FFT sum measures its largest distance to the nearest integer and
+    raises ArithmeticError from 1/4 on.
     """
     # most products of the merge trees are small: the first small or
     # negative operand decides, before anything is built
@@ -533,8 +571,9 @@ def _products(sums: list) -> list[int]:
             if (x.bit_length() < _FFT_MIN_BITS
                     or y.bit_length() < _FFT_MIN_BITS or x < 0 or y < 0):
                 return _int_products(sums)
-    n = 1 << max((x.bit_length() + 7) // 8 + (y.bit_length() + 7) // 8 - 2
-                 for terms in sums for x, y in terms).bit_length()
+    n = _fft_length(max(1, max((x.bit_length() + 7) // 8
+                               + (y.bit_length() + 7) // 8 - 1
+                               for terms in sums for x, y in terms)))
     if n > _FFT_MAX_LEN:
         return _int_products(sums)
     spectra = {}

@@ -1,7 +1,34 @@
+import dataclasses
 import inspect
 import types
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 import egyptsieve
+from egyptsieve import (
+    DomainError,
+    PartialSolution,
+    SearchBudget,
+    ShiftParams,
+    decompose,
+    divisor_window_density,
+    feasibility_check,
+    friability_density,
+    greedy_decompose,
+    halberstam_variance,
+    is_prime,
+    legendre_sieve_count,
+    li_approx,
+    merge_by_pigeonhole,
+    mertens_product,
+    omega_deviation_density,
+    prime_count_ap,
+    r_fold_disjoint,
+    sieve_primes,
+    smooth_dp_decompose,
+)
 
 # Adding or removing a public name changes this list in the same diff.
 PUBLIC = [
@@ -74,3 +101,98 @@ def test_public_signatures():
     got = {name: params for name in PUBLIC
            if (params := _parameters(getattr(egyptsieve, name))) is not None}
     assert got == SIGNATURES
+
+
+_HALF = Fraction(1, 2)
+
+# Every integer parameter of a callable in SIGNATURES, with one valid
+# call at the smallest sizes: (callable, parameter, the call made with
+# value v in that parameter's place, a valid v).  An integer sequence is
+# probed through one entry, and PartialSolution's shift through the
+# merge that reads it.
+INTEGER_ARGUMENTS = [
+    ("SearchBudget", "max_prime", lambda v: SearchBudget(v, 8), 1000),
+    ("SearchBudget", "max_terms", lambda v: SearchBudget(1000, v), 8),
+    ("ShiftParams", "h", lambda v: ShiftParams(v, 4), 1),
+    ("ShiftParams", "q", lambda v: ShiftParams(1, v), 4),
+    ("decompose", "h", lambda v: decompose(_HALF, v), 1),
+    ("divisor_window_density", "N",
+     lambda v: divisor_window_density(v, ShiftParams(1), 5, 20), 1000),
+    ("feasibility_check", "h", lambda v: feasibility_check(_HALF, v), 1),
+    ("friability_density", "N",
+     lambda v: friability_density(v, ShiftParams(1), Fraction(3, 10)), 1000),
+    ("greedy_decompose", "h", lambda v: greedy_decompose(_HALF, v), 1),
+    ("halberstam_variance", "N",
+     lambda v: halberstam_variance(v, ShiftParams(1)), 1000),
+    ("is_prime", "n", is_prime, 53),
+    ("legendre_sieve_count", "A",
+     lambda v: legendre_sieve_count((v, 100), [2, 3]), 1),
+    ("legendre_sieve_count", "window_primes",
+     lambda v: legendre_sieve_count((1, 100), [v, 3]), 2),
+    ("li_approx", "n", li_approx, 10),
+    ("merge_by_pigeonhole", "parts", lambda v: merge_by_pigeonhole(
+        PartialSolution(v, ((Fraction(1), (2,)),))), 1),
+    ("mertens_product", "w", mertens_product, 10),
+    ("omega_deviation_density", "N",
+     lambda v: omega_deviation_density(v, ShiftParams(1), _HALF), 1000),
+    ("prime_count_ap", "N", lambda v: prime_count_ap(v, 4, 1), 100),
+    ("prime_count_ap", "d", lambda v: prime_count_ap(100, v, 1), 4),
+    ("prime_count_ap", "h", lambda v: prime_count_ap(100, 4, v), 1),
+    ("r_fold_disjoint", "h", lambda v: r_fold_disjoint(_HALF, v, 2), 1),
+    ("r_fold_disjoint", "r", lambda v: r_fold_disjoint(_HALF, 1, v), 2),
+    ("sieve_primes", "limit", lambda v: list(sieve_primes(v)), 100),
+    ("smooth_dp_decompose", "h",
+     lambda v: smooth_dp_decompose(_HALF, v, 12), 1),
+    ("smooth_dp_decompose", "L",
+     lambda v: smooth_dp_decompose(_HALF, 1, v), 12),
+]
+
+# The callables of SIGNATURES with no integer parameter to probe: the
+# records a search or a report returns, the exceptions, and verify,
+# which answers "invalid" for a shift that is no integer instead of
+# raising (test_egypt.py pins those answers).
+NO_INTEGER_ARGUMENTS = {
+    "Decomposition", "DensityReport", "MergeInsufficient",
+    "ObstructionError", "PartialSolution", "SearchExhausted",
+    "SieveEstimate", "verify",
+}
+
+
+def test_integer_table_covers_the_signatures():
+    probed = {name for name, *_ in INTEGER_ARGUMENTS}
+    assert probed | NO_INTEGER_ARGUMENTS == set(SIGNATURES)
+    assert not probed & NO_INTEGER_ARGUMENTS
+    for name, param, *_ in INTEGER_ARGUMENTS:
+        assert param in SIGNATURES[name]
+
+
+def _ids(entry):
+    return f"{entry[0]}-{entry[1]}"
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS, ids=_ids)
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, Fraction(2), "2"],
+                         ids=repr)
+def test_non_integers_refused(entry, bad):
+    _, _, call, _ = entry
+    with pytest.raises(DomainError):
+        call(bad)
+
+
+def _typed(value):
+    """value with every leaf paired with its exact type, through
+    dataclasses, sequences and dicts."""
+    if dataclasses.is_dataclass(value):
+        return type(value), _typed(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {_typed(k): _typed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS, ids=_ids)
+def test_numpy_integer_reads_as_the_int(entry):
+    # the same result, Python ints wherever it holds the argument
+    _, _, call, valid = entry
+    assert _typed(call(np.int64(valid))) == _typed(call(valid))

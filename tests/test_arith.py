@@ -278,9 +278,9 @@ class TestIsPrime:
             assert is_prime(np.int64(p)) and is_prime(np.uint32(p))
             assert not is_prime(np.int64(p * 53))
 
-    @pytest.mark.parametrize("n", [53.0, Fraction(53), "53"])
+    @pytest.mark.parametrize("n", [53.0, Fraction(53), "53", True])
     def test_refuses_non_integers(self, n):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             is_prime(n)
 
     def test_mersenne_61(self):
@@ -957,6 +957,35 @@ class TestProducts:
             [_ones_product(8 * n - short, short + 8)]
         assert transforms == [n] * 4
 
+    # (needed limbs, chosen length) one limb below, at and one above each
+    # candidate of the next power of two 2^13: 5 * 2^10, 3 * 2^11, 2^13
+    @pytest.mark.parametrize("m, n", [
+        (5119, 5120), (5120, 5120), (5121, 6144),
+        (6143, 6144), (6144, 6144), (6145, 8192),
+        (8191, 8192), (8192, 8192), (8193, 10240),
+    ])
+    def test_length_is_the_shortest_candidate(self, transforms, m, n):
+        # len x + len y - 1 = m limbs, both operands over _FFT_MIN_BITS
+        rng = random.Random(m)
+        lx = (m + 1) // 2
+        x, y = (rng.getrandbits(8 * k) | 1 << 8 * k - 1
+                for k in (lx, m + 1 - lx))
+        assert arith._products([[(x, y)]]) == [x * y]
+        assert arith._products([[(x, y), (y, x)], [(x, x)]]) == \
+            [2 * x * y, x * x]
+        assert transforms == [n] * 4
+
+    @pytest.mark.parametrize("n", [5 << 19, 3 << 20])
+    def test_all_ones_at_the_longest_mixed_lengths(self, transforms, n):
+        # len x + len y - 1 = n limbs, all 0xFF: the radix-5 and radix-3
+        # lengths just below _FFT_MAX_LEN
+        a, b = 4 * n, 4 * n + 8
+        x, y = (1 << a) - 1, (1 << b) - 1
+        assert arith._products([[(x, y)]]) == [_ones_product(a, b)]
+        assert arith._products([[(x, y), (y, x)]]) == \
+            [2 * _ones_product(a, b)]
+        assert transforms == [n] * 4
+
     def test_past_the_longest_length_multiplies_by_star(self, monkeypatch,
                                                          transforms):
         monkeypatch.setattr(arith, "_FFT_MIN_BITS", 8)
@@ -979,18 +1008,19 @@ class TestProducts:
 
     def test_twiddle_factors_within_the_assumed_error(self):
         # the error bound of _products takes pocketfft's roots of unity
-        # within 8 eps; the transform of a unit impulse at index 1 is the
+        # within 8 eps, at a power-of-two, a radix-3 and a radix-5
+        # length; the transform of a unit impulse at index 1 is the
         # roots exp(-2 pi i j / n) as every pass computes them
         mpmath = pytest.importorskip("mpmath")
-        n = 1 << 16
-        impulse = np.zeros(n)
-        impulse[1] = 1
-        roots = np.fft.rfft(impulse)
-        with mpmath.workdps(30):
-            for j in range(0, n // 2 + 1, 31):
-                exact = mpmath.expjpi(mpmath.mpf(-2 * j) / n)
-                got = mpmath.mpc(roots[j].real, roots[j].imag)
-                assert abs(got - exact) <= 8 * 2.0 ** -53, j
+        for n in (1 << 16, 3 << 14, 5 << 13):
+            impulse = np.zeros(n)
+            impulse[1] = 1
+            roots = np.fft.rfft(impulse)
+            with mpmath.workdps(30):
+                for j in range(0, n // 2 + 1, 31):
+                    exact = mpmath.expjpi(mpmath.mpf(-2 * j) / n)
+                    got = mpmath.mpc(roots[j].real, roots[j].imag)
+                    assert abs(got - exact) <= 8 * 2.0 ** -53, (n, j)
 
 
 class TestFFTWholePath:

@@ -1063,10 +1063,11 @@ class TestVerify:
 class TestVerifyFold:
     """verify's sum is arith's fold and merge: lengths at the edges of
     _FOLD's runs and one of 2,000 primes, read against the Fraction
-    reference with the real FFT threshold and with every merge product
-    through the FFT."""
+    reference with the real FFT threshold, with one of 20,000 bits and
+    with every merge product through the FFT."""
 
-    @pytest.mark.parametrize("fft_min_bits", [arith._FFT_MIN_BITS, 0])
+    @pytest.mark.parametrize("fft_min_bits",
+                             [arith._FFT_MIN_BITS, 20_000, 0])
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 65, 2000])
     def test_against_reference(self, monkeypatch, n, fft_min_bits):
         monkeypatch.setattr(arith, "_FFT_MIN_BITS", fft_min_bits)

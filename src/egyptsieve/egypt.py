@@ -277,11 +277,16 @@ def _gate(x, h: int) -> tuple[Fraction, int]:
 def _divisor_pool(h: int, L: int,
                   max_prime: int) -> tuple[tuple[int, int], ...]:
     """Every (weight L/(p-h), p) for primes p <= max_prime with
-    (p-h) | L and p - h >= 1, sorted by decreasing weight; memoized."""
-    divisors = [1]
+    (p-h) | L and p - h >= 1, sorted by decreasing weight; memoized.
+    A prime q of L dividing h is not expanded: q | d gives q | d + h, so
+    only d = q - h (p = q; d = 8 and 9 at h = -6) is tested for it."""
+    divisors, forced = [1], []
     for q, e in trial_factor(L):
-        divisors = [d * q ** k for d in divisors for k in range(e + 1)]
-    pool = [(L // d, d + h) for d in divisors
+        if h % q:
+            divisors = [d * q ** k for d in divisors for k in range(e + 1)]
+        elif q - h >= 1 and L % (q - h) == 0:
+            forced.append(q - h)
+    pool = [(L // d, d + h) for d in divisors + forced
             if 2 <= d + h <= max_prime and is_prime(d + h)]
     return tuple(sorted(pool, key=lambda t: (-t[0], t[1])))
 
@@ -343,6 +348,10 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     Items heavier than target can never be chosen and change no prefix's
     reachability, so they are dropped first and the DP below runs on the
     rest; the chosen positions are mapped back to the caller's indices.
+    Their gcd g divides every subset sum: a target g does not divide
+    returns None, and all below runs on weights and target over g, which
+    keeps every index list (at h = 6 each divisor-pool weight L/(p - 6)
+    keeps L's 2- and 3-parts, since p - 6 is prime to 6 for p > 3).
 
     Forward pass: a big-integer bitset DP over the items in order,
     stopping at the first item that reaches target, with a snapshot
@@ -353,15 +362,15 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     slides that window up (``_slide``).  A pool lighter than target
     returns None before any shift, and a window that empties returns
     None at once.  Every integer either pass
-    builds is at most ``min(target, total - target) + 1`` bits wide,
+    builds is at most ``min(target, total - target) / g + 1`` bits wide,
     total being the kept weight: however large target is, a pool whose
     total barely clears it, or falls short of it, costs a few words.
 
-    Few items in a wide window: when ``min(target, total - target)`` is
-    above both _MITM_MIN_WINDOW and ``512 << (n // 2)`` for the n kept
-    items, and total is below 2^62, ``_meets`` first decides by meet in the
-    middle whether any subset hits target, and None is returned before
-    any bitset is built when none does.  Its arrays stay under the
+    Few items in a wide window: when ``min(target, total - target) / g``
+    is above both _MITM_MIN_WINDOW and ``512 << (n // 2)`` for the n kept
+    items, and total / g is below 2^62, ``_meets`` first decides by meet
+    in the middle whether any subset hits target, and None is returned
+    before any bitset is built when none does.  Its arrays stay under the
     bytes of one window-wide bitset.  It only refutes: a subset, when
     one exists, still comes from the passes below, so every index list
     is the one they alone would give.
@@ -386,6 +395,11 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     suffix = sum(weights)
     if suffix < target:
         return None
+    g = gcd(*weights)
+    if target % g:
+        return None
+    weights = [w // g for w in weights]
+    target, suffix = target // g, suffix // g
     window = min(target, suffix - target)
     if (suffix < 1 << 62 and window > max(_MITM_MIN_WINDOW, 512 << (n // 2))
             and not _meets(weights, target)):

@@ -128,10 +128,17 @@ class TestSearchBudgetFields:
 class TestOneFactorizer:
     def test_divisors_of_scaled_moduli_against_sympy(self):
         # the pool's divisors come from trial_factor's (prime, exponent)
-        # pairs; the reference pool lists sympy's divisors of each modulus
+        # pairs, less the primes of h; the reference pool lists sympy's
+        # divisors of each modulus.  The shifts sharing a prime q with the
+        # modulus take p = q through d = q - h alone: d = 8 and 9 at
+        # h = -6, 4 at -2, 12 and 15 at -10
         sympy = pytest.importorskip("sympy")
         build = egypt._divisor_pool.__wrapped__
-        for h in (1, -1, 6, -5):
+        forced = {-6: (8, 9), -2: (4,), -10: (12, 15)}
+        for h, ds in forced.items():
+            assert all((27720 // d, d + h) in build(h, 27720, 10 ** 8)
+                       for d in ds)
+        for h in (1, -1, 6, -5, -6, -2, 2, 3, -10, 30):
             for L in (1, 12) + egypt._DP_MODULI + (egypt._ASSEMBLY_MODULUS,):
                 for M, max_prime in ((L, 10 ** 8), (L * 113, 10 ** 8),
                                      (L * 120, 1000)):
@@ -489,6 +496,64 @@ class TestSubsetSumBacktrack:
                     for snaps in (24, 3):
                         self._check(weights, target, snaps)
 
+    def test_common_factor_runs_scaled_with_the_same_answer(self):
+        # the DP runs on w / g and target / g for the gcd g of the kept
+        # weights: k-fold pools give the unscaled reference's index list,
+        # and a target off the multiples of k gives None
+        rng = random.Random(20261020)
+        for n in self.SIZES:
+            for weights in self._pools(rng, n):
+                total = sum(weights)
+                for target in (rng.randrange(1, total + 1),
+                               total - min(weights)):
+                    want = _reference_subset_sum(weights, target)
+                    for k in (2, 8, 72, 864, 1009):
+                        scaled = [k * w for w in weights]
+                        assert _bitset_subset_sum(scaled, k * target) == want
+                        off = k * target + rng.randrange(1, k)
+                        assert _bitset_subset_sum(scaled, off) is None
+
+    def test_divisor_pools_sharing_a_factor_match_reference(self):
+        # pools at shifts with a prime of the modulus: their kept weights
+        # keep that prime's whole part of M, except through p = 2 or 3
+        rng = random.Random(35)
+        shared = found = 0
+        for h in (2, -2, 3, 5, 6, -6):
+            for b in rng.sample(range(2, 121), 12):
+                t = Fraction(rng.randrange(1, 5), b)
+                M = egypt._dp_moduli(t)[0]
+                weights = [w for w, _ in smooth_pool(h, M)]
+                target = t.numerator * (M // t.denominator)
+                got = _bitset_subset_sum(weights, target)
+                assert got == _reference_subset_sum(weights, target), (h, t)
+                shared += math.gcd(*(w for w in weights if w <= target)) > 1
+                found += got is not None
+        assert shared > 60 and 20 < found < 52
+
+    def test_scaled_dp_builds_narrow_integers(self, monkeypatch):
+        # 4/107 at h = 6 over 462702240 = 2^5 3^3 5 7 11 13 107: the 15
+        # pool weights at most the target 17297280 share 864 = 2^5 3^3, so
+        # no integer the DP builds is wider than window / 864 + 1 bits
+        M = 462702240
+        weights = [w for w, _ in smooth_pool(6, M)]
+        target = 4 * (M // 107)
+        kept = [w for w in weights if w <= target]
+        assert len(kept) == 15 and math.gcd(*kept) == 864
+        window = min(target, sum(kept) - target)
+        widths = []
+        real = egypt._slide
+
+        def spy(dp, off, w, t, rest):
+            out = real(dp, off, w, t, rest)
+            widths.append(max(dp.bit_length(), out[0].bit_length()))
+            return out
+
+        monkeypatch.setattr(egypt, "_slide", spy)
+        miss = egypt._divisor_dp(Fraction(4, 107), 6, M,
+                                 egypt.DEFAULT_BUDGET, frozenset())
+        assert miss.primes is None and miss.dp_target == target
+        assert widths and max(widths) <= window // 864 + 1
+
     def _peak(self, weights, target):
         tracemalloc.start()
         try:
@@ -572,10 +637,12 @@ class TestSubsetSumBacktrack:
         assert len(verdicts) > 50 and 20 < refuted < len(verdicts)
 
     def test_wide_unreachable_pool_builds_no_bitset(self, monkeypatch):
-        # 4/107 at h = 6 over 462702240 = 2^5 3^3 5 7 11 13 107: 15 of
-        # the 20 pool weights are at most the target 17297280, and no
-        # subset of them hits it.  With the exit off the forward pass
-        # slides a 2 MB window once per item to learn that.
+        # 45/193 at h = -6 over 69549480 = 2^3 3^2 5 7 11 13 193: all 14
+        # pool weights are at most the target 16216200, p = 2 and p = 3
+        # (d = 8 and 9) keep their gcd at 1, and no subset of them hits
+        # the target.  With the exit off the forward pass slides a 2 MB
+        # window once per item to learn that.
+        assert math.gcd(*(w for w, _ in smooth_pool(-6, 69549480))) == 1
         slides = []
         real = egypt._slide
 
@@ -586,18 +653,19 @@ class TestSubsetSumBacktrack:
         monkeypatch.setattr(egypt, "_slide", spy)
         for floor in (egypt._MITM_MIN_WINDOW, 1 << 62):
             monkeypatch.setattr(egypt, "_MITM_MIN_WINDOW", floor)
-            miss = egypt._divisor_dp(Fraction(4, 107), 6, 462702240,
+            miss = egypt._divisor_dp(Fraction(45, 193), -6, 69549480,
                                      egypt.DEFAULT_BUDGET, frozenset())
-            assert miss.primes is None and miss.pool_size == 20
+            assert miss.primes is None and miss.pool_size == 14
             assert bool(slides) == (floor == 1 << 62)
 
     def test_meet_in_middle_exit_allocates_less_than_the_bitset(self):
         # the exit's arrays stay under one window-wide bitset, at the
         # smallest window that fires it, for odd and even item counts
-        weights = [w for w, _ in smooth_pool(6, 462702240)]
-        target = 4 * (462702240 // 107)
-        kept = sum(w for w in weights if w <= target)
-        window_bytes = min(target, kept - target) // 8
+        weights = [w for w, _ in smooth_pool(-6, 69549480)]
+        target = 45 * (69549480 // 193)
+        kept = [w for w in weights if w <= target]
+        assert math.gcd(*kept) == 1
+        window_bytes = min(target, sum(kept) - target) // 8
         got, peak = self._peak(weights, target)
         assert got is None and peak < window_bytes // 64
         with pytest.MonkeyPatch.context() as mp:

@@ -31,8 +31,8 @@ whose denominator shares a factor with h ends the cascade that way.
 Stage 1's divisor pools are memoized per process (LRU, at most 1,024
 unfiltered pools keyed on (h, L, max_prime); ``exclude`` is applied to
 a copy), so no result depends on the order of earlier calls.  Subset-
-sum answers are not: about 1 % of the DPs on the benchmark's targets
-universe repeat a question.
+sum answers are not: 19 of the 2,216 DPs on one pass over the
+benchmark's targets universe repeat a question.
 """
 
 from __future__ import annotations
@@ -77,27 +77,15 @@ _ASSEMBLY_CHUNK = 1 << 16
 # cascade settings: base moduli of the divisor-pool DP (scaled to
 # multiples of the target denominator), the bitset length cap, the
 # assembly modulus and prime bound, and the unit-split depth
-_DP_MODULI = (27720, 360360, 720720, 4324320)
+_DP_MODULI = (27720, 360360)
 _MAX_DP_TARGET = 10 ** 8
 _ASSEMBLY_MODULUS = 43243200                # 2^6 3^3 5^2 7 11 13
 _ASSEMBLY_PRIME_LIMIT = 10 ** 8
 _SPLIT_DEPTH = 3
 _MAX_SNAPSHOTS = 24     # bitsets a subset-sum pass keeps for its backtrack
 
-# _bitset_subset_sum refutes by meet in the middle when its live window
-# is wider than _MITM_MIN_WINDOW bits and than 512 bits per sum of the
-# query half (n // 2 items).  On unreachable pools of n = 6..18 items (a
-# 2-core x86-64 host) the forward pass over a 2^20-bit window takes
-# 0.17-0.73 ms and the meet in the middle 13-40 us, 0.05-0.08x; the
-# crossover lies near 2^16 bits.  The floor sits higher because a
-# reachable pool pays both, so the exit is kept where it costs under a
-# tenth of the pass.  For n = 22..30 the crossover is 64-180 bits per
-# query sum; 512 keeps the exit's arrays (41 bytes per query sum at
-# most) under one window-wide bitset.
-_MITM_MIN_WINDOW = 1 << 20
-
 # memo bound: the benchmark's targets universe (2,512 targets) builds
-# 416 distinct divisor pools
+# 348 distinct divisor pools
 _POOL_MEMO_SIZE = 1024
 
 
@@ -315,32 +303,6 @@ def _slide(dp: int, off: int, w: int, target: int,
     return dp | (up << w), off
 
 
-def _half_sums(weights: list[int]) -> np.ndarray:
-    """The 2^len(weights) subset sums of weights as int64 (no sum may
-    reach 2^63), built in place: entry s | 2^j is entry s plus item j."""
-    sums = np.zeros(1 << len(weights), dtype=np.int64)
-    for j, w in enumerate(weights):
-        np.add(sums[:1 << j], w, out=sums[1 << j:2 << j])
-    return sums
-
-
-def _meets(weights: list[int], target: int) -> bool:
-    """Whether some subset of weights sums to target, by meet in the
-    middle (Horowitz and Sahni, J. ACM 1974): every sum of the first
-    n // 2 items looks up its complement among the sorted sums of the
-    rest.  The query half has 2^(n // 2) sums and the sorted half at
-    most twice that; each sum of the query half costs 25 bytes at once
-    (complement, position, gathered sum, flag), each sorted sum 8."""
-    k = len(weights) // 2
-    need = _half_sums(weights[:k])
-    np.subtract(target, need, out=need)
-    sums = _half_sums(weights[k:])
-    sums.sort()
-    pos = np.searchsorted(sums, need)
-    np.minimum(pos, len(sums) - 1, out=pos)
-    return bool((sums[pos] == need).any())
-
-
 def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     """Indices of a subset of the positive weights summing exactly to
     target, or None.
@@ -365,15 +327,6 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     builds is at most ``min(target, total - target) / g + 1`` bits wide,
     total being the kept weight: however large target is, a pool whose
     total barely clears it, or falls short of it, costs a few words.
-
-    Few items in a wide window: when ``min(target, total - target) / g``
-    is above both _MITM_MIN_WINDOW and ``512 << (n // 2)`` for the n kept
-    items, and total / g is below 2^62, ``_meets`` first decides by meet
-    in the middle whether any subset hits target, and None is returned
-    before any bitset is built when none does.  Its arrays stay under the
-    bytes of one window-wide bitset.  It only refutes: a subset, when
-    one exists, still comes from the passes below, so every index list
-    is the one they alone would give.
 
     Backtrack: from that item down to item 0, item i is taken only when
     the residual is unreachable from items 0..i-1, so solutions made of
@@ -400,10 +353,6 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
         return None
     weights = [w // g for w in weights]
     target, suffix = target // g, suffix // g
-    window = min(target, suffix - target)
-    if (suffix < 1 << 62 and window > max(_MITM_MIN_WINDOW, 512 << (n // 2))
-            and not _meets(weights, target)):
-        return None
     stride = max(8, -(-n // _MAX_SNAPSHOTS))
     # dp bit j is the sum off + j
     dp, off = 1, 0

@@ -621,24 +621,30 @@ class TestSubsetSumBacktrack:
                     verdicts.append(reachable)
         assert 0 < verdicts.count(True) < len(verdicts)
 
-    def test_wide_unreachable_pool_stays_near_its_window(self):
-        # 45/193 at h = -6 over 69549480 = 2^3 3^2 5 7 11 13 193: all 14
-        # pool weights are at most the target 16216200, p = 2 and p = 3
-        # (d = 8 and 9) keep their gcd at 1, and no subset of them hits
-        # the target.  The forward pass slides a 2 MB window once per
-        # item to learn that, and its peak stays under three windows.
-        M = 69549480
+    # 45/193 at h = -6 over 69549480 = 2^3 3^2 5 7 11 13 193: all 14 pool
+    # weights are at most the target 16216200, p = 2 and p = 3 (d = 8 and
+    # 9) keep their gcd at 1, and no subset of them hits the target
+    WIDE_MISS_MODULUS = 69549480
+
+    def test_wide_unreachable_pool_misses(self):
+        M = self.WIDE_MISS_MODULUS
         miss = egypt._divisor_dp(Fraction(45, 193), -6, M,
                                  egypt.DEFAULT_BUDGET, frozenset())
         assert miss.primes is None and miss.pool_size == 14
+        target = 45 * (M // 193)
+        kept = [w for w, _ in smooth_pool(-6, M) if w <= target]
+        assert len(kept) == 14 and math.gcd(*kept) == 1
+
+    def test_wide_unreachable_pool_stays_near_its_window(self):
+        # the forward pass slides a 2 MB window once per item to learn
+        # that the pool misses, and its peak stays under three windows
+        M = self.WIDE_MISS_MODULUS
         weights = [w for w, _ in smooth_pool(-6, M)]
         target = 45 * (M // 193)
         kept = [w for w in weights if w <= target]
-        assert len(kept) == 14 and math.gcd(*kept) == 1
         window_bytes = min(target, sum(kept) - target) // 8
         got, peak = self._peak(weights, target)
         assert got is None and peak < 3 * window_bytes
-
 
 class TestDecompose:
     def test_two_is_two_disjoint_units(self):

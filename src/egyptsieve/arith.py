@@ -1,8 +1,8 @@
 """Exact arithmetic substrate: primality, two sieve kernels on the same
 odd segments (even n are read off their odd part) into one array cache
-(every prime list is a slice of ``prime_array``), omega also read at the
-n asked for with no table, factorization into (prime, exponent) pairs,
-li, exact reciprocal sums.
+(every prime list is a slice of ``prime_array``), omega also read at
+p - h on a slice of the primes with no table, factorization into
+(prime, exponent) pairs, li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -268,36 +268,44 @@ def prime_power_sieve(limit: int, kind: str):
         yield seg
 
 
-def _omega_at(n: np.ndarray) -> np.ndarray:
-    """omega at each entry of a sorted int64 array of n >= 0, as int8,
-    with no table.  Each n >= 1 is 2^v u, u odd, and omega(n) = omega(u)
-    + (v > 0); the v fill an int8 array half a segment at a time.
-    One walk of ``prime_power_sieve`` up to the largest u serves every
-    v: a segment [lo, hi) of u serves the n between lo 2^v and hi 2^v
-    whose v matches.  No other array as long as n is held."""
-    out = np.zeros(len(n), dtype=np.int8)
-    v = np.empty(len(n), dtype=np.int8)
-    top, step = 0, SEGMENT_SIZE // 2 + 1
-    for c in range(0, len(n), step):
-        w, vc = n[c:c + step], v[c:c + step]
+def _chunks(arr: np.ndarray):
+    """Yield arr in consecutive slices of SEGMENT_SIZE / 16 entries (at
+    least one), so an elementwise pass over a prime array holds no
+    temporary longer than a slice."""
+    step = max(SEGMENT_SIZE >> 4, 1)
+    for i in range(0, len(arr), step):
+        yield arr[i:i + step]
+
+
+def _omega_at(primes: np.ndarray, h: int) -> np.ndarray:
+    """omega(p - h) at each entry p of a sorted int64 array with p - h
+    >= 0, as int8, with no table and no array of the n = p - h.  Each
+    n >= 1 is 2^v u, u odd, and omega(n) = omega(u) + (v > 0); the v
+    fill an int8 array from ``_chunks`` of the primes.  One walk of
+    ``prime_power_sieve`` up to the largest u serves every v: a segment
+    [lo, hi) of u serves the n between lo 2^v and hi 2^v whose v
+    matches, the primes between lo 2^v + h and hi 2^v + h, found by
+    searchsorted.  The int8 v and omega arrays are the only ones as long
+    as the primes."""
+    out = np.zeros(len(primes), dtype=np.int8)
+    v = np.empty(len(primes), dtype=np.int8)
+    top = 0
+    for ps, vc in zip(_chunks(primes), _chunks(v)):
+        w = ps - h
         np.bitwise_count(w ^ (w - 1), out=vc)      # v + 1 set bits
         vc -= 1
         top = max(top, int((w >> vc).max()))
-    for lo, seg in zip(range(1, top + 1, 2 * SEGMENT_SIZE),
-                       prime_power_sieve(top, "omega")):
+    last = int(primes[-1]) - h if len(primes) else 0
+    segs = prime_power_sieve(top, "omega")
+    for lo in range(1, top + 1, 2 * SEGMENT_SIZE):
+        seg = next(segs)
         hi = lo + 2 * len(seg)
-        for e in range((int(n[-1]) // lo).bit_length()):
-            a, b = np.searchsorted(n, (lo << e, hi << e))
+        for e in range((last // lo).bit_length()):
+            a, b = np.searchsorted(primes, ((lo << e) + h, (hi << e) + h))
             k = np.flatnonzero(v[a:b] == e) + a
-            out[k] = seg[((n[k] >> e) - lo) // 2] + (e > 0)
+            out[k] = seg[(((primes[k] - h) >> e) - lo) // 2] + (e > 0)
+        del seg, k       # freed before the kernel builds the next segment
     return out
-
-
-def _residues(N: int, d: int):
-    """Yield the primes p <= N modulo d, SEGMENT_SIZE primes at a time."""
-    primes = prime_array(N)
-    for i in range(0, len(primes), SEGMENT_SIZE):
-        yield primes[i:i + SEGMENT_SIZE] % d
 
 
 def trial_factor(n: int) -> tuple[tuple[int, int], ...]:

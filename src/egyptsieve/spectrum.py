@@ -21,11 +21,11 @@ import numpy as np
 
 from .arith import (
     _check_array_limit,
+    _chunks,
     _coprime_fraction,
     _exact_fields,
     _exact_ints,
     _omega_at,
-    _residues,
     _rough_parts,
     balanced_product,
     is_prime,
@@ -124,16 +124,25 @@ class SieveEstimate:
     exact_count: int
 
 
-def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
-    """n = p - h for the primes p of the nonempty array with p = h
-    (mod q) and n >= least, bounding h and q in Python ints first: a
-    shift past max p - least selects nothing, and one that puts max p - h
-    past MAX_ARRAY_LIMIT raises CapacityError."""
+def _shifted_primes(primes: np.ndarray, h: int, least: int) -> np.ndarray:
+    """The slice of the primes p of the nonempty sorted array with
+    p - h >= least, bounding h in Python ints first: a shift past
+    max p - least selects nothing, and one that puts max p - h past
+    MAX_ARRAY_LIMIT raises CapacityError."""
     top = int(primes[-1])
-    if h + least > top or h % q > top:
-        return np.zeros(0, dtype=np.int64)
+    if h + least > top:
+        return primes[:0]
     _check_array_limit("n = p - h", top - h)
-    ps = primes[np.searchsorted(primes, h + least):]
+    return primes[np.searchsorted(primes, h + least):]
+
+
+def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
+    """n = p - h for the primes p of ``_shifted_primes`` with p = h
+    (mod q); a residue h mod q past max p selects nothing."""
+    top = int(primes[-1])
+    ps = primes[:0] if h % q > top else _shifted_primes(primes, h, least)
+    if len(ps) == 0:
+        return np.zeros(0, dtype=np.int64)
     return (ps if q == 1 else ps[(ps if q > top else ps % q) == h % q]) - h
 
 
@@ -224,22 +233,26 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     p <= N with p - h >= 2, divided by pi(N) loglog N.
 
     The statistic ranges over all primes (the modulus q of the shift
-    plays no role here); omega sums over ``arith._omega_at`` are exact
-    integers counted per omega value, combined with the loglog N center
-    in one float step at the end.  N is read by ``arith._exact_ints``."""
+    plays no role here).  ``arith._omega_at`` reads omega(p - h) on the
+    slice of cached primes with p - h >= 2 (``_shifted_primes``), so no
+    array of the n = p - h is built: the int8 omega array is the only
+    one as long as the primes beside its own int8 v array and one
+    kernel segment.  The omega sums are exact integers counted per
+    omega value, combined with the loglog N center in one float step at
+    the end.  N is read by ``arith._exact_ints``."""
     (N,) = _exact_ints((N,), "N")
     if N < 100:
         raise DomainError("need N >= 100")
     primes = prime_array(N)
-    m = _shifted(primes, shift.h, 1, 2)
-    if len(m) == 0:
+    ps = _shifted_primes(primes, shift.h, 2)
+    if len(ps) == 0:
         return 0.0
-    om = _omega_at(m)
+    om = _omega_at(ps, shift.h)
     counts = [int(np.count_nonzero(om == k)) for k in range(om.max() + 1)]
     s1 = sum(k * c for k, c in enumerate(counts))
     s2 = sum(k * k * c for k, c in enumerate(counts))
     c = math.log(math.log(N))
-    total = s2 - 2 * c * s1 + c * c * len(m)
+    total = s2 - 2 * c * s1 + c * c * len(ps)
     return total / (len(primes) * c)
 
 
@@ -339,9 +352,20 @@ def legendre_sieve_count(A, window_primes) -> SieveEstimate:
 @lru_cache(maxsize=_HIST_MEMO_SIZE)
 def _residue_histogram(N: int) -> np.ndarray:
     """Number of primes p <= N in each class modulo _HIST_MODULUS, as a
-    read-only int32 array (no entry exceeds pi(N)); memoized."""
-    hist = sum(np.bincount(r, minlength=_HIST_MODULUS)
-               for r in _residues(N, _HIST_MODULUS)).astype(np.int32)
+    read-only int32 array (no entry exceeds pi(N)); memoized.
+
+    The cached primes are sorted, so the primes of each block
+    [k M, (k + 1) M), M = _HIST_MODULUS, are one slice, its ends found
+    by one searchsorted over all blocks.  Their residues are p - k M,
+    distinct within a block, so one fancy-index ``+= 1`` per block
+    counts them exactly: no ``%`` pass and no temporary longer than a
+    block's primes."""
+    primes = prime_array(N)
+    ends = np.searchsorted(primes, np.arange(N // _HIST_MODULUS + 2)
+                           * _HIST_MODULUS).tolist()
+    hist = np.zeros(_HIST_MODULUS, dtype=np.int32)
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        hist[primes[a:b] - k * _HIST_MODULUS] += 1
     hist.flags.writeable = False
     return hist
 
@@ -354,11 +378,12 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     the count is 1 when h mod d is a prime up to N and 0 otherwise.  A
     modulus d dividing 720720 = lcm(1..16) sums every d-th entry of
     ``_residue_histogram(N)``, the prime counts modulo 720720, built once
-    per N (an LRU memo of 4 entries, 2.9 MB each); any other d counts
-    h's class in ``arith._residues``, as the histogram does.  All give
-    the same count, so no result depends on the order of calls.  phi(d)
-    comes from the factorization of d by trial division.  N, d and h
-    are read by ``arith._exact_ints``: a bool or float is a DomainError."""
+    per N (an LRU memo of 4 entries, 2.9 MB each); any other d reduces
+    the cached primes modulo d one ``arith._chunks`` slice at a time
+    and counts h's class.  All give the same count, a Python int, so no
+    result depends on the order of calls.  phi(d) comes from the
+    factorization of d by trial division.  N, d and h are read by
+    ``arith._exact_ints``: a bool or float is a DomainError."""
     N, d, h = _exact_ints((N, d, h), "prime_count_ap argument")
     if N < 100:
         raise DomainError("need N >= 100")
@@ -371,7 +396,8 @@ def prime_count_ap(N: int, d: int, h: int) -> tuple[int, float]:
     elif _HIST_MODULUS % d == 0:
         count = int(_residue_histogram(N)[h % d::d].sum())
     else:
-        count = sum(np.count_nonzero(r == h % d) for r in _residues(N, d))
+        count = sum(int(np.count_nonzero(ps % d == h % d))
+                    for ps in _chunks(prime_array(N)))
     phi = math.prod(p ** (e - 1) * (p - 1) for p, e in trial_factor(d))
     return count, li_approx(N) / phi
 

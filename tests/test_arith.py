@@ -574,7 +574,7 @@ class TestPrimePowerSieve:
         for kind, dtype in (("omega", np.int8), ("maxpp", np.uint32)):
             assert {g.dtype for g in prime_power_sieve(1000, kind)} == \
                 {np.dtype(dtype)}
-        assert arith._omega_at(np.arange(5)).dtype == np.int8
+        assert arith._omega_at(np.arange(5), 0).dtype == np.int8
         assert omega_array(1001).dtype == np.int8
         assert max_prime_power_array(1001).dtype == np.uint32
 
@@ -583,7 +583,7 @@ class TestPrimePowerSieve:
         for kind, read, table in (
                 ("omega", lambda: omega_array(limit), True),
                 ("maxpp", lambda: max_prime_power_array(limit), True),
-                ("omega", lambda: arith._omega_at(np.array([limit])), False)):
+                ("omega", lambda: arith._omega_at(np.array([limit]), 0), False)):
             _drop_cached(kind)
             _drop_cached("primes")
             before = set(arith._cache)
@@ -620,7 +620,8 @@ class TestPrimePowerSieve:
 
 
 class TestOmegaAt:
-    """omega gathered at the n asked for, against trial_factor."""
+    """omega gathered at n = p - h for a sorted array of p, against
+    trial_factor."""
 
     LIMIT = 3000
 
@@ -628,11 +629,10 @@ class TestOmegaAt:
     def _oracle(n):
         return [len(trial_factor(int(v))) if v > 1 else 0 for v in n]
 
-    @pytest.mark.parametrize("size", [64, 65])
-    def test_against_trial_factor(self, monkeypatch, size):
-        monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+    def _cases(self, size):
+        """Sorted int64 arrays of n, for segments of size odd numbers."""
         primes = prime_array(self.LIMIT)
-        cases = [
+        return [n.astype(np.int64) for n in (
             np.arange(self.LIMIT + 1),                # every n <= limit
             primes[primes >= 3] - 1,                  # sparse n = p - h
             primes[primes >= 7] - 6,
@@ -650,13 +650,30 @@ class TestOmegaAt:
                        for u in (2 * size * j - 1, 2 * size * j + 1)
                        for k in range(12) if u << k <= self.LIMIT]),
             np.array([0, 0, 2, 4]),
-        ]
-        for n in cases:
-            n = n.astype(np.int64)
-            assert arith._omega_at(n).tolist() == self._oracle(n), n
+        )]
+
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_against_trial_factor(self, monkeypatch, size):
+        # with segments of 64 or 65 odd numbers the v pass reads chunks
+        # of 4 entries
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+        for n in self._cases(size):
+            assert arith._omega_at(n, 0).tolist() == self._oracle(n), n
+
+    @pytest.mark.parametrize("h", [1, -1, 2, -2, 6])
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_shifted_against_trial_factor(self, monkeypatch, size, h):
+        # the same n, read at p = n + h; at h = 1 and -1 the cases
+        # p - 1 and p + 1 hand over the primes themselves
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+        for n in self._cases(size):
+            assert arith._omega_at(n + h, h).tolist() == self._oracle(n), \
+                (h, n)
 
     def test_empty(self):
-        assert arith._omega_at(np.zeros(0, dtype=np.int64)).tolist() == []
+        for h in (0, 1, -1):
+            assert arith._omega_at(np.zeros(0, dtype=np.int64), h).tolist() \
+                == []
 
 
 class TestOmegaAdditivity:

@@ -214,12 +214,13 @@ class TestHalberstam:
 
     @pytest.mark.parametrize("h", [1, -1])
     def test_gather_memory(self, monkeypatch, h):
-        # on a warm prime cache, the traced peak is n = p - h (8 bytes an
-        # entry), the int8 omega and v arrays, one bool slice mask and the
-        # arrays of one segment: 11.6 len(n) bytes with small segments
-        # (12.5 for a gather over every n summed in int16 copies).  A
-        # gather that keeps an int64 array per v-group reads 19.6.  The
-        # bound allows 14 len(n) bytes plus 32 bytes per segment entry
+        # on a warm prime cache, omega is read at p - h on the prime
+        # slice, with no array of n = p - h: the traced peak is the int8
+        # omega and v arrays, one bool mask over the v and the arrays of
+        # one segment, 3.6 len(n) bytes with small segments (3.4 at
+        # h = -1).  An int64 array of n would add 8 bytes an entry (11.6
+        # in all).  The bound allows 4 len(n) bytes plus 32 bytes per
+        # segment entry
         N = 2 * 10 ** 6
         prime_array(N)
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 12)
@@ -230,10 +231,11 @@ class TestHalberstam:
         finally:
             tracemalloc.stop()
         size = len(prime_array(N)) - (h == 1)      # p - h >= 2
-        assert peak < 14 * size + 32 * arith.SEGMENT_SIZE, peak / size
+        assert peak < 4 * size + 32 * arith.SEGMENT_SIZE, peak / size
 
     def test_shift_past_int64(self):
-        # no p - h >= 2 above N; below, n passes every table's reach
+        # no p - h >= 2 above N; below, p - h passes every table's reach,
+        # refused before the prime slice is read
         assert halberstam_variance(1000, ShiftParams(10 ** 20)) == 0.0
         with pytest.raises(CapacityError):
             halberstam_variance(1000, ShiftParams(-10 ** 20))
@@ -467,10 +469,58 @@ class TestPrimeCountAP:
                 want = (sum(1 for p in primes if p % d == a),
                         li_approx(N) / int(sympy.totient(d)))
                 for h in (a, a - d, a + 5 * d):  # negative residues too
-                    assert prime_count_ap(N, d, h) == want, (N, d, h)
+                    got = prime_count_ap(N, d, h)
+                    # == holds for a numpy integer too; json needs an int
+                    assert got == want and type(got[0]) is int, (N, d, h)
+
+    @pytest.mark.parametrize("N", [720720, 720721, 2 * 720720 + 1,
+                                   2 * 10 ** 6])
+    def test_histogram_blocks(self, N):
+        # N on, just past and one past two block edges [k M, (k + 1) M)
+        spectrum._residue_histogram.cache_clear()
+        M = spectrum._HIST_MODULUS
+        want = np.bincount(prime_array(N) % M, minlength=M)
+        got = spectrum._residue_histogram(N)
+        assert got.dtype == np.int32 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+    def test_every_small_modulus_at_2e6(self):
+        # both paths over three histogram blocks, against the primes
+        # reduced in one pass
+        N = 2 * 10 ** 6
+        primes = prime_array(N)
+        for d in range(1, 41):
+            want = np.bincount(primes % d, minlength=d)
+            for a in range(d):
+                if math.gcd(a, d) == 1:
+                    assert prime_count_ap(N, d, a)[0] == want[a], (d, a)
+
+    @pytest.mark.parametrize("d", [16, 17])
+    def test_memory(self, d):
+        # on a warm prime cache the histogram path (16) holds the int32
+        # histogram and the temporaries of one block, the first and
+        # fullest, measured at 12 bytes per prime; the chunked path (17)
+        # an int64 residue and a bool per prime of one chunk, 9 bytes.
+        # Reducing the whole prime list at once would read 9 bytes per
+        # prime, 1.3 MB at 2e6, and an int64 bincount of the histogram
+        # 5.8 MB
+        N = 2 * 10 ** 6
+        prime_array(N)
+        spectrum._residue_histogram.cache_clear()
+        M = spectrum._HIST_MODULUS
+        bound = (4 * M + 16 * len(prime_array(M)) if M % d == 0
+                 else 16 * (arith.SEGMENT_SIZE >> 4))
+        tracemalloc.start()
+        try:
+            prime_count_ap(N, d, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_residues_read_in_slices(self, monkeypatch):
-        # slices of 64 primes: both paths add counts across slice edges
+        # segments of 64: the chunked path adds counts across the edges
+        # of slices of 4 primes
         N = 10 ** 4
         primes = prime_array(N)
         spectrum._residue_histogram.cache_clear()

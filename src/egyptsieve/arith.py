@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: primality, two sieve kernels on the same
-odd segments (even n are read off their odd part) into one array cache
-(every prime list is a slice of ``prime_array``), omega also read at
+odd segments into one array cache (every prime list is a slice of
+``prime_array``; the prime-power tables hold odd n, and
+``prime_power_at`` reads any n off its odd part), omega also read at
 p - h on a slice of the primes with no table, factorization into
 (prime, exponent) pairs, li, exact reciprocal sums.
 
@@ -10,9 +11,9 @@ gcd on a large integer: each value splits at B = sqrt(max) into a
 smooth part and at most one big prime, gcds and lcms touch only the
 small smooth parts, the big primes cancel by an exact divisibility
 test, and the coprime result is built without the constructor's gcd.
-The big primes are read off the cached largest-prime-power table when
-it has fewer entries than len(values) * pi(B) and fits under
-MAX_ARRAY_LIMIT; sparser inputs are trial-divided value by value.
+The big primes are read by ``prime_power_at`` when max(values) fits
+under MAX_ARRAY_LIMIT and is below len(values) * pi(B); sparser inputs
+are trial-divided value by value.
 
 Every exact sum of reciprocals has one tree format, leaves u / (s * r)
 and nodes a / (s * b): ``_fold`` sums runs of _FOLD leaves in Python,
@@ -71,8 +72,8 @@ _MR_WITNESSES = tuple((psi, _SMALL_PRIMES[:k]) for psi, k in (
 SEGMENT_SIZE = 1 << 20       # numbers per segment of the sieve kernels
 # prime_segments refuses limits whose base sieve would not fit in memory
 MAX_BASE_PRIME = 1 << 27
-# _cached builds whole-range arrays to here: 2 GB at the 4 B per entry
-# of max_prime_power_array
+# _cached builds whole-range arrays to here: 1 GB at the 4 B per odd n
+# of the largest-prime-power table
 MAX_ARRAY_LIMIT = 5 * 10 ** 8
 # trial_factor divides by the primes of prime_array up to here
 TRIAL_PRIME_BOUND = 10 ** 6
@@ -296,14 +297,14 @@ def _omega_at(primes: np.ndarray, h: int) -> np.ndarray:
         vc -= 1
         top = max(top, int((w >> vc).max()))
     last = int(primes[-1]) - h if len(primes) else 0
-    segs = prime_power_sieve(top, "omega")
-    for lo in range(1, top + 1, 2 * SEGMENT_SIZE):
-        seg = next(segs)
+    lo = 1
+    for seg in prime_power_sieve(top, "omega"):
         hi = lo + 2 * len(seg)
         for e in range((last // lo).bit_length()):
             a, b = np.searchsorted(primes, ((lo << e) + h, (hi << e) + h))
             k = np.flatnonzero(v[a:b] == e) + a
             out[k] = seg[(((primes[k] - h) >> e) - lo) // 2] + (e > 0)
+        lo = hi
         del seg, k       # freed before the kernel builds the next segment
     return out
 
@@ -384,9 +385,10 @@ def _check_array_limit(kind: str, limit: int) -> None:
 def _cached(kind: str, limit: int, build) -> np.ndarray:
     """build(limit), cached per kind.  The one array kept for a kind
     serves its own limit as it is (no search: ``trial_factor`` asks for
-    it on every call) and every smaller limit as a slice (prime arrays
-    after their last prime <= limit, arrays indexed by n at limit + 1),
-    and a build for a larger limit replaces it.  A build may itself ask for a smaller
+    it on every call) and every smaller limit too: prime arrays as the
+    slice up to their last prime <= limit, the prime-power tables as
+    they are (their readers index them by odd n <= limit).  A build for
+    a larger limit replaces it.  A build may itself ask for a smaller
     array of its kind (the kernels' base primes); whatever that left is
     dropped when the build returns.  Stored arrays are read-only, and so
     are the slices handed out.  A build above MAX_ARRAY_LIMIT raises
@@ -394,12 +396,11 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = next((n for k, n in _cache if k == kind), -1)
-    if held == limit:
-        return _cache[(kind, held)]
-    if held > limit:
+    if held > limit and kind == "primes":
         arr = _cache[(kind, held)]
-        return arr[:np.searchsorted(arr, limit, "right") if kind == "primes"
-                   else limit + 1]
+        return arr[:np.searchsorted(arr, limit, "right")]
+    if held >= limit:
+        return _cache[(kind, held)]
     _check_array_limit(kind, limit)
     arr = build(limit)
     arr.flags.writeable = False
@@ -440,33 +441,35 @@ def prime_array(limit: int) -> np.ndarray:
 
 
 def _prime_power_table(limit: int, kind: str) -> np.ndarray:
-    """The cached ``prime_power_sieve`` kind for all n <= limit
-    (``_exact_ints``), the odd n from the kernel, each n = 2^v u off u
-    in one strided pass per v: omega(u) + 1, or max(2^v, maxpp(u))."""
-    def build(limit):
-        out = np.empty(limit + 1, dtype=np.int8 if omega else np.uint32)
-        odd = _fill(out[1::2], prime_power_sieve(limit, kind), limit)
-        out[0] = not omega
-        for v in range(1, limit.bit_length()):
-            even = out[1 << v::2 << v]
-            (np.add if omega else np.maximum)(
-                odd[:len(even)], 1 if omega else 1 << v, out=even)
-        return out
+    """The cached ``prime_power_sieve`` kind at the odd n <= limit
+    (``_exact_ints``), entry (n - 1) / 2 for n, (limit + 1) // 2 in all:
+    the kernel's segments ``_fill`` the table as they come."""
+    def build(n):
+        out = np.empty((n + 1) // 2, np.int8 if kind == "omega" else np.uint32)
+        return _fill(out, prime_power_sieve(n, kind), n)
 
     (limit,) = _exact_ints((limit,), "limit")
-    omega = kind == "omega"
     return _cached(kind, limit, build)
 
 
-def omega_array(limit: int) -> np.ndarray:
-    """omega(n) for all n <= limit as int8 (cached, read-only)."""
-    return _prime_power_table(limit, "omega")
-
-
-def max_prime_power_array(limit: int) -> np.ndarray:
-    """Largest prime power exactly dividing n, for all n <= limit, as
-    uint32 (cached, read-only)."""
-    return _prime_power_table(limit, "maxpp")
+def prime_power_at(n: np.ndarray, kind: str) -> np.ndarray:
+    """omega(n) (kind "omega", int8) or the largest prime power exactly
+    dividing n (kind "maxpp", uint32) at each entry of an integer array
+    of n >= 1, read off ``_prime_power_table(max n)``, which a larger
+    held table serves as it is.  Each n = 2^v u, u odd, reads entry
+    (u - 1) / 2 = n // 2^(v + 1): omega(u) + (v > 0), or max(2^v,
+    maxpp(u)); ``_chunks`` of n keep the temporaries short.  Empty n
+    builds nothing."""
+    omega = kind == "omega"
+    out = np.empty(len(n), dtype=np.int8 if omega else np.uint32)
+    if len(n) == 0:
+        return out
+    table = _prime_power_table(int(n.max()), kind)
+    for ns, o in zip(_chunks(n), _chunks(out)):
+        two_v = ns & -ns
+        at = table[ns // (two_v << 1)]
+        o[:] = at + (two_v > 1) if omega else np.maximum(at, two_v)
+    return out
 
 
 def _pairwise(items: list, merge, empty):
@@ -620,18 +623,19 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     prime divides v once, since (B + 1)^2 > top, and v / r(v) <= B.
 
     r is defined by B alone, so both paths return the same array.  When
-    a table to top fits under MAX_ARRAY_LIMIT and has fewer entries than
-    the len(vals) * pi(B) that trial division would touch, r is read off
-    ``max_prime_power_array(top)``: a prime above B is v's largest prime
-    power, and the only other prime powers above B are the q^k with
-    k >= 2 and q <= B, which read as 1.  Otherwise each value is
-    trial-divided by the primes up to sqrt(v), found in one numpy call,
-    and the cofactor left is r(v) when it exceeds B.
+    top fits under MAX_ARRAY_LIMIT and is below the len(vals) * pi(B)
+    divisions trial division would touch, r is read by
+    ``prime_power_at(vals, "maxpp")``: a prime above B is v's largest
+    prime power, and the only other prime powers above B are the q^k
+    with k >= 2 and q <= B, which read as 1.  Otherwise each value is
+    trial-divided by the primes up to sqrt(v), found in one numpy call
+    (not ``trial_factor``, which refuses two prime factors above
+    TRIAL_PRIME_BOUND), and the cofactor left is r(v) when it exceeds B.
     """
     b = isqrt(top)
     primes = prime_array(b)
     if top <= MAX_ARRAY_LIMIT and top < len(vals) * len(primes):
-        rough = max_prime_power_array(top)[vals].astype(np.int64)
+        rough = prime_power_at(vals, "maxpp").astype(np.int64)
         powers = []
         for q in primes.tolist():
             qk = q * q

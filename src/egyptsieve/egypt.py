@@ -48,6 +48,7 @@ import numpy as np
 
 from .arith import (
     _PSI_13,
+    _chunks,
     _exact_fields,
     _exact_ints,
     _reciprocal_tree,
@@ -68,11 +69,6 @@ _SMOOTH_BASIS = (2, 3, 5, 7, 11, 13)
 _ODD_INVERSES = tuple((f, np.uint64(pow(f, -1, 1 << 64)),
                        np.uint64(((1 << 64) - 1) // f))
                       for f in _SMOOTH_BASIS[1:])
-
-# primes per _assembly_items chunk: the chunk's uint64 arrays (512 KB
-# each) stay in cache across _smooth_split's ~25 passes; at 2^20 entries
-# (8 MB each) they do not
-_ASSEMBLY_CHUNK = 1 << 16
 
 # cascade settings: base moduli of the divisor-pool DP (scaled to
 # multiples of the target denominator), the bitset length cap, the
@@ -585,8 +581,7 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
                     dtype=np.int64)
     items: list[tuple[int, tuple[int, ...]]] = []
     qs, es, ps = [], [], []
-    for lo in range(0, len(primes), _ASSEMBLY_CHUNK):
-        chunk = primes[lo:lo + _ASSEMBLY_CHUNK]
+    for chunk in _chunks(primes):
         if excl.size:
             chunk = chunk[~np.isin(chunk, excl)]
         chunk = chunk[chunk > h]

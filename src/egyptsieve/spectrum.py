@@ -30,9 +30,8 @@ from .arith import (
     balanced_product,
     is_prime,
     li_approx,
-    max_prime_power_array,
-    omega_array,
     prime_array,
+    prime_power_at,
     reciprocal_sum,
     trial_factor,
 )
@@ -193,7 +192,7 @@ def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
     def select(n, eps):
         if eps == 0:
             return np.zeros(len(n), dtype=bool), 0
-        mpp = max_prime_power_array(int(n.max()))[n]
+        mpp = prime_power_at(n, "maxpp")
         multi = n >= 2
         lhs = np.log(mpp.astype(np.float64))
         rhs = float(1 - eps) * np.log(np.maximum(n, 2).astype(np.float64))
@@ -222,7 +221,7 @@ def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
         ll = np.log(np.log(m.astype(np.float64)))
         thr = math.inf if d > sys.float_info.max else float(d)
         # counted: the kept n whose omega deviates that far
-        keep[keep] = np.abs(omega_array(int(n.max()))[m] - ll) >= thr * ll
+        keep[keep] = np.abs(prime_power_at(m, "omega") - ll) >= thr * ll
         return keep, len(n) - len(m)
 
     return _report(N, shift, baseline, select, delta=delta)

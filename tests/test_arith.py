@@ -16,9 +16,8 @@ from egyptsieve.arith import (
     balanced_product,
     is_prime,
     li_approx,
-    max_prime_power_array,
-    omega_array,
     prime_array,
+    prime_power_at,
     prime_power_sieve,
     prime_segments,
     reciprocal_sum,
@@ -62,6 +61,16 @@ def _walk(limit, kind):
 def _drop_cached(kind):
     for key in [key for key in arith._cache if key[0] == kind]:
         del arith._cache[key]
+
+
+def _table(kind):
+    """The cached prime-power table of a kind, as a function of limit."""
+    return lambda limit: arith._prime_power_table(limit, kind)
+
+
+def _upto(limit):
+    """Every n in 1..limit, as int64."""
+    return np.arange(1, limit + 1, dtype=np.int64)
 
 
 _NAIVE_PRIMES = [n for n in range(1100) if naive_is_prime(n)]
@@ -179,14 +188,23 @@ class TestPrimeCache:
             _drop_cached("primes")
             assert np.array_equal(sliced[m], prime_array(m)), m
 
-    def test_index_arrays_sliced(self):
-        for build, kind in ((omega_array, "omega"),
-                            (max_prime_power_array, "maxpp")):
-            _drop_cached(kind)
-            build(5000)
+    def test_larger_table_serves_smaller_limits(self, monkeypatch):
+        # a held table to 5000 is handed out as it is for every smaller
+        # limit, and the reads at n <= 1234 match a table to 1234
+        monkeypatch.setattr(arith, "_cache", {})
+        walks = []
+        kernel = arith.prime_power_sieve
+        monkeypatch.setattr(arith, "prime_power_sieve",
+                            lambda n, kind: walks.append(n) or kernel(n, kind))
+        for kind in ("omega", "maxpp"):
+            walks.clear()
+            big = arith._prime_power_table(5000, kind)
             before = set(arith._cache)
-            assert build(1234)[1::2].tolist() == _walk(1234, kind).tolist()
-            assert set(arith._cache) == before
+            assert arith._prime_power_table(1234, kind) is big
+            got = prime_power_at(_upto(1234), kind)
+            assert set(arith._cache) == before and walks == [5000]
+            _drop_cached(kind)
+            assert np.array_equal(got, prime_power_at(_upto(1234), kind))
 
     def test_larger_build_replaces_smaller(self):
         _drop_cached("primes")
@@ -207,7 +225,7 @@ class TestPrimeCache:
         assert len(arr) == 78498
 
     def test_negative_limit_refused_when_cached(self):
-        for build in (prime_array, omega_array, max_prime_power_array):
+        for build in (prime_array, _table("omega"), _table("maxpp")):
             build(100)
             with pytest.raises(DomainError):
                 build(-5)
@@ -224,8 +242,13 @@ class TestPrimeCache:
 
     def test_read_only(self):
         _drop_cached("primes")
-        for arr in (prime_array(1000), prime_array(500), omega_array(1000),
-                    max_prime_power_array(1000)):
+        tables = []
+        # odd n only: entry (n - 1) / 2 for each odd n <= limit
+        for kind, limit, size in (("omega", 1000, 500), ("maxpp", 1001, 501)):
+            _drop_cached(kind)
+            tables.append(arith._prime_power_table(limit, kind))
+            assert len(tables[-1]) == size == (limit + 1) // 2
+        for arr in (prime_array(1000), prime_array(500), *tables):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -514,18 +537,17 @@ class TestTrialFactor:
 
 
 def _oracle_arrays(limit):
-    """omega and largest prime power for 0..limit from trial_factor."""
-    om, mp = [0, 0], [1, 1]
-    for n in range(2, limit + 1):
-        fz = trial_factor(n)
-        om.append(len(fz))
-        mp.append(max_prime_power(fz))
-    return np.array(om[:limit + 1]), np.array(mp[:limit + 1])
+    """omega and largest prime power for 0..limit from naive_factor (0
+    and 1 read 0 and 1)."""
+    fz = [naive_factor(n) for n in range(limit + 1)]
+    return (np.array([len(f) for f in fz]),
+            np.array([max_prime_power(f) for f in fz]))
 
 
 class TestPrimePowerSieve:
     def test_against_factorize_0_200(self, monkeypatch):
-        # the kernel at the odd n, the tables at every n
+        # the kernel at the odd n, the reader at every n from a table
+        # built to that limit
         om_ref, mp_ref = _oracle_arrays(200)
         monkeypatch.setattr(arith, "_cache", dict(arith._cache))
         for limit in range(201):
@@ -535,9 +557,10 @@ class TestPrimePowerSieve:
                 mp_ref[1:limit + 1:2].tolist()
             _drop_cached("omega")
             _drop_cached("maxpp")
-            assert omega_array(limit).tolist() == om_ref[:limit + 1].tolist()
-            assert max_prime_power_array(limit).tolist() == \
-                mp_ref[:limit + 1].tolist()
+            assert prime_power_at(_upto(limit), "omega").tolist() == \
+                om_ref[1:limit + 1].tolist()
+            assert prime_power_at(_upto(limit), "maxpp").tolist() == \
+                mp_ref[1:limit + 1].tolist()
 
     def test_segment_boundaries(self, monkeypatch):
         om_ref, mp_ref = _oracle_arrays(3000)
@@ -559,30 +582,29 @@ class TestPrimePowerSieve:
                 assert [len(g) for g in segs[:-1]] == [size] * (len(segs) - 1)
                 om = np.concatenate(segs)
                 assert om.tolist() == om_ref[1:limit + 1:2].tolist(), limit
-                # the cached arrays: the generator's segments at the odd
-                # n, every n against the oracle
-                _drop_cached("omega")
-                table = omega_array(limit)
-                assert table.tolist() == om_ref[:limit + 1].tolist(), limit
-                assert np.array_equal(table[1::2], om), limit
-                _drop_cached("maxpp")
-                mp = max_prime_power_array(limit)
-                assert mp.tolist() == mp_ref[:limit + 1].tolist(), limit
-                assert np.array_equal(mp[1::2], _walk(limit, "maxpp")), limit
+                # the cached tables are the generator's segments; the
+                # reader at every n against the oracle
+                for kind, ref in (("omega", om_ref), ("maxpp", mp_ref)):
+                    _drop_cached(kind)
+                    assert np.array_equal(arith._prime_power_table(
+                        limit, kind), _walk(limit, kind)), (limit, kind)
+                    assert prime_power_at(_upto(limit), kind).tolist() == \
+                        ref[1:limit + 1].tolist(), (limit, kind)
 
     def test_dtypes(self):
         for kind, dtype in (("omega", np.int8), ("maxpp", np.uint32)):
             assert {g.dtype for g in prime_power_sieve(1000, kind)} == \
                 {np.dtype(dtype)}
+            assert prime_power_at(_upto(1001), kind).dtype == dtype
         assert arith._omega_at(np.arange(5), 0).dtype == np.int8
-        assert omega_array(1001).dtype == np.int8
-        assert max_prime_power_array(1001).dtype == np.uint32
 
     def test_wrappers_build_no_prime_table(self):
         limit = 54321
         for kind, read, table in (
-                ("omega", lambda: omega_array(limit), True),
-                ("maxpp", lambda: max_prime_power_array(limit), True),
+                ("omega", lambda: prime_power_at(np.array([limit]), "omega"),
+                 True),
+                ("maxpp", lambda: prime_power_at(np.array([limit]), "maxpp"),
+                 True),
                 ("omega", lambda: arith._omega_at(np.array([limit]), 0), False)):
             _drop_cached(kind)
             _drop_cached("primes")
@@ -606,17 +628,89 @@ class TestPrimePowerSieve:
     def test_limit_read_exactly(self, limit):
         # a float is no longer left to numpy, and True no longer reads 1
         for read in (lambda: next(prime_power_sieve(limit, "omega")),
-                     lambda: omega_array(limit),
-                     lambda: max_prime_power_array(limit)):
+                     lambda: _table("omega")(limit),
+                     lambda: _table("maxpp")(limit)):
             with pytest.raises(DomainError, match="limit .* not an integer"):
                 read()
 
     def test_numpy_limit_reads_as_int(self):
-        for kind, build in (("omega", omega_array),
-                            ("maxpp", max_prime_power_array)):
+        for kind in ("omega", "maxpp"):
+            build = _table(kind)
             assert np.array_equal(build(np.int64(1000)), build(1000))
             assert _walk(np.int32(1000), kind).tolist() == \
                 _walk(1000, kind).tolist()
+
+
+class TestPrimePowerAt:
+    """The one reader of the odd-only prime-power tables: each n = 2^v u
+    read off its odd part u, against naive_factor."""
+
+    KINDS = (("omega", np.int8, len), ("maxpp", np.uint32, max_prime_power))
+
+    def _check(self, n):
+        for kind, _, of in self.KINDS:
+            got = prime_power_at(np.array(n, dtype=np.int64), kind).tolist()
+            assert got == [of(naive_factor(v)) for v in n], kind
+
+    def test_default_segment_edges(self, monkeypatch):
+        # n on and around the odd segments' bounds 2 SEGMENT_SIZE k + 1,
+        # odd and even, on a fresh cache discarded afterwards
+        monkeypatch.setattr(arith, "_cache", {})
+        step = 2 * arith.SEGMENT_SIZE
+        self._check([step * k + d for k in range(1, 6) for d in range(-3, 4)])
+
+    def test_powers_of_two_to_2_28(self, monkeypatch):
+        # every 2^v to 2^28 and 2^v u for odd u <= 99 up to there.  The
+        # reader indexes the table only at the odd part u, and a held
+        # table serves every smaller limit as it is, so a table to 99
+        # held under the limit 2^28 serves them; a real one is 512 MB
+        monkeypatch.setattr(arith, "_cache", {})
+        for kind in ("omega", "maxpp"):
+            small = arith._prime_power_table(99, kind)
+            del arith._cache[(kind, 99)]
+            arith._cache[(kind, 1 << 28)] = small
+        self._check([1 << v for v in range(29)])
+        self._check([u << v for v in range(29) for u in range(3, 100, 2)
+                     if u << v <= 1 << 28])
+
+    def test_empty_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(arith, "_cache", {})
+        for kind, dtype, _ in self.KINDS:
+            got = prime_power_at(np.zeros(0, dtype=np.int64), kind)
+            assert got.dtype == dtype and len(got) == 0
+        assert arith._cache == {}
+
+    def test_past_array_limit_refused_before_building(self, monkeypatch):
+        def kernel(n, kind):
+            raise AssertionError(f"built to {n}")
+
+        monkeypatch.setattr(arith, "_cache", {})
+        monkeypatch.setattr(arith, "prime_power_sieve", kernel)
+        for kind, _, _ in self.KINDS:
+            with pytest.raises(CapacityError):
+                prime_power_at(np.array([3, arith.MAX_ARRAY_LIMIT + 1]), kind)
+        assert arith._cache == {}
+
+    def test_cold_read_memory(self, monkeypatch):
+        # one read at L = 2^22 from a cold cache: the traced peak is the
+        # odd-only uint32 table (2 L bytes), one segment's three uint32
+        # arrays and the kernel's list of ~370 prime powers, 2 L + 22
+        # bytes per segment entry with these segments.  A table indexed
+        # by every n would alone take 4 (L + 1).  The bound allows 2 L
+        # plus 32 bytes per segment entry (segments of 2^12 would take
+        # 9 s under tracemalloc, against 2.5 s here)
+        L = 1 << 22
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)
+        monkeypatch.setattr(arith, "_cache", {})
+        tracemalloc.start()
+        try:
+            got = prime_power_at(np.array([L]), "maxpp")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [L]
+        assert peak < 2 * L + 32 * arith.SEGMENT_SIZE, \
+            (peak - 2 * L) / arith.SEGMENT_SIZE
 
 
 class TestOmegaAt:
@@ -1111,7 +1205,7 @@ class TestRoughSplit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "MAX_ARRAY_LIMIT", 0)
             _assert_exact(values)
-        max_prime_power_array(10 ** 5)
+        arith._prime_power_table(10 ** 5, "maxpp")
         _assert_exact(values)
 
     def test_dense_input_reads_the_table(self):

@@ -1477,12 +1477,13 @@ class TestAssemblyItems:
     @pytest.mark.parametrize("h", [1, -1])
     def test_chunks_do_not_change_the_items(self, h, monkeypatch):
         # 9,592 primes to 1e5: one chunk against ten chunks and a ragged
-        # last one, with an excluded prime in the middle of a chunk
+        # last one, with an excluded prime in the middle of a chunk; the
+        # chunks are arith._chunks slices of SEGMENT_SIZE / 16 primes
         M, limit = egypt._ASSEMBLY_MODULUS, 10 ** 5
         exclude = frozenset({52361, 99991})
-        monkeypatch.setattr(egypt, "_ASSEMBLY_CHUNK", 1 << 20)
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 24)
         whole = _assembly_items(h, M, exclude, limit)
-        monkeypatch.setattr(egypt, "_ASSEMBLY_CHUNK", 1000)
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 16000)
         assert _assembly_items(h, M, exclude, limit) == whole
         assert any(len(ps) == 2 for _, ps in whole)
 

@@ -170,7 +170,7 @@ class TestOmegaDeviation:
         assert dens == sorted(dens, reverse=True)
 
     def test_sweep_reads_one_omega_table(self, monkeypatch, shift_plus1):
-        # points of a sweep at one N slice the cached omega array; only
+        # points of a sweep at one N read the cached omega table; only
         # the first, whose n = p + 1 reach furthest, walks the kernel
         monkeypatch.setattr(arith, "_cache", {})
         walks = []

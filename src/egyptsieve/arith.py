@@ -232,10 +232,10 @@ def prime_power_sieve(limit: int, kind: str):
     gets omega 0 and prime power 1.  Its readers read each even n off
     its odd part.  In a segment, each power q = p^k of an odd base prime
     with p^2 < hi strikes its odd multiples from max(q, p^2) on and
-    multiplies p into the smooth part.  What is left of n after dividing
-    that out is 1 or one prime (n's least prime strikes it, and two
-    primes above sqrt(n) would exceed n), which adds one to omega and is
-    a prime-power candidate; 2 and its powers are never strided."""
+    divides p out of them in a uint32 copy of the n.  What is left of n
+    is 1 or one prime (n's least prime strikes it, and two primes above
+    sqrt(n) would exceed n): one more for omega, and a prime-power
+    candidate.  2 and its powers are never strided."""
     (limit,) = _exact_ints((limit,), "limit")
     if kind not in ("omega", "maxpp"):
         raise DomainError(f"unknown kind {kind!r}")
@@ -252,20 +252,18 @@ def prime_power_sieve(limit: int, kind: str):
     for lo, hi, first in _odd_segments(limit, qs, least):
         size = (hi - lo + 1) // 2
         seg = np.zeros(size, np.int8) if omega else np.ones(size, np.uint32)
-        smooth = np.ones(size, dtype=np.uint32)
+        rest = np.arange(lo, hi, 2, dtype=np.uint32)
         for (_, q, p), i in zip(powers, first.tolist()):
-            smooth[i::q] *= p
+            rest[i::q] //= p
             if not omega:
-                marks = seg[i::q]
-                np.maximum(marks, q, out=marks)
+                np.maximum(seg[i::q], q, out=seg[i::q])
             elif q == p:
                 seg[i::q] += 1
-        n = np.arange(lo, hi, 2, dtype=np.uint32)
         if omega:
-            seg += smooth < n
+            seg += rest > 1
         else:
-            np.maximum(seg, np.floor_divide(n, smooth, out=n), out=seg)
-        del smooth, n      # freed before the reader copies seg out
+            np.maximum(seg, rest, out=seg)
+        del rest           # freed before the reader copies seg out
         yield seg
 
 

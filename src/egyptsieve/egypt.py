@@ -264,10 +264,12 @@ def _divisor_pool(h: int, L: int,
     (p-h) | L and p - h >= 1, sorted by decreasing weight; memoized.
     A prime q of L dividing h is not expanded: q | d gives q | d + h, so
     only d = q - h (p = q; d = 8 and 9 at h = -6) is tested for it."""
+    top = max_prime - h         # a divisor only grows: drop it past top
     divisors, forced = [1], []
     for q, e in trial_factor(L):
         if h % q:
-            divisors = [d * q ** k for d in divisors for k in range(e + 1)]
+            qk = [q ** k for k in range(min(e, top.bit_length()) + 1)]
+            divisors = [d * m for d in divisors for m in qk if d * m <= top]
         elif q - h >= 1 and L % (q - h) == 0:
             forced.append(q - h)
     pool = [(L // d, d + h) for d in divisors + forced

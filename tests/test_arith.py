@@ -1,4 +1,5 @@
 import bisect
+import collections
 import math
 import random
 import tracemalloc
@@ -591,6 +592,30 @@ class TestPrimePowerSieve:
                     assert prime_power_at(_upto(limit), kind).tolist() == \
                         ref[1:limit + 1].tolist(), (limit, kind)
 
+    @pytest.mark.parametrize("kind, itemsize", [("omega", 1), ("maxpp", 4)])
+    def test_one_scratch_array_per_segment(self, kind, itemsize,
+                                           monkeypatch):
+        # a segment holds its int8 or uint32 statistics and one uint32
+        # copy of its n.  The margin covers the kernel's list of prime
+        # powers, omega's bool compare and the previous segment while
+        # the next is allocated: the peak passed (itemsize + 4) bytes
+        # per segment entry by up to 2.7 bytes here, and by 5.3 to 6.7
+        # with a uint32 smooth product and a second copy of n
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 16)
+        monkeypatch.setattr(arith, "_cache", dict(arith._cache))
+        limit = 32 * arith.SEGMENT_SIZE + 1
+        prime_array(math.isqrt(limit))
+        tracemalloc.start()
+        try:
+            # the segments are dropped as they come
+            collections.deque(prime_power_sieve(limit, kind), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        margin = 4 * arith.SEGMENT_SIZE
+        assert peak < (itemsize + 4) * arith.SEGMENT_SIZE + margin, \
+            peak / arith.SEGMENT_SIZE
+
     def test_dtypes(self):
         for kind, dtype in (("omega", np.int8), ("maxpp", np.uint32)):
             assert {g.dtype for g in prime_power_sieve(1000, kind)} == \
@@ -693,9 +718,9 @@ class TestPrimePowerAt:
 
     def test_cold_read_memory(self, monkeypatch):
         # one read at L = 2^22 from a cold cache: the traced peak is the
-        # odd-only uint32 table (2 L bytes), one segment's three uint32
-        # arrays and the kernel's list of ~370 prime powers, 2 L + 22
-        # bytes per segment entry with these segments.  A table indexed
+        # odd-only uint32 table (2 L bytes), the segments' uint32 arrays
+        # and the kernel's list of ~370 prime powers, 2 L + 22 bytes per
+        # segment entry with these segments.  A table indexed
         # by every n would alone take 4 (L + 1).  The bound allows 2 L
         # plus 32 bytes per segment entry (segments of 2^12 would take
         # 9 s under tracemalloc, against 2.5 s here)
@@ -1236,6 +1261,34 @@ class TestRoughSplit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arith, "MAX_ARRAY_LIMIT", 0)
             assert np.array_equal(arith._rough_parts(arr, 6144), rough)
+
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_odd_parts_at_segment_edges(self, size, monkeypatch):
+        # p q, q^k r and 2^v times them, whose odd parts lie on both
+        # sides of the kernel's odd-segment edges 2 size k + 1, through
+        # the table and by trial division, against naive_factor
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(arith, "_cache", {})
+        odd = {"pq": [], "qkr": []}
+        for k in range(1, 21):
+            for u in range(2 * size * k - 7, 2 * size * k + 10, 2):
+                f = naive_factor(u)
+                if len(f) == 2:
+                    odd["qkr" if max(e for _, e in f) > 1 else "pq"].append(u)
+        for us in odd.values():
+            # u from the start of a segment and from the end of one
+            assert {(u - 1) % (2 * size) < size for u in us} == {True, False}
+        values = [u << v for us in odd.values() for u in us
+                  for v in range(4)]
+        top = max(values)
+        b = math.isqrt(top)
+        want = [max((p for p, _ in naive_factor(n) if p > b), default=1)
+                for n in values]
+        vals = np.array(values * 4, dtype=np.int64)
+        assert arith._rough_parts(vals, top)[:len(values)].tolist() == want
+        assert _maxpp_limits() == [top]
+        monkeypatch.setattr(arith, "MAX_ARRAY_LIMIT", 0)
+        assert arith._rough_parts(vals, top)[:len(values)].tolist() == want
 
     @pytest.mark.parametrize("w", [2, 3, 10, 1000, 30011])
     def test_mertens_product_against_fraction_product(self, w):

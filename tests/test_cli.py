@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +308,20 @@ class TestExitCodes:
         rc = main(["decompose", "--target", f"1/{den}", "--shift", "1"])
         assert rc == 2
         assert "composite cofactor" in capsys.readouterr().err
+
+    def test_deep_smooth_modulus_pool_stays_small(self, capsys):
+        # 30030^16 has 17^6 = 24 M divisors, of which the pools keep only
+        # those up to max_prime - h; 3.5 MiB peak measured
+        tracemalloc.start()
+        try:
+            rc = main(["decompose", "--target", f"1/{30030 ** 16}",
+                       "--shift", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc in (1, 2)
+        assert "internal error" not in capsys.readouterr().err
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("argv,rc", [
         (["--lemma", "1", "--shift", str(10 ** 20), "--epsilon", "0.3"], 0),

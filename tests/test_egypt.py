@@ -256,15 +256,16 @@ class TestSmoothDP:
         assert pool == [(12, 2), (6, 3), (3, 5), (2, 7), (1, 13)]
 
 
-def _oracle_pool(h, L, sympy):
-    """(L/d, d + h) for the divisors d of L with d + h prime, by sympy."""
+def _oracle_pool(h, L, sympy, max_prime=SearchBudget().max_prime):
+    """(L/d, d + h) for the divisors d of L with d + h a prime <=
+    max_prime, by sympy."""
     pool = [(L // d, d + h) for d in sympy.divisors(L)
-            if d + h >= 2 and sympy.isprime(d + h)]
+            if 2 <= d + h <= max_prime and sympy.isprime(d + h)]
     return sorted(pool, key=lambda t: (-t[0], t[1]))
 
 
 class TestPoolMemo:
-    SHIFTS = (1, -1, 2, -2, 3, 5, 6, -6, -1001)
+    SHIFTS = (1, -1, 2, -2, 3, 5, 6, -6, -1001, 10 ** 8 + 1)
 
     def test_against_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -285,6 +286,12 @@ class TestPoolMemo:
                     exclude = frozenset(primes[::3])
                     assert smooth_pool(h, L, exclude=exclude) == \
                         [t for t in want if t[1] not in exclude], (h, L)
+        # most divisors of these L pass max_prime - h, which the shifts
+        # near and above max_prime bring down to 1 and below
+        for L, bound in ((30030 ** 3, 1000), (30030 ** 3 << 20, 30030)):
+            for h in self.SHIFTS + (bound - 2, bound - 1, bound + 1):
+                assert smooth_pool(h, L, SearchBudget(max_prime=bound)) == \
+                    _oracle_pool(h, L, sympy, bound), (h, L, bound)
 
     def test_returned_list_is_private(self):
         want = [(12, 2), (6, 3), (3, 5), (2, 7), (1, 13)]

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: primality, two sieve kernels on the same
-odd segments into one array cache (every prime list is a slice of
-``prime_array``; the prime-power tables hold odd n, and
+odd segments into one array cache (every prime list is a slice of the
+int32 ``prime_array``; the prime-power tables hold odd n, and
 ``prime_power_at`` reads any n off its odd part), omega also read at
 p - h on a slice of the primes with no table, factorization into
 (prime, exponent) pairs, li, exact reciprocal sums.
@@ -194,7 +194,9 @@ def prime_segments(limit: int):
     segment of ``_odd_segments``.  A segment is a bool array cleared by
     one strided slice per base prime p with p^2 < hi, from p^2 on; the
     first's entry for 1 stands for 2.  The base primes are
-    ``prime_array(isqrt(limit))``, none below limit 4.  Limits whose
+    ``prime_array(isqrt(limit))``, none below limit 4, cast to int64:
+    they reach MAX_BASE_PRIME, so p^2 and the segment ends pass int32.
+    Limits whose
     base sieve exceeds the budget raise CapacityError, and a limit that
     ``_exact_ints`` refuses DomainError."""
     (limit,) = _exact_ints((limit,), "sieve limit")
@@ -205,7 +207,7 @@ def prime_segments(limit: int):
         raise CapacityError(
             f"limit {limit} needs base primes to {base_limit}, over the "
             f"{MAX_BASE_PRIME} budget")
-    odd_base = prime_array(base_limit)[1:]
+    odd_base = prime_array(base_limit)[1:].astype(np.int64)
     for lo, hi, first in _odd_segments(limit, odd_base, odd_base * odd_base):
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)
         for p, i in zip(odd_base.tolist(), first.tolist()):
@@ -277,15 +279,17 @@ def _chunks(arr: np.ndarray):
 
 
 def _omega_at(primes: np.ndarray, h: int) -> np.ndarray:
-    """omega(p - h) at each entry p of a sorted int64 array with p - h
-    >= 0, as int8, with no table and no array of the n = p - h.  Each
+    """omega(p - h) at each entry p of a sorted integer array (the int32
+    primes) with p - h >= 0 and p - h in its dtype, as int8, with no
+    table and no array of the n = p - h.  Each
     n >= 1 is 2^v u, u odd, and omega(n) = omega(u) + (v > 0); the v
     fill an int8 array from ``_chunks`` of the primes.  One walk of
     ``prime_power_sieve`` up to the largest u serves every v: a segment
     [lo, hi) of u serves the n between lo 2^v and hi 2^v whose v
     matches, the primes between lo 2^v + h and hi 2^v + h, found by
-    searchsorted.  The int8 v and omega arrays are the only ones as long
-    as the primes."""
+    searchsorted with the bounds clipped to the primes' dtype (a wider
+    needle would copy the primes).  The int8 v and omega arrays are the
+    only ones as long as the primes."""
     out = np.zeros(len(primes), dtype=np.int8)
     v = np.empty(len(primes), dtype=np.int8)
     top = 0
@@ -295,11 +299,13 @@ def _omega_at(primes: np.ndarray, h: int) -> np.ndarray:
         vc -= 1
         top = max(top, int((w >> vc).max()))
     last = int(primes[-1]) - h if len(primes) else 0
+    cap = np.iinfo(primes.dtype).max
     lo = 1
     for seg in prime_power_sieve(top, "omega"):
         hi = lo + 2 * len(seg)
         for e in range((last // lo).bit_length()):
-            a, b = np.searchsorted(primes, ((lo << e) + h, (hi << e) + h))
+            ends = np.minimum(((lo << e) + h, (hi << e) + h), cap)
+            a, b = np.searchsorted(primes, ends.astype(primes.dtype))
             k = np.flatnonzero(v[a:b] == e) + a
             out[k] = seg[(((primes[k] - h) >> e) - lo) // 2] + (e > 0)
         lo = hi
@@ -389,14 +395,15 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     a larger limit replaces it.  A build may itself ask for a smaller
     array of its kind (the kernels' base primes); whatever that left is
     dropped when the build returns.  Stored arrays are read-only, and so
-    are the slices handed out.  A build above MAX_ARRAY_LIMIT raises
+    are the slices handed out; the slice's search takes limit in the
+    array's dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT raises
     CapacityError."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = next((n for k, n in _cache if k == kind), -1)
     if held > limit and kind == "primes":
         arr = _cache[(kind, held)]
-        return arr[:np.searchsorted(arr, limit, "right")]
+        return arr[:np.searchsorted(arr, arr.dtype.type(limit), "right")]
     if held >= limit:
         return _cache[(kind, held)]
     _check_array_limit(kind, limit)
@@ -427,13 +434,16 @@ def _fill(out: np.ndarray, segments, limit: int) -> np.ndarray:
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty below 2): the segments
-    of ``prime_segments`` ``_fill`` a ``_prime_bound`` buffer, whose
-    unwritten tail is never touched (cached, read-only)."""
+    """All primes <= limit as an int32 array (empty below 2): the int64
+    segments of ``prime_segments`` ``_fill`` an int32 ``_prime_bound``
+    buffer, whose unwritten tail is never touched (cached, read-only).
+    int32 holds every entry, since ``_cached`` builds no array past
+    MAX_ARRAY_LIMIT < 2^31.  A reader searches it with a needle of its
+    dtype (a wider one would copy it) and widens only a slice."""
     def build(n):
         if n < 2:
-            return np.empty(0, dtype=np.int64)
-        return _fill(np.empty(_prime_bound(n), np.int64), prime_segments(n), n)
+            return np.empty(0, dtype=np.int32)
+        return _fill(np.empty(_prime_bound(n), np.int32), prime_segments(n), n)
 
     return _cached("primes", limit, build)
 
@@ -616,7 +626,7 @@ _coprime_fraction = (getattr(Fraction, "_from_coprime_ints", None)
 
 
 def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
-    """r(v) for every v of an int64 array with 1 <= v <= top: the prime
+    """r(v) for every v of an integer array with 1 <= v <= top: the prime
     factor of v above B = isqrt(top), or 1 when v is B-smooth.  That
     prime divides v once, since (B + 1)^2 > top, and v / r(v) <= B.
 
@@ -628,7 +638,9 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     with k >= 2 and q <= B, which read as 1.  Otherwise each value is
     trial-divided by the primes up to sqrt(v), found in one numpy call
     (not ``trial_factor``, which refuses two prime factors above
-    TRIAL_PRIME_BOUND), and the cofactor left is r(v) when it exceeds B.
+    TRIAL_PRIME_BOUND) on that slice of the int32 primes widened to
+    int64, since v may pass 2^31; the cofactor left is r(v) when it
+    exceeds B.
     """
     b = isqrt(top)
     primes = prime_array(b)
@@ -645,7 +657,8 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
         return rough
     rough = np.ones(len(vals), dtype=np.int64)
     for i, v in enumerate(vals.tolist()):
-        ps = primes[:np.searchsorted(primes, isqrt(v), "right")]
+        ps = primes[:np.searchsorted(primes, primes.dtype.type(isqrt(v)),
+                                     "right")].astype(np.int64)
         for q in ps[v % ps == 0].tolist():
             while v % q == 0:
                 v //= q

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import prime_array
+from .arith import _chunks, prime_array
 from .egypt import DEFAULT_BUDGET, SearchBudget, r_fold_disjoint, verify
 from .errors import CapacityError, DomainError, SearchExhausted
 from . import reports
@@ -119,7 +119,14 @@ def _cmd_sieve(cfg: RunConfig) -> int:
     if cfg.primes_out:
         p = Path(cfg.primes_out)
         if p.suffix == ".npy":
-            np.save(p, primes)
+            # the int64 file of np.save, written one slice at a time from
+            # the int32 primes: no int64 copy of the whole array
+            with p.open("wb") as f:
+                np.lib.format.write_array_header_1_0(
+                    f, {"descr": "<i8", "fortran_order": False,
+                        "shape": (len(primes),)})
+                for chunk in _chunks(primes):
+                    chunk.astype("<i8").tofile(f)
         else:
             p.write_text("\n".join(str(int(q)) for q in primes) + "\n")
     payload = {

@@ -587,7 +587,8 @@ def _assembly_items(h: int, modulus: int, exclude, prime_limit: int):
         if excl.size:
             chunk = chunk[~np.isin(chunk, excl)]
         chunk = chunk[chunk > h]
-        d = (chunk - h).astype(np.uint64)
+        # h may pass the primes' int32
+        d = np.subtract(chunk, h, dtype=np.int64).astype(np.uint64)
         rest, ok = _smooth_split(d, modulus)
         dmask = ok & (rest == 1)
         for ev, pv in zip(d[dmask].tolist(), chunk[dmask].tolist()):

@@ -127,12 +127,13 @@ def _shifted_primes(primes: np.ndarray, h: int, least: int) -> np.ndarray:
     """The slice of the primes p of the nonempty sorted array with
     p - h >= least, bounding h in Python ints first: a shift past
     max p - least selects nothing, and one that puts max p - h past
-    MAX_ARRAY_LIMIT raises CapacityError."""
+    MAX_ARRAY_LIMIT raises CapacityError.  Otherwise h + least and every
+    p - h fit the primes' int32, and the search takes h + least in it."""
     top = int(primes[-1])
     if h + least > top:
         return primes[:0]
     _check_array_limit("n = p - h", top - h)
-    return primes[np.searchsorted(primes, h + least):]
+    return primes[np.searchsorted(primes, primes.dtype.type(h + least)):]
 
 
 def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
@@ -360,7 +361,8 @@ def _residue_histogram(N: int) -> np.ndarray:
     counts them exactly: no ``%`` pass and no temporary longer than a
     block's primes."""
     primes = prime_array(N)
-    ends = np.searchsorted(primes, np.arange(N // _HIST_MODULUS + 2)
+    ends = np.searchsorted(primes, np.arange(N // _HIST_MODULUS + 2,
+                                             dtype=primes.dtype)
                            * _HIST_MODULUS).tolist()
     hist = np.zeros(_HIST_MODULUS, dtype=np.int32)
     for k, (a, b) in enumerate(zip(ends, ends[1:])):
@@ -411,7 +413,9 @@ def mertens_product(w: int) -> Fraction:
     r plus, for q <= B, its exponent in prod(m), summed over the
     multiples of q, q^2, ... in a bincount of the m; less one at each p.
     The coprime numerator and denominator come out as balanced products
-    of prime powers, no gcd.  w is read by ``arith._exact_ints``."""
+    of prime powers, no gcd.  The p - 1 stay in the cached primes' int32,
+    and the cut at B searches them with B in it.  w is read by
+    ``arith._exact_ints``."""
     (w,) = _exact_ints((w,), "w")
     if w < 2:
         raise DomainError("need w >= 2")
@@ -422,7 +426,8 @@ def mertens_product(w: int) -> Fraction:
     # index 1 counts the values without a prime above B; 1 ** k is 1
     expo = np.bincount(rough, minlength=w + 1)
     count = np.bincount(vals // rough)
-    for q in ps[:np.searchsorted(ps, isqrt(top), "right")].tolist():
+    for q in ps[:np.searchsorted(ps, ps.dtype.type(isqrt(top)),
+                                 "right")].tolist():
         qk = q
         while qk < len(count):
             expo[q] += count[qk::qk].sum()

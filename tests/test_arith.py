@@ -260,7 +260,9 @@ class TestPrimeCache:
         edges = [2 * arith.SEGMENT_SIZE * k + e
                  for k in range(1, 6) for e in (-1, 0, 1)]
         for limit in [*range(2, 10 ** 4 + 1), *edges]:
-            pi = int(np.searchsorted(primes, limit, "right"))
+            # a needle of the array's dtype: a Python int copies the array
+            pi = int(np.searchsorted(primes, primes.dtype.type(limit),
+                                     "right"))
             assert arith._prime_bound(limit) >= pi, limit
 
     def test_buffer_overflow_raises(self, monkeypatch):
@@ -273,11 +275,36 @@ class TestPrimeCache:
         with pytest.raises(RuntimeError, match="segments to 1000 overflow"):
             prime_array(1000)
 
+    def test_int32_holds_every_cached_prime(self):
+        # _cached builds no array past MAX_ARRAY_LIMIT, so every prime,
+        # and every p - h a report reads, fits int32
+        assert arith.MAX_ARRAY_LIMIT <= np.iinfo(np.int32).max
+        for limit in (1, 100, 10 ** 6):
+            assert prime_array(limit).dtype == np.int32
+
+    def test_smaller_limit_sliced_without_a_copy(self, monkeypatch):
+        # a held 10^7 array serves 10^6 as a slice; its search takes the
+        # limit in the array's dtype, where a Python int or an int64
+        # needle copies all 664,579 entries to int64 (5.3 MB)
+        monkeypatch.setattr(arith, "_cache", {})
+        held = prime_array(10 ** 7)
+        tracemalloc.start()
+        try:
+            arr = prime_array(10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arr) == 78498 and np.shares_memory(arr, held)
+        assert peak < 4096, peak
+
     def test_cold_build_peak_memory(self, monkeypatch):
-        # the segments are written into one buffer of _prime_bound(limit)
-        # entries, about 1.18 times the final array at 10^8; a list of
-        # segments joined by np.concatenate peaks near twice it.  A fresh
-        # cache makes the build cold and is discarded afterwards
+        # the segments are written into one int32 buffer of
+        # _prime_bound(limit) entries, about 1.18 times the final array
+        # at 10^8, beside one segment's scratch: its bool array and the
+        # int64 primes of it and of the segment before, 3.29
+        # SEGMENT_SIZE bytes measured.  An int64 buffer, or a list of
+        # segments joined by np.concatenate, peaks near twice it.  A
+        # fresh cache makes the build cold and is discarded afterwards
         monkeypatch.setattr(arith, "_cache", {})
         tracemalloc.start()
         try:
@@ -285,8 +312,9 @@ class TestPrimeCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(arr) == 5761455
-        assert peak < 1.3 * arr.nbytes, peak / arr.nbytes
+        assert len(arr) == 5761455 and arr.dtype == np.int32
+        bound = 4 * arith._prime_bound(10 ** 8) + 4 * arith.SEGMENT_SIZE
+        assert peak < bound, (peak, bound)
 
 
 class TestIsPrime:

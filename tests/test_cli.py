@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -477,6 +478,16 @@ class TestSieveCommand:
             arr, np.fromiter(sieve_primes(10 ** 6), dtype=np.int64))
         doc = json.loads(out.read_text())
         assert (doc["count"], doc["largest"]) == (78498, 999983)
+
+    def test_npy_bytes_equal_np_save_of_int64(self, tmp_path):
+        # written one slice at a time from the int32 primes, the file is
+        # byte for byte what np.save writes for the int64 primes
+        path = tmp_path / "x.npy"
+        assert main(["sieve", "--limit", "1000000", "--primes-out", str(path),
+                     "--out", str(tmp_path / "s.json")]) == 0
+        ref = io.BytesIO()
+        np.save(ref, np.fromiter(sieve_primes(10 ** 6), dtype=np.int64))
+        assert path.read_bytes() == ref.getvalue()
 
     def test_limit_below_2_exits_2(self, tmp_path):
         for limit in ("1", "0"):

@@ -1151,15 +1151,17 @@ class TestVerifyReadsExactly:
             (False, f"target {target!r} not rational")
 
     def test_numpy_primes(self):
-        # int64 primes straight from the array, above 47 too
-        primes = tuple(prime_array(1000)[10:80])
-        assert type(primes[0]) is np.int64 and primes[-1] > 47
-        for h in (1, np.int64(1), np.int32(-2)):
-            total = _pairwise([Fraction(1, int(p - h)) for p in primes],
-                              operator.add, Fraction(0))
-            res = verify(Decomposition(h, total, primes))
-            assert res.valid
-            assert type(res.probable_primes) is int
+        # numpy primes from the int32 array, as they are and widened to
+        # int64, above 47 too
+        for dtype in (np.int32, np.int64):
+            primes = tuple(prime_array(1000)[10:80].astype(dtype))
+            assert type(primes[0]) is dtype and primes[-1] > 47
+            for h in (1, np.int64(1), np.int32(-2)):
+                total = _pairwise([Fraction(1, int(p - h)) for p in primes],
+                                  operator.add, Fraction(0))
+                res = verify(Decomposition(h, total, primes))
+                assert res.valid
+                assert type(res.probable_primes) is int
 
 
 class TestShiftReadExactly:

@@ -233,6 +233,20 @@ class TestHalberstam:
         size = len(prime_array(N)) - (h == 1)      # p - h >= 2
         assert peak < 4 * size + 32 * arith.SEGMENT_SIZE, peak / size
 
+    def test_shifted_primes_sliced_without_a_copy(self):
+        # the slice's search takes h + least in the primes' int32; a
+        # Python int needle copies the 664,579 primes to int64 (5.3 MB)
+        primes = prime_array(10 ** 7)
+        for h in (1, -1, 10 ** 6, -10 ** 6):
+            tracemalloc.start()
+            try:
+                ps = spectrum._shifted_primes(primes, h, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.shares_memory(ps, primes) and int(ps[0]) - h >= 2
+            assert peak < 4096, (h, peak)
+
     def test_shift_past_int64(self):
         # no p - h >= 2 above N; below, p - h passes every table's reach,
         # refused before the prime slice is read

@@ -82,7 +82,7 @@ def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     if config_path:
         try:
             loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
@@ -192,7 +192,8 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     try:
         doc = json.loads(Path(cfg.cert).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON, or an int literal past 4,300 digits
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read certificate: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError("certificate file must hold a JSON object")
@@ -234,7 +235,7 @@ def _grid_points(grid: dict) -> list[dict]:
 def _cmd_sweep(cfg: RunConfig) -> int:
     try:
         grid = json.loads(Path(cfg.grid).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read grid: {exc}") from exc
     if not isinstance(grid, dict):
         raise DomainError("grid file must hold a JSON object")

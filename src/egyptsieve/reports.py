@@ -2,9 +2,15 @@
 
 Rationals are encoded as {"num": "...", "den": "..."} with string
 digits; primes in certificates are strings too, so 64-bit values
-survive every JSON parser.  Report files embed the resolved run
-configuration and the toolkit version; the timestamp sits on its own
-line so byte-level comparisons can ignore it.
+survive every JSON parser.  An integer of up to MAX_DECIMAL_BITS bits
+is written in decimal and a longer one in hex, "0x..." (``_int_text``):
+Python converts to and from base 16 in linear time, with no digit
+limit, where decimal is quadratic and refused past 4,300 digits.  The
+reader takes both.  A certificate field past MAX_DECIMAL_BITS bits is
+refused as read, before a gcd or a primality test could run on it.
+Report files embed the resolved run configuration and the toolkit
+version; the timestamp sits on its own line so byte-level comparisons
+can ignore it.
 """
 
 from __future__ import annotations
@@ -20,26 +26,53 @@ from .egypt import Decomposition
 from .errors import DomainError
 from .spectrum import DensityReport
 
+# integers up to this many bits are written in decimal, longer ones in
+# hex; below 4,300 digits (14,284 bits), so every integer the decimal
+# writer took keeps its text.  A certificate's integers stop here too
+MAX_DECIMAL_BITS = 14_000
+
+
+def _int_text(n: int) -> str:
+    """n in decimal up to MAX_DECIMAL_BITS bits, in hex past them."""
+    return str(n) if n.bit_length() <= MAX_DECIMAL_BITS else hex(n)
+
 
 def fraction_dict(x: Fraction) -> dict:
     x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": _int_text(x.numerator), "den": _int_text(x.denominator)}
 
 
 def _exact_int(v) -> int:
-    """A JSON integer or a decimal-integer string, exactly as written;
-    floats, bools and anything int() would round or coerce are
-    refused."""
+    """A JSON integer, a decimal-integer string or a ``_int_text`` hex
+    string, exactly as written; floats, bools and anything int() would
+    round or coerce are refused."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
         return int(v)
+    if isinstance(v, str) and re.fullmatch(r"-?0x[0-9a-f]+", v):
+        return int(v, 16)
     raise ValueError(f"not an integer: {v!r}")
 
 
-def fraction_from_dict(d) -> Fraction:
+def _certificate_int(v) -> int:
+    """``_exact_int`` of a certificate field, refused with DomainError
+    past MAX_DECIMAL_BITS bits: a longer target would cost a quadratic
+    gcd in Fraction, a longer prime a cubic ``is_prime``."""
+    n = _exact_int(v)
+    if n.bit_length() > MAX_DECIMAL_BITS:
+        raise DomainError(f"certificate integer of {n.bit_length()} bits "
+                          f"is over the {MAX_DECIMAL_BITS}-bit cap")
+    return n
+
+
+def fraction_from_dict(d, read=_exact_int) -> Fraction:
+    """The rational of a ``fraction_dict``, its parts read by read; a
+    DomainError of read passes as it is, without the field's text."""
     try:
-        num, den = _exact_int(d["num"]), _exact_int(d["den"])
+        num, den = read(d["num"]), read(d["den"])
+    except DomainError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed rational {d!r}") from exc
     if den <= 0:
@@ -74,9 +107,9 @@ def certificate_from_dict(d) -> Decomposition:
         if not isinstance(primes, list):    # a string would split in digits
             raise TypeError(f"primes must be a list, not {primes!r}")
         return Decomposition(
-            h=_exact_int(d["h"]),
-            target=fraction_from_dict(d["target"]),
-            primes=tuple(_exact_int(p) for p in primes),
+            h=_certificate_int(d["h"]),
+            target=fraction_from_dict(d["target"], _certificate_int),
+            primes=tuple(_certificate_int(p) for p in primes),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed certificate: {exc}") from exc
@@ -104,8 +137,8 @@ def density_rows(reports) -> list[dict]:
             "excluded": rep.excluded,
             "relative_density": repr(rep.relative_density),
             "baseline": repr(rep.baseline),
-            "reciprocal_sum": f"{rep.reciprocal_sum.numerator}"
-                              f"/{rep.reciprocal_sum.denominator}",
+            "reciprocal_sum": f"{_int_text(rep.reciprocal_sum.numerator)}"
+                              f"/{_int_text(rep.reciprocal_sum.denominator)}",
         })
         rows.append(row)
     return rows

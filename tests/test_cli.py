@@ -2,16 +2,18 @@ import hashlib
 import io
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from egyptsieve import arith, cli, egypt
+from egyptsieve import arith, cli, egypt, reports
 from egyptsieve.arith import sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
+from egyptsieve.spectrum import ShiftParams
 from egyptsieve.egypt import verify
 
 from conftest import strip_timestamp
@@ -90,6 +92,24 @@ class TestDecomposeVerifyRoundTrip:
         result, = json.loads(out.read_text())["results"]
         assert result == {"valid": False, "primes": 6000, "reason":
                           "sum of the 6000 reciprocals is above the target"}
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"h": 1, "target": {"num": "1", "den": "2"},
+                    "primes": ["3", hex(2 ** 30000 + 1)]}),
+        json.dumps({"h": 1, "target": {"num": "1",
+                                       "den": hex(2 ** 10 ** 6)},
+                    "primes": ["3"]}),
+        '{"h": 1, "target": {"num": 1, "den": 1' + "0" * 5000 + '},'
+        ' "primes": ["3"]}',
+    ], ids=["hex prime", "hex target", "long JSON int"])
+    def test_certificate_past_the_cap_exits_2(self, tmp_path, capsys, text):
+        # refused as read: no primality test or gcd on the long field
+        cert = tmp_path / "big.json"
+        cert.write_text(text)
+        start = time.perf_counter()
+        assert main(["verify", "--cert", str(cert)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "internal error" not in capsys.readouterr().err
 
     def test_probable_prime_reported(self, tmp_path):
         # a prime above psi_13 passes only BPSW; the report says so, and
@@ -382,6 +402,27 @@ class TestAnalyze:
         assert int(row["count"]) == doc["count"]
         assert float(row["relative_density"]) == doc["relative_density"]
         assert float(row["baseline"]) == doc["baseline"]
+
+    @pytest.mark.parametrize("lemma,N,params", [
+        (1, 10 ** 5, {"epsilon": "3/10"}), (2, 10 ** 6, {"delta": "1/2"}),
+        (3, 10 ** 5, {"y": "5", "z": "1000"})])
+    def test_long_sums_written_in_hex(self, tmp_path, lemma, N, params):
+        # past MAX_DECIMAL_BITS bits the sum's parts are hex; read with
+        # int(s, 0) they are the report's ints, in JSON and in CSV
+        x = cli._analyze_one(lemma, N, ShiftParams(1), params).reciprocal_sum
+        assert x.denominator.bit_length() > reports.MAX_DECIMAL_BITS
+        j, c = tmp_path / "rep.json", tmp_path / "rep.csv"
+        args = ["analyze", "--lemma", str(lemma), "--N", str(N),
+                *(a for k, v in params.items() for a in (f"--{k}", v))]
+        assert main(args + ["--out", str(j)]) == 0
+        assert main(args + ["--out", str(c), "--format", "csv"]) == 0
+        d = json.loads(j.read_text())["report"]["reciprocal_sum"]
+        assert d["den"].startswith("0x")
+        assert (int(d["num"], 0), int(d["den"], 0)) == \
+            (x.numerator, x.denominator)
+        row = [ln for ln in c.read_text().splitlines()
+               if not ln.startswith("#")][1]
+        assert row.endswith(f",{d['num']}/{d['den']}")
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -7,6 +7,7 @@ from egyptsieve import __version__
 from egyptsieve.egypt import Decomposition
 from egyptsieve.errors import DomainError
 from egyptsieve.reports import (
+    MAX_DECIMAL_BITS,
     certificate_dict,
     certificate_from_dict,
     density_rows,
@@ -34,6 +35,52 @@ def test_fraction_strings_survive_64bit():
 def test_fraction_malformed():
     with pytest.raises(DomainError):
         fraction_from_dict({"num": "x", "den": "2"})
+
+
+def test_hex_past_the_decimal_bits():
+    # decimal up to MAX_DECIMAL_BITS bits, hex past them; both read back
+    top = 2 ** MAX_DECIMAL_BITS - 1
+    d = fraction_dict(Fraction(top, top + 2))
+    assert d == {"num": str(top), "den": hex(top + 2)}
+    for x in (Fraction(top, top + 2), Fraction(-top - 2, 3)):
+        d = fraction_dict(x)
+        assert fraction_from_dict(d) == x
+        assert (int(d["num"], 0), int(d["den"], 0)) == \
+            (x.numerator, x.denominator)
+    for bad in ("0XFF", "0xFF", "0x", "0x-1", "- 0x1", "0x1.0"):
+        with pytest.raises(DomainError):
+            fraction_from_dict({"num": bad, "den": "1"})
+
+
+def test_density_rows_hex_past_the_decimal_bits():
+    rep = friability_density(10 ** 5, ShiftParams(1), Fraction(1, 5))
+    x = rep.reciprocal_sum
+    assert x.denominator.bit_length() > MAX_DECIMAL_BITS
+    num, den = density_rows([rep])[0]["reciprocal_sum"].split("/")
+    assert den.startswith("0x")
+    assert (int(num, 0), int(den, 0)) == (x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("field", ["num", "den", "prime", "h"])
+def test_certificate_integers_capped(field):
+    # a certificate integer past MAX_DECIMAL_BITS bits is refused as read,
+    # in hex or as a JSON int; at the cap it is read
+    for bits, ok in ((MAX_DECIMAL_BITS, True), (MAX_DECIMAL_BITS + 1, False)):
+        big = 2 ** bits - 1
+        for v in (hex(big), big):
+            doc = {"h": 1, "target": {"num": "1", "den": "2"},
+                   "primes": ["3"]}
+            if field == "prime":
+                doc["primes"] = ["3", v]
+            elif field == "h":
+                doc["h"] = v
+            else:
+                doc["target"][field] = v
+            if ok:
+                certificate_from_dict(doc)
+            else:
+                with pytest.raises(DomainError, match="-bit cap"):
+                    certificate_from_dict(doc)
 
 
 def test_certificate_round_trip():

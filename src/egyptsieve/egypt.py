@@ -57,6 +57,7 @@ from .arith import (
     trial_factor,
 )
 from .errors import (
+    CapacityError,
     DomainError,
     MergeInsufficient,
     ObstructionError,
@@ -435,9 +436,17 @@ def _pool_dp(stage: str, t: Fraction, M: int,
 def _divisor_dp(t: Fraction, h: int, M: int, budget: SearchBudget,
                 exclude) -> _Attempt:
     """The divisor-pool DP on t over the pool of M, a multiple of den(t),
-    with the primes in exclude barred."""
-    pool = [(w, (p,)) for w, p in smooth_pool(h, M, budget, exclude)]
-    return _pool_dp("dp", t, M, pool)
+    with the primes in exclude barred.  An M that ``trial_factor``
+    cannot split (a composite cofactor without prime factors up to
+    TRIAL_PRIME_BOUND, as a split part's k(k + 1) can have) gets a
+    refusal record with no pool, as a DP target past _dp_moduli' cap
+    does: it covers no pool and proves no miss, and the cascade goes on
+    to its next modulus, the split, assembly and greedy."""
+    try:
+        pool = smooth_pool(h, M, budget, exclude)
+    except CapacityError:
+        return _Attempt("dp", t, M)
+    return _pool_dp("dp", t, M, [(w, (p,)) for w, p in pool])
 
 
 def smooth_dp_decompose(x, h: int, L: int,
@@ -447,7 +456,8 @@ def smooth_dp_decompose(x, h: int, L: int,
     (p - h) | L whose reciprocals sum to x.
 
     Raises SearchExhausted when no subset of this pool works (proven for
-    the pool, never a global claim); L >= 1 is read by ``_exact_ints``.
+    the pool, never a global claim), or with a refusal record when trial
+    division cannot split L; L >= 1 is read by ``_exact_ints``.
     """
     x, h = _gate(x, h)
     (L,) = _exact_ints((L,), "modulus")
@@ -462,7 +472,9 @@ def smooth_dp_decompose(x, h: int, L: int,
     got = _divisor_dp(x, h, L, budget, exclude)
     if got.primes is None:
         raise SearchExhausted(
-            f"no subset of the {got.pool_size}-element pool hits {target}",
+            f"no subset of the {got.pool_size}-element pool hits {target}"
+            if got.pool_size is not None else
+            "no pool: trial division cannot split the modulus",
             target=str(x), attempts=(got,))
     return _certified(x, h, got.primes, "pool DP")
 
@@ -636,13 +648,15 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
                         budget: SearchBudget) -> _Attempt:
     """Pair-cancellation assembly: one subset-sum DP over direct smooth
     items plus q-cancelling pairs at a high-exponent modulus, refused
-    (no pool) over _MAX_DP_TARGET or when ``_assembly_items`` refuses."""
+    (no pool) over _MAX_DP_TARGET, when ``_assembly_items`` refuses, or
+    when x < 1/(limit - h): every item then weighs more than the target,
+    at least M/(limit - h), and no prime is listed."""
     k = x.denominator
     M = _ASSEMBLY_MODULUS // gcd(_ASSEMBLY_MODULUS, k) * k
     target = x.numerator * (M // k)
     limit = min(budget.max_prime, _ASSEMBLY_PRIME_LIMIT)
     items = (_assembly_items(h, M, exclude, limit)
-             if target <= _MAX_DP_TARGET else None)
+             if target <= _MAX_DP_TARGET and x * (limit - h) >= 1 else None)
     if items is None:
         return _Attempt("assembly", x, M, dp_target=target)
     # light items first: the backtrack prefers early items

@@ -150,10 +150,21 @@ class TestOneFactorizer:
                     assert build(h, M, max_prime) == tuple(want), \
                         (h, M, max_prime)
 
-    def test_unfactorable_modulus_is_capacity(self):
-        x = Fraction(1, (10 ** 6 + 3) * (10 ** 6 + 33))
-        with pytest.raises(CapacityError):
-            decompose(x, 1)
+    def test_unfactorable_modulus_is_a_refusal(self):
+        # every scaled modulus of 1/k has k's composite cofactor past
+        # trial division: each gets a record with no pool, and the search
+        # goes on through the split to assembly and greedy
+        k = (10 ** 6 + 3) * (10 ** 6 + 33)
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(Fraction(1, k), 1)
+        recs = exc.value.attempts
+        refused = [a for a in recs if a.stage == "dp" and a.pool_size is None]
+        assert refused and all(a.modulus % k == 0 for a in refused)
+        assert {"assembly", "greedy"} <= {a.stage for a in recs}
+        with pytest.raises(SearchExhausted, match="no pool") as exc:
+            smooth_dp_decompose(Fraction(1, k), 1, 27720 * k)
+        assert exc.value.attempts == (
+            egypt._Attempt("dp", Fraction(1, k), 27720 * k),)
 
 
 class TestGreedy:
@@ -878,8 +889,9 @@ class TestAttemptRecords:
     def test_split_chain_then_assembly_then_greedy(self):
         # primes <= 50: every pool weight of 1/97 and of its split chain
         # 1/98, 1/99, 1/100 (each the first part of the one before)
-        # exceeds the DP target, so no weight counts; assembly misses too,
-        # and greedy finds no prime at all (1/(p - 1) <= 1/97 needs p > 97)
+        # exceeds the DP target, so no weight counts; assembly refuses
+        # (1/97 < 1/(50 - 1): every item outweighs its target), and
+        # greedy finds no prime at all (1/(p - 1) <= 1/97 needs p > 97)
         with pytest.raises(SearchExhausted) as exc:
             decompose(Fraction(1, 97), 1, SearchBudget(max_prime=50))
         assert str(exc.value) == "all strategies exhausted for target 1/97"
@@ -892,10 +904,10 @@ class TestAttemptRecords:
         assert all(a.stage == "dp" and a.pool_size and a.weight_total == 0
                    and a.primes is None for a in got[:-2])
         assert [tuple(a) for a in got[-2:]] == [
-            ("assembly", x, 4194590400, 14, 0, 43243200, None),
+            ("assembly", x, 4194590400, None, None, 43243200, None),
             ("greedy", x, None, None, None, None, None),
         ]
-        assert _digest(got) == "0da70e2ec83ed5b4"
+        assert _digest(got) == "22672c8001646497"
 
     def test_units_then_exhaustion(self):
         # the first two units of 4 are solved by the first pool; the

@@ -196,9 +196,8 @@ def prime_segments(limit: int):
     first's entry for 1 stands for 2.  The base primes are
     ``prime_array(isqrt(limit))``, none below limit 4, cast to int64:
     they reach MAX_BASE_PRIME, so p^2 and the segment ends pass int32.
-    Limits whose
-    base sieve exceeds the budget raise CapacityError, and a limit that
-    ``_exact_ints`` refuses DomainError."""
+    Limits whose base sieve exceeds the budget raise CapacityError, and
+    a limit that ``_exact_ints`` refuses DomainError."""
     (limit,) = _exact_ints((limit,), "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -281,15 +280,15 @@ def _chunks(arr: np.ndarray):
 def _omega_at(primes: np.ndarray, h: int) -> np.ndarray:
     """omega(p - h) at each entry p of a sorted integer array (the int32
     primes) with p - h >= 0 and p - h in its dtype, as int8, with no
-    table and no array of the n = p - h.  Each
-    n >= 1 is 2^v u, u odd, and omega(n) = omega(u) + (v > 0); the v
-    fill an int8 array from ``_chunks`` of the primes.  One walk of
-    ``prime_power_sieve`` up to the largest u serves every v: a segment
-    [lo, hi) of u serves the n between lo 2^v and hi 2^v whose v
-    matches, the primes between lo 2^v + h and hi 2^v + h, found by
-    searchsorted with the bounds clipped to the primes' dtype (a wider
-    needle would copy the primes).  The int8 v and omega arrays are the
-    only ones as long as the primes."""
+    table and no array of the n = p - h.  Each n >= 1 is 2^v u, u odd,
+    and omega(n) = omega(u) + (v > 0); the v fill an int8 array from
+    ``_chunks`` of the primes.  One walk of ``prime_power_sieve`` up to
+    the largest u serves every v: a segment [lo, hi) of u serves the n
+    between lo 2^v and hi 2^v whose v matches, the primes between
+    lo 2^v + h and hi 2^v + h, found by searchsorted with the bounds
+    clipped to the primes' dtype (a wider needle would copy the
+    primes).  The int8 v and omega arrays are the only ones as long as
+    the primes."""
     out = np.zeros(len(primes), dtype=np.int8)
     v = np.empty(len(primes), dtype=np.int8)
     top = 0
@@ -395,9 +394,9 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     a larger limit replaces it.  A build may itself ask for a smaller
     array of its kind (the kernels' base primes); whatever that left is
     dropped when the build returns.  Stored arrays are read-only, and so
-    are the slices handed out; the slice's search takes limit in the
-    array's dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT raises
-    CapacityError."""
+    are the slices handed out; a slice's search takes limit in the
+    array's dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT
+    raises CapacityError."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = next((n for k, n in _cache if k == kind), -1)

@@ -634,25 +634,29 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     divisions trial division would touch, r is read by
     ``prime_power_at(vals, "maxpp")``: a prime above B is v's largest
     prime power, and the only other prime powers above B are the q^k
-    with k >= 2 and q <= B, which read as 1.  Otherwise each value is
-    trial-divided by the primes up to sqrt(v), found in one numpy call
-    (not ``trial_factor``, which refuses two prime factors above
-    TRIAL_PRIME_BOUND) on that slice of the int32 primes widened to
-    int64, since v may pass 2^31; the cofactor left is r(v) when it
-    exceeds B.
+    with k >= 2 and q <= B, which read as 1 (one searchsorted over them
+    sorted finds them; np.isin's sort path would import numpy.ma).
+    Otherwise each value is trial-divided by the primes up to sqrt(v),
+    found in one numpy call (not ``trial_factor``, which refuses two
+    prime factors above TRIAL_PRIME_BOUND) on that slice of the int32
+    primes widened to int64, since v may pass 2^31; the cofactor left is
+    r(v) when it exceeds B.
     """
     b = isqrt(top)
     primes = prime_array(b)
     if top <= MAX_ARRAY_LIMIT and top < len(vals) * len(primes):
         rough = prime_power_at(vals, "maxpp").astype(np.int64)
-        powers = []
+        # top + 1 ends the sorted powers, so every search lands on one
+        powers = [top + 1]
         for q in primes.tolist():
             qk = q * q
             while qk <= top:
                 if qk > b:
                     powers.append(qk)
                 qk *= q
-        rough[(rough <= b) | np.isin(rough, powers)] = 1
+        powers = np.array(sorted(powers), dtype=np.int64)
+        rough[(rough <= b) | (powers[np.searchsorted(powers, rough)]
+                              == rough)] = 1
         return rough
     rough = np.ones(len(vals), dtype=np.int64)
     for i, v in enumerate(vals.tolist()):

@@ -1,7 +1,10 @@
 import bisect
 import collections
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -1265,6 +1268,19 @@ class TestRoughSplit:
         _drop_cached("maxpp")
         _assert_exact(list(range(1, 3001)))
         assert _maxpp_limits() == [3000]
+
+    def test_dense_input_imports_no_numpy_ma(self):
+        # the split finds its prime powers q^k > B with one searchsorted;
+        # np.isin's sort path on input this dense imports numpy.ma
+        code = ("import sys; import numpy as np; "
+                "from egyptsieve.arith import prime_array, reciprocal_sum; "
+                "reciprocal_sum(prime_array(10 ** 5)[1:] - 1); "
+                "print('numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(arith.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["False"]
 
     @pytest.mark.parametrize("values", [
         [2 ** k for k in range(31)],

@@ -391,12 +391,13 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     it on every call) and every smaller limit too: prime arrays as the
     slice up to their last prime <= limit, the prime-power tables as
     they are (their readers index them by odd n <= limit).  A build for
-    a larger limit replaces it.  A build may itself ask for a smaller
-    array of its kind (the kernels' base primes); whatever that left is
-    dropped when the build returns.  Stored arrays are read-only, and so
-    are the slices handed out; a slice's search takes limit in the
-    array's dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT
-    raises CapacityError."""
+    a larger limit replaces it: the held array is dropped before the
+    build starts, so the two are never alive together through the cache.
+    A build may itself ask for a smaller array of its kind (the kernels'
+    base primes); whatever that left is dropped when the build returns.
+    Stored arrays are read-only, and so are the slices handed out; a
+    slice's search takes limit in the array's dtype, so it copies
+    nothing.  A build above MAX_ARRAY_LIMIT raises CapacityError."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = next((n for k, n in _cache if k == kind), -1)
@@ -406,6 +407,7 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     if held >= limit:
         return _cache[(kind, held)]
     _check_array_limit(kind, limit)
+    _cache.pop((kind, held), None)
     arr = build(limit)
     arr.flags.writeable = False
     for key in [key for key in _cache if key[0] == kind]:
@@ -531,9 +533,11 @@ def _products(sums: list) -> list[int]:
     bits and every product fits a transform of at most _FFT_MAX_LEN
     limbs, the sums come from numpy's real FFT over 8-bit limbs (the
     bytes of ``int.to_bytes``): each distinct operand is transformed
-    once, a sum's spectra are multiplied and added, and one inverse
-    transform per sum gives its limb coefficients, which are rounded and
-    carried by ``int.from_bytes`` on their byte columns.  Any other input
+    once, a sum's spectra are multiplied and added in place (a spectrum
+    is dropped at its last read, and its buffer takes the product), and
+    one inverse transform per sum gives its limb coefficients, which are
+    rounded, measured and cast in that transform's buffer and carried by
+    ``int.from_bytes`` on their byte columns.  Any other input
     is multiplied by ``*``.  The length N is ``_fft_length`` of the
     longest product's len x + len y - 1 coefficients: 2^k, 3 * 2^(k - 2)
     or 5 * 2^(k - 3), so a transform is at most 4/3 of its product's
@@ -594,24 +598,45 @@ def _products(sums: list) -> list[int]:
                                for terms in sums for x, y in terms)))
     if n > _FFT_MAX_LEN:
         return _int_products(sums)
-    spectra = {}
+    spectra, reads = {}, {}
     for v in (v for terms in sums for pair in terms for v in pair):
+        reads[id(v)] = reads.get(id(v), 0) + 1
         if id(v) not in spectra:
             limbs = v.to_bytes((v.bit_length() + 7) // 8, "little")
             spectra[id(v)] = np.fft.rfft(np.frombuffer(limbs, np.uint8), n)
     out = []
     for terms in sums:
-        z = np.fft.irfft(sum(spectra[id(x)] * spectra[id(y)]
-                             for x, y in terms), n)
+        acc = None
+        for x, y in terms:
+            # a spectrum is dropped at its last read, and a dropped one
+            # of the pair holds the product
+            sx, sy, free = spectra[id(x)], spectra[id(y)], None
+            for v in (x, y):
+                reads[id(v)] -= 1
+                if not reads[id(v)]:
+                    free = spectra.pop(id(v))
+            term = np.multiply(sx, sy, out=free)
+            del sx, sy, free
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+            del term
+        z = np.fft.irfft(acc, n)
+        del acc
         c = np.rint(z)
-        miss = float(np.abs(z - c, out=z).max())
+        z -= c
+        miss = float(np.abs(z, out=z).max())
         if miss >= 0.25:
             raise ArithmeticError(
                 f"FFT product {miss} from an integer at length {n}")
-        c = c.astype("<u8")
-        cols = c.view(np.uint8).reshape(n, 8)
+        # the coefficients, exact integers below 2^53, as uint64 in z
+        coef = z.view("<u8")
+        np.copyto(coef, c, casting="unsafe")
+        del c
+        cols = coef.view(np.uint8).reshape(n, 8)
         value = 0
-        for j in range((int(c.max()).bit_length() + 7) // 8):
+        for j in range((int(coef.max()).bit_length() + 7) // 8):
             value += int.from_bytes(cols[:, j].tobytes(), "little") << 8 * j
         out.append(value)
     return out
@@ -687,16 +712,29 @@ def _sum_merge(x, y):
     return a, s, b
 
 
-def _fold(us: list, ss: list, rs: list) -> list:
-    """The leaves u / (s * r) summed in runs of _FOLD, each run as one
-    node (a, S, P) of a / (S * P): P the product of its r, S the lcm of
-    its s, a the sum of u * (S / s) * (P / r)."""
+def _node(us: list, ss: list, rs: list) -> tuple[int, int, int]:
+    """The leaves u / (s * r) of one run summed as one node (a, S, P) of
+    a / (S * P): P the product of the r, S the lcm of the s, a the sum
+    of u * (S / s) * (P / r)."""
+    S, P = lcm(*ss), prod(rs)
+    return sum([u * (S // m) * (P // q) for u, m, q in zip(us, ss, rs)]), S, P
+
+
+def _fold(pieces) -> list:
+    """The leaves u / (s * r), given in order as pieces (us, ss, rs) of
+    lists, summed in runs of _FOLD that run on across the pieces, each
+    run as one ``_node``.  Beside the nodes, only one piece and the part
+    run carried into it are held."""
     nodes = []
-    for i in range(0, len(ss), _FOLD):
-        s, r = ss[i:i + _FOLD], rs[i:i + _FOLD]
-        S, P = lcm(*s), prod(r)
-        nodes.append((sum([u * (S // m) * (P // q) for u, m, q
-                           in zip(us[i:i + _FOLD], s, r)]), S, P))
+    us = ss = rs = []
+    for pu, ps, pr in pieces:
+        us, ss, rs = us + pu, ss + ps, rs + pr
+        end = len(ss) - len(ss) % _FOLD
+        nodes += [_node(us[i:i + _FOLD], ss[i:i + _FOLD], rs[i:i + _FOLD])
+                  for i in range(0, end, _FOLD)]
+        us, ss, rs = us[end:], ss[end:], rs[end:]
+    if ss:
+        nodes.append(_node(us, ss, rs))
     return nodes
 
 
@@ -706,7 +744,7 @@ def _reciprocal_tree(ds: list) -> tuple[int, int]:
     folded by ``_fold`` and merged by ``_sum_merge``, so no gcd is
     taken; (0, 1) for no terms."""
     ones = [1] * len(ds)
-    a, _, b = _pairwise(_fold(ones, ones, ds), _sum_merge, (0, 1, 1))
+    a, _, b = _pairwise(_fold([(ones, ones, ds)]), _sum_merge, (0, 1, 1))
     return a, b
 
 
@@ -745,6 +783,59 @@ def _integer_array(values) -> np.ndarray:
     return np.array(_exact_ints(values, "reciprocal_sum value"))
 
 
+def _leaves(arr: np.ndarray, top: int, cancel: list):
+    """The leaves of ``reciprocal_sum`` over an int64 array of values
+    v = m * r (``_rough_parts``) up to top, as pieces (us, ss, rs) of
+    lists for ``_fold``, none longer than one ``_chunks`` slice of the
+    values sorted by r.  First every value that is B-smooth or alone with
+    its r, as 1 / (m * r), a piece per slice; then one leaf u_r / (s_r *
+    r) per r > 1 that several values share, s_r the lcm of their m and
+    u_r the sum of s_r / m, a piece per slice of the shared values
+    holding the groups that end in it.  Each r that divides its u_r is
+    appended to cancel.  The sorted arrays live in this generator, so
+    they are freed when ``_fold`` has read it."""
+    rough = _rough_parts(arr, top)
+    order = np.argsort(rough)
+    rough = rough[order]
+    smooth = arr[order]
+    del arr, order
+    smooth //= rough
+    new = np.ones(len(rough), dtype=bool)
+    new[1:] = rough[1:] != rough[:-1]
+    # smooth, or the only value of its r
+    alone = new.copy()
+    alone[:-1] &= new[1:]
+    alone |= rough == 1
+    for s, r, a in zip(_chunks(smooth), _chunks(rough), _chunks(alone)):
+        ss = s[a].tolist()
+        yield [1] * len(ss), ss, r[a].tolist()
+    shared = ~alone
+    grouped = smooth[shared]
+    group_r = rough[new & shared]
+    heads = np.flatnonzero(new[shared])
+    ends = np.append(heads[1:], len(grouped))
+    del rough, smooth, new, alone, shared
+    # a piece holds the groups k..j - 1 that end in the slices read so far
+    done = k = 0
+    for window in _chunks(grouped):
+        done += len(window)
+        j = int(np.searchsorted(ends, done, "right"))
+        if j == k:
+            continue
+        ms = grouped[heads[k]:ends[j - 1]].tolist()
+        us, ss, i = [], [], 0
+        for n in (ends[k:j] - heads[k:j]).tolist():
+            group = ms[i:i + n]
+            s = lcm(*group)
+            us.append(sum([s // m for m in group]))
+            ss.append(s)
+            i += n
+        rs = group_r[k:j].tolist()
+        cancel += [r for u, r in zip(us, rs) if u % r == 0]
+        yield us, ss, rs
+        k = j
+
+
 def reciprocal_sum(values) -> Fraction:
     """Exact sum of 1/v over an iterable or array of integers v >= 1,
     repeats counted, without a gcd on a large integer.
@@ -753,15 +844,16 @@ def reciprocal_sum(values) -> Fraction:
     above B = isqrt(max v), read off the cached largest-prime-power
     table for inputs dense enough to pay for it, else found by trial
     division per value; m is B-smooth).  Every B-smooth value and every
-    r > 1 that only one value has is a leaf u / (s * r) = 1 / (m * r),
-    built from the sorted arrays without a Python call.  The values
-    sharing an r > 1 sum to u_r / (s_r * r) with s_r the lcm of their
-    m <= B, in one lcm over the group.  ``_fold`` sums runs of _FOLD
-    leaves into one node each, and the nodes merge in one balanced tree
-    into a / (s * b), s = lcm of all m, b = product of the distinct
-    r; its products go through ``_products``, by FFT near the top of
-    the tree.  That triple does not depend on how the leaves are
-    bracketed.
+    r > 1 that only one value has is a leaf u / (s * r) = 1 / (m * r).
+    The values sharing an r > 1 sum to u_r / (s_r * r) with s_r the lcm
+    of their m <= B, in one lcm over the group.  ``_leaves`` hands these
+    leaves over one ``_chunks`` slice of the sorted arrays at a time,
+    and ``_fold`` sums runs of _FOLD leaves into one node each, so no
+    list is as long as the values.  The nodes merge in one balanced tree
+    into a / (s * b), s = lcm of all m, b = product of the distinct r;
+    its products go through ``_products``, by FFT near the top of the
+    tree.  That triple does not depend on how the leaves are bracketed.
+    The input array is let go before the merge.
     One gcd(a, s) costs O(len a), s being small; then r divides a
     exactly when it divides u_r (modulo r every other leaf's term
     vanishes and the rest of r's term is a unit), so those r leave a
@@ -782,34 +874,13 @@ def reciprocal_sum(values) -> Fraction:
         raise CapacityError(
             f"value {top} needs split primes to {isqrt(top)}, over the "
             f"{MAX_BASE_PRIME} budget")
-    arr = arr.astype(np.int64, copy=False)
-    rough = _rough_parts(arr, top)
-    order = np.argsort(rough)
-    rough = rough[order]
-    smooth = arr[order] // rough
-    new = np.ones(len(rough), dtype=bool)
-    new[1:] = rough[1:] != rough[:-1]
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=len(rough))
-    alone = (rough == 1) | (np.repeat(sizes, sizes) == 1)
-    ss, rs = smooth[alone].tolist(), rough[alone].tolist()
-    us = [1] * len(ss)
-    shared = (sizes > 1) & (rough[starts] > 1)
-    grouped = smooth[~alone].tolist()
-    cancel, lo = 1, 0
-    for n, r in zip(sizes[shared].tolist(), rough[starts[shared]].tolist()):
-        ms = grouped[lo:lo + n]
-        lo += n
-        s = lcm(*ms)
-        u = sum([s // m for m in ms])
-        if u % r == 0:
-            cancel *= r
-        us.append(u)
-        ss.append(s)
-        rs.append(r)
-    a, s, b = _pairwise(_fold(us, ss, rs), _sum_merge, None)
+    cancel = []
+    nodes = _fold(_leaves(arr.astype(np.int64, copy=False), top, cancel))
+    del values, arr
+    a, s, b = _pairwise(nodes, _sum_merge, None)
     g = gcd(a, s)
-    return _coprime_fraction(a // g // cancel, s // g * (b // cancel))
+    c = prod(cancel)
+    return _coprime_fraction(a // g // c, s // g * (b // c))
 
 
 def balanced_product(values) -> int:

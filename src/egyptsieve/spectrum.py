@@ -169,6 +169,9 @@ def _report(N: int, shift: ShiftParams, baseline, select,
                          else (np.zeros(0, dtype=bool), 0))
     count = int(counted.sum())
     normalizer = len(n) - excluded
+    # only the counted n stay alive through the exact sum
+    n = n[counted]
+    del counted
     return DensityReport(
         N=N,
         params={"h": shift.h, "q": shift.q,
@@ -177,7 +180,7 @@ def _report(N: int, shift: ShiftParams, baseline, select,
         normalizer=normalizer,
         relative_density=count / normalizer if normalizer else 0.0,
         baseline=base,
-        reciprocal_sum=reciprocal_sum(n[counted]),
+        reciprocal_sum=reciprocal_sum(n),
         excluded=excluded,
     )
 
@@ -191,16 +194,20 @@ def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
         return float(eps)
 
     def select(n, eps):
+        bad = np.zeros(len(n), dtype=bool)
         if eps == 0:
-            return np.zeros(len(n), dtype=bool), 0
+            return bad, 0
         mpp = prime_power_at(n, "maxpp")
-        multi = n >= 2
-        lhs = np.log(mpp.astype(np.float64))
-        rhs = float(1 - eps) * np.log(np.maximum(n, 2).astype(np.float64))
-        bad = (lhs > rhs + 1e-9) & multi
-        near = (np.abs(lhs - rhs) <= 1e-9) & multi
-        for i in np.flatnonzero(near):
-            bad[i] = _exceeds_power(int(mpp[i]), int(n[i]), 1 - eps)
+        scale = float(1 - eps)
+        # the float64 logs of one _chunks slice at a time
+        for ns, ms, out in zip(_chunks(n), _chunks(mpp), _chunks(bad)):
+            multi = ns >= 2
+            lhs = np.log(ms.astype(np.float64))
+            rhs = scale * np.log(np.maximum(ns, 2).astype(np.float64))
+            out[:] = (lhs > rhs + 1e-9) & multi
+            near = (np.abs(lhs - rhs) <= 1e-9) & multi
+            for i in np.flatnonzero(near):
+                out[i] = _exceeds_power(int(ms[i]), int(ns[i]), 1 - eps)
         return bad, 0
 
     return _report(N, shift, baseline, select, epsilon=epsilon)
@@ -219,10 +226,15 @@ def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
     def select(n, d):
         keep = n >= MIN_OMEGA_N
         m = n[keep]
-        ll = np.log(np.log(m.astype(np.float64)))
+        om = prime_power_at(m, "omega")
         thr = math.inf if d > sys.float_info.max else float(d)
-        # counted: the kept n whose omega deviates that far
-        keep[keep] = np.abs(prime_power_at(m, "omega") - ll) >= thr * ll
+        # counted: the kept n whose omega deviates that far, the float64
+        # logs of one _chunks slice at a time
+        far = np.empty(len(m), dtype=bool)
+        for ms, oms, out in zip(_chunks(m), _chunks(om), _chunks(far)):
+            ll = np.log(np.log(ms.astype(np.float64)))
+            out[:] = np.abs(oms - ll) >= thr * ll
+        keep[keep] = far
         return keep, len(n) - len(m)
 
     return _report(N, shift, baseline, select, delta=delta)

@@ -219,6 +219,26 @@ class TestPrimeCache:
         # its own limit is served as the kept array, with no search
         assert prime_array(3000) is arith._cache[("primes", 3000)]
 
+    def test_larger_build_drops_the_held_table_first(self, monkeypatch):
+        # the held maxpp table to N is dropped before the build to 2N
+        # starts, so the peak of that build stays below both tables
+        # together (2 N + 4 N bytes); small segments keep the kernel's
+        # scratch out of the count
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)
+        monkeypatch.setattr(arith, "_cache", {})
+        n = 2 * 10 ** 6
+        prime_array(10 ** 5)
+        tracemalloc.start()
+        try:
+            arith._prime_power_table(n, "maxpp")
+            tracemalloc.reset_peak()
+            table = arith._prime_power_table(2 * n, "maxpp")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _maxpp_limits() == [2 * n]
+        assert peak < table.nbytes + table.nbytes // 2, peak
+
     def test_nested_builds_leave_one_entry(self):
         # the build to 10^6 asks for its base primes to 1000, whose build
         # asks for those to 31, and so on down to 2
@@ -1046,6 +1066,30 @@ class TestFold:
         assert reciprocal_sum(values) == _sequential_sum(values)
         assert len(merges) <= -(-leaves // 32) - 1
 
+    def test_peak_memory_bounded_by_arrays_and_result(self, monkeypatch):
+        # the leaves are folded one _chunks slice at a time, so the peak
+        # is the sorted int64 arrays (4 times the input's bytes allowed)
+        # and the merge tree's FFT products (16 times the result's bytes
+        # allowed), beside one slice's lists of 256 leaves; 3.4 times
+        # the input's bytes measured in all.  Leaf lists as long as the
+        # values (about 80 bytes a value) peaked at 12.8 times.  A warm
+        # call first builds the table the split reads
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 12)
+        monkeypatch.setattr(arith, "_cache", {})
+        vals = prime_array(2 * 10 ** 6)[1:].astype(np.int64) - 1
+        want = reciprocal_sum(vals)
+        tracemalloc.start()
+        try:
+            got = reciprocal_sum(vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        result = (got.numerator.bit_length()
+                  + got.denominator.bit_length()) // 8
+        bound = 4 * vals.nbytes + 16 * result + 256 * 3 * 100
+        assert peak < bound, (peak, bound)
+
 
 def _operand(kind, bits, seed):
     """A nonnegative int of at most the given bits: random, all ones
@@ -1165,6 +1209,26 @@ class TestProducts:
         y = (1 << 8 * 513) - 1
         assert arith._products([[(y, y)]]) == [_ones_product(4104, 4104)]
         assert transforms == []
+
+    def test_two_product_sum_peak(self):
+        # four operands of 60,000 limbs, a sum of two products at length
+        # n = 2^17: the four spectra of (n/2 + 1) complex values are
+        # 2 n * 16 bytes, and the products, their sum and the rounding
+        # run in place in them and in the inverse transform's output
+        # (2.3 n * 16 measured; a new array per step read 3.5)
+        rng = random.Random(17)
+        a, b, c, d = (rng.getrandbits(8 * 60000) | 1 << 8 * 60000 - 1
+                      for _ in range(4))
+        n = 1 << 17
+        assert arith._fft_length(2 * 60000 - 1) == n
+        tracemalloc.start()
+        try:
+            got = arith._products([[(a, b), (c, d)]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == [a * b + c * d]
+        assert peak < 3 * n * 16, peak
 
     def test_rounding_guard_raises(self, monkeypatch):
         irfft = np.fft.irfft

@@ -685,10 +685,14 @@ def _split_solve(t: Fraction, h: int, used: set, budget: SearchBudget,
     refusal if no modulus fits), the parts' and "split" when they solve
     t.  A lone "gate" record stops the search when t, a split part or
     greedy residual, has a modulus to try and gcd(|h|, den t) > 1: that
-    gcd proves nothing about the cascade's own target."""
+    gcd proves nothing about the cascade's own target.  Past the gate, a
+    t < 1/(max_prime - h) gets one refusal with no pool: every prime's
+    unit fraction outweighs it, and its split parts are smaller still."""
     moduli = _dp_moduli(t)
     if moduli and gcd(abs(h), t.denominator) != 1:
         return [_Attempt("gate", t)]
+    if t.numerator * (budget.max_prime - h) < t.denominator:
+        return [_Attempt("dp", t)]
     recs = [] if moduli else [_Attempt("dp", t)]
     for M in moduli:
         recs.append(_divisor_dp(t, h, M, budget, used))

@@ -327,12 +327,26 @@ class TestExitCodes:
     def test_unfactorable_modulus_ends_no_search(self, capsys):
         # a modulus the cascade builds, with a composite cofactor past
         # trial division, is a refusal for that modulus: the search goes
-        # on and ends in a certificate or exhausted, never exit 2
+        # on and ends in a certificate or exhausted, never exit 2.  At
+        # the default prime bound the first three targets are below
+        # 1/(max_prime - 1) and refused before any modulus; primes to
+        # 1e10 let the DP reach the moduli of 101/den
         den = (10 ** 6 + 3) * (10 ** 6 + 33)
-        for target in (f"1/{den}", f"2/{den}", f"1/{30030 ** 12}"):
-            rc = main(["decompose", "--target", target, "--shift", "1"])
+        for target, more in ((f"1/{den}", []), (f"2/{den}", []),
+                             (f"1/{30030 ** 12}", []),
+                             (f"101/{den}", ["--max-prime", str(10 ** 10)])):
+            rc = main(["decompose", "--target", target, "--shift", "1",
+                       *more])
             assert rc in (0, 1), target
             assert "composite cofactor" not in capsys.readouterr().err
+
+    def test_part_below_the_smallest_unit_exits_1(self, capsys):
+        # 1/30030^12 < 1/(max_prime - 1) is refused before any pool and
+        # ends exhausted
+        assert main(["decompose", "--target", f"1/{30030 ** 12}",
+                     "--shift", "1"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "exhausted: all strategies exhausted for target 1/")
 
     def test_deep_smooth_modulus_pool_stays_small(self, capsys):
         # 30030^16 has 17^6 = 24 M divisors, of which the pools keep only

@@ -151,14 +151,16 @@ class TestOneFactorizer:
                         (h, M, max_prime)
 
     def test_unfactorable_modulus_is_a_refusal(self):
-        # every scaled modulus of 1/k has k's composite cofactor past
+        # every scaled modulus of 101/k has k's composite cofactor past
         # trial division: each gets a record with no pool, and the search
-        # goes on through the split to assembly and greedy
+        # goes on through the split to assembly and greedy.  Primes to
+        # 1e10 keep 101/k above 1/(max_prime - 1), where the DP runs
         k = (10 ** 6 + 3) * (10 ** 6 + 33)
         with pytest.raises(SearchExhausted) as exc:
-            decompose(Fraction(1, k), 1)
+            decompose(Fraction(101, k), 1, SearchBudget(max_prime=10 ** 10))
         recs = exc.value.attempts
-        refused = [a for a in recs if a.stage == "dp" and a.pool_size is None]
+        refused = [a for a in recs if a.stage == "dp" and a.pool_size is None
+                   and a.modulus is not None]
         assert refused and all(a.modulus % k == 0 for a in refused)
         assert {"assembly", "greedy"} <= {a.stage for a in recs}
         with pytest.raises(SearchExhausted, match="no pool") as exc:
@@ -887,27 +889,43 @@ class TestAttemptRecords:
         ]
 
     def test_split_chain_then_assembly_then_greedy(self):
-        # primes <= 50: every pool weight of 1/97 and of its split chain
-        # 1/98, 1/99, 1/100 (each the first part of the one before)
-        # exceeds the DP target, so no weight counts; assembly refuses
-        # (1/97 < 1/(50 - 1): every item outweighs its target), and
-        # greedy finds no prime at all (1/(p - 1) <= 1/97 needs p > 97)
+        # primes <= 100: every pool weight of 1/97 and of its split chain
+        # 1/98, 1/99 (each the first part of the one before) exceeds the
+        # DP target, so no weight counts; the chain's next part 1/100 is
+        # below 1/(100 - 1) and refused before any pool; every assembly
+        # item outweighs 1/97 too, and greedy finds no prime at all
+        # (1/(p - 1) <= 1/97 needs p > 97, and 98..100 are not prime)
         with pytest.raises(SearchExhausted) as exc:
-            decompose(Fraction(1, 97), 1, SearchBudget(max_prime=50))
+            decompose(Fraction(1, 97), 1, SearchBudget(max_prime=100))
         assert str(exc.value) == "all strategies exhausted for target 1/97"
         assert exc.value.target == "1/97"
         got = exc.value.attempts
         x = Fraction(1, 97)
-        split_chain = [Fraction(1, k) for k in (97, 98, 99, 100)]
-        assert [a.part for a in got[:-2]] == [split_chain[0]] * 2 + \
+        split_chain = [Fraction(1, k) for k in (97, 98, 99)]
+        assert [a.part for a in got[:-3]] == [split_chain[0]] * 2 + \
             [t for t in split_chain[1:] for _ in range(4)]
         assert all(a.stage == "dp" and a.pool_size and a.weight_total == 0
-                   and a.primes is None for a in got[:-2])
-        assert [tuple(a) for a in got[-2:]] == [
-            ("assembly", x, 4194590400, None, None, 43243200, None),
+                   and a.primes is None for a in got[:-3])
+        assert [tuple(a) for a in got[-3:]] == [
+            ("dp", Fraction(1, 100), None, None, None, None, None),
+            ("assembly", x, 4194590400, 22, 0, 43243200, None),
             ("greedy", x, None, None, None, None, None),
         ]
-        assert _digest(got) == "22672c8001646497"
+        assert _digest(got) == "c175043a1ac763fe"
+
+    def test_part_below_the_smallest_unit_builds_no_pool(self):
+        # 1/30030^12 < 1/(max_prime - 1): every unit fraction outweighs
+        # it, so the split refuses it before any pool, as assembly does
+        x = Fraction(1, 30030 ** 12)
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(x, 1)
+        M = x.denominator * egypt._ASSEMBLY_MODULUS \
+            // math.gcd(x.denominator, egypt._ASSEMBLY_MODULUS)
+        assert [tuple(a) for a in exc.value.attempts] == [
+            ("dp", x, None, None, None, None, None),
+            ("assembly", x, M, None, None, M // x.denominator, None),
+            ("greedy", x, None, None, None, None, None),
+        ]
 
     def test_units_then_exhaustion(self):
         # the first two units of 4 are solved by the first pool; the

@@ -1,8 +1,7 @@
 """Exact arithmetic substrate: primality, two sieve kernels on the same
-odd segments into one array cache (every prime list is a slice of the
-int32 ``prime_array``; the prime-power tables hold odd n, and
-``prime_power_at`` reads any n off its odd part), omega also read at
-p - h on a slice of the primes with no table, factorization into
+odd segments, one array cache (every prime list is a slice of the int32
+``prime_array``), prime-power statistics gathered at any n in one walk
+of the second kernel with no table (``_gather``), factorization into
 (prime, exponent) pairs, li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
@@ -11,14 +10,15 @@ gcd on a large integer: each value splits at B = sqrt(max) into a
 smooth part and at most one big prime, gcds and lcms touch only the
 small smooth parts, the big primes cancel by an exact divisibility
 test, and the coprime result is built without the constructor's gcd.
-The big primes are read by ``prime_power_at`` when max(values) fits
-under MAX_ARRAY_LIMIT and is below len(values) * pi(B); sparser inputs
-are trial-divided value by value.
+The big primes are gathered by ``prime_power_at`` when max(values) is at
+most MAX_KERNEL_LIMIT and below len(values) * pi(B); sparser or larger
+inputs are trial-divided value by value.  A caller that has gathered
+them already hands them to ``_exact_sum``.
 
 Every exact sum of reciprocals has one tree format, leaves u / (s * r)
 and nodes a / (s * b): ``_fold`` sums runs of _FOLD leaves in Python,
 and only the folded nodes enter the balanced merge tree of
-``_sum_merge``.  ``reciprocal_sum`` builds its leaves from the sorted
+``_sum_merge``.  ``_exact_sum`` builds its leaves from the sorted
 arrays; ``_reciprocal_tree`` (the unreduced sum that ``egypt.verify``
 and ``egypt.merge_by_pigeonhole`` check) takes u = s = 1 and r = d.
 The products of the merge trees (these sums and ``balanced_product``)
@@ -72,9 +72,12 @@ _MR_WITNESSES = tuple((psi, _SMALL_PRIMES[:k]) for psi, k in (
 SEGMENT_SIZE = 1 << 20       # numbers per segment of the sieve kernels
 # prime_segments refuses limits whose base sieve would not fit in memory
 MAX_BASE_PRIME = 1 << 27
-# _cached builds whole-range arrays to here: 1 GB at the 4 B per odd n
-# of the largest-prime-power table
+# prime_array and the n = p - h of spectrum._shifted_primes reach only
+# to here, so int32 holds them
 MAX_ARRAY_LIMIT = 5 * 10 ** 8
+# prime_power_sieve's uint32 copy of the n, and so every gathered n,
+# reaches only to here
+MAX_KERNEL_LIMIT = (1 << 32) - 1
 # trial_factor divides by the primes of prime_array up to here
 TRIAL_PRIME_BOUND = 10 ** 6
 
@@ -226,25 +229,31 @@ def sieve_primes(limit: int):
         yield from primes.tolist()
 
 
-def prime_power_sieve(limit: int, kind: str):
-    """Yield omega(n) (kind "omega", int8) or the largest prime power
-    exactly dividing n (kind "maxpp", uint32) for the odd n <= limit
-    (``_exact_ints``), one array per segment of ``_odd_segments``; n = 1
-    gets omega 0 and prime power 1.  Its readers read each even n off
-    its odd part.  In a segment, each power q = p^k of an odd base prime
-    with p^2 < hi strikes its odd multiples from max(q, p^2) on and
-    divides p out of them in a uint32 copy of the n.  What is left of n
-    is 1 or one prime (n's least prime strikes it, and two primes above
-    sqrt(n) would exceed n): one more for omega, and a prime-power
-    candidate.  2 and its powers are never strided."""
+# the kinds of prime_power_sieve, with their dtypes
+_KINDS = {"omega": np.int8, "maxpp": np.uint32, "rest": np.uint32}
+
+
+def prime_power_sieve(limit: int, *kinds: str):
+    """Yield, for the odd n <= limit (``_exact_ints``), one tuple per
+    segment of ``_odd_segments`` holding an array of each kind asked
+    for, in that order: omega(n) (kind "omega", int8), the largest prime
+    power exactly dividing n ("maxpp", uint32) and the prime factor of n
+    above sqrt(n), or 1 ("rest", uint32); n = 1 gets 0, 1 and 1.  Its
+    readers read each even n off its odd part.  In a segment, each power
+    q = p^k of an odd base prime with p^2 < hi strikes its odd multiples
+    from max(q, p^2) on and divides p out of them in a uint32 copy of
+    the n, rest.  What is left of n is 1 or one prime (n's least prime
+    strikes it, and two primes above sqrt(n) would exceed n): one more
+    for omega, and a prime-power candidate.  rest, unless asked for, is
+    freed before the segment is handed out.  2 and its powers are never
+    strided."""
     (limit,) = _exact_ints((limit,), "limit")
-    if kind not in ("omega", "maxpp"):
-        raise DomainError(f"unknown kind {kind!r}")
+    if not kinds or not set(kinds) <= _KINDS.keys():
+        raise DomainError(f"unknown kinds {kinds!r}")
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    if limit > np.iinfo(np.uint32).max:
+    if limit > MAX_KERNEL_LIMIT:
         raise CapacityError(f"limit {limit} exceeds the uint32 range")
-    omega = kind == "omega"
     base = prime_array(isqrt(limit))[1:].tolist()
     powers = sorted((max(p ** k, p * p), p ** k, p) for p in base
                     for k in range(1, int(log(limit, p)) + 2)
@@ -252,20 +261,24 @@ def prime_power_sieve(limit: int, kind: str):
     least, qs = np.array(powers, dtype=np.int64).reshape(-1, 3).T[:2]
     for lo, hi, first in _odd_segments(limit, qs, least):
         size = (hi - lo + 1) // 2
-        seg = np.zeros(size, np.int8) if omega else np.ones(size, np.uint32)
+        omega = np.zeros(size, np.int8) if "omega" in kinds else None
+        maxpp = np.ones(size, np.uint32) if "maxpp" in kinds else None
         rest = np.arange(lo, hi, 2, dtype=np.uint32)
         for (_, q, p), i in zip(powers, first.tolist()):
             rest[i::q] //= p
-            if not omega:
-                np.maximum(seg[i::q], q, out=seg[i::q])
-            elif q == p:
-                seg[i::q] += 1
-        if omega:
-            seg += rest > 1
-        else:
-            np.maximum(seg, rest, out=seg)
-        del rest           # freed before the reader copies seg out
-        yield seg
+            if maxpp is not None:
+                np.maximum(maxpp[i::q], q, out=maxpp[i::q])
+            if omega is not None and q == p:
+                omega[i::q] += 1
+        if omega is not None:
+            omega += rest > 1
+        if maxpp is not None:
+            np.maximum(maxpp, rest, out=maxpp)
+        out = tuple({"omega": omega, "maxpp": maxpp, "rest": rest}[k]
+                    for k in kinds)
+        del omega, maxpp, rest
+        yield out
+        del out          # freed, once the reader lets go, before the next
 
 
 def _chunks(arr: np.ndarray):
@@ -277,39 +290,53 @@ def _chunks(arr: np.ndarray):
         yield arr[i:i + step]
 
 
-def _omega_at(primes: np.ndarray, h: int) -> np.ndarray:
-    """omega(p - h) at each entry p of a sorted integer array (the int32
-    primes) with p - h >= 0 and p - h in its dtype, as int8, with no
-    table and no array of the n = p - h.  Each n >= 1 is 2^v u, u odd,
-    and omega(n) = omega(u) + (v > 0); the v fill an int8 array from
-    ``_chunks`` of the primes.  One walk of ``prime_power_sieve`` up to
-    the largest u serves every v: a segment [lo, hi) of u serves the n
-    between lo 2^v and hi 2^v whose v matches, the primes between
-    lo 2^v + h and hi 2^v + h, found by searchsorted with the bounds
-    clipped to the primes' dtype (a wider needle would copy the
-    primes).  The int8 v and omega arrays are the only ones as long as
-    the primes."""
-    out = np.zeros(len(primes), dtype=np.int8)
-    v = np.empty(len(primes), dtype=np.int8)
+def _gather(xs: np.ndarray, h: int, *kinds: str) -> list[np.ndarray]:
+    """The ``prime_power_sieve`` kinds at n = x - h for each entry x of a
+    sorted integer array (the int32 primes, or any sorted n at h = 0)
+    with 0 <= x - h <= MAX_KERNEL_LIMIT in its dtype, one array per kind
+    (n = 0 reads 0), in one walk of the kernel and with no array of the
+    n.  Each n >= 1 is 2^v u, u odd: omega(n) = omega(u) + (v > 0),
+    maxpp(n) = max(2^v, maxpp(u)) and rest(n) = rest(u); the v fill an
+    int8 array from ``_chunks`` of the xs.  The walk goes up to the
+    largest u and serves every v: a segment [lo, hi) of u serves the n
+    between lo 2^v and hi 2^v whose v matches, the xs between lo 2^v + h
+    and hi 2^v + h, found by searchsorted with the bounds clipped to the
+    xs' dtype (a wider needle would copy them).  The outputs and the int8
+    v are the only arrays as long as the xs.  Empty xs walk nothing; an
+    n past MAX_KERNEL_LIMIT raises CapacityError before the walk."""
+    outs = [np.zeros(len(xs), dtype=_KINDS[k]) for k in kinds]
+    if len(xs) == 0:
+        return outs
+    last = int(xs[-1]) - h
+    if last > MAX_KERNEL_LIMIT:
+        raise CapacityError(f"n = {last} exceeds the uint32 range")
+    v = np.empty(len(xs), dtype=np.int8)
     top = 0
-    for ps, vc in zip(_chunks(primes), _chunks(v)):
+    for ps, vc in zip(_chunks(xs), _chunks(v)):
         w = ps - h
         np.bitwise_count(w ^ (w - 1), out=vc)      # v + 1 set bits
         vc -= 1
         top = max(top, int((w >> vc).max()))
-    last = int(primes[-1]) - h if len(primes) else 0
-    cap = np.iinfo(primes.dtype).max
+    cap = np.iinfo(xs.dtype).max
     lo = 1
-    for seg in prime_power_sieve(top, "omega"):
-        hi = lo + 2 * len(seg)
+    for segs in prime_power_sieve(top, *kinds):
+        hi = lo + 2 * len(segs[0])
         for e in range((last // lo).bit_length()):
             ends = np.minimum(((lo << e) + h, (hi << e) + h), cap)
-            a, b = np.searchsorted(primes, ends.astype(primes.dtype))
+            a, b = np.searchsorted(xs, ends.astype(xs.dtype))
             k = np.flatnonzero(v[a:b] == e) + a
-            out[k] = seg[(((primes[k] - h) >> e) - lo) // 2] + (e > 0)
+            at = (((xs[k] - h) >> e) - lo) // 2
+            for kind, out, seg in zip(kinds, outs, segs):
+                got = seg[at]
+                if kind == "omega":
+                    got += e > 0
+                elif kind == "maxpp":
+                    np.maximum(got, 1 << e, out=got)
+                out[k] = got
+            del k, at, got        # freed before the next pass builds its own
         lo = hi
-        del seg, k       # freed before the kernel builds the next segment
-    return out
+        del segs                  # freed before the next segment is built
+    return outs
 
 
 def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
@@ -386,26 +413,26 @@ def _check_array_limit(kind: str, limit: int) -> None:
 
 
 def _cached(kind: str, limit: int, build) -> np.ndarray:
-    """build(limit), cached per kind.  The one array kept for a kind
-    serves its own limit as it is (no search: ``trial_factor`` asks for
-    it on every call) and every smaller limit too: prime arrays as the
-    slice up to their last prime <= limit, the prime-power tables as
-    they are (their readers index them by odd n <= limit).  A build for
-    a larger limit replaces it: the held array is dropped before the
-    build starts, so the two are never alive together through the cache.
-    A build may itself ask for a smaller array of its kind (the kernels'
-    base primes); whatever that left is dropped when the build returns.
-    Stored arrays are read-only, and so are the slices handed out; a
-    slice's search takes limit in the array's dtype, so it copies
-    nothing.  A build above MAX_ARRAY_LIMIT raises CapacityError."""
+    """build(limit), cached per kind (``prime_array``'s "primes" is the
+    only one).  The one sorted array kept for a kind serves its own
+    limit as it is (no search: ``trial_factor`` asks for it on every
+    call) and every smaller limit as the slice up to its last entry
+    <= limit.  A build for a larger limit replaces it: the held array is
+    dropped before the build starts, so the two are never alive together
+    through the cache.  A build may itself ask for a smaller array of its
+    kind (the kernels' base primes); whatever that left is dropped when
+    the build returns.  Stored arrays are read-only, and so are the
+    slices handed out; a slice's search takes limit in the array's
+    dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT raises
+    CapacityError."""
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     held = next((n for k, n in _cache if k == kind), -1)
-    if held > limit and kind == "primes":
-        arr = _cache[(kind, held)]
-        return arr[:np.searchsorted(arr, arr.dtype.type(limit), "right")]
     if held >= limit:
-        return _cache[(kind, held)]
+        arr = _cache[(kind, held)]
+        if held == limit:
+            return arr
+        return arr[:np.searchsorted(arr, arr.dtype.type(limit), "right")]
     _check_array_limit(kind, limit)
     _cache.pop((kind, held), None)
     arr = build(limit)
@@ -422,62 +449,36 @@ def _prime_bound(n: int) -> int:
     return int(1.25506 * n / log(n)) + 1
 
 
-def _fill(out: np.ndarray, segments, limit: int) -> np.ndarray:
-    """out[:k] after writing the segments into out in turn, k entries in
-    all; RuntimeError if they pass its end."""
-    k = 0
-    for seg in segments:
-        if k + len(seg) > len(out):
-            raise RuntimeError(f"segments to {limit} overflow {len(out)}")
-        out[k:k + len(seg)] = seg
-        k += len(seg)
-    return out[:k]
-
-
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit as an int32 array (empty below 2): the int64
-    segments of ``prime_segments`` ``_fill`` an int32 ``_prime_bound``
-    buffer, whose unwritten tail is never touched (cached, read-only).
-    int32 holds every entry, since ``_cached`` builds no array past
-    MAX_ARRAY_LIMIT < 2^31.  A reader searches it with a needle of its
-    dtype (a wider one would copy it) and widens only a slice."""
+    segments of ``prime_segments`` are written in turn into an int32
+    ``_prime_bound`` buffer, whose unwritten tail is never touched
+    (cached, read-only; RuntimeError if they pass its end).  int32 holds
+    every entry, since ``_cached`` builds no array past MAX_ARRAY_LIMIT
+    < 2^31.  A reader searches it with a needle of its dtype (a wider
+    one would copy it) and widens only a slice."""
     def build(n):
         if n < 2:
             return np.empty(0, dtype=np.int32)
-        return _fill(np.empty(_prime_bound(n), np.int32), prime_segments(n), n)
+        out, k = np.empty(_prime_bound(n), np.int32), 0
+        for seg in prime_segments(n):
+            if k + len(seg) > len(out):
+                raise RuntimeError(f"segments to {n} overflow {len(out)}")
+            out[k:k + len(seg)] = seg
+            k += len(seg)
+        return out[:k]
 
     return _cached("primes", limit, build)
 
 
-def _prime_power_table(limit: int, kind: str) -> np.ndarray:
-    """The cached ``prime_power_sieve`` kind at the odd n <= limit
-    (``_exact_ints``), entry (n - 1) / 2 for n, (limit + 1) // 2 in all:
-    the kernel's segments ``_fill`` the table as they come."""
-    def build(n):
-        out = np.empty((n + 1) // 2, np.int8 if kind == "omega" else np.uint32)
-        return _fill(out, prime_power_sieve(n, kind), n)
-
-    (limit,) = _exact_ints((limit,), "limit")
-    return _cached(kind, limit, build)
-
-
 def prime_power_at(n: np.ndarray, kind: str) -> np.ndarray:
-    """omega(n) (kind "omega", int8) or the largest prime power exactly
-    dividing n (kind "maxpp", uint32) at each entry of an integer array
-    of n >= 1, read off ``_prime_power_table(max n)``, which a larger
-    held table serves as it is.  Each n = 2^v u, u odd, reads entry
-    (u - 1) / 2 = n // 2^(v + 1): omega(u) + (v > 0), or max(2^v,
-    maxpp(u)); ``_chunks`` of n keep the temporaries short.  Empty n
-    builds nothing."""
-    omega = kind == "omega"
-    out = np.empty(len(n), dtype=np.int8 if omega else np.uint32)
-    if len(n) == 0:
-        return out
-    table = _prime_power_table(int(n.max()), kind)
-    for ns, o in zip(_chunks(n), _chunks(out)):
-        two_v = ns & -ns
-        at = table[ns // (two_v << 1)]
-        o[:] = at + (two_v > 1) if omega else np.maximum(at, two_v)
+    """The ``prime_power_sieve`` kind at each entry of an integer array
+    of n >= 1 up to MAX_KERNEL_LIMIT, in the input's order: one
+    ``_gather`` at the n sorted by one argsort and widened to int64
+    (which holds any uint32 n), scattered back.  Empty n walks nothing."""
+    order = np.argsort(n, kind="stable")
+    out = np.empty(len(n), dtype=_KINDS[kind])
+    (out[order],) = _gather(n[order].astype(np.int64, copy=False), 0, kind)
     return out
 
 
@@ -655,36 +656,27 @@ def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
     prime divides v once, since (B + 1)^2 > top, and v / r(v) <= B.
 
     r is defined by B alone, so both paths return the same array.  When
-    top fits under MAX_ARRAY_LIMIT and is below the len(vals) * pi(B)
-    divisions trial division would touch, r is read by
-    ``prime_power_at(vals, "maxpp")``: a prime above B is v's largest
-    prime power, and the only other prime powers above B are the q^k
-    with k >= 2 and q <= B, which read as 1 (one searchsorted over them
-    sorted finds them; np.isin's sort path would import numpy.ma).
-    Otherwise each value is trial-divided by the primes up to sqrt(v),
+    top is at most MAX_KERNEL_LIMIT and below the len(vals) * pi(B)
+    divisions trial division would touch, r is gathered by
+    ``prime_power_at(vals, "rest")``: pi(B) > 0 makes B >= 2, so a prime
+    above B is odd and above the square root of v's odd part u, which
+    makes it rest(u), and a rest(u) of B or less reads as 1.  Otherwise
+    each value above B is trial-divided by the primes up to sqrt(v),
     found in one numpy call (not ``trial_factor``, which refuses two
     prime factors above TRIAL_PRIME_BOUND) on that slice of the int32
     primes widened to int64, since v may pass 2^31; the cofactor left is
-    r(v) when it exceeds B.
+    r(v) when it exceeds B.  A value of B or less is B-smooth.
     """
     b = isqrt(top)
     primes = prime_array(b)
-    if top <= MAX_ARRAY_LIMIT and top < len(vals) * len(primes):
-        rough = prime_power_at(vals, "maxpp").astype(np.int64)
-        # top + 1 ends the sorted powers, so every search lands on one
-        powers = [top + 1]
-        for q in primes.tolist():
-            qk = q * q
-            while qk <= top:
-                if qk > b:
-                    powers.append(qk)
-                qk *= q
-        powers = np.array(sorted(powers), dtype=np.int64)
-        rough[(rough <= b) | (powers[np.searchsorted(powers, rough)]
-                              == rough)] = 1
+    if top <= MAX_KERNEL_LIMIT and top < len(vals) * len(primes):
+        rough = prime_power_at(vals, "rest").astype(np.int64)
+        rough[rough <= b] = 1
         return rough
     rough = np.ones(len(vals), dtype=np.int64)
     for i, v in enumerate(vals.tolist()):
+        if v <= b:
+            continue
         ps = primes[:np.searchsorted(primes, primes.dtype.type(isqrt(v)),
                                      "right")].astype(np.int64)
         for q in ps[v % ps == 0].tolist():
@@ -703,7 +695,7 @@ _FOLD = 32
 def _sum_merge(x, y):
     """Sum of two reciprocal sums held as a / (s * b), unreduced: s from
     small lcms, b the product of the leaves' r.  The formula holds for
-    any b; only ``reciprocal_sum``'s final cancellation needs the b of x
+    any b; only ``_exact_sum``'s final cancellation needs the b of x
     and y coprime, as its distinct rough primes make them."""
     (a1, s1, b1), (a2, s2, b2) = x, y
     s = lcm(s1, s2)
@@ -783,22 +775,22 @@ def _integer_array(values) -> np.ndarray:
     return np.array(_exact_ints(values, "reciprocal_sum value"))
 
 
-def _leaves(arr: np.ndarray, top: int, cancel: list):
-    """The leaves of ``reciprocal_sum`` over an int64 array of values
-    v = m * r (``_rough_parts``) up to top, as pieces (us, ss, rs) of
-    lists for ``_fold``, none longer than one ``_chunks`` slice of the
-    values sorted by r.  First every value that is B-smooth or alone with
-    its r, as 1 / (m * r), a piece per slice; then one leaf u_r / (s_r *
-    r) per r > 1 that several values share, s_r the lcm of their m and
-    u_r the sum of s_r / m, a piece per slice of the shared values
-    holding the groups that end in it.  Each r that divides its u_r is
-    appended to cancel.  The sorted arrays live in this generator, so
-    they are freed when ``_fold`` has read it."""
-    rough = _rough_parts(arr, top)
+def _leaves(vals: np.ndarray, rest: np.ndarray, cancel: list):
+    """The leaves of ``_exact_sum`` over its values v = m * r, as pieces
+    (us, ss, rs) of lists for ``_fold``, none longer than one ``_chunks``
+    slice of the values sorted by r.  First every value that is smooth
+    (r = 1) or alone with its r, as 1 / (m * r), a piece per slice; then
+    one leaf u_r / (s_r * r) per r > 1 that several values share, s_r the
+    lcm of their m and u_r the sum of s_r / m, a piece per slice of the
+    shared values holding the groups that end in it.  Each r that divides
+    its u_r is appended to cancel.  The sorted int64 arrays live in this
+    generator, so they are freed when ``_fold`` has read it."""
+    rough = rest.astype(np.int64)
+    rough[rough <= isqrt(int(vals.max()))] = 1
     order = np.argsort(rough)
     rough = rough[order]
-    smooth = arr[order]
-    del arr, order
+    smooth = vals[order].astype(np.int64, copy=False)
+    del vals, rest, order
     smooth //= rough
     new = np.ones(len(rough), dtype=bool)
     new[1:] = rough[1:] != rough[:-1]
@@ -836,30 +828,42 @@ def _leaves(arr: np.ndarray, top: int, cancel: list):
         k = j
 
 
+def _exact_sum(vals: np.ndarray, rest: np.ndarray) -> Fraction:
+    """Exact sum of 1/v over an integer array of v >= 1 with isqrt(max v)
+    <= MAX_BASE_PRIME, given each v's rest(v): the kind "rest" at v's odd
+    part, or r(v) of ``_rough_parts``.  Above B = isqrt(max v) either is
+    the prime of v above B, and every odd such prime shows, so r = rest
+    above B, else 1, splits v = m * r with no r dividing any m, whichever
+    rest was given.  Each v with r = 1 and each r > 1 that only one v has
+    is a leaf u / (s * r) = 1 / (m * r); the v sharing an r > 1 sum to
+    u_r / (s_r * r), s_r the lcm of their m.  ``_leaves`` hands these
+    leaves over one ``_chunks`` slice of the sorted arrays at a time, and
+    ``_fold`` sums runs of _FOLD leaves into one node each, so no list is
+    as long as the values.  The nodes merge in one balanced tree into
+    a / (s * b), s = lcm of all m, b = product of the distinct r; its
+    products go through ``_products``, by FFT near the top of the tree.
+    That triple does not depend on how the leaves are bracketed.  The
+    sorted arrays are let go before the merge.  One gcd(a, s) costs
+    O(len a), s being small; then r divides a exactly when it divides u_r
+    (modulo r every other leaf's term vanishes and the rest of r's term
+    is a unit), so those r leave a and b once each: [5, 20] gives 1/4.
+    The result is in lowest terms by construction."""
+    if len(vals) == 0:
+        return Fraction(0)
+    cancel = []
+    nodes = _fold(_leaves(vals, rest, cancel))
+    del vals, rest
+    a, s, b = _pairwise(nodes, _sum_merge, None)
+    g = gcd(a, s)
+    c = prod(cancel)
+    return _coprime_fraction(a // g // c, s // g * (b // c))
+
+
 def reciprocal_sum(values) -> Fraction:
     """Exact sum of 1/v over an iterable or array of integers v >= 1,
-    repeats counted, without a gcd on a large integer.
-
-    Each v splits as m * r (``_rough_parts``: r is 1 or the prime of v
-    above B = isqrt(max v), read off the cached largest-prime-power
-    table for inputs dense enough to pay for it, else found by trial
-    division per value; m is B-smooth).  Every B-smooth value and every
-    r > 1 that only one value has is a leaf u / (s * r) = 1 / (m * r).
-    The values sharing an r > 1 sum to u_r / (s_r * r) with s_r the lcm
-    of their m <= B, in one lcm over the group.  ``_leaves`` hands these
-    leaves over one ``_chunks`` slice of the sorted arrays at a time,
-    and ``_fold`` sums runs of _FOLD leaves into one node each, so no
-    list is as long as the values.  The nodes merge in one balanced tree
-    into a / (s * b), s = lcm of all m, b = product of the distinct r;
-    its products go through ``_products``, by FFT near the top of the
-    tree.  That triple does not depend on how the leaves are bracketed.
-    The input array is let go before the merge.
-    One gcd(a, s) costs O(len a), s being small; then r divides a
-    exactly when it divides u_r (modulo r every other leaf's term
-    vanishes and the rest of r's term is a unit), so those r leave a
-    and b once each: [5, 20] gives 1/4.  The result is in lowest terms
-    by construction.
-
+    repeats counted, without a gcd on a large integer: ``_exact_sum``
+    with the r of ``_rough_parts`` (gathered in one kernel walk when the
+    values are dense enough to pay for it, else by trial division).
     Entries that are not integers, bools included, and values below 1
     raise DomainError; a B above MAX_BASE_PRIME, that is max v >=
     (MAX_BASE_PRIME + 1)^2, raises CapacityError.
@@ -874,13 +878,7 @@ def reciprocal_sum(values) -> Fraction:
         raise CapacityError(
             f"value {top} needs split primes to {isqrt(top)}, over the "
             f"{MAX_BASE_PRIME} budget")
-    cancel = []
-    nodes = _fold(_leaves(arr.astype(np.int64, copy=False), top, cancel))
-    del values, arr
-    a, s, b = _pairwise(nodes, _sum_merge, None)
-    g = gcd(a, s)
-    c = prod(cancel)
-    return _coprime_fraction(a // g // c, s // g * (b // c))
+    return _exact_sum(arr, _rough_parts(arr, top))
 
 
 def balanced_product(values) -> int:

@@ -25,14 +25,13 @@ from .arith import (
     _coprime_fraction,
     _exact_fields,
     _exact_ints,
-    _omega_at,
+    _exact_sum,
+    _gather,
     _rough_parts,
     balanced_product,
     is_prime,
     li_approx,
     prime_array,
-    prime_power_at,
-    reciprocal_sum,
     trial_factor,
 )
 from .errors import CapacityError, DomainError
@@ -146,7 +145,7 @@ def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
     return (ps if q == 1 else ps[(ps if q > top else ps % q) == h % q]) - h
 
 
-def _report(N: int, shift: ShiftParams, baseline, select,
+def _report(N: int, shift: ShiftParams, baseline, select, kinds: tuple,
             **params) -> DensityReport:
     """The density report of one lemma over n = p - h, for the primes
     p <= N with p = h (mod q) and p - h >= q.
@@ -154,9 +153,12 @@ def _report(N: int, shift: ShiftParams, baseline, select,
     ``params`` (in report order) are ints, Fractions, strings or
     decimal-literal floats, read as exact rationals.
     ``baseline(*params)`` refuses them with DomainError or returns the
-    baseline; ``select(n, *params)`` on a nonempty n returns the mask
-    of the counted n and how many n it keeps out of the normalizer.  N
-    (``_exact_ints``) is checked first; a refused call builds no array.
+    baseline.  One ``arith._gather`` at the n reads the kernel ``kinds``
+    the lemma asks for and "rest", in one walk; ``select(n, *stats,
+    *params)`` on a nonempty n returns the mask of the counted n and how
+    many n it keeps out of the normalizer, and ``arith._exact_sum`` sums
+    1/n over the counted n with their rest.  N (``_exact_ints``) is
+    checked first; a refused call builds no array.
     """
     (N,) = _exact_ints((N,), "N")
     if N < 100:
@@ -165,12 +167,14 @@ def _report(N: int, shift: ShiftParams, baseline, select,
               for k, v in params.items()}
     base = baseline(*params.values())
     n = _shifted(prime_array(N), shift.h, shift.q, shift.q)
-    counted, excluded = (select(n, *params.values()) if len(n)
+    *stats, rest = _gather(n, 0, *kinds, "rest")
+    counted, excluded = (select(n, *stats, *params.values()) if len(n)
                          else (np.zeros(0, dtype=bool), 0))
+    del stats
     count = int(counted.sum())
     normalizer = len(n) - excluded
-    # only the counted n stay alive through the exact sum
-    n = n[counted]
+    # only the counted n and their rest stay alive through the exact sum
+    n, rest = n[counted], rest[counted]
     del counted
     return DensityReport(
         N=N,
@@ -180,7 +184,7 @@ def _report(N: int, shift: ShiftParams, baseline, select,
         normalizer=normalizer,
         relative_density=count / normalizer if normalizer else 0.0,
         baseline=base,
-        reciprocal_sum=reciprocal_sum(n),
+        reciprocal_sum=_exact_sum(n, rest),
         excluded=excluded,
     )
 
@@ -193,11 +197,8 @@ def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
             raise DomainError(f"epsilon must be in [0,1], got {epsilon}")
         return float(eps)
 
-    def select(n, eps):
+    def select(n, mpp, eps):
         bad = np.zeros(len(n), dtype=bool)
-        if eps == 0:
-            return bad, 0
-        mpp = prime_power_at(n, "maxpp")
         scale = float(1 - eps)
         # the float64 logs of one _chunks slice at a time
         for ns, ms, out in zip(_chunks(n), _chunks(mpp), _chunks(bad)):
@@ -210,7 +211,7 @@ def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
                 out[i] = _exceeds_power(int(ms[i]), int(ns[i]), 1 - eps)
         return bad, 0
 
-    return _report(N, shift, baseline, select, epsilon=epsilon)
+    return _report(N, shift, baseline, select, ("maxpp",), epsilon=epsilon)
 
 
 def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
@@ -223,10 +224,9 @@ def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
             raise DomainError("delta must be >= 0")
         return 0.0
 
-    def select(n, d):
+    def select(n, om, d):
         keep = n >= MIN_OMEGA_N
-        m = n[keep]
-        om = prime_power_at(m, "omega")
+        m, om = n[keep], om[keep]
         thr = math.inf if d > sys.float_info.max else float(d)
         # counted: the kept n whose omega deviates that far, the float64
         # logs of one _chunks slice at a time
@@ -237,7 +237,7 @@ def omega_deviation_density(N: int, shift: ShiftParams, delta) -> DensityReport:
         keep[keep] = far
         return keep, len(n) - len(m)
 
-    return _report(N, shift, baseline, select, delta=delta)
+    return _report(N, shift, baseline, select, ("omega",), delta=delta)
 
 
 def halberstam_variance(N: int, shift: ShiftParams) -> float:
@@ -245,13 +245,14 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     p <= N with p - h >= 2, divided by pi(N) loglog N.
 
     The statistic ranges over all primes (the modulus q of the shift
-    plays no role here).  ``arith._omega_at`` reads omega(p - h) on the
-    slice of cached primes with p - h >= 2 (``_shifted_primes``), so no
-    array of the n = p - h is built: the int8 omega array is the only
-    one as long as the primes beside its own int8 v array and one
-    kernel segment.  The omega sums are exact integers counted per
-    omega value, combined with the loglog N center in one float step at
-    the end.  N is read by ``arith._exact_ints``."""
+    plays no role here).  ``arith._gather`` reads omega(p - h), shifted
+    by h, on the slice of cached primes with p - h >= 2
+    (``_shifted_primes``), so no array of the n = p - h is built: the
+    int8 omega array is the only one as long as the primes beside the
+    gather's int8 v array and one kernel segment.  The omega sums are
+    exact integers counted per omega value, combined with the loglog N
+    center in one float step at the end.  N is read by
+    ``arith._exact_ints``."""
     (N,) = _exact_ints((N,), "N")
     if N < 100:
         raise DomainError("need N >= 100")
@@ -259,7 +260,7 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     ps = _shifted_primes(primes, shift.h, 2)
     if len(ps) == 0:
         return 0.0
-    om = _omega_at(ps, shift.h)
+    (om,) = _gather(ps, shift.h, "omega")
     counts = [int(np.count_nonzero(om == k)) for k in range(om.max() + 1)]
     s1 = sum(k * c for k, c in enumerate(counts))
     s2 = sum(k * k * c for k, c in enumerate(counts))
@@ -298,7 +299,7 @@ def divisor_window_density(N: int, shift: ShiftParams, y, z) -> DensityReport:
         primes = [p for p in prime_array(min(top, int(z))).tolist() if p >= y]
         return _coprime_mask(0, top, primes)[n], 0
 
-    return _report(N, shift, baseline, select, y=y, z=z)
+    return _report(N, shift, baseline, select, (), y=y, z=z)
 
 
 def _subset_counts(A, window_primes):

@@ -1,9 +1,11 @@
+import contextlib
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
+from egyptsieve import arith
 from egyptsieve.arith import prime_array
 from egyptsieve.spectrum import ShiftParams
 
@@ -21,6 +23,18 @@ def primes6():
 @pytest.fixture(scope="session")
 def shift_plus1():
     return ShiftParams(h=1, q=1)
+
+
+@contextlib.contextmanager
+def kernel_walks():
+    """The (limit, kinds) of each arith.prime_power_sieve walk started
+    inside the block, in order."""
+    walks = []
+    kernel = arith.prime_power_sieve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "prime_power_sieve", lambda limit, *kinds:
+                   walks.append((limit, kinds)) or kernel(limit, *kinds))
+        yield walks
 
 
 def strip_timestamp(text: str) -> str:

@@ -38,6 +38,7 @@ from egyptsieve.spectrum import (
 
 from conftest import (
     factor_product,
+    kernel_walks,
     max_prime_power,
     naive_factor,
     naive_is_prime,
@@ -56,20 +57,10 @@ def _monolithic_flags(limit):
 
 
 def _walk(limit, kind):
-    """prime_power_sieve's segments for the odd n <= limit, joined (none
-    for limit 0)."""
-    segs = list(prime_power_sieve(limit, kind))
+    """prime_power_sieve's segments of one kind for the odd n <= limit,
+    joined (none for limit 0)."""
+    segs = [seg for seg, in prime_power_sieve(limit, kind)]
     return np.concatenate(segs) if segs else np.zeros(0, dtype=np.int64)
-
-
-def _drop_cached(kind):
-    for key in [key for key in arith._cache if key[0] == kind]:
-        del arith._cache[key]
-
-
-def _table(kind):
-    """The cached prime-power table of a kind, as a function of limit."""
-    return lambda limit: arith._prime_power_table(limit, kind)
 
 
 def _upto(limit):
@@ -126,11 +117,11 @@ class TestSievePrimes:
     def test_base_prime_list(self):
         # trial_factor takes m % p on big ints, which np.int64 would overflow
         for limit in [*range(1, 201), 10 ** 3]:
-            _drop_cached("primes")
+            arith._cache.clear()
             got = prime_array(limit).tolist()
             assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
-        _drop_cached("primes")
+        arith._cache.clear()
         assert prime_array(arith.TRIAL_PRIME_BOUND).tolist() == np.flatnonzero(
             _monolithic_flags(arith.TRIAL_PRIME_BOUND)).tolist()
 
@@ -143,7 +134,7 @@ class TestPrimeSegments:
                 with pytest.raises(DomainError):
                     list(prime_segments(limit))
                 continue
-            _drop_cached("primes")
+            arith._cache.clear()
             assert prime_array(limit).tolist() == _naive_primes_to(limit)
             for size in (64, 65, 100):
                 monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
@@ -172,7 +163,7 @@ class TestPrimeSegments:
 
 class TestPrimeCache:
     def test_slices_of_a_larger_array(self):
-        _drop_cached("primes")
+        arith._cache.clear()
         big = prime_array(1099)
         before = set(arith._cache)
         for m in range(2, 1100):
@@ -182,36 +173,18 @@ class TestPrimeCache:
         assert set(arith._cache) == before
 
     def test_slice_equals_fresh_build(self):
-        _drop_cached("primes")
+        arith._cache.clear()
         prime_array(10 ** 6)
         before = set(arith._cache)
         limits = (2, 3, 4, 999983, 999984, 10 ** 5 + 3, 10 ** 5 + 2)
         sliced = {m: prime_array(m) for m in limits}
         assert set(arith._cache) == before
         for m in limits:
-            _drop_cached("primes")
+            arith._cache.clear()
             assert np.array_equal(sliced[m], prime_array(m)), m
 
-    def test_larger_table_serves_smaller_limits(self, monkeypatch):
-        # a held table to 5000 is handed out as it is for every smaller
-        # limit, and the reads at n <= 1234 match a table to 1234
-        monkeypatch.setattr(arith, "_cache", {})
-        walks = []
-        kernel = arith.prime_power_sieve
-        monkeypatch.setattr(arith, "prime_power_sieve",
-                            lambda n, kind: walks.append(n) or kernel(n, kind))
-        for kind in ("omega", "maxpp"):
-            walks.clear()
-            big = arith._prime_power_table(5000, kind)
-            before = set(arith._cache)
-            assert arith._prime_power_table(1234, kind) is big
-            got = prime_power_at(_upto(1234), kind)
-            assert set(arith._cache) == before and walks == [5000]
-            _drop_cached(kind)
-            assert np.array_equal(got, prime_power_at(_upto(1234), kind))
-
     def test_larger_build_replaces_smaller(self):
-        _drop_cached("primes")
+        arith._cache.clear()
         prime_array(1000)
         prime_array(3000)
         assert [k for k in arith._cache if k[0] == "primes"] == \
@@ -220,59 +193,50 @@ class TestPrimeCache:
         assert prime_array(3000) is arith._cache[("primes", 3000)]
 
     def test_larger_build_drops_the_held_table_first(self, monkeypatch):
-        # the held maxpp table to N is dropped before the build to 2N
-        # starts, so the peak of that build stays below both tables
-        # together (2 N + 4 N bytes); small segments keep the kernel's
-        # scratch out of the count
+        # the held primes to N are dropped before the build to 4N starts,
+        # so the peak of that build stays below its int32 buffer plus
+        # half the held array; small segments keep the sieve's scratch
+        # out of the count
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)
         monkeypatch.setattr(arith, "_cache", {})
         n = 2 * 10 ** 6
-        prime_array(10 ** 5)
         tracemalloc.start()
         try:
-            arith._prime_power_table(n, "maxpp")
+            held = prime_array(n).nbytes
             tracemalloc.reset_peak()
-            table = arith._prime_power_table(2 * n, "maxpp")
+            prime_array(4 * n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _maxpp_limits() == [2 * n]
-        assert peak < table.nbytes + table.nbytes // 2, peak
+        assert list(arith._cache) == [("primes", 4 * n)]
+        assert peak < 4 * arith._prime_bound(4 * n) + held // 2, peak
 
     def test_nested_builds_leave_one_entry(self):
         # the build to 10^6 asks for its base primes to 1000, whose build
         # asks for those to 31, and so on down to 2
-        _drop_cached("primes")
+        arith._cache.clear()
         arr = prime_array(10 ** 6)
         assert [k for k in arith._cache if k[0] == "primes"] == \
             [("primes", 10 ** 6)]
         assert len(arr) == 78498
 
     def test_negative_limit_refused_when_cached(self):
-        for build in (prime_array, _table("omega"), _table("maxpp")):
-            build(100)
-            with pytest.raises(DomainError):
-                build(-5)
+        prime_array(100)
+        with pytest.raises(DomainError):
+            prime_array(-5)
 
     def test_over_cap_refused_before_building(self):
         def build(n):
             raise AssertionError(f"built to {n}")
 
         before = set(arith._cache)
-        for kind in ("primes", "omega", "maxpp"):
-            with pytest.raises(CapacityError):
-                arith._cached(kind, arith.MAX_ARRAY_LIMIT + 1, build)
+        with pytest.raises(CapacityError):
+            arith._cached("primes", arith.MAX_ARRAY_LIMIT + 1, build)
         assert set(arith._cache) == before
 
     def test_read_only(self):
-        _drop_cached("primes")
-        tables = []
-        # odd n only: entry (n - 1) / 2 for each odd n <= limit
-        for kind, limit, size in (("omega", 1000, 500), ("maxpp", 1001, 501)):
-            _drop_cached(kind)
-            tables.append(arith._prime_power_table(limit, kind))
-            assert len(tables[-1]) == size == (limit + 1) // 2
-        for arr in (prime_array(1000), prime_array(500), *tables):
+        arith._cache.clear()
+        for arr in (prime_array(1000), prime_array(500)):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -588,35 +552,39 @@ class TestTrialFactor:
                 trial_factor(n)
 
 
+def _rest(n):
+    """The prime of n's odd part u above sqrt(u), or 1 (n >= 1)."""
+    u = n >> (n & -n).bit_length() - 1
+    return max((p for p, _ in naive_factor(u) if p * p > u), default=1)
+
+
+# each kind of the kernel and the gather, as a function of n >= 1
+_ORACLES = {
+    "omega": lambda n: len(naive_factor(n)),
+    "maxpp": lambda n: max_prime_power(naive_factor(n)),
+    "rest": _rest,
+}
+
+
 def _oracle_arrays(limit):
-    """omega and largest prime power for 0..limit from naive_factor (0
-    and 1 read 0 and 1)."""
-    fz = [naive_factor(n) for n in range(limit + 1)]
-    return (np.array([len(f) for f in fz]),
-            np.array([max_prime_power(f) for f in fz]))
+    """Each kind for 0..limit, from naive_factor (0 reads 0), by kind."""
+    return {kind: np.array([of(n) if n else 0 for n in range(limit + 1)])
+            for kind, of in _ORACLES.items()}
 
 
 class TestPrimePowerSieve:
-    def test_against_factorize_0_200(self, monkeypatch):
-        # the kernel at the odd n, the reader at every n from a table
-        # built to that limit
-        om_ref, mp_ref = _oracle_arrays(200)
-        monkeypatch.setattr(arith, "_cache", dict(arith._cache))
+    def test_against_factorize_0_200(self):
+        # the kernel at the odd n, the gather at every n
+        refs = _oracle_arrays(200)
         for limit in range(201):
-            assert _walk(limit, "omega").tolist() == \
-                om_ref[1:limit + 1:2].tolist()
-            assert _walk(limit, "maxpp").tolist() == \
-                mp_ref[1:limit + 1:2].tolist()
-            _drop_cached("omega")
-            _drop_cached("maxpp")
-            assert prime_power_at(_upto(limit), "omega").tolist() == \
-                om_ref[1:limit + 1].tolist()
-            assert prime_power_at(_upto(limit), "maxpp").tolist() == \
-                mp_ref[1:limit + 1].tolist()
+            for kind, ref in refs.items():
+                assert _walk(limit, kind).tolist() == \
+                    ref[1:limit + 1:2].tolist()
+                assert prime_power_at(_upto(limit), kind).tolist() == \
+                    ref[1:limit + 1].tolist()
 
     def test_segment_boundaries(self, monkeypatch):
-        om_ref, mp_ref = _oracle_arrays(3000)
-        monkeypatch.setattr(arith, "_cache", dict(arith._cache))
+        refs = _oracle_arrays(3000)
         for size in (64, 65):
             monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
             limits = set()
@@ -630,28 +598,29 @@ class TestPrimePowerSieve:
                         limits |= {q - 1, q, q + 1}
                 limits |= {p * p - 1, p * p, p * p + 1}
             for limit in sorted(limits | {3000}):
-                segs = list(prime_power_sieve(limit, "omega"))
-                assert [len(g) for g in segs[:-1]] == [size] * (len(segs) - 1)
-                om = np.concatenate(segs)
-                assert om.tolist() == om_ref[1:limit + 1:2].tolist(), limit
-                # the cached tables are the generator's segments; the
-                # reader at every n against the oracle
-                for kind, ref in (("omega", om_ref), ("maxpp", mp_ref)):
-                    _drop_cached(kind)
-                    assert np.array_equal(arith._prime_power_table(
-                        limit, kind), _walk(limit, kind)), (limit, kind)
+                # one walk yields every kind asked for, in that order
+                segs = list(prime_power_sieve(limit, *refs))
+                assert [len(g[0]) for g in segs[:-1]] == \
+                    [size] * (len(segs) - 1)
+                for j, (kind, ref) in enumerate(refs.items()):
+                    got = np.concatenate([g[j] for g in segs])
+                    assert got.tolist() == ref[1:limit + 1:2].tolist(), \
+                        (limit, kind)
+                    # the gather at every n against the oracle
                     assert prime_power_at(_upto(limit), kind).tolist() == \
                         ref[1:limit + 1].tolist(), (limit, kind)
 
-    @pytest.mark.parametrize("kind, itemsize", [("omega", 1), ("maxpp", 4)])
-    def test_one_scratch_array_per_segment(self, kind, itemsize,
+    @pytest.mark.parametrize("kinds, itemsize", [
+        ("omega", 1), ("maxpp", 4), ("rest", 0), ("maxpp,rest", 4)])
+    def test_one_scratch_array_per_segment(self, kinds, itemsize,
                                            monkeypatch):
-        # a segment holds its int8 or uint32 statistics and one uint32
-        # copy of its n.  The margin covers the kernel's list of prime
-        # powers, omega's bool compare and the previous segment while
-        # the next is allocated: the peak passed (itemsize + 4) bytes
-        # per segment entry by up to 2.7 bytes here, and by 5.3 to 6.7
-        # with a uint32 smooth product and a second copy of n
+        # a segment holds the int8 or uint32 statistics asked for and
+        # one uint32 copy of its n, handed out itself as "rest".  The
+        # margin covers the kernel's list of prime powers, omega's bool
+        # compare and the previous segment while the next is allocated:
+        # the peak passed (itemsize + 4) bytes per segment entry by up
+        # to 2.7 bytes here, and by 5.3 to 6.7 with a uint32 smooth
+        # product and a second copy of n
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 16)
         monkeypatch.setattr(arith, "_cache", dict(arith._cache))
         limit = 32 * arith.SEGMENT_SIZE + 1
@@ -659,7 +628,8 @@ class TestPrimePowerSieve:
         tracemalloc.start()
         try:
             # the segments are dropped as they come
-            collections.deque(prime_power_sieve(limit, kind), maxlen=0)
+            collections.deque(prime_power_sieve(limit, *kinds.split(",")),
+                              maxlen=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -668,65 +638,55 @@ class TestPrimePowerSieve:
             peak / arith.SEGMENT_SIZE
 
     def test_dtypes(self):
-        for kind, dtype in (("omega", np.int8), ("maxpp", np.uint32)):
-            assert {g.dtype for g in prime_power_sieve(1000, kind)} == \
+        for kind, dtype in arith._KINDS.items():
+            assert {g.dtype for g, in prime_power_sieve(1000, kind)} == \
                 {np.dtype(dtype)}
             assert prime_power_at(_upto(1001), kind).dtype == dtype
-        assert arith._omega_at(np.arange(5), 0).dtype == np.int8
+            assert arith._gather(np.arange(5), 0, kind)[0].dtype == dtype
 
     def test_wrappers_build_no_prime_table(self):
+        # no table is cached: a read through prime_power_at or the
+        # shifted gather adds only the base primes to sqrt(limit)
         limit = 54321
-        for kind, read, table in (
-                ("omega", lambda: prime_power_at(np.array([limit]), "omega"),
-                 True),
-                ("maxpp", lambda: prime_power_at(np.array([limit]), "maxpp"),
-                 True),
-                ("omega", lambda: arith._omega_at(np.array([limit]), 0), False)):
-            _drop_cached(kind)
-            _drop_cached("primes")
-            before = set(arith._cache)
-            read()
-            added = set(arith._cache) - before
-            # a table itself, the gather none; base primes to sqrt(limit)
-            assert ((kind, limit) in added) == table
-            (other, n), = added - {(kind, limit)}
-            assert other == "primes" and n <= math.isqrt(limit)
+        for read in (lambda kind: prime_power_at(np.array([limit]), kind),
+                     lambda kind: arith._gather(np.array([limit + 1]), 1,
+                                                kind)):
+            for kind in arith._KINDS:
+                arith._cache.clear()
+                read(kind)
+                (other, n), = arith._cache
+                assert other == "primes" and n <= math.isqrt(limit)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             next(prime_power_sieve(-1, "omega"))
         with pytest.raises(DomainError):
             next(prime_power_sieve(10, "spf"))
+        with pytest.raises(DomainError):
+            next(prime_power_sieve(10))
         with pytest.raises(CapacityError):
             next(prime_power_sieve(2 ** 32, "omega"))
 
     @pytest.mark.parametrize("limit", [1000.5, 1000.0, True, "1000"])
     def test_limit_read_exactly(self, limit):
         # a float is no longer left to numpy, and True no longer reads 1
-        for read in (lambda: next(prime_power_sieve(limit, "omega")),
-                     lambda: _table("omega")(limit),
-                     lambda: _table("maxpp")(limit)):
-            with pytest.raises(DomainError, match="limit .* not an integer"):
-                read()
+        with pytest.raises(DomainError, match="limit .* not an integer"):
+            next(prime_power_sieve(limit, "omega"))
 
     def test_numpy_limit_reads_as_int(self):
-        for kind in ("omega", "maxpp"):
-            build = _table(kind)
-            assert np.array_equal(build(np.int64(1000)), build(1000))
+        for kind in arith._KINDS:
             assert _walk(np.int32(1000), kind).tolist() == \
                 _walk(1000, kind).tolist()
 
 
 class TestPrimePowerAt:
-    """The one reader of the odd-only prime-power tables: each n = 2^v u
-    read off its odd part u, against naive_factor."""
-
-    KINDS = (("omega", np.int8, len), ("maxpp", np.uint32, max_prime_power))
+    """The gather in the input's order: each n = 2^v u read off its odd
+    part u, against naive_factor."""
 
     def _check(self, n):
-        for kind, _, of in self.KINDS:
+        for kind, of in _ORACLES.items():
             got = prime_power_at(np.array(n, dtype=np.int64), kind).tolist()
-            assert got == [of(naive_factor(v)) for v in n], kind
+            assert got == [of(v) for v in n], kind
 
     def test_default_segment_edges(self, monkeypatch):
         # n on and around the odd segments' bounds 2 SEGMENT_SIZE k + 1,
@@ -735,69 +695,108 @@ class TestPrimePowerAt:
         step = 2 * arith.SEGMENT_SIZE
         self._check([step * k + d for k in range(1, 6) for d in range(-3, 4)])
 
-    def test_powers_of_two_to_2_28(self, monkeypatch):
-        # every 2^v to 2^28 and 2^v u for odd u <= 99 up to there.  The
-        # reader indexes the table only at the odd part u, and a held
-        # table serves every smaller limit as it is, so a table to 99
-        # held under the limit 2^28 serves them; a real one is 512 MB
-        monkeypatch.setattr(arith, "_cache", {})
-        for kind in ("omega", "maxpp"):
-            small = arith._prime_power_table(99, kind)
-            del arith._cache[(kind, 99)]
-            arith._cache[(kind, 1 << 28)] = small
-        self._check([1 << v for v in range(29)])
-        self._check([u << v for v in range(29) for u in range(3, 100, 2)
-                     if u << v <= 1 << 28])
+    def test_powers_of_two_to_2_28(self):
+        # every 2^v to 2^28 and 2^v u for odd u <= 99 up to there: each
+        # read walks the kernel only to its largest odd part, 1 and then
+        # 99, where a table indexed by odd n to 2^28 would take 512 MB
+        with kernel_walks() as walks:
+            self._check([1 << v for v in range(29)])
+            self._check([u << v for v in range(29) for u in range(3, 100, 2)
+                         if u << v <= 1 << 28])
+        assert [limit for limit, _ in walks] == [1] * 3 + [99] * 3
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32,
+                                       np.uint64])
+    def test_unsorted_input_of_any_integer_dtype(self, dtype):
+        # the gather reads the n sorted and hands them back in the input's
+        # order, repeats included; n from 2^31 on pass int32 but fit
+        # uint32, and are read in int64
+        n = random.Random(7).choices(range(1, 5000), k=600)
+        n += [4099, 1, 4099, 1 << 12, 3 * 1031]
+        if np.iinfo(dtype).max >= 3 << 30:
+            n += [1 << 31, 3 << 30]
+        for kind, of in _ORACLES.items():
+            got = prime_power_at(np.array(n, dtype=dtype), kind).tolist()
+            assert got == [of(v) for v in n], kind
 
     def test_empty_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(arith, "_cache", {})
-        for kind, dtype, _ in self.KINDS:
-            got = prime_power_at(np.zeros(0, dtype=np.int64), kind)
-            assert got.dtype == dtype and len(got) == 0
-        assert arith._cache == {}
+        with kernel_walks() as walks:
+            for kind, dtype in arith._KINDS.items():
+                for empty in (np.zeros(0, np.int64), np.zeros(0, np.uint32)):
+                    got = prime_power_at(empty, kind)
+                    assert got.dtype == dtype and len(got) == 0
+                (got,) = arith._gather(np.zeros(0, np.int32), 1, kind)
+                assert got.dtype == dtype and len(got) == 0
+        assert walks == [] and arith._cache == {}
 
     def test_past_array_limit_refused_before_building(self, monkeypatch):
-        def kernel(n, kind):
-            raise AssertionError(f"built to {n}")
-
+        # past MAX_KERNEL_LIMIT, the reach of the uint32 output arrays:
+        # 2^32 has odd part 1, within the kernel's walk, but its 2^v
+        # passes the uint32 outputs
         monkeypatch.setattr(arith, "_cache", {})
-        monkeypatch.setattr(arith, "prime_power_sieve", kernel)
-        for kind, _, _ in self.KINDS:
-            with pytest.raises(CapacityError):
-                prime_power_at(np.array([3, arith.MAX_ARRAY_LIMIT + 1]), kind)
-        assert arith._cache == {}
+        with kernel_walks() as walks:
+            for kind in arith._KINDS:
+                with pytest.raises(CapacityError):
+                    prime_power_at(
+                        np.array([3, arith.MAX_KERNEL_LIMIT + 1]), kind)
+        assert walks == [] and arith._cache == {}
 
     def test_cold_read_memory(self, monkeypatch):
-        # one read at L = 2^22 from a cold cache: the traced peak is the
-        # odd-only uint32 table (2 L bytes), the segments' uint32 arrays
-        # and the kernel's list of ~370 prime powers, 2 L + 22 bytes per
-        # segment entry with these segments.  A table indexed
-        # by every n would alone take 4 (L + 1).  The bound allows 2 L
-        # plus 32 bytes per segment entry (segments of 2^12 would take
-        # 9 s under tracemalloc, against 2.5 s here)
-        L = 1 << 22
-        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)
+        # the largest prime power at every p - 1, p <= 2e6, with nothing
+        # held but the primes: the peak is the uint32 output and the int8
+        # v (5 bytes an n), the index arrays of one (segment, v) pass and
+        # one segment's uint32 statistics and rest, 8 bytes an entry of a
+        # segment, whose odd parts stay below 1e6.  Beyond the segment,
+        # 6.3 and 5.9 bytes an n measured (4.9 MB in all with the default
+        # segments), where the largest-prime-power table this replaced
+        # peaked at 12.1 MB
+        primes = prime_array(2 * 10 ** 6)[1:]
+        for size in (1 << 14, 1 << 20):
+            monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+            tracemalloc.start()
+            try:
+                (got,) = arith._gather(primes, 1, "maxpp")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got[:4].tolist() == [2, 4, 3, 5]
+            bound = 8 * len(primes) + 8 * min(size, 10 ** 6 // 2)
+            assert peak < bound, (size, peak, bound)
+
+    def test_each_read_walks_to_its_own_odd_parts(self, monkeypatch):
+        # no table is held between reads: each walks the kernel once, up
+        # to its own largest odd part, and the reads at n <= 1234 match
+        # those at n <= 5000; only primes are cached
         monkeypatch.setattr(arith, "_cache", {})
-        tracemalloc.start()
-        try:
-            got = prime_power_at(np.array([L]), "maxpp")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got.tolist() == [L]
-        assert peak < 2 * L + 32 * arith.SEGMENT_SIZE, \
-            (peak - 2 * L) / arith.SEGMENT_SIZE
+        for kind in arith._KINDS:
+            with kernel_walks() as walks:
+                big = prime_power_at(_upto(5000), kind)
+                small = prime_power_at(_upto(1234), kind)
+            assert walks == [(4999, (kind,)), (1233, (kind,))]
+            assert np.array_equal(small, big[:1234])
+        assert {k for k, _ in arith._cache} == {"primes"}
 
 
 class TestOmegaAt:
-    """omega gathered at n = p - h for a sorted array of p, against
-    trial_factor."""
+    """The kernel kinds, omega first, gathered at n = p - h for a sorted
+    array of p in one walk, against trial_factor."""
 
     LIMIT = 3000
 
     @staticmethod
     def _oracle(n):
-        return [len(trial_factor(int(v))) if v > 1 else 0 for v in n]
+        """Each kind at each n (n = 0 reads 0), by kind."""
+        out = {kind: [] for kind in arith._KINDS}
+        for v in n.tolist():
+            f = trial_factor(v) if v else ()
+            u = v >> (v & -v).bit_length() - 1 if v else 0
+            least = int(v > 0)
+            out["omega"].append(len(f))
+            out["maxpp"].append(max((p ** e for p, e in f), default=least))
+            out["rest"].append(max((p for p, _ in f if p > 2 and p * p > u),
+                                   default=least))
+        return out
 
     def _cases(self, size):
         """Sorted int64 arrays of n, for segments of size odd numbers."""
@@ -822,13 +821,19 @@ class TestOmegaAt:
             np.array([0, 0, 2, 4]),
         )]
 
+    def _check(self, size, h):
+        for n in self._cases(size):
+            got = arith._gather(n + h, h, *arith._KINDS)
+            want = self._oracle(n)
+            for kind, out in zip(arith._KINDS, got):
+                assert out.tolist() == want[kind], (h, kind, n)
+
     @pytest.mark.parametrize("size", [64, 65])
     def test_against_trial_factor(self, monkeypatch, size):
         # with segments of 64 or 65 odd numbers the v pass reads chunks
         # of 4 entries
         monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
-        for n in self._cases(size):
-            assert arith._omega_at(n, 0).tolist() == self._oracle(n), n
+        self._check(size, 0)
 
     @pytest.mark.parametrize("h", [1, -1, 2, -2, 6])
     @pytest.mark.parametrize("size", [64, 65])
@@ -836,14 +841,12 @@ class TestOmegaAt:
         # the same n, read at p = n + h; at h = 1 and -1 the cases
         # p - 1 and p + 1 hand over the primes themselves
         monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
-        for n in self._cases(size):
-            assert arith._omega_at(n + h, h).tolist() == self._oracle(n), \
-                (h, n)
+        self._check(size, h)
 
     def test_empty(self):
         for h in (0, 1, -1):
-            assert arith._omega_at(np.zeros(0, dtype=np.int64), h).tolist() \
-                == []
+            assert [out.tolist() for out in arith._gather(
+                np.zeros(0, dtype=np.int64), h, *arith._KINDS)] == [[]] * 3
 
 
 class TestOmegaAdditivity:
@@ -1053,11 +1056,13 @@ class TestFold:
 
     @given(st.lists(st.integers(1, 4000), min_size=300, max_size=600))
     @settings(max_examples=25, deadline=None)
-    def test_dense_multisets_read_the_table(self, values):
+    def test_dense_multisets_gather_their_rough_parts(self, values):
+        # one walk of the kernel, for "rest", to the largest odd part
         values = values + [4000]
-        _drop_cached("maxpp")
-        _assert_exact(values)
-        assert _maxpp_limits() == [4000]
+        with kernel_walks() as walks:
+            _assert_exact(values)
+        odd = max(v >> (v & -v).bit_length() - 1 for v in values)
+        assert walks == [(odd, ("rest",))]
 
     def test_merge_tree_runs_over_fold_nodes(self, merges):
         values = list(range(1, 6001)) + list(range(2000, 4000))
@@ -1073,7 +1078,7 @@ class TestFold:
         # allowed), beside one slice's lists of 256 leaves; 3.4 times
         # the input's bytes measured in all.  Leaf lists as long as the
         # values (about 80 bytes a value) peaked at 12.8 times.  A warm
-        # call first builds the table the split reads
+        # call first builds the primes the split reads
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 12)
         monkeypatch.setattr(arith, "_cache", {})
         vals = prime_array(2 * 10 ** 6)[1:].astype(np.int64) - 1
@@ -1302,14 +1307,10 @@ def _assert_exact(values):
     assert math.gcd(got.numerator, got.denominator) == 1
 
 
-def _maxpp_limits():
-    return [n for kind, n in arith._cache if kind == "maxpp"]
-
-
 class TestRoughSplit:
     """The split v = m * r behind reciprocal_sum, through both of its
-    paths: the largest-prime-power table (cold, or already built to a
-    larger limit) and trial division per value."""
+    paths: the kernel's rest gathered at the values, and trial division
+    per value."""
 
     # 2^11 and 3^7 are each value's largest prime power and lie above
     # isqrt(6144) = 78, but they are not primes above it
@@ -1319,23 +1320,39 @@ class TestRoughSplit:
            st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_multisets_cold_warm_and_by_trial(self, values, copies):
+        # through the gather from an empty cache, again on the primes it
+        # left, and by trial division
         values = values * copies
-        _drop_cached("maxpp")
+        arith._cache.clear()
+        _assert_exact(values)
         _assert_exact(values)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(arith, "MAX_ARRAY_LIMIT", 0)
+            mp.setattr(arith, "MAX_KERNEL_LIMIT", 0)
             _assert_exact(values)
-        arith._prime_power_table(10 ** 5, "maxpp")
-        _assert_exact(values)
 
-    def test_dense_input_reads_the_table(self):
-        _drop_cached("maxpp")
-        _assert_exact(list(range(1, 3001)))
-        assert _maxpp_limits() == [3000]
+    def test_dense_input_walks_the_kernel_once(self):
+        with kernel_walks() as walks:
+            _assert_exact(list(range(1, 3001)))
+        assert walks == [(2999, ("rest",))]
+
+    def test_dense_input_past_the_kernel_range_by_trial(self):
+        # 660,000 ones and the prime 2^32 + 15: len * pi(B) passes max v,
+        # dense enough for the gather, but max v passes the kernel's
+        # uint32 range, so every value goes to trial division (those of
+        # B or less at no cost), with no CapacityError
+        big = 2 ** 32 + 15
+        assert is_prime(big)
+        vals = np.ones(660_001, dtype=np.int64)
+        vals[-1] = big
+        assert (len(vals) - 1) * len(prime_array(math.isqrt(big))) > big
+        with kernel_walks() as walks:
+            rough = arith._rough_parts(vals, big)
+        assert walks == [] and rough[-1] == big and rough[:-1].max() == 1
+        assert reciprocal_sum(vals) == 660_000 + Fraction(1, big)
 
     def test_dense_input_imports_no_numpy_ma(self):
-        # the split finds its prime powers q^k > B with one searchsorted;
-        # np.isin's sort path on input this dense imports numpy.ma
+        # np.isin's sort path on input this dense imports numpy.ma; the
+        # split reads its r off the gathered rest with no such search
         code = ("import sys; import numpy as np; "
                 "from egyptsieve.arith import prime_array, reciprocal_sum; "
                 "reciprocal_sum(prime_array(10 ** 5)[1:] - 1); "
@@ -1352,29 +1369,29 @@ class TestRoughSplit:
         [10 ** 12 + 39, 6],
     ])
     def test_sparse_input_builds_no_table(self, values):
-        _drop_cached("maxpp")
-        _assert_exact(values)
-        assert _maxpp_limits() == []
+        with kernel_walks() as walks:
+            _assert_exact(values)
+        assert walks == []
 
     @pytest.mark.parametrize("copies", [1, 80])
     def test_prime_power_trap(self, copies):
         values = self.TRAP * copies
-        _drop_cached("maxpp")
-        _assert_exact(values)
-        # 80 copies are dense enough for the table, one copy is not
-        assert _maxpp_limits() == ([6144] if copies == 80 else [])
+        with kernel_walks() as walks:
+            _assert_exact(values)
+        # 80 copies are dense enough for the gather, one copy is not
+        assert walks == ([(4099, ("rest",))] if copies == 80 else [])
         arr = np.array(values, dtype=np.int64)
         rough = arith._rough_parts(arr, 6144)
         assert rough[:4].tolist() == [1, 1, 1031, 4099]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(arith, "MAX_ARRAY_LIMIT", 0)
+            mp.setattr(arith, "MAX_KERNEL_LIMIT", 0)
             assert np.array_equal(arith._rough_parts(arr, 6144), rough)
 
     @pytest.mark.parametrize("size", [64, 65])
     def test_odd_parts_at_segment_edges(self, size, monkeypatch):
         # p q, q^k r and 2^v times them, whose odd parts lie on both
         # sides of the kernel's odd-segment edges 2 size k + 1, through
-        # the table and by trial division, against naive_factor
+        # the gather and by trial division, against naive_factor
         monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
         monkeypatch.setattr(arith, "_cache", {})
         odd = {"pq": [], "qkr": []}
@@ -1393,9 +1410,12 @@ class TestRoughSplit:
         want = [max((p for p, _ in naive_factor(n) if p > b), default=1)
                 for n in values]
         vals = np.array(values * 4, dtype=np.int64)
-        assert arith._rough_parts(vals, top)[:len(values)].tolist() == want
-        assert _maxpp_limits() == [top]
-        monkeypatch.setattr(arith, "MAX_ARRAY_LIMIT", 0)
+        with kernel_walks() as walks:
+            got = arith._rough_parts(vals, top)
+        assert got[:len(values)].tolist() == want
+        odd = max(u for us in odd.values() for u in us)
+        assert walks == [(odd, ("rest",))]
+        monkeypatch.setattr(arith, "MAX_KERNEL_LIMIT", 0)
         assert arith._rough_parts(vals, top)[:len(values)].tolist() == want
 
     @pytest.mark.parametrize("w", [2, 3, 10, 1000, 30011])
@@ -1403,7 +1423,6 @@ class TestRoughSplit:
         want = Fraction(1)
         for p in prime_array(w).tolist():
             want *= Fraction(p - 1, p)
-        _drop_cached("maxpp")
         got = mertens_product(w)
         assert (got.numerator, got.denominator) == (want.numerator,
                                                     want.denominator)

@@ -31,7 +31,7 @@ from egyptsieve.spectrum import (
 )
 from egyptsieve.spectrum import _exceeds_power
 
-from conftest import fraction_tree_sum, naive_factor
+from conftest import fraction_tree_sum, kernel_walks, naive_factor
 
 
 def _max_prime_power(n):
@@ -169,20 +169,22 @@ class TestOmegaDeviation:
                 for d in (Fraction(1, 4), Fraction(1, 2), 1, 2)]
         assert dens == sorted(dens, reverse=True)
 
-    def test_sweep_reads_one_omega_table(self, monkeypatch, shift_plus1):
-        # points of a sweep at one N read the cached omega table; only
-        # the first, whose n = p + 1 reach furthest, walks the kernel
+    def test_sweep_points_walk_the_kernel_once_each(self, monkeypatch):
+        # no table is held between the points of a sweep at one N: each
+        # gathers omega and rest at its own n in one walk, up to its
+        # largest odd part, and only primes are cached
         monkeypatch.setattr(arith, "_cache", {})
-        walks = []
-        kernel = arith.prime_power_sieve
-        monkeypatch.setattr(arith, "prime_power_sieve",
-                            lambda n, kind: walks.append(kind) or
-                            kernel(n, kind))
-        for h, delta in ((-1, Fraction(1, 4)), (-1, Fraction(1, 2)),
-                         (1, Fraction(1, 2)), (6, 1)):
-            omega_deviation_density(10 ** 5, ShiftParams(h), delta)
-        assert walks.count("omega") == 1
-        assert ("omega", 99992) in arith._cache
+        points = ((-1, Fraction(1, 4)), (-1, Fraction(1, 2)),
+                  (1, Fraction(1, 2)), (6, 1))
+        with kernel_walks() as walks:
+            for h, delta in points:
+                omega_deviation_density(10 ** 5, ShiftParams(h), delta)
+        primes = prime_array(10 ** 5).tolist()
+        tops = [max(n >> (n & -n).bit_length() - 1
+                    for n in (p - h for p in primes) if n >= 1)
+                for h, _ in points]
+        assert walks == [(top, ("omega", "rest")) for top in tops]
+        assert {kind for kind, _ in arith._cache} == {"primes"}
 
     def test_all_small_n_excluded(self):
         # h = 85: the only qualifying primes below 100 give n < 16
@@ -593,7 +595,18 @@ class TestReportReciprocalSums:
     def test_against_fraction_tree(self, monkeypatch, lemma, h):
         report = self.LEMMAS[lemma]
         got = report(10 ** 5, ShiftParams(h)).reciprocal_sum
-        monkeypatch.setattr(spectrum, "reciprocal_sum", fraction_tree_sum)
+        monkeypatch.setattr(spectrum, "_exact_sum",
+                            lambda n, rest: fraction_tree_sum(n))
         want = report(10 ** 5, ShiftParams(h)).reciprocal_sum
         assert (got.numerator, got.denominator) == (want.numerator,
                                                     want.denominator)
+
+    @pytest.mark.parametrize("lemma, kinds", [
+        (1, ("maxpp", "rest")), (2, ("omega", "rest")), (3, ("rest",))])
+    def test_one_kernel_walk_per_report(self, monkeypatch, lemma, kinds):
+        # from an empty cache, the lemma's statistic and the rough parts
+        # of its exact sum come from one walk of the kernel
+        monkeypatch.setattr(arith, "_cache", {})
+        with kernel_walks() as walks:
+            self.LEMMAS[lemma](10 ** 5, ShiftParams(1))
+        assert [k for _, k in walks] == [kinds]

@@ -1,5 +1,7 @@
 """Exact arithmetic substrate: primality, two sieve kernels on the same
-odd segments, one array cache (every prime list is a slice of the int32
+odd segments, each segment started from patterns of one 3 5 7 11 13
+wheel (``_wheel``) so that only larger primes and prime powers strike,
+one array cache (every prime list is a slice of the int32
 ``prime_array``), prime-power statistics gathered at any n in one walk
 of the second kernel with no table (``_gather``), factorization into
 (prime, exponent) pairs, li, exact reciprocal sums.
@@ -179,6 +181,56 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+# the period, in i, of n = lo + 2i modulo the wheel primes
+_WHEEL = prod(_WHEEL_PRIMES)
+
+
+def _wheel_patterns():
+    """One period of each pattern over odd n, entry j standing for every
+    n = 1 + 2j (mod 2 _WHEEL): n coprime to the wheel, the count and
+    the largest of the wheel primes dividing n (1 for none), and the
+    inverse mod 2^32 of their product W, so that n times it in uint32
+    is n / W; each is read off the 32 sets of wheel primes, numbered
+    by bits.  Last, over the same entries j but only for the odd n
+    below 13^2: the wheel prime p | n with p^2 > n, else 1."""
+    n = np.arange(1, 2 * _WHEEL, 2)
+    at = sum((n % p == 0) << k for k, p in enumerate(_WHEEL_PRIMES))
+    divs = [[p for k, p in enumerate(_WHEEL_PRIMES) if c >> k & 1]
+            for c in range(1 << len(_WHEEL_PRIMES))]
+
+    def per_set(values, dtype):
+        return np.array(values, dtype)[at]
+
+    largest = per_set([max(d, default=1) for d in divs], np.uint32)
+    head = largest[:_WHEEL_PRIMES[-1] ** 2 // 2]
+    patterns = (at == 0, per_set([len(d) for d in divs], np.int8), largest,
+                per_set([pow(prod(d), -1, 1 << 32) for d in divs],
+                        np.uint32),
+                np.where(head * head > n[:len(head)], head, 1))
+    for pattern in patterns:
+        pattern.flags.writeable = False
+    return patterns
+
+
+_COPRIME, _WHEEL_OMEGA, _WHEEL_MAXPP, _WHEEL_INVERSE, _WHEEL_HEAD = \
+    _wheel_patterns()
+
+
+def _wheel(seg: np.ndarray, lo: int, pattern: np.ndarray, op) -> None:
+    """op(view, part) over the whole of seg, entry i standing for the
+    odd n = lo + 2i, where part holds the pattern's entries at those n:
+    a head up to the first n = 1 (mod 2 _WHEEL), the whole periods as
+    rows of _WHEEL (part is the pattern itself, broadcast), and a tail.
+    No array longer than the pattern is built."""
+    s = (lo - 1) // 2 % _WHEEL
+    head = min(-s % _WHEEL, len(seg))
+    op(seg[:head], pattern[s:s + head])
+    end = head + (len(seg) - head) // _WHEEL * _WHEEL
+    op(seg[head:end].reshape(-1, _WHEEL), pattern)
+    op(seg[end:], pattern[:len(seg) - end])
+
+
 def _odd_segments(limit: int, qs: np.ndarray, least: np.ndarray):
     """Both kernels' segments [lo, hi) of SEGMENT_SIZE odd n = lo + 2i
     from lo = 1, as (lo, hi, first): the entry i of the first odd multiple
@@ -194,13 +246,15 @@ def _odd_segments(limit: int, qs: np.ndarray, least: np.ndarray):
 
 def prime_segments(limit: int):
     """Yield the primes in [2, limit] as one increasing int64 array per
-    segment of ``_odd_segments``.  A segment is a bool array cleared by
-    one strided slice per base prime p with p^2 < hi, from p^2 on; the
-    first's entry for 1 stands for 2.  The base primes are
-    ``prime_array(isqrt(limit))``, none below limit 4, cast to int64:
-    they reach MAX_BASE_PRIME, so p^2 and the segment ends pass int32.
-    Limits whose base sieve exceeds the budget raise CapacityError, and
-    a limit that ``_exact_ints`` refuses DomainError."""
+    segment of ``_odd_segments``.  A segment is a bool array that starts
+    from the ``_wheel`` pattern of n coprime to 3 5 7 11 13, with the
+    wheel primes themselves set, and is cleared by one strided slice per
+    base prime p >= 17 with p^2 < hi, from p^2 on; the first's entry for
+    1 stands for 2.  The base primes are those of
+    ``prime_array(isqrt(limit))``, cast to int64: they reach
+    MAX_BASE_PRIME, so p^2 and the segment ends pass int32.  Limits
+    whose base sieve exceeds the budget raise CapacityError, and a limit
+    that ``_exact_ints`` refuses DomainError."""
     (limit,) = _exact_ints((limit,), "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -209,10 +263,15 @@ def prime_segments(limit: int):
         raise CapacityError(
             f"limit {limit} needs base primes to {base_limit}, over the "
             f"{MAX_BASE_PRIME} budget")
-    odd_base = prime_array(base_limit)[1:].astype(np.int64)
-    for lo, hi, first in _odd_segments(limit, odd_base, odd_base * odd_base):
-        seg = np.ones((hi - lo + 1) // 2, dtype=bool)
-        for p, i in zip(odd_base.tolist(), first.tolist()):
+    base = prime_array(base_limit)
+    base = base[base > _WHEEL_PRIMES[-1]].astype(np.int64)
+    for lo, hi, first in _odd_segments(limit, base, base * base):
+        seg = np.empty((hi - lo + 1) // 2, dtype=bool)
+        _wheel(seg, lo, _COPRIME, np.copyto)
+        for p in _WHEEL_PRIMES:
+            if lo <= p < hi:
+                seg[(p - lo) // 2] = True
+        for p, i in zip(base.tolist(), first.tolist()):
             seg[i::p] = False
         primes = np.flatnonzero(seg)
         primes *= 2
@@ -239,14 +298,19 @@ def prime_power_sieve(limit: int, *kinds: str):
     for, in that order: omega(n) (kind "omega", int8), the largest prime
     power exactly dividing n ("maxpp", uint32) and the prime factor of n
     above sqrt(n), or 1 ("rest", uint32); n = 1 gets 0, 1 and 1.  Its
-    readers read each even n off its odd part.  In a segment, each power
-    q = p^k of an odd base prime with p^2 < hi strikes its odd multiples
-    from max(q, p^2) on and divides p out of them in a uint32 copy of
-    the n, rest.  What is left of n is 1 or one prime (n's least prime
-    strikes it, and two primes above sqrt(n) would exceed n): one more
-    for omega, and a prime-power candidate.  rest, unless asked for, is
-    freed before the segment is handed out.  2 and its powers are never
-    strided."""
+    readers read each even n off its odd part.  A segment starts from
+    the ``_wheel`` patterns of the wheel primes 3 5 7 11 13 dividing n:
+    omega their count, maxpp the largest, and rest, a uint32 copy of the
+    n, times the inverse mod 2^32 of their product W, which is n / W
+    since W | n.  Below 13^2 a wheel prime p | n may exceed sqrt(n):
+    rest takes it back, and omega counts it there instead.  Then each
+    power q = p^k of an odd base prime with p^2 < hi, but p >= 17 or
+    k >= 2, strikes its odd multiples from max(q, p^2) on and divides p
+    out of them in rest.  What is left of n is 1 or one prime (n's least
+    prime strikes it, and two primes above sqrt(n) would exceed n): one
+    more for omega, and a prime-power candidate.  rest, unless asked
+    for, is freed before the segment is handed out.  2 and its powers
+    are never strided."""
     (limit,) = _exact_ints((limit,), "limit")
     if not kinds or not set(kinds) <= _KINDS.keys():
         raise DomainError(f"unknown kinds {kinds!r}")
@@ -257,13 +321,25 @@ def prime_power_sieve(limit: int, *kinds: str):
     base = prime_array(isqrt(limit))[1:].tolist()
     powers = sorted((max(p ** k, p * p), p ** k, p) for p in base
                     for k in range(1, int(log(limit, p)) + 2)
-                    if p ** k <= limit)
+                    if p ** k <= limit
+                    and (k > 1 or p > _WHEEL_PRIMES[-1]))
     least, qs = np.array(powers, dtype=np.int64).reshape(-1, 3).T[:2]
     for lo, hi, first in _odd_segments(limit, qs, least):
         size = (hi - lo + 1) // 2
-        omega = np.zeros(size, np.int8) if "omega" in kinds else None
-        maxpp = np.ones(size, np.uint32) if "maxpp" in kinds else None
+        omega = maxpp = None
+        if "omega" in kinds:
+            omega = np.empty(size, np.int8)
+            _wheel(omega, lo, _WHEEL_OMEGA, np.copyto)
+        if "maxpp" in kinds:
+            maxpp = np.empty(size, np.uint32)
+            _wheel(maxpp, lo, _WHEEL_MAXPP, np.copyto)
         rest = np.arange(lo, hi, 2, dtype=np.uint32)
+        _wheel(rest, lo, _WHEEL_INVERSE, operator.imul)
+        # empty from n = 13^2 on
+        big = _WHEEL_HEAD[(lo - 1) // 2:][:size]
+        rest[:len(big)] *= big
+        if omega is not None:
+            omega[:len(big)] -= big > 1
         for (_, q, p), i in zip(powers, first.tolist()):
             rest[i::q] //= p
             if maxpp is not None:
@@ -882,8 +958,9 @@ def reciprocal_sum(values) -> Fraction:
 
 
 def balanced_product(values) -> int:
-    """Product of the integers, multiplied in a balanced tree; a product
-    of two operands of _FFT_MIN_BITS bits or more goes through
+    """Product of the integers, sorted by bit length and multiplied in a
+    balanced tree, so each product pairs operands of like size; a
+    product of two operands of _FFT_MIN_BITS bits or more goes through
     ``_products`` (by FFT)."""
     def mul(x, y):
         # most products of the tree are small: * without the helper's lists
@@ -891,4 +968,5 @@ def balanced_product(values) -> int:
             return x * y
         return _products([[(x, y)]])[0]
 
-    return _pairwise([operator.index(v) for v in values], mul, 1)
+    return _pairwise(sorted(map(operator.index, values), key=int.bit_length),
+                     mul, 1)

@@ -68,7 +68,15 @@ def _upto(limit):
     return np.arange(1, limit + 1, dtype=np.int64)
 
 
-_NAIVE_PRIMES = [n for n in range(1100) if naive_is_prime(n)]
+# up to the wheel's second period start, 2 * 2 * 15015 + 1, and past it
+_NAIVE_PRIMES = [n for n in range(4 * arith._WHEEL + 3) if naive_is_prime(n)]
+
+# segments shorter than, as long as and longer than the wheel's period of
+# 15,015 odd n, and limits around 13^2 (below it a wheel prime may
+# exceed sqrt(n)) and the period starts 2 * 15015 k + 1
+_WHEEL_SIZES = (64, 65, arith._WHEEL, arith._WHEEL + 1)
+_WHEEL_LIMITS = (168, 169, 170, *(2 * arith._WHEEL * k + 1 + e
+                                  for k in (1, 2) for e in (-1, 0, 1)))
 
 
 def _naive_primes_to(limit):
@@ -136,7 +144,7 @@ class TestPrimeSegments:
                 continue
             arith._cache.clear()
             assert prime_array(limit).tolist() == _naive_primes_to(limit)
-            for size in (64, 65, 100):
+            for size in (64, 65, 100, *_WHEEL_SIZES[2:]):
                 monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
                 segs = list(prime_segments(limit))
                 assert all(s.dtype == np.int64 for s in segs)
@@ -155,6 +163,18 @@ class TestPrimeSegments:
                     got = np.concatenate(list(prime_segments(limit)))
                     assert got.tolist() == _naive_primes_to(limit), \
                         (limit, size)
+
+    def test_wheel_period_offsets(self, monkeypatch):
+        # the segments and a cold prime_array against the naive primes
+        monkeypatch.setattr(arith, "_cache", {})
+        for size in _WHEEL_SIZES:
+            monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+            for limit in _WHEEL_LIMITS:
+                want = _naive_primes_to(limit)
+                got = np.concatenate(list(prime_segments(limit)))
+                assert got.tolist() == want, (limit, size)
+                arith._cache.clear()
+                assert prime_array(limit).tolist() == want, (limit, size)
 
     def test_domain(self):
         with pytest.raises(CapacityError):
@@ -584,10 +604,10 @@ class TestPrimePowerSieve:
                     ref[1:limit + 1].tolist()
 
     def test_segment_boundaries(self, monkeypatch):
-        refs = _oracle_arrays(3000)
-        for size in (64, 65):
+        refs = _oracle_arrays(max(_WHEEL_LIMITS))
+        for size in _WHEEL_SIZES:
             monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
-            limits = set()
+            limits = set(_WHEEL_LIMITS)
             for k in range(1, 6):
                 limits |= {k * size - 1, k * size, k * size + 1}
             # a square or cube just before, on or after a segment start,
@@ -597,7 +617,8 @@ class TestPrimePowerSieve:
                     if q <= 2900 and q % size in (size - 1, 0, 1):
                         limits |= {q - 1, q, q + 1}
                 limits |= {p * p - 1, p * p, p * p + 1}
-            for limit in sorted(limits | {3000}):
+            for limit in sorted(x for x in limits | {3000}
+                                if x <= max(_WHEEL_LIMITS)):
                 # one walk yields every kind asked for, in that order
                 segs = list(prime_power_sieve(limit, *refs))
                 assert [len(g[0]) for g in segs[:-1]] == \
@@ -606,9 +627,26 @@ class TestPrimePowerSieve:
                     got = np.concatenate([g[j] for g in segs])
                     assert got.tolist() == ref[1:limit + 1:2].tolist(), \
                         (limit, kind)
-                    # the gather at every n against the oracle
-                    assert prime_power_at(_upto(limit), kind).tolist() == \
-                        ref[1:limit + 1].tolist(), (limit, kind)
+                    # the gather at every n against the oracle, which
+                    # reads these segments
+                    if limit <= 3000:
+                        assert prime_power_at(_upto(limit), kind).tolist() \
+                            == ref[1:limit + 1].tolist(), (limit, kind)
+
+    def test_wheel_primes_above_the_root(self, monkeypatch):
+        # below 13^2 the wheel's prime p | n may exceed sqrt(n): it is
+        # then rest(n), and omega counts it once
+        pins = {"rest": {3: 3, 5: 5, 15: 5, 143: 13, 77: 11, 9: 1, 45: 1},
+                "omega": {15: 2, 3: 1, 143: 2, 105: 3, 1: 0},
+                "maxpp": {15: 5, 143: 13, 9: 9, 1: 1}}
+        for size in _WHEEL_SIZES:
+            monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
+            for limit in (13, 15, 168, 170):
+                for kind, pin in pins.items():
+                    got = _walk(limit, kind)
+                    for n, want in pin.items():
+                        if n <= limit:
+                            assert got[n // 2] == want, (kind, n, limit)
 
     @pytest.mark.parametrize("kinds, itemsize", [
         ("omega", 1), ("maxpp", 4), ("rest", 0), ("maxpp,rest", 4)])

@@ -146,6 +146,17 @@ class TestFriability:
         rep = friability_density(1000, shift_plus1, "0.2")
         assert rep.params["epsilon"] == "1/5"
 
+    def test_progression_against_oracle(self):
+        # q = 4 selects p = 1 (mod 4) by p - (p // q) q; the count is
+        # frozen and the sum is summed over the oracle's counted n
+        rep = friability_density(10 ** 5, ShiftParams(1, 4), Fraction(3, 10))
+        ns = [p - 1 for p in prime_array(10 ** 5).tolist()
+              if p % 4 == 1 and p - 1 >= 4]
+        counted = [n for n in ns if _max_prime_power(n) ** 10 > n ** 7]
+        assert (rep.count, rep.normalizer) == (1092, 4783) == \
+            (len(counted), len(ns))
+        assert rep.reciprocal_sum == fraction_tree_sum(counted)
+
 
 class TestOmegaDeviation:
     def test_delta_zero(self, shift_plus1):
@@ -438,6 +449,14 @@ class TestPrimeCountAP:
             == want
         info = spectrum._residue_histogram.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("d", [17, 19, 23, 65537, 99991, 1000003])
+    def test_moduli_off_the_histogram(self, d):
+        # none divides 720720: the residues are p - (p // d) d
+        primes = prime_array(10 ** 5).tolist()
+        for h in (1, 2, 5, d - 1):
+            want = sum(1 for p in primes if p % d == h % d)
+            assert prime_count_ap(10 ** 5, d, h)[0] == want, h
 
     def test_residue_sum_invariant(self):
         N = 10 ** 4

@@ -958,9 +958,8 @@ def reciprocal_sum(values) -> Fraction:
 
 
 def balanced_product(values) -> int:
-    """Product of the integers, sorted by bit length and multiplied in a
-    balanced tree, so each product pairs operands of like size; a
-    product of two operands of _FFT_MIN_BITS bits or more goes through
+    """Product of the integers, multiplied in a balanced tree; a product
+    of two operands of _FFT_MIN_BITS bits or more goes through
     ``_products`` (by FFT)."""
     def mul(x, y):
         # most products of the tree are small: * without the helper's lists
@@ -968,5 +967,4 @@ def balanced_product(values) -> int:
             return x * y
         return _products([[(x, y)]])[0]
 
-    return _pairwise(sorted(map(operator.index, values), key=int.bit_length),
-                     mul, 1)
+    return _pairwise([operator.index(v) for v in values], mul, 1)

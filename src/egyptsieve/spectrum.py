@@ -137,16 +137,12 @@ def _shifted_primes(primes: np.ndarray, h: int, least: int) -> np.ndarray:
 
 def _shifted(primes: np.ndarray, h: int, q: int, least: int) -> np.ndarray:
     """n = p - h for the primes p of ``_shifted_primes`` with p = h
-    (mod q); a residue h mod q past max p selects nothing.  p mod q is
-    p - (p // q) q: numpy divides by a scalar with a multiply by its
-    invariant, which ``%`` does not."""
+    (mod q); a residue h mod q past max p selects nothing."""
     top = int(primes[-1])
     ps = primes[:0] if h % q > top else _shifted_primes(primes, h, least)
     if len(ps) == 0:
         return np.zeros(0, dtype=np.int64)
-    if q == 1:
-        return ps - h
-    return ps[(ps if q > top else ps - ps // q * q) == h % q] - h
+    return (ps if q == 1 else ps[(ps if q > top else ps % q) == h % q]) - h
 
 
 def _report(N: int, shift: ShiftParams, baseline, select, kinds: tuple,

@@ -82,6 +82,11 @@ MAX_ARRAY_LIMIT = 5 * 10 ** 8
 MAX_KERNEL_LIMIT = (1 << 32) - 1
 # trial_factor divides by the primes of prime_array up to here
 TRIAL_PRIME_BOUND = 10 ** 6
+# integers up to this many bits are written in decimal, longer ones in
+# hex (``_num_text``); below 4,300 digits (14,284 bits), so every integer
+# the decimal writer took keeps its text.  A certificate's integers stop
+# here too
+MAX_DECIMAL_BITS = 14_000
 
 _EULER_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 
@@ -306,11 +311,14 @@ def prime_power_sieve(limit: int, *kinds: str):
     rest takes it back, and omega counts it there instead.  Then each
     power q = p^k of an odd base prime with p^2 < hi, but p >= 17 or
     k >= 2, strikes its odd multiples from max(q, p^2) on and divides p
-    out of them in rest.  What is left of n is 1 or one prime (n's least
-    prime strikes it, and two primes above sqrt(n) would exceed n): one
-    more for omega, and a prime-power candidate.  rest, unless asked
-    for, is freed before the segment is handed out.  2 and its powers
-    are never strided."""
+    out of them in rest, by a uint32 multiply with p^-1 mod 2^32.  That
+    is exact division (Granlund and Montgomery, PLDI 1994, sec. 9): the
+    p-strikes at n, the wheel's included, number at most v_p(n), so p
+    still divides every struck entry.  What is left of n is 1 or one
+    prime (n's least prime strikes it, and two primes above sqrt(n)
+    would exceed n): one more for omega, and a prime-power candidate.
+    rest, unless asked for, is freed before the segment is handed out.
+    2 and its powers are never strided."""
     (limit,) = _exact_ints((limit,), "limit")
     if not kinds or not set(kinds) <= _KINDS.keys():
         raise DomainError(f"unknown kinds {kinds!r}")
@@ -324,6 +332,8 @@ def prime_power_sieve(limit: int, *kinds: str):
                     if p ** k <= limit
                     and (k > 1 or p > _WHEEL_PRIMES[-1]))
     least, qs = np.array(powers, dtype=np.int64).reshape(-1, 3).T[:2]
+    # p^-1 mod 2^32 of each strike, a uint32 like rest
+    inverses = [np.uint32(pow(p, -1, 1 << 32)) for _, _, p in powers]
     for lo, hi, first in _odd_segments(limit, qs, least):
         size = (hi - lo + 1) // 2
         omega = maxpp = None
@@ -340,8 +350,8 @@ def prime_power_sieve(limit: int, *kinds: str):
         rest[:len(big)] *= big
         if omega is not None:
             omega[:len(big)] -= big > 1
-        for (_, q, p), i in zip(powers, first.tolist()):
-            rest[i::q] //= p
+        for (_, q, p), inv, i in zip(powers, inverses, first.tolist()):
+            rest[i::q] *= inv
             if maxpp is not None:
                 np.maximum(maxpp[i::q], q, out=maxpp[i::q])
             if omega is not None and q == p:
@@ -814,6 +824,17 @@ def _reciprocal_tree(ds: list) -> tuple[int, int]:
     ones = [1] * len(ds)
     a, _, b = _pairwise(_fold([(ones, ones, ds)]), _sum_merge, (0, 1, 1))
     return a, b
+
+
+def _num_text(x) -> str:
+    """An int or a Fraction as str writes it, but each integer part past
+    MAX_DECIMAL_BITS bits in hex, "0x...": Python converts to base 16 in
+    linear time and with no digit limit, where decimal is quadratic and
+    refused past 4,300 digits."""
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+        return _num_text(num) + (f"/{_num_text(den)}" if den > 1 else "")
+    return str(x) if x.bit_length() <= MAX_DECIMAL_BITS else hex(x)
 
 
 def _exact_ints(values, what: str) -> list[int]:

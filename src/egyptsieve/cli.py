@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass, fields
@@ -60,6 +61,8 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# sweep refuses grids of more points than this
+MAX_GRID_POINTS = 10 ** 4
 _INT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "int"]
 
 
@@ -117,18 +120,22 @@ def _cmd_sieve(cfg: RunConfig) -> int:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     primes = prime_array(limit)
     if cfg.primes_out:
+        # the int64 file of np.save, or one decimal prime a line, written
+        # one slice at a time from the int32 primes: no int64 copy and no
+        # text of the whole array
         p = Path(cfg.primes_out)
-        if p.suffix == ".npy":
-            # the int64 file of np.save, written one slice at a time from
-            # the int32 primes: no int64 copy of the whole array
-            with p.open("wb") as f:
+        npy = p.suffix == ".npy"
+        with p.open("wb") as f:
+            if npy:
                 np.lib.format.write_array_header_1_0(
                     f, {"descr": "<i8", "fortran_order": False,
                         "shape": (len(primes),)})
-                for chunk in _chunks(primes):
+            for chunk in _chunks(primes):
+                if npy:
                     chunk.astype("<i8").tofile(f)
-        else:
-            p.write_text("\n".join(str(int(q)) for q in primes) + "\n")
+                else:
+                    f.write("".join(f"{q}\n" for q in chunk.tolist())
+                            .encode())
     payload = {
         "limit": limit,
         "count": int(len(primes)),
@@ -220,16 +227,20 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _grid_points(grid: dict) -> list[dict]:
+    """Every point of the grid's product, keys sorted; a grid of more
+    than MAX_GRID_POINTS points is refused from its list lengths, before
+    any point is built."""
     lists = {}
     for key, val in grid.items():
         lists[key] = val if isinstance(val, list) else [val]
     if "lemma" not in lists:
         raise DomainError("grid needs a lemma")
+    size = math.prod(map(len, lists.values()))
+    if size > MAX_GRID_POINTS:
+        raise DomainError(f"grid cardinality {size} exceeds 1e4")
     keys = sorted(lists)
-    combos = []
-    for values in itertools.product(*(lists[k] for k in keys)):
-        combos.append(dict(zip(keys, values)))
-    return combos
+    return [dict(zip(keys, values))
+            for values in itertools.product(*(lists[k] for k in keys))]
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -240,8 +251,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if not isinstance(grid, dict):
         raise DomainError("grid file must hold a JSON object")
     points = _grid_points(grid) if grid else []
-    if len(points) > 10 ** 4:
-        raise DomainError(f"grid cardinality {len(points)} exceeds 1e4")
     lemmas, reps = [], []
     for pt in points:
         # a grid value overrides the resolved config, lemma parameters too

@@ -51,6 +51,7 @@ from .arith import (
     _chunks,
     _exact_fields,
     _exact_ints,
+    _num_text,
     _reciprocal_tree,
     is_prime,
     prime_array,
@@ -227,7 +228,7 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     x = Fraction(x)
     (h,) = _exact_ints((h,), "shift")
     if x <= 0:
-        raise DomainError(f"target must be positive, got {x}")
+        raise DomainError(f"target must be positive, got {_num_text(x)}")
     if h == 0:
         raise DomainError("shift h must be nonzero")
     g = gcd(abs(h), x.denominator)
@@ -239,9 +240,10 @@ def feasibility_check(x, h: int) -> FeasibilityResult:
     ell, floor, v = next((c for c in cands if c[2] < c[1]), cands[0])
     provable = v < floor
     expl = (
-        f"gcd(|h|={abs(h)}, den={x.denominator}) = {g} > 1: only p = {ell} "
-        f"can give a denominator divisible by {ell}, so every achievable "
-        f"sum has {ell}-adic valuation >= {floor}; target has {v}"
+        f"gcd(|h|={abs(h)}, den={_num_text(x.denominator)}) = {g} > 1: "
+        f"only p = {ell} can give a denominator divisible by {ell}, so "
+        f"every achievable sum has {ell}-adic valuation >= {floor}; "
+        f"target has {v}"
         + (" (provably unrepresentable)" if provable else ""))
     return FeasibilityResult(
         feasible=False, witness=ell, valuation_floor=floor,
@@ -462,9 +464,10 @@ def smooth_dp_decompose(x, h: int, L: int,
     x, h = _gate(x, h)
     (L,) = _exact_ints((L,), "modulus")
     if L < 1:
-        raise DomainError(f"modulus must be >= 1, got {L}")
+        raise DomainError(f"modulus must be >= 1, got {_num_text(L)}")
     if L % x.denominator != 0:
-        raise DomainError(f"den({x}) does not divide modulus {L}")
+        raise DomainError(f"den({_num_text(x)}) does not divide modulus "
+                          f"{_num_text(L)}")
     target = x.numerator * (L // x.denominator)
     if target > _MAX_DP_TARGET:
         raise DomainError(
@@ -475,7 +478,7 @@ def smooth_dp_decompose(x, h: int, L: int,
             f"no subset of the {got.pool_size}-element pool hits {target}"
             if got.pool_size is not None else
             "no pool: trial division cannot split the modulus",
-            target=str(x), attempts=(got,))
+            target=_num_text(x), attempts=(got,))
     return _certified(x, h, got.primes, "pool DP")
 
 
@@ -523,6 +526,7 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     for p, rem in _greedy_steps(x, h, exclude, budget):
         chosen.append(p)
     if rem:
+        rem = _num_text(rem)
         raise SearchExhausted(
             f"greedy used {budget.max_terms} terms, remainder {rem}"
             if len(chosen) >= budget.max_terms else
@@ -755,12 +759,13 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
         attempts += _solve_single(t, h, used, budget)
         last = attempts[-1]
         if last.primes is None:
+            part = _num_text(last.part)
             raise SearchExhausted(
-                f"part {last.part} of the search has a denominator sharing "
+                f"part {part} of the search has a denominator sharing "
                 f"a factor with |h| = {abs(h)}; the search stops there"
                 if last.stage == "gate" else
-                f"all strategies exhausted for target {last.part}",
-                target=str(last.part), attempts=tuple(attempts))
+                f"all strategies exhausted for target {part}",
+                target=part, attempts=tuple(attempts))
         used.update(last.primes)
     return _certified(x, h, used.difference(exclude), "cascade")
 

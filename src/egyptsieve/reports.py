@@ -3,7 +3,7 @@
 Rationals are encoded as {"num": "...", "den": "..."} with string
 digits; primes in certificates are strings too, so 64-bit values
 survive every JSON parser.  An integer of up to MAX_DECIMAL_BITS bits
-is written in decimal and a longer one in hex, "0x..." (``_int_text``):
+is written in decimal and a longer one in hex, "0x..." (``_num_text``):
 Python converts to and from base 16 in linear time, with no digit
 limit, where decimal is quadratic and refused past 4,300 digits.  The
 reader takes both.  A certificate field past MAX_DECIMAL_BITS bits is
@@ -22,28 +22,19 @@ import re
 from datetime import datetime, timezone
 from fractions import Fraction
 
+from .arith import MAX_DECIMAL_BITS, _num_text
 from .egypt import Decomposition
 from .errors import DomainError
 from .spectrum import DensityReport
 
-# integers up to this many bits are written in decimal, longer ones in
-# hex; below 4,300 digits (14,284 bits), so every integer the decimal
-# writer took keeps its text.  A certificate's integers stop here too
-MAX_DECIMAL_BITS = 14_000
-
-
-def _int_text(n: int) -> str:
-    """n in decimal up to MAX_DECIMAL_BITS bits, in hex past them."""
-    return str(n) if n.bit_length() <= MAX_DECIMAL_BITS else hex(n)
-
 
 def fraction_dict(x: Fraction) -> dict:
     x = Fraction(x)
-    return {"num": _int_text(x.numerator), "den": _int_text(x.denominator)}
+    return {"num": _num_text(x.numerator), "den": _num_text(x.denominator)}
 
 
 def _exact_int(v) -> int:
-    """A JSON integer, a decimal-integer string or a ``_int_text`` hex
+    """A JSON integer, a decimal-integer string or a ``_num_text`` hex
     string, exactly as written; floats, bools and anything int() would
     round or coerce are refused."""
     if isinstance(v, int) and not isinstance(v, bool):
@@ -137,8 +128,8 @@ def density_rows(reports) -> list[dict]:
             "excluded": rep.excluded,
             "relative_density": repr(rep.relative_density),
             "baseline": repr(rep.baseline),
-            "reciprocal_sum": f"{_int_text(rep.reciprocal_sum.numerator)}"
-                              f"/{_int_text(rep.reciprocal_sum.denominator)}",
+            "reciprocal_sum": f"{_num_text(rep.reciprocal_sum.numerator)}"
+                              f"/{_num_text(rep.reciprocal_sum.denominator)}",
         })
         rows.append(row)
     return rows

@@ -27,6 +27,7 @@ from .arith import (
     _exact_ints,
     _exact_sum,
     _gather,
+    _num_text,
     _rough_parts,
     balanced_product,
     is_prime,
@@ -179,7 +180,7 @@ def _report(N: int, shift: ShiftParams, baseline, select, kinds: tuple,
     return DensityReport(
         N=N,
         params={"h": shift.h, "q": shift.q,
-                **{k: str(v) for k, v in params.items()}},
+                **{k: _num_text(v) for k, v in params.items()}},
         count=count,
         normalizer=normalizer,
         relative_density=count / normalizer if normalizer else 0.0,
@@ -194,7 +195,8 @@ def friability_density(N: int, shift: ShiftParams, epsilon) -> DensityReport:
     divisor exceeding n**(1 - epsilon); baseline is epsilon itself."""
     def baseline(eps):
         if not 0 <= eps <= 1:
-            raise DomainError(f"epsilon must be in [0,1], got {epsilon}")
+            raise DomainError(
+                f"epsilon must be in [0,1], got {_num_text(eps)}")
         return float(eps)
 
     def select(n, mpp, eps):
@@ -290,7 +292,8 @@ def divisor_window_density(N: int, shift: ShiftParams, y, z) -> DensityReport:
 
     def baseline(y, z):
         if not 4 <= y < z:
-            raise DomainError(f"need 4 <= y < z, got y={y} z={z}")
+            raise DomainError(f"need 4 <= y < z, got y={_num_text(y)} "
+                              f"z={_num_text(z)}")
         return log(y) / log(z)
 
     def select(n, y, z):
@@ -370,16 +373,18 @@ def _residue_histogram(N: int) -> np.ndarray:
     The cached primes are sorted, so the primes of each block
     [k M, (k + 1) M), M = _HIST_MODULUS, are one slice, its ends found
     by one searchsorted over all blocks.  Their residues are p - k M,
-    distinct within a block, so one fancy-index ``+= 1`` per block
-    counts them exactly: no ``%`` pass and no temporary longer than a
-    block's primes."""
+    and one unbuffered ``np.add.at`` per block counts them: no ``%``
+    pass and no temporary longer than a block's primes."""
     primes = prime_array(N)
     ends = np.searchsorted(primes, np.arange(N // _HIST_MODULUS + 2,
                                              dtype=primes.dtype)
                            * _HIST_MODULUS).tolist()
     hist = np.zeros(_HIST_MODULUS, dtype=np.int32)
+    # the added value must have hist's dtype: a Python 1 or an int64 one
+    # sends ufunc.at off its fast path, about 15x slower at N = 1e8
+    one = np.int32(1)
     for k, (a, b) in enumerate(zip(ends, ends[1:])):
-        hist[primes[a:b] - k * _HIST_MODULUS] += 1
+        np.add.at(hist, primes[a:b] - k * _HIST_MODULUS, one)
     hist.flags.writeable = False
     return hist
 

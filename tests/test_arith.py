@@ -648,6 +648,26 @@ class TestPrimePowerSieve:
                         if n <= limit:
                             assert got[n // 2] == want, (kind, n, limit)
 
+    def test_inverse_strike_near_2_32(self):
+        # each strike of p multiplies rest by p^-1 mod 2^32 in uint32;
+        # no walk reaches 2^32 here, so the identity is checked at the
+        # largest odd multiple n <= MAX_KERNEL_LIMIT of each odd p^k with
+        # p <= 65535: n * p^-1 is n / p exactly
+        ns, invs, ps = [], [], []
+        for p in prime_array(65535)[1:].tolist():
+            q = p
+            while q <= arith.MAX_KERNEL_LIMIT:
+                m = arith.MAX_KERNEL_LIMIT // q
+                ns.append((m - (m % 2 == 0)) * q)
+                invs.append(pow(p, -1, 1 << 32))
+                ps.append(p)
+                q *= p
+        rest = np.array(ns, dtype=np.uint32)
+        rest *= np.array(invs, dtype=np.uint32)
+        assert rest.tolist() == [n // p for n, p in zip(ns, ps)]
+        # every p^2 is below 2^32, and 3 divides 2^32 - 1 itself
+        assert len(ns) > 2 * 6541 and max(ns) == arith.MAX_KERNEL_LIMIT
+
     @pytest.mark.parametrize("kinds, itemsize", [
         ("omega", 1), ("maxpp", 4), ("rest", 0), ("maxpp,rest", 4)])
     def test_one_scratch_array_per_segment(self, kinds, itemsize,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from egyptsieve import arith, cli, egypt, reports
-from egyptsieve.arith import sieve_primes
+from egyptsieve.arith import prime_array, sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
 from egyptsieve.spectrum import ShiftParams
@@ -378,6 +378,29 @@ class TestExitCodes:
         else:
             assert "over the 500000000 limit" in out.err
 
+    @pytest.mark.parametrize("argv, rc", [
+        (["analyze", "--lemma", "1", "--N", "1000", "--epsilon", "1e5000"],
+         2),
+        (["analyze", "--lemma", "2", "--N", "1000", "--delta", "1e5000"], 0),
+        (["analyze", "--lemma", "3", "--N", "1000", "--y", "3",
+          "--z", "1e5001"], 2),
+        (["decompose", "--target", "1e-5000"], 1),
+        (["decompose", "--target", "1e-5000", "--shift", "2"], 2),
+        (["decompose", "--target=-1e5000"], 2),
+    ], ids=["epsilon", "delta", "z", "exhausted", "obstructed", "negative"])
+    def test_numbers_past_the_decimal_limit(self, argv, rc, capsys):
+        # a message or a report names a number of more than
+        # MAX_DECIMAL_BITS bits in hex, which has no digit limit
+        assert main(argv) == rc
+        out = capsys.readouterr()
+        assert "internal error" not in out.err
+        text = out.out if rc == 0 else out.err
+        big = 10 ** 5000
+        assert hex(big) in text or hex(big * 10) in text
+        if rc == 0:
+            assert json.loads(out.out)["report"]["params"]["delta"] == \
+                hex(big)
+
     @pytest.mark.parametrize("lemma", [
         ["--lemma", "1", "--epsilon", "0.3"],
         ["--lemma", "2", "--delta", "0.3"],
@@ -548,6 +571,29 @@ class TestSieveCommand:
         np.save(ref, np.fromiter(sieve_primes(10 ** 6), dtype=np.int64))
         assert path.read_bytes() == ref.getvalue()
 
+    def test_text_written_one_slice_at_a_time(self, tmp_path, monkeypatch):
+        # one decimal prime a line; the text of one _chunks slice is held
+        # at a time, not the text of the whole array
+        path = tmp_path / "primes.txt"
+        assert main(["sieve", "--limit", "1000000", "--primes-out",
+                     str(path), "--out", str(tmp_path / "s.json")]) == 0
+        assert path.read_text() == \
+            "\n".join(map(str, sieve_primes(10 ** 6))) + "\n"
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 14)
+        prime_array(10 ** 6)
+        tracemalloc.start()
+        try:
+            assert main(["sieve", "--limit", "1000000", "--primes-out",
+                         str(path), "--out", str(tmp_path / "s.json")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a slice of 1,024 primes as ints and strings is about 100 KB;
+        # the whole array's would be about 7.5 MB
+        assert peak < 4 * (arith.SEGMENT_SIZE >> 4) * 100, peak
+        assert path.read_text() == \
+            "\n".join(map(str, sieve_primes(10 ** 6))) + "\n"
+
     def test_limit_below_2_exits_2(self, tmp_path):
         for limit in ("1", "0"):
             assert main(["sieve", "--limit", limit,
@@ -660,6 +706,31 @@ class TestSweep:
             "lemma": 1, "N": 10000,
             "epsilon": [str(k) for k in range(1, 10002)]}))
         assert main(["sweep", "--grid", str(grid)]) == 2
+
+    def test_oversized_grid_refused_before_its_points(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # 10^4 x 10^4 = 10^8 points in a file of about 100 KB: refused
+        # from the list lengths, before any point dict is built.  The
+        # product is never entered (a grid built anyway would take GBs)
+        def product(*lists):
+            raise AssertionError("grid points built")
+
+        monkeypatch.setattr(cli.itertools, "product", product)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lemma": 1, "N": list(range(10 ** 4)),
+                                    "epsilon": list(range(10 ** 4))}))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--grid", str(grid)]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert "grid cardinality 100000000 exceeds 1e4" in \
+            capsys.readouterr().err
+        # the parsed grid itself is about 0.6 MB
+        assert peak < 4 << 20, peak
 
 
 class TestConfigPrecedence:

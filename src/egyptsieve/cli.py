@@ -61,8 +61,6 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-# sweep refuses grids of more points than this
-MAX_GRID_POINTS = 10 ** 4
 _INT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "int"]
 
 
@@ -124,18 +122,17 @@ def _cmd_sieve(cfg: RunConfig) -> int:
         # one slice at a time from the int32 primes: no int64 copy and no
         # text of the whole array
         p = Path(cfg.primes_out)
-        npy = p.suffix == ".npy"
-        with p.open("wb") as f:
-            if npy:
+        if p.suffix == ".npy":
+            with p.open("wb") as f:
                 np.lib.format.write_array_header_1_0(
                     f, {"descr": "<i8", "fortran_order": False,
                         "shape": (len(primes),)})
-            for chunk in _chunks(primes):
-                if npy:
+                for chunk in _chunks(primes):
                     chunk.astype("<i8").tofile(f)
-                else:
-                    f.write("".join(f"{q}\n" for q in chunk.tolist())
-                            .encode())
+        else:
+            with p.open("w") as f:
+                for chunk in _chunks(primes):
+                    f.write("".join(f"{q}\n" for q in chunk.tolist()))
     payload = {
         "limit": limit,
         "count": int(len(primes)),
@@ -228,19 +225,21 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _grid_points(grid: dict) -> list[dict]:
     """Every point of the grid's product, keys sorted; a grid of more
-    than MAX_GRID_POINTS points is refused from its list lengths, before
-    any point is built."""
+    than 10^4 points is refused from its list lengths, before any point
+    is built."""
     lists = {}
     for key, val in grid.items():
         lists[key] = val if isinstance(val, list) else [val]
     if "lemma" not in lists:
         raise DomainError("grid needs a lemma")
     size = math.prod(map(len, lists.values()))
-    if size > MAX_GRID_POINTS:
+    if size > 10 ** 4:
         raise DomainError(f"grid cardinality {size} exceeds 1e4")
     keys = sorted(lists)
-    return [dict(zip(keys, values))
-            for values in itertools.product(*(lists[k] for k in keys))]
+    combos = []
+    for values in itertools.product(*(lists[k] for k in keys)):
+        combos.append(dict(zip(keys, values)))
+    return combos
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:

@@ -464,10 +464,9 @@ def smooth_dp_decompose(x, h: int, L: int,
     x, h = _gate(x, h)
     (L,) = _exact_ints((L,), "modulus")
     if L < 1:
-        raise DomainError(f"modulus must be >= 1, got {_num_text(L)}")
+        raise DomainError(f"modulus must be >= 1, got {L}")
     if L % x.denominator != 0:
-        raise DomainError(f"den({_num_text(x)}) does not divide modulus "
-                          f"{_num_text(L)}")
+        raise DomainError(f"den({x}) does not divide modulus {L}")
     target = x.numerator * (L // x.denominator)
     if target > _MAX_DP_TARGET:
         raise DomainError(
@@ -478,7 +477,7 @@ def smooth_dp_decompose(x, h: int, L: int,
             f"no subset of the {got.pool_size}-element pool hits {target}"
             if got.pool_size is not None else
             "no pool: trial division cannot split the modulus",
-            target=_num_text(x), attempts=(got,))
+            target=str(x), attempts=(got,))
     return _certified(x, h, got.primes, "pool DP")
 
 
@@ -526,7 +525,6 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     for p, rem in _greedy_steps(x, h, exclude, budget):
         chosen.append(p)
     if rem:
-        rem = _num_text(rem)
         raise SearchExhausted(
             f"greedy used {budget.max_terms} terms, remainder {rem}"
             if len(chosen) >= budget.max_terms else

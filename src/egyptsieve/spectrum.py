@@ -381,7 +381,7 @@ def _residue_histogram(N: int) -> np.ndarray:
                            * _HIST_MODULUS).tolist()
     hist = np.zeros(_HIST_MODULUS, dtype=np.int32)
     # the added value must have hist's dtype: a Python 1 or an int64 one
-    # sends ufunc.at off its fast path, about 15x slower at N = 1e8
+    # sends ufunc.at off its fast path, 15 to 25 times slower at 1e8
     one = np.int32(1)
     for k, (a, b) in enumerate(zip(ends, ends[1:])):
         np.add.at(hist, primes[a:b] - k * _HIST_MODULUS, one)

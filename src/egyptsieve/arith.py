@@ -12,10 +12,9 @@ gcd on a large integer: each value splits at B = sqrt(max) into a
 smooth part and at most one big prime, gcds and lcms touch only the
 small smooth parts, the big primes cancel by an exact divisibility
 test, and the coprime result is built without the constructor's gcd.
-The big primes are gathered by ``prime_power_at`` when max(values) is at
-most MAX_KERNEL_LIMIT and below len(values) * pi(B); sparser or larger
-inputs are trial-divided value by value.  A caller that has gathered
-them already hands them to ``_exact_sum``.
+``_exact_sum`` is their one entry: its caller gathers the kernel's
+"rest" at its sorted values (``_gather``), and the big primes are read
+off it.
 
 Every exact sum of reciprocals has one tree format, leaves u / (s * r)
 and nodes a / (s * b): ``_fold`` sums runs of _FOLD leaves in Python,
@@ -557,17 +556,6 @@ def prime_array(limit: int) -> np.ndarray:
     return _cached("primes", limit, build)
 
 
-def prime_power_at(n: np.ndarray, kind: str) -> np.ndarray:
-    """The ``prime_power_sieve`` kind at each entry of an integer array
-    of n >= 1 up to MAX_KERNEL_LIMIT, in the input's order: one
-    ``_gather`` at the n sorted by one argsort and widened to int64
-    (which holds any uint32 n), scattered back.  Empty n walks nothing."""
-    order = np.argsort(n, kind="stable")
-    out = np.empty(len(n), dtype=_KINDS[kind])
-    (out[order],) = _gather(n[order].astype(np.int64, copy=False), 0, kind)
-    return out
-
-
 def _pairwise(items: list, merge, empty):
     """items reduced by merge over a balanced tree: neighbours merge level
     by level, an odd last item moves up unchanged; empty for no items."""
@@ -736,43 +724,6 @@ _coprime_fraction = (getattr(Fraction, "_from_coprime_ints", None)
                      or functools.partial(Fraction, _normalize=False))
 
 
-def _rough_parts(vals: np.ndarray, top: int) -> np.ndarray:
-    """r(v) for every v of an integer array with 1 <= v <= top: the prime
-    factor of v above B = isqrt(top), or 1 when v is B-smooth.  That
-    prime divides v once, since (B + 1)^2 > top, and v / r(v) <= B.
-
-    r is defined by B alone, so both paths return the same array.  When
-    top is at most MAX_KERNEL_LIMIT and below the len(vals) * pi(B)
-    divisions trial division would touch, r is gathered by
-    ``prime_power_at(vals, "rest")``: pi(B) > 0 makes B >= 2, so a prime
-    above B is odd and above the square root of v's odd part u, which
-    makes it rest(u), and a rest(u) of B or less reads as 1.  Otherwise
-    each value above B is trial-divided by the primes up to sqrt(v),
-    found in one numpy call (not ``trial_factor``, which refuses two
-    prime factors above TRIAL_PRIME_BOUND) on that slice of the int32
-    primes widened to int64, since v may pass 2^31; the cofactor left is
-    r(v) when it exceeds B.  A value of B or less is B-smooth.
-    """
-    b = isqrt(top)
-    primes = prime_array(b)
-    if top <= MAX_KERNEL_LIMIT and top < len(vals) * len(primes):
-        rough = prime_power_at(vals, "rest").astype(np.int64)
-        rough[rough <= b] = 1
-        return rough
-    rough = np.ones(len(vals), dtype=np.int64)
-    for i, v in enumerate(vals.tolist()):
-        if v <= b:
-            continue
-        ps = primes[:np.searchsorted(primes, primes.dtype.type(isqrt(v)),
-                                     "right")].astype(np.int64)
-        for q in ps[v % ps == 0].tolist():
-            while v % q == 0:
-                v //= q
-        if v > b:
-            rough[i] = v
-    return rough
-
-
 # leaves per node of _fold: Python runs once per run of _FOLD leaves,
 # and only the nodes enter the merge tree
 _FOLD = 32
@@ -860,18 +811,6 @@ def _exact_fields(obj, *names: str) -> None:
         object.__setattr__(obj, name, v)
 
 
-def _integer_array(values) -> np.ndarray:
-    """values as an integer array.  An integer array passes as it is;
-    other input is read entry by entry through ``_exact_ints``, so an
-    entry that is no integer (a bool, a float, a Fraction) raises
-    DomainError rather than being truncated."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "iu":
-            return values
-        values = values.tolist()
-    return np.array(_exact_ints(values, "reciprocal_sum value"))
-
-
 def _leaves(vals: np.ndarray, rest: np.ndarray, cancel: list):
     """The leaves of ``_exact_sum`` over its values v = m * r, as pieces
     (us, ss, rs) of lists for ``_fold``, none longer than one ``_chunks``
@@ -926,12 +865,12 @@ def _leaves(vals: np.ndarray, rest: np.ndarray, cancel: list):
 
 
 def _exact_sum(vals: np.ndarray, rest: np.ndarray) -> Fraction:
-    """Exact sum of 1/v over an integer array of v >= 1 with isqrt(max v)
-    <= MAX_BASE_PRIME, given each v's rest(v): the kind "rest" at v's odd
-    part, or r(v) of ``_rough_parts``.  Above B = isqrt(max v) either is
-    the prime of v above B, and every odd such prime shows, so r = rest
-    above B, else 1, splits v = m * r with no r dividing any m, whichever
-    rest was given.  Each v with r = 1 and each r > 1 that only one v has
+    """Exact sum of 1/v over an integer array of v >= 1, given each v's
+    rest(v): the kind "rest" at v's odd part, as ``_gather`` reads it at
+    the sorted values.  Above B = isqrt(max v) it is the prime of v above
+    B, and every odd such prime shows, so r = rest above B, else 1,
+    splits v = m * r with no r dividing any m.  Each v with r = 1 and
+    each r > 1 that only one v has
     is a leaf u / (s * r) = 1 / (m * r); the v sharing an r > 1 sum to
     u_r / (s_r * r), s_r the lcm of their m.  ``_leaves`` hands these
     leaves over one ``_chunks`` slice of the sorted arrays at a time, and
@@ -954,28 +893,6 @@ def _exact_sum(vals: np.ndarray, rest: np.ndarray) -> Fraction:
     g = gcd(a, s)
     c = prod(cancel)
     return _coprime_fraction(a // g // c, s // g * (b // c))
-
-
-def reciprocal_sum(values) -> Fraction:
-    """Exact sum of 1/v over an iterable or array of integers v >= 1,
-    repeats counted, without a gcd on a large integer: ``_exact_sum``
-    with the r of ``_rough_parts`` (gathered in one kernel walk when the
-    values are dense enough to pay for it, else by trial division).
-    Entries that are not integers, bools included, and values below 1
-    raise DomainError; a B above MAX_BASE_PRIME, that is max v >=
-    (MAX_BASE_PRIME + 1)^2, raises CapacityError.
-    """
-    arr = _integer_array(values)
-    if arr.size == 0:
-        return Fraction(0)
-    low, top = int(arr.min()), int(arr.max())
-    if low < 1:
-        raise DomainError(f"reciprocal_sum needs values >= 1, got {low}")
-    if isqrt(top) > MAX_BASE_PRIME:
-        raise CapacityError(
-            f"value {top} needs split primes to {isqrt(top)}, over the "
-            f"{MAX_BASE_PRIME} budget")
-    return _exact_sum(arr, _rough_parts(arr, top))
 
 
 def balanced_product(values) -> int:

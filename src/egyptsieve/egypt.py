@@ -464,20 +464,21 @@ def smooth_dp_decompose(x, h: int, L: int,
     x, h = _gate(x, h)
     (L,) = _exact_ints((L,), "modulus")
     if L < 1:
-        raise DomainError(f"modulus must be >= 1, got {L}")
+        raise DomainError(f"modulus must be >= 1, got {_num_text(L)}")
     if L % x.denominator != 0:
-        raise DomainError(f"den({x}) does not divide modulus {L}")
+        raise DomainError(f"den({_num_text(x)}) does not divide modulus "
+                          f"{_num_text(L)}")
     target = x.numerator * (L // x.denominator)
     if target > _MAX_DP_TARGET:
         raise DomainError(
-            f"DP target {target} exceeds budget {_MAX_DP_TARGET}")
+            f"DP target {_num_text(target)} exceeds budget {_MAX_DP_TARGET}")
     got = _divisor_dp(x, h, L, budget, exclude)
     if got.primes is None:
         raise SearchExhausted(
             f"no subset of the {got.pool_size}-element pool hits {target}"
             if got.pool_size is not None else
             "no pool: trial division cannot split the modulus",
-            target=str(x), attempts=(got,))
+            target=_num_text(x), attempts=(got,))
     return _certified(x, h, got.primes, "pool DP")
 
 
@@ -525,10 +526,10 @@ def greedy_decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     for p, rem in _greedy_steps(x, h, exclude, budget):
         chosen.append(p)
     if rem:
-        raise SearchExhausted(
-            f"greedy used {budget.max_terms} terms, remainder {rem}"
-            if len(chosen) >= budget.max_terms else
-            f"greedy ran past max_prime {budget.max_prime}, remainder {rem}")
+        stop = (f"used {budget.max_terms} terms"
+                if len(chosen) >= budget.max_terms else
+                f"ran past max_prime {budget.max_prime}")
+        raise SearchExhausted(f"greedy {stop}, remainder {_num_text(rem)}")
     return _certified(x, h, chosen, "greedy")
 
 

@@ -28,7 +28,6 @@ from .arith import (
     _exact_sum,
     _gather,
     _num_text,
-    _rough_parts,
     balanced_product,
     is_prime,
     li_approx,
@@ -55,22 +54,27 @@ _HIST_MEMO_SIZE = 4
 def _exceeds_power(value: int, base: int, expo: Fraction) -> bool:
     """Exact test of value > base**expo for positive integers, expo >= 0.
 
-    Floats decide away from the boundary; near it (or for tiny inputs)
-    the comparison is value**b > base**a in integers, for expo = a/b, so
-    ties at equality are classified exactly.  Integer powers of more
-    than MAX_POWER_BITS bits raise CapacityError.
+    value == base is decided exactly: n > n^e just when e < 1, n >= 2.
+    Otherwise floats decide away from the boundary, log value against
+    float(expo) log base, which no size of expo's numerator a or
+    denominator b overflows; near it the comparison is value**b >
+    base**a in integers, so ties at equality are classified exactly.
+    Integer powers of more than MAX_POWER_BITS bits raise CapacityError.
     """
     if base <= 1:
         return value > 1
-    a, b = expo.numerator, expo.denominator
-    lhs = b * math.log(value)
-    rhs = a * math.log(base)
+    if value == base:
+        return expo < 1
+    lhs = math.log(value)
+    rhs = float(expo) * math.log(base)
     if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs), 1.0):
         return lhs > rhs
+    a, b = expo.numerator, expo.denominator
     bits = max(b * value.bit_length(), a * base.bit_length())
     if bits > MAX_POWER_BITS:
-        raise CapacityError(f"an exact tie test at exponent {expo} needs "
-                            f"{bits}-bit powers, over {MAX_POWER_BITS}")
+        raise CapacityError(
+            f"an exact tie test at exponent {_num_text(expo)} needs "
+            f"{_num_text(bits)}-bit powers, over {MAX_POWER_BITS}")
     return value ** b > base ** a
 
 
@@ -427,27 +431,30 @@ def mertens_product(w: int) -> Fraction:
     """Exact product of (1 - 1/p) over primes p <= w.
 
     The product is prod(p - 1) / prod(p), and every factor is w-smooth.
-    Each p - 1 splits as m * r (``_rough_parts``, the split of
-    ``reciprocal_sum``: r is 1 or a prime above B = isqrt(max(p - 1)),
-    m is B-smooth); the exponent of each q <= w is its count among the
-    r plus, for q <= B, its exponent in prod(m), summed over the
-    multiples of q, q^2, ... in a bincount of the m; less one at each p.
-    The coprime numerator and denominator come out as balanced products
-    of prime powers, no gcd.  The p - 1 stay in the cached primes' int32,
-    and the cut at B searches them with B in it.  w is read by
-    ``arith._exact_ints``."""
+    Each p - 1 splits as m * r: one ``arith._gather`` at the sorted
+    cached primes, shifted by 1, reads rest(p - 1), and r is that rest
+    when it exceeds B = max(isqrt(max(p - 1)), 2), else 1.  So r is 1 or
+    the one prime of p - 1 above B, and m is B-smooth.  B is at least 2
+    because rest(2) = rest(1) = 1: at w = 3 and 4, where max(p - 1) = 2,
+    the 2 of p - 1 = 2 is counted in m.  The exponent of each q <= w is
+    its count among the r plus, for q <= B, its exponent in prod(m),
+    summed over the multiples of q, q^2, ... in a bincount of the m;
+    less one at each p.  The coprime numerator and denominator come out
+    as balanced products of prime powers, no gcd.  The p - 1 stay in the
+    cached primes' int32, and the cut at B searches them with B in it.
+    w is read by ``arith._exact_ints``."""
     (w,) = _exact_ints((w,), "w")
     if w < 2:
         raise DomainError("need w >= 2")
     ps = prime_array(w)
     vals = ps - 1
-    top = int(vals[-1])
-    rough = _rough_parts(vals, top)
+    b = max(isqrt(int(vals[-1])), 2)
+    (rough,) = _gather(ps, 1, "rest")
+    rough[rough <= b] = 1
     # index 1 counts the values without a prime above B; 1 ** k is 1
     expo = np.bincount(rough, minlength=w + 1)
     count = np.bincount(vals // rough)
-    for q in ps[:np.searchsorted(ps, ps.dtype.type(isqrt(top)),
-                                 "right")].tolist():
+    for q in ps[:np.searchsorted(ps, ps.dtype.type(b), "right")].tolist():
         qk = q
         while qk < len(count):
             expo[q] += count[qk::qk].sum()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import egyptsieve
+from egyptsieve import arith
 from egyptsieve import (
     DomainError,
     PartialSolution,
@@ -76,6 +77,26 @@ SIGNATURES = {
     "smooth_dp_decompose": ["x", "h", "L", "budget", "exclude"],
     "verify": ["d"],
 }
+
+
+# The functions and integer constants arith defines without a leading
+# underscore: a public door into arith is a one-line diff here, so one
+# that only tests reach is a reviewed addition.
+ARITH_PUBLIC = [
+    "MAX_ARRAY_LIMIT", "MAX_BASE_PRIME", "MAX_DECIMAL_BITS",
+    "MAX_KERNEL_LIMIT", "SEGMENT_SIZE", "TRIAL_PRIME_BOUND",
+    "balanced_product", "is_prime", "li_approx", "prime_array",
+    "prime_power_sieve", "prime_segments", "sieve_primes", "trial_factor",
+]
+
+
+def test_arith_public_names():
+    names = sorted(
+        name for name, value in vars(arith).items()
+        if not name.startswith("_")
+        and (type(value) is int
+             or getattr(value, "__module__", None) == arith.__name__))
+    assert names == ARITH_PUBLIC
 
 
 def test_public_names():

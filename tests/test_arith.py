@@ -21,10 +21,8 @@ from egyptsieve.arith import (
     is_prime,
     li_approx,
     prime_array,
-    prime_power_at,
     prime_power_sieve,
     prime_segments,
-    reciprocal_sum,
     sieve_primes,
     trial_factor,
 )
@@ -66,6 +64,18 @@ def _walk(limit, kind):
 def _upto(limit):
     """Every n in 1..limit, as int64."""
     return np.arange(1, limit + 1, dtype=np.int64)
+
+
+def _at(n, kind):
+    """The kind at each n of a sorted integer array, by one gather."""
+    return arith._gather(n, 0, kind)[0]
+
+
+def _gathered_sum(values):
+    """The exact sum of 1/v over the values through arith._exact_sum, with
+    the rest gathered at them sorted as int64."""
+    arr = np.sort(np.array(values, dtype=np.int64))
+    return arith._exact_sum(arr, _at(arr, "rest"))
 
 
 # up to the wheel's second period start, 2 * 2 * 15015 + 1, and past it
@@ -600,7 +610,7 @@ class TestPrimePowerSieve:
             for kind, ref in refs.items():
                 assert _walk(limit, kind).tolist() == \
                     ref[1:limit + 1:2].tolist()
-                assert prime_power_at(_upto(limit), kind).tolist() == \
+                assert _at(_upto(limit), kind).tolist() == \
                     ref[1:limit + 1].tolist()
 
     def test_segment_boundaries(self, monkeypatch):
@@ -630,7 +640,7 @@ class TestPrimePowerSieve:
                     # the gather at every n against the oracle, which
                     # reads these segments
                     if limit <= 3000:
-                        assert prime_power_at(_upto(limit), kind).tolist() \
+                        assert _at(_upto(limit), kind).tolist() \
                             == ref[1:limit + 1].tolist(), (limit, kind)
 
     def test_wheel_primes_above_the_root(self, monkeypatch):
@@ -699,14 +709,14 @@ class TestPrimePowerSieve:
         for kind, dtype in arith._KINDS.items():
             assert {g.dtype for g, in prime_power_sieve(1000, kind)} == \
                 {np.dtype(dtype)}
-            assert prime_power_at(_upto(1001), kind).dtype == dtype
+            assert _at(_upto(1001), kind).dtype == dtype
             assert arith._gather(np.arange(5), 0, kind)[0].dtype == dtype
 
     def test_wrappers_build_no_prime_table(self):
-        # no table is cached: a read through prime_power_at or the
-        # shifted gather adds only the base primes to sqrt(limit)
+        # no table is cached: a read through the gather, plain or
+        # shifted, adds only the base primes to sqrt(limit)
         limit = 54321
-        for read in (lambda kind: prime_power_at(np.array([limit]), kind),
+        for read in (lambda kind: _at(np.array([limit]), kind),
                      lambda kind: arith._gather(np.array([limit + 1]), 1,
                                                 kind)):
             for kind in arith._KINDS:
@@ -738,12 +748,13 @@ class TestPrimePowerSieve:
 
 
 class TestPrimePowerAt:
-    """The gather in the input's order: each n = 2^v u read off its odd
-    part u, against naive_factor."""
+    """The gather at sorted n: each n = 2^v u read off its odd part u,
+    against naive_factor."""
 
     def _check(self, n):
+        n = sorted(n)
         for kind, of in _ORACLES.items():
-            got = prime_power_at(np.array(n, dtype=np.int64), kind).tolist()
+            got = _at(np.array(n, dtype=np.int64), kind).tolist()
             assert got == [of(v) for v in n], kind
 
     def test_default_segment_edges(self, monkeypatch):
@@ -763,26 +774,12 @@ class TestPrimePowerAt:
                          if u << v <= 1 << 28])
         assert [limit for limit, _ in walks] == [1] * 3 + [99] * 3
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32,
-                                       np.uint64])
-    def test_unsorted_input_of_any_integer_dtype(self, dtype):
-        # the gather reads the n sorted and hands them back in the input's
-        # order, repeats included; n from 2^31 on pass int32 but fit
-        # uint32, and are read in int64
-        n = random.Random(7).choices(range(1, 5000), k=600)
-        n += [4099, 1, 4099, 1 << 12, 3 * 1031]
-        if np.iinfo(dtype).max >= 3 << 30:
-            n += [1 << 31, 3 << 30]
-        for kind, of in _ORACLES.items():
-            got = prime_power_at(np.array(n, dtype=dtype), kind).tolist()
-            assert got == [of(v) for v in n], kind
-
     def test_empty_builds_nothing(self, monkeypatch):
         monkeypatch.setattr(arith, "_cache", {})
         with kernel_walks() as walks:
             for kind, dtype in arith._KINDS.items():
                 for empty in (np.zeros(0, np.int64), np.zeros(0, np.uint32)):
-                    got = prime_power_at(empty, kind)
+                    got = _at(empty, kind)
                     assert got.dtype == dtype and len(got) == 0
                 (got,) = arith._gather(np.zeros(0, np.int32), 1, kind)
                 assert got.dtype == dtype and len(got) == 0
@@ -796,8 +793,7 @@ class TestPrimePowerAt:
         with kernel_walks() as walks:
             for kind in arith._KINDS:
                 with pytest.raises(CapacityError):
-                    prime_power_at(
-                        np.array([3, arith.MAX_KERNEL_LIMIT + 1]), kind)
+                    _at(np.array([3, arith.MAX_KERNEL_LIMIT + 1]), kind)
         assert walks == [] and arith._cache == {}
 
     def test_cold_read_memory(self, monkeypatch):
@@ -829,8 +825,8 @@ class TestPrimePowerAt:
         monkeypatch.setattr(arith, "_cache", {})
         for kind in arith._KINDS:
             with kernel_walks() as walks:
-                big = prime_power_at(_upto(5000), kind)
-                small = prime_power_at(_upto(1234), kind)
+                big = _at(_upto(5000), kind)
+                small = _at(_upto(1234), kind)
             assert walks == [(4999, (kind,)), (1233, (kind,))]
             assert np.array_equal(small, big[:1234])
         assert {k for k, _ in arith._cache} == {"primes"}
@@ -966,8 +962,8 @@ class TestExactRationals:
 
     def test_reciprocal_sum_matches_naive(self):
         vals = [12, 10, 10, 7, 360360]
-        assert reciprocal_sum(vals) == sum(Fraction(1, v) for v in vals)
-        assert reciprocal_sum([]) == 0
+        assert _gathered_sum(vals) == sum(Fraction(1, v) for v in vals)
+        assert _gathered_sum([]) == 0
 
     def test_balanced_product(self):
         assert balanced_product([]) == 1
@@ -995,11 +991,12 @@ def _sequential_sum(values):
 
 
 class TestReciprocalSum:
-    """reciprocal_sum against the sequential Fraction sum: the same
-    numerator and denominator, and the pair in lowest terms."""
+    """arith._exact_sum, with the rest gathered at the sorted values,
+    against the sequential Fraction sum: the same numerator and
+    denominator, and the pair in lowest terms."""
 
     def _check(self, values):
-        got = reciprocal_sum(values)
+        got = _gathered_sum(values)
         want = _sequential_sum(values)
         assert (got.numerator, got.denominator) == (want.numerator,
                                                     want.denominator)
@@ -1033,52 +1030,17 @@ class TestReciprocalSum:
     def test_explicit_cases(self, values):
         self._check(values)
 
-    def test_any_iterable(self):
-        assert reciprocal_sum(v for v in (2, 3)) == Fraction(5, 6)
-        assert reciprocal_sum(np.array([2, 3, 6])) == 1
-        assert reciprocal_sum(iter([])) == 0
-
-    @pytest.mark.parametrize("values", [[0, 3], [-2, 3], [3, -1, 5]])
-    def test_values_below_one_raise(self, values):
-        with pytest.raises(DomainError):
-            reciprocal_sum(values)
-
-    @pytest.mark.parametrize("values", [
-        [2.5],
-        [Fraction(5, 2), 3],
-        [True, 2],
-        [np.float64(4), 2],
-        np.array([2.0, 3.0]),
-        np.array([True, True]),
-        np.array([Fraction(1, 2), 3], dtype=object),
-    ])
-    def test_non_integers_raise(self, values):
-        # an entry truncated to an integer would give a wrong sum
-        with pytest.raises(DomainError, match="not an integer"):
-            reciprocal_sum(values)
-
-    def test_numpy_integers_and_big_ints_pass(self):
-        assert reciprocal_sum([np.int64(2), 3, np.uint8(6)]) == 1
-        assert reciprocal_sum(np.array([2, 6], dtype=object)) == \
-            Fraction(2, 3)
-        assert reciprocal_sum(np.array([3, 6], dtype=np.uint16)) == \
-            Fraction(1, 2)
-
-    @pytest.mark.parametrize("top", [(arith.MAX_BASE_PRIME + 1) ** 2,
-                                     10 ** 40])
-    def test_split_past_base_budget_raises(self, top):
-        with pytest.raises(CapacityError):
-            reciprocal_sum([2, top])
-
 
 class TestFold:
-    """The leaves of reciprocal_sum sum in runs of arith._FOLD into one
+    """The leaves of arith._exact_sum sum in runs of arith._FOLD into one
     node each, and only the nodes enter the merge tree."""
 
     @staticmethod
     def _leaves(values):
-        arr = np.array(values, dtype=np.int64)
-        rough = arith._rough_parts(arr, int(arr.max()))
+        # r = the gathered rest above isqrt(max), else 1, as _leaves reads it
+        arr = np.sort(np.array(values, dtype=np.int64))
+        rest = _at(arr, "rest")
+        rough = np.where(rest > math.isqrt(int(arr[-1])), rest, 1)
         return int((rough == 1).sum()) + len(set(rough[rough > 1].tolist()))
 
     @pytest.fixture
@@ -1126,24 +1088,29 @@ class TestFold:
         values = list(range(1, 6001)) + list(range(2000, 4000))
         leaves = self._leaves(values)
         assert leaves > 100
-        assert reciprocal_sum(values) == _sequential_sum(values)
+        assert _gathered_sum(values) == _sequential_sum(values)
         assert len(merges) <= -(-leaves // 32) - 1
 
     def test_peak_memory_bounded_by_arrays_and_result(self, monkeypatch):
-        # the leaves are folded one _chunks slice at a time, so the peak
-        # is the sorted int64 arrays (4 times the input's bytes allowed)
-        # and the merge tree's FFT products (16 times the result's bytes
-        # allowed), beside one slice's lists of 256 leaves; 3.4 times
-        # the input's bytes measured in all.  Leaf lists as long as the
-        # values (about 80 bytes a value) peaked at 12.8 times.  A warm
-        # call first builds the primes the split reads
+        # the gather of the rest and the sum: the leaves are folded one
+        # _chunks slice at a time, so the peak is the sorted int64 arrays
+        # (4 times the input's bytes allowed) and the merge tree's FFT
+        # products (16 times the result's bytes allowed), beside one
+        # slice's lists of 256 leaves; 3.9 times the input's bytes
+        # measured in all.  Leaf lists as long as the values
+        # (about 80 bytes a value) peaked at 12.8 times.  A warm call
+        # first builds the primes the gather reads
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 12)
         monkeypatch.setattr(arith, "_cache", {})
         vals = prime_array(2 * 10 ** 6)[1:].astype(np.int64) - 1
-        want = reciprocal_sum(vals)
+
+        def total():
+            return arith._exact_sum(vals, _at(vals, "rest"))
+
+        want = total()
         tracemalloc.start()
         try:
-            got = reciprocal_sum(vals)
+            got = total()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1332,7 +1299,7 @@ class TestFFTWholePath:
 
     def test_reciprocal_sum_to_1e6(self, monkeypatch, primes6):
         fft, star = self._both(monkeypatch,
-                               lambda: reciprocal_sum(primes6 - 1))
+                               lambda: _gathered_sum(primes6 - 1))
         assert (fft.numerator, fft.denominator) == \
             (star.numerator, star.denominator)
 
@@ -1349,7 +1316,7 @@ class TestFFTWholePath:
 
     def test_verify_a_certificate_of_3000_primes(self, monkeypatch):
         primes = tuple(prime_array(30000)[1:3001].tolist())
-        total = reciprocal_sum([p - 1 for p in primes])
+        total = _gathered_sum([p - 1 for p in primes])
         for target, valid in ((total, True), (total + Fraction(1, 7), False)):
             d = Decomposition(1, target, primes)
             fft, star = self._both(monkeypatch, lambda: verify(d))
@@ -1358,7 +1325,7 @@ class TestFFTWholePath:
 
 
 def _assert_exact(values):
-    got = reciprocal_sum(values)
+    got = _gathered_sum(values)
     want = _sequential_sum(values)
     assert (got.numerator, got.denominator) == (want.numerator,
                                                 want.denominator)
@@ -1366,9 +1333,9 @@ def _assert_exact(values):
 
 
 class TestRoughSplit:
-    """The split v = m * r behind reciprocal_sum, through both of its
-    paths: the kernel's rest gathered at the values, and trial division
-    per value."""
+    """The split v = m * r behind arith._exact_sum: r is the kernel's rest
+    gathered at the sorted values when it exceeds B = isqrt(max v), else
+    1."""
 
     # 2^11 and 3^7 are each value's largest prime power and lie above
     # isqrt(6144) = 78, but they are not primes above it
@@ -1377,43 +1344,26 @@ class TestRoughSplit:
     @given(st.lists(st.integers(1, 5000), min_size=1, max_size=200),
            st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
-    def test_multisets_cold_warm_and_by_trial(self, values, copies):
-        # through the gather from an empty cache, again on the primes it
-        # left, and by trial division
+    def test_multisets_cold_and_warm(self, values, copies):
+        # through the gather from an empty cache, and again on the primes
+        # it left
         values = values * copies
         arith._cache.clear()
         _assert_exact(values)
         _assert_exact(values)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(arith, "MAX_KERNEL_LIMIT", 0)
-            _assert_exact(values)
 
     def test_dense_input_walks_the_kernel_once(self):
         with kernel_walks() as walks:
             _assert_exact(list(range(1, 3001)))
         assert walks == [(2999, ("rest",))]
 
-    def test_dense_input_past_the_kernel_range_by_trial(self):
-        # 660,000 ones and the prime 2^32 + 15: len * pi(B) passes max v,
-        # dense enough for the gather, but max v passes the kernel's
-        # uint32 range, so every value goes to trial division (those of
-        # B or less at no cost), with no CapacityError
-        big = 2 ** 32 + 15
-        assert is_prime(big)
-        vals = np.ones(660_001, dtype=np.int64)
-        vals[-1] = big
-        assert (len(vals) - 1) * len(prime_array(math.isqrt(big))) > big
-        with kernel_walks() as walks:
-            rough = arith._rough_parts(vals, big)
-        assert walks == [] and rough[-1] == big and rough[:-1].max() == 1
-        assert reciprocal_sum(vals) == 660_000 + Fraction(1, big)
-
     def test_dense_input_imports_no_numpy_ma(self):
         # np.isin's sort path on input this dense imports numpy.ma; the
         # split reads its r off the gathered rest with no such search
         code = ("import sys; import numpy as np; "
-                "from egyptsieve.arith import prime_array, reciprocal_sum; "
-                "reciprocal_sum(prime_array(10 ** 5)[1:] - 1); "
+                "from egyptsieve.arith import _exact_sum, _gather, "
+                "prime_array; v = prime_array(10 ** 5)[1:] - 1; "
+                "_exact_sum(v, *_gather(v, 0, 'rest')); "
                 "print('numpy.ma' in sys.modules)")
         src = os.path.dirname(os.path.dirname(arith.__file__))
         out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -1421,35 +1371,23 @@ class TestRoughSplit:
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == ["False"]
 
-    @pytest.mark.parametrize("values", [
-        [2 ** k for k in range(31)],
-        [100000000000031],
-        [10 ** 12 + 39, 6],
-    ])
-    def test_sparse_input_builds_no_table(self, values):
-        with kernel_walks() as walks:
-            _assert_exact(values)
-        assert walks == []
-
     @pytest.mark.parametrize("copies", [1, 80])
     def test_prime_power_trap(self, copies):
         values = self.TRAP * copies
         with kernel_walks() as walks:
             _assert_exact(values)
-        # 80 copies are dense enough for the gather, one copy is not
-        assert walks == ([(4099, ("rest",))] if copies == 80 else [])
-        arr = np.array(values, dtype=np.int64)
-        rough = arith._rough_parts(arr, 6144)
-        assert rough[:4].tolist() == [1, 1, 1031, 4099]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(arith, "MAX_KERNEL_LIMIT", 0)
-            assert np.array_equal(arith._rough_parts(arr, 6144), rough)
+        # one walk to the largest odd part, however few the values
+        assert walks == [(4099, ("rest",))]
+        # sorted: 2 * 1031, 4099, 2 * 3^7, 3 * 2^11; rest(3) = 3 and 1031
+        # lie below and above B = 78
+        assert _at(np.sort(np.array(self.TRAP)), "rest").tolist() == \
+            [1031, 4099, 1, 3]
 
     @pytest.mark.parametrize("size", [64, 65])
     def test_odd_parts_at_segment_edges(self, size, monkeypatch):
         # p q, q^k r and 2^v times them, whose odd parts lie on both
         # sides of the kernel's odd-segment edges 2 size k + 1, through
-        # the gather and by trial division, against naive_factor
+        # the gather, against naive_factor
         monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
         monkeypatch.setattr(arith, "_cache", {})
         odd = {"pq": [], "qkr": []}
@@ -1461,22 +1399,21 @@ class TestRoughSplit:
         for us in odd.values():
             # u from the start of a segment and from the end of one
             assert {(u - 1) % (2 * size) < size for u in us} == {True, False}
-        values = [u << v for us in odd.values() for u in us
-                  for v in range(4)]
-        top = max(values)
-        b = math.isqrt(top)
+        values = sorted(u << v for us in odd.values() for u in us
+                        for v in range(4))
+        b = math.isqrt(values[-1])
         want = [max((p for p, _ in naive_factor(n) if p > b), default=1)
                 for n in values]
-        vals = np.array(values * 4, dtype=np.int64)
         with kernel_walks() as walks:
-            got = arith._rough_parts(vals, top)
-        assert got[:len(values)].tolist() == want
+            rest = _at(np.array(values, dtype=np.int64), "rest")
+        assert np.where(rest > b, rest, 1).tolist() == want
         odd = max(u for us in odd.values() for u in us)
         assert walks == [(odd, ("rest",))]
-        monkeypatch.setattr(arith, "MAX_KERNEL_LIMIT", 0)
-        assert arith._rough_parts(vals, top)[:len(values)].tolist() == want
+        _assert_exact(values)
 
-    @pytest.mark.parametrize("w", [2, 3, 10, 1000, 30011])
+    # at w = 3 and 4 the largest p - 1 is 2, whose rest is 1: a split at
+    # B = isqrt(2) = 1 would lose the 2 of p - 1 = 2
+    @pytest.mark.parametrize("w", [2, 3, 4, 10, 1000, 30011])
     def test_mertens_product_against_fraction_product(self, w):
         want = Fraction(1)
         for p in prime_array(w).tolist():

@@ -401,6 +401,21 @@ class TestExitCodes:
             assert json.loads(out.out)["report"]["params"]["delta"] == \
                 hex(big)
 
+    def test_epsilon_with_a_denominator_past_the_float_range(self, capsys):
+        # at a prime power n the near-tie test once took b log n with
+        # b = 10^5000 and exited 3; n > n^(1 - eps) is decided exactly
+        rc = main(["analyze", "--lemma", "1", "--N", "1000",
+                   "--epsilon", "1e-5000"])
+        out = capsys.readouterr()
+        assert rc in (0, 2) and "internal error" not in out.err
+        if rc == 0:
+            report = json.loads(out.out)["report"]
+            assert report["params"]["epsilon"] == f"1/{hex(10 ** 5000)}"
+            # n = p - 1 <= 999 is counted just when it is a prime power
+            ns = [p - 1 for p in prime_array(1000).tolist() if p > 2]
+            assert report["count"] == sum(len(arith.trial_factor(n)) == 1
+                                          for n in ns)
+
     @pytest.mark.parametrize("lemma", [
         ["--lemma", "1", "--epsilon", "0.3"],
         ["--lemma", "2", "--delta", "0.3"],

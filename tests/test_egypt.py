@@ -201,6 +201,17 @@ class TestGreedy:
             greedy_decompose(ONE, 1, SearchBudget(max_prime=12),
                              exclude=frozenset({2}))
 
+    def test_numbers_past_the_decimal_limit_in_messages(self):
+        # the remainder, and smooth_dp_decompose's modulus, are written in
+        # hex past MAX_DECIMAL_BITS bits; str() of them once raised the
+        # int-to-str ValueError in place of the search's own error
+        big = 10 ** 5000
+        with pytest.raises(SearchExhausted, match=hex(big)):
+            greedy_decompose(Fraction(1, 3) + Fraction(1, big), 1,
+                             SearchBudget(1000, 3))
+        with pytest.raises(DomainError, match=hex(big + 1)):
+            smooth_dp_decompose(Fraction(1, 3), 1, big + 1)
+
     def test_prime_budget(self):
         tiny = SearchBudget(max_prime=4)
         with pytest.raises(SearchExhausted):

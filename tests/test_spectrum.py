@@ -31,7 +31,12 @@ from egyptsieve.spectrum import (
 )
 from egyptsieve.spectrum import _exceeds_power
 
-from conftest import fraction_tree_sum, kernel_walks, naive_factor
+from conftest import (
+    fraction_tree_sum,
+    kernel_walks,
+    naive_factor,
+    naive_is_prime,
+)
 
 
 def _max_prime_power(n):
@@ -629,3 +634,110 @@ class TestReportReciprocalSums:
         with kernel_walks() as walks:
             self.LEMMAS[lemma](10 ** 5, ShiftParams(1))
         assert [k for _, k in walks] == [kinds]
+
+
+def _smallest_prime_factors(limit):
+    """spf[n] for 0 <= n <= limit (spf[0] = 0, spf[1] = 1), by a plain
+    numpy sieve kept apart from arith's kernels."""
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            block = spf[p * p::p]
+            np.minimum(block, p, out=block)
+    return spf
+
+
+def _prime_power_stats(n, spf, y, z):
+    """omega(n), the largest prime power exactly dividing n, and whether
+    a prime factor of n lies in [y, z], for an int64 array of n >= 1,
+    by dividing out spf one prime at a time."""
+    m = n.copy()
+    omega = np.zeros(len(n), dtype=np.int64)
+    maxpp = np.ones(len(n), dtype=np.int64)
+    window = np.zeros(len(n), dtype=bool)
+    while (live := np.flatnonzero(m > 1)).size:
+        p = spf[m[live]]
+        pk = np.ones_like(p)
+        while (div := np.flatnonzero(m[live] % p == 0)).size:
+            m[live[div]] //= p[div]
+            pk[div] *= p[div]
+        omega[live] += 1
+        maxpp[live] = np.maximum(maxpp[live], pk)
+        window[live] |= (y <= p) & (p <= z)
+    return omega, maxpp, window
+
+
+def _inverse_sum(n, q):
+    """sum of n^(q - 2) mod q over the int64 array n, a prime q < 2^31:
+    the sum of 1/n in the field of q when q divides no n, by
+    square-and-multiply in int64 (every product stays below 2^62)."""
+    base = n % q
+    acc = np.ones_like(base)
+    e = q - 2
+    while e:
+        if e & 1:
+            acc = acc * base % q
+        base = base * base % q
+        e >>= 1
+    return int(acc.sum()) % q
+
+
+class TestResidueOracle:
+    """Each lemma report's exact sum a/b at N = 1e6, checked modulo
+    primes q in (N + 1, 2^31): every counted n is a unit mod q, so a/b is
+    right only if a = S_q b (mod q), S_q = sum 1/n mod q.  An error that
+    has nothing to do with q passes with chance about 1/q per prime
+    (fingerprinting: Karp and Rabin, IBM J. Res. Dev. 31, 1987).  The
+    counted n come from the test's own smallest-prime-factor sieve."""
+
+    N = 10 ** 6
+    QS = (1_000_003, 1_500_007, 2_147_483_647)
+    EPS, DELTA, Y, Z = Fraction(3, 10), Fraction(1, 2), 5, 100
+
+    @pytest.fixture(scope="class")
+    def spf(self):
+        return _smallest_prime_factors(self.N + 1)
+
+    def _counted(self, lemma, n, spf):
+        omega, maxpp, window = _prime_power_stats(n, spf, self.Y, self.Z)
+        if lemma == 1:
+            a, b = self.EPS.numerator, self.EPS.denominator
+            # maxpp > n^(1 - a/b), in integers
+            return np.array([v >= 2 and m ** b > v ** (b - a) for v, m in
+                             zip(n.tolist(), maxpp.tolist())], dtype=bool)
+        if lemma == 2:
+            keep = n >= spectrum.MIN_OMEGA_N
+            ll = np.log(np.log(np.maximum(n, 2).astype(np.float64)))
+            return keep & (np.abs(omega - ll) >= float(self.DELTA) * ll)
+        return ~window
+
+    def _report(self, lemma, h):
+        shift = ShiftParams(h)
+        if lemma == 1:
+            return friability_density(self.N, shift, self.EPS)
+        if lemma == 2:
+            return omega_deviation_density(self.N, shift, self.DELTA)
+        return divisor_window_density(self.N, shift, self.Y, self.Z)
+
+    def test_moduli_are_primes_past_every_n(self):
+        assert all(naive_is_prime(q) and self.N + 1 < q < 2 ** 31
+                   for q in self.QS)
+
+    @pytest.mark.parametrize("lemma", [1, 2, 3])
+    @pytest.mark.parametrize("h", [1, -1])
+    def test_sum_agrees_modulo_three_primes(self, spf, lemma, h):
+        ps = np.flatnonzero(spf[2:self.N + 1] == np.arange(2, self.N + 1)) + 2
+        n = ps - h
+        n = n[n >= 1]
+        counted = n[self._counted(lemma, n, spf)]
+        report = self._report(lemma, h)
+        assert report.count == len(counted)
+        num = report.reciprocal_sum.numerator
+        den = report.reciprocal_sum.denominator
+        last = counted[-1:]
+        for q in self.QS:
+            s = _inverse_sum(counted, q)
+            assert num % q == s * (den % q) % q, q
+            # one dropped term fails the check at every q
+            dropped = (s - _inverse_sum(last, q)) % q
+            assert num % q != dropped * (den % q) % q, q

@@ -1,10 +1,12 @@
-"""Exact arithmetic substrate: primality, two sieve kernels on the same
-odd segments, each segment started from patterns of one 3 5 7 11 13
+"""Exact arithmetic substrate: primality, one sieve kernel over odd
+segments (``prime_power_sieve``: the prime flags and the prime-power
+statistics), each segment started from patterns of one 3 5 7 11 13
 wheel (``_wheel``) so that only larger primes and prime powers strike,
-one array cache (every prime list is a slice of the int32
-``prime_array``), prime-power statistics gathered at any n in one walk
-of the second kernel with no table (``_gather``), factorization into
-(prime, exponent) pairs, li, exact reciprocal sums.
+the primes read off its "prime" kind (``prime_segments``), one array
+cache (every prime list is a slice of the int32 ``prime_array``),
+prime-power statistics gathered at any n in one walk of the kernel with
+no table (``_gather``), factorization into (prime, exponent) pairs, li,
+exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -70,14 +72,12 @@ _MR_WITNESSES = tuple((psi, _SMALL_PRIMES[:k]) for psi, k in (
     (_PSI_13, 13),
 ))
 
-SEGMENT_SIZE = 1 << 20       # numbers per segment of the sieve kernels
-# prime_segments refuses limits whose base sieve would not fit in memory
-MAX_BASE_PRIME = 1 << 27
+SEGMENT_SIZE = 1 << 20       # numbers per segment of the sieve kernel
 # prime_array and the n = p - h of spectrum._shifted_primes reach only
 # to here, so int32 holds them
 MAX_ARRAY_LIMIT = 5 * 10 ** 8
-# prime_power_sieve's uint32 copy of the n, and so every gathered n,
-# reaches only to here
+# prime_power_sieve's uint32 copy of the n, and so every sieved prime
+# and every gathered n, reaches only to here
 MAX_KERNEL_LIMIT = (1 << 32) - 1
 # trial_factor divides by the primes of prime_array up to here
 TRIAL_PRIME_BOUND = 10 ** 6
@@ -235,53 +235,23 @@ def _wheel(seg: np.ndarray, lo: int, pattern: np.ndarray, op) -> None:
     op(seg[end:], pattern[:len(seg) - end])
 
 
-def _odd_segments(limit: int, qs: np.ndarray, least: np.ndarray):
-    """Both kernels' segments [lo, hi) of SEGMENT_SIZE odd n = lo + 2i
-    from lo = 1, as (lo, hi, first): the entry i of the first odd multiple
-    >= max(lo, least) of each odd q whose least (sorted) is below hi."""
-    for lo in range(1, limit + 1, 2 * SEGMENT_SIZE):
-        hi = min(lo + 2 * SEGMENT_SIZE, limit + 1)
-        k = int(np.searchsorted(least, hi))
-        q = qs[:k]
-        start = np.maximum(least[:k], -(-lo // q) * q)
-        start += q * (start % 2 == 0)
-        yield lo, hi, (start - lo) // 2
-
-
 def prime_segments(limit: int):
     """Yield the primes in [2, limit] as one increasing int64 array per
-    segment of ``_odd_segments``.  A segment is a bool array that starts
-    from the ``_wheel`` pattern of n coprime to 3 5 7 11 13, with the
-    wheel primes themselves set, and is cleared by one strided slice per
-    base prime p >= 17 with p^2 < hi, from p^2 on; the first's entry for
-    1 stands for 2.  The base primes are those of
-    ``prime_array(isqrt(limit))``, cast to int64: they reach
-    MAX_BASE_PRIME, so p^2 and the segment ends pass int32.  Limits
-    whose base sieve exceeds the budget raise CapacityError, and a limit
-    that ``_exact_ints`` refuses DomainError."""
+    segment of ``prime_power_sieve(limit, "prime")``: entry i of a
+    segment from lo stands for n = lo + 2i, and the first's entry for 1
+    for 2.  A limit that ``_exact_ints`` refuses or below 2 raises
+    DomainError, and one past MAX_KERNEL_LIMIT CapacityError."""
     (limit,) = _exact_ints((limit,), "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    base_limit = isqrt(limit)
-    if base_limit > MAX_BASE_PRIME:
-        raise CapacityError(
-            f"limit {limit} needs base primes to {base_limit}, over the "
-            f"{MAX_BASE_PRIME} budget")
-    base = prime_array(base_limit)
-    base = base[base > _WHEEL_PRIMES[-1]].astype(np.int64)
-    for lo, hi, first in _odd_segments(limit, base, base * base):
-        seg = np.empty((hi - lo + 1) // 2, dtype=bool)
-        _wheel(seg, lo, _COPRIME, np.copyto)
-        for p in _WHEEL_PRIMES:
-            if lo <= p < hi:
-                seg[(p - lo) // 2] = True
-        for p, i in zip(base.tolist(), first.tolist()):
-            seg[i::p] = False
+    lo = 1
+    for seg, in prime_power_sieve(limit, "prime"):
         primes = np.flatnonzero(seg)
         primes *= 2
         primes += lo
         if lo == 1:
             primes[0] = 2
+        lo += 2 * len(seg)
         yield primes
 
 
@@ -292,64 +262,90 @@ def sieve_primes(limit: int):
         yield from primes.tolist()
 
 
-# the kinds of prime_power_sieve, with their dtypes
+# the kinds of prime_power_sieve that _gather reads, with their dtypes
 _KINDS = {"omega": np.int8, "maxpp": np.uint32, "rest": np.uint32}
 
 
 def prime_power_sieve(limit: int, *kinds: str):
-    """Yield, for the odd n <= limit (``_exact_ints``), one tuple per
-    segment of ``_odd_segments`` holding an array of each kind asked
-    for, in that order: omega(n) (kind "omega", int8), the largest prime
-    power exactly dividing n ("maxpp", uint32) and the prime factor of n
-    above sqrt(n), or 1 ("rest", uint32); n = 1 gets 0, 1 and 1.  Its
-    readers read each even n off its odd part.  A segment starts from
-    the ``_wheel`` patterns of the wheel primes 3 5 7 11 13 dividing n:
-    omega their count, maxpp the largest, and rest, a uint32 copy of the
-    n, times the inverse mod 2^32 of their product W, which is n / W
-    since W | n.  Below 13^2 a wheel prime p | n may exceed sqrt(n):
-    rest takes it back, and omega counts it there instead.  Then each
-    power q = p^k of an odd base prime with p^2 < hi, but p >= 17 or
-    k >= 2, strikes its odd multiples from max(q, p^2) on and divides p
-    out of them in rest, by a uint32 multiply with p^-1 mod 2^32.  That
-    is exact division (Granlund and Montgomery, PLDI 1994, sec. 9): the
+    """Yield, for the odd n <= limit (``_exact_ints``, at most
+    MAX_KERNEL_LIMIT), one tuple per segment of SEGMENT_SIZE odd n =
+    lo + 2i from lo = 1 holding an array of each kind asked for, in that
+    order: omega(n) (kind "omega", int8), the largest prime power
+    exactly dividing n ("maxpp", uint32), the prime factor of n above
+    sqrt(n), or 1 ("rest", uint32), and whether n is prime ("prime",
+    bool); n = 1 gets 0, 1, 1 and True, its "prime" standing for 2.
+    ``_gather`` reads the first three at each even n off its odd part.
+    A segment starts from the ``_wheel`` patterns of the wheel primes
+    3 5 7 11 13 dividing n: prime the n coprime to them, with the wheel
+    primes set back, omega their count, maxpp the largest, and rest, a
+    uint32 copy of the n, times the inverse mod 2^32 of their product
+    W, which is n / W since W | n.  Below 13^2 a wheel prime p | n may
+    exceed sqrt(n): rest takes it back, and omega counts it there
+    instead.  Then each power q = p^k of an odd base prime with
+    p^2 < hi, but p >= 17 or k >= 2, strikes its odd multiples from
+    max(q, p^2) on: it clears prime at q = p and divides p out of them
+    in rest, by a uint32 multiply with p^-1 mod 2^32.  That is exact
+    division (Granlund and Montgomery, PLDI 1994, sec. 9): the
     p-strikes at n, the wheel's included, number at most v_p(n), so p
     still divides every struck entry.  What is left of n is 1 or one
     prime (n's least prime strikes it, and two primes above sqrt(n)
     would exceed n): one more for omega, and a prime-power candidate.
-    rest, unless asked for, is freed before the segment is handed out.
-    2 and its powers are never strided."""
+    rest, unless asked for, is freed before the segment is handed out;
+    "prime" alone builds no rest and strikes only q = p.  2 and its
+    powers are never strided."""
     (limit,) = _exact_ints((limit,), "limit")
-    if not kinds or not set(kinds) <= _KINDS.keys():
+    if not kinds or not set(kinds) <= {*_KINDS, "prime"}:
         raise DomainError(f"unknown kinds {kinds!r}")
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if limit > MAX_KERNEL_LIMIT:
         raise CapacityError(f"limit {limit} exceeds the uint32 range")
+    # a statistic asked for: rest is built, and every p^k strikes
+    stats = set(kinds) != {"prime"}
     base = prime_array(isqrt(limit))[1:].tolist()
     powers = sorted((max(p ** k, p * p), p ** k, p) for p in base
-                    for k in range(1, int(log(limit, p)) + 2)
+                    for k in range(1, int(log(limit, p)) + 2 if stats else 2)
                     if p ** k <= limit
                     and (k > 1 or p > _WHEEL_PRIMES[-1]))
     least, qs = np.array(powers, dtype=np.int64).reshape(-1, 3).T[:2]
     # p^-1 mod 2^32 of each strike, a uint32 like rest
-    inverses = [np.uint32(pow(p, -1, 1 << 32)) for _, _, p in powers]
-    for lo, hi, first in _odd_segments(limit, qs, least):
+    inverses = [np.uint32(pow(p, -1, 1 << 32)) if stats else None
+                for _, _, p in powers]
+    for lo in range(1, limit + 1, 2 * SEGMENT_SIZE):
+        hi = min(lo + 2 * SEGMENT_SIZE, limit + 1)
         size = (hi - lo + 1) // 2
-        omega = maxpp = None
+        # the entry of each struck q's first odd multiple >= its least
+        k = int(np.searchsorted(least, hi))
+        q = qs[:k]
+        first = np.maximum(least[:k], -(-lo // q) * q)
+        first += q * (first % 2 == 0)
+        first = ((first - lo) // 2).tolist()
+        prime = omega = maxpp = rest = None
+        if "prime" in kinds:
+            prime = np.empty(size, bool)
+            _wheel(prime, lo, _COPRIME, np.copyto)
+            for p in _WHEEL_PRIMES:
+                if lo <= p < hi:
+                    prime[(p - lo) // 2] = True
         if "omega" in kinds:
             omega = np.empty(size, np.int8)
             _wheel(omega, lo, _WHEEL_OMEGA, np.copyto)
         if "maxpp" in kinds:
             maxpp = np.empty(size, np.uint32)
             _wheel(maxpp, lo, _WHEEL_MAXPP, np.copyto)
-        rest = np.arange(lo, hi, 2, dtype=np.uint32)
-        _wheel(rest, lo, _WHEEL_INVERSE, operator.imul)
-        # empty from n = 13^2 on
-        big = _WHEEL_HEAD[(lo - 1) // 2:][:size]
-        rest[:len(big)] *= big
-        if omega is not None:
-            omega[:len(big)] -= big > 1
-        for (_, q, p), inv, i in zip(powers, inverses, first.tolist()):
+        if stats:
+            rest = np.arange(lo, hi, 2, dtype=np.uint32)
+            _wheel(rest, lo, _WHEEL_INVERSE, operator.imul)
+            # empty from n = 13^2 on
+            big = _WHEEL_HEAD[(lo - 1) // 2:][:size]
+            rest[:len(big)] *= big
+            if omega is not None:
+                omega[:len(big)] -= big > 1
+        for (_, q, p), inv, i in zip(powers, inverses, first):
+            if prime is not None and q == p:
+                prime[i::q] = False
+            if rest is None:
+                continue
             rest[i::q] *= inv
             if maxpp is not None:
                 np.maximum(maxpp[i::q], q, out=maxpp[i::q])
@@ -359,9 +355,9 @@ def prime_power_sieve(limit: int, *kinds: str):
             omega += rest > 1
         if maxpp is not None:
             np.maximum(maxpp, rest, out=maxpp)
-        out = tuple({"omega": omega, "maxpp": maxpp, "rest": rest}[k]
-                    for k in kinds)
-        del omega, maxpp, rest
+        out = tuple({"prime": prime, "omega": omega, "maxpp": maxpp,
+                     "rest": rest}[k] for k in kinds)
+        del prime, omega, maxpp, rest
         yield out
         del out          # freed, once the reader lets go, before the next
 
@@ -505,7 +501,7 @@ def _cached(kind: str, limit: int, build) -> np.ndarray:
     <= limit.  A build for a larger limit replaces it: the held array is
     dropped before the build starts, so the two are never alive together
     through the cache.  A build may itself ask for a smaller array of its
-    kind (the kernels' base primes); whatever that left is dropped when
+    kind (the kernel's base primes); whatever that left is dropped when
     the build returns.  Stored arrays are read-only, and so are the
     slices handed out; a slice's search takes limit in the array's
     dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT raises

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -754,7 +754,9 @@ def decompose(x, h: int, budget: SearchBudget = DEFAULT_BUDGET,
     x, h = _gate(x, h)
     used = set(exclude)
     attempts: list[_Attempt] = []
-    for t in chain(repeat(Fraction(1), int(x)), [x % 1] if x % 1 else ()):
+    # range, unlike repeat, takes a count past the C ssize_t
+    for t in chain((Fraction(1) for _ in range(int(x))),
+                   [x % 1] if x % 1 else ()):
         attempts += _solve_single(t, h, used, budget)
         last = attempts[-1]
         if last.primes is None:

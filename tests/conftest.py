@@ -27,13 +27,20 @@ def shift_plus1():
 
 @contextlib.contextmanager
 def kernel_walks():
-    """The (limit, kinds) of each arith.prime_power_sieve walk started
-    inside the block, in order."""
+    """The (limit, kinds) of each arith.prime_power_sieve walk of the
+    statistic kinds (``arith._KINDS``, the walks ``_gather`` starts)
+    inside the block, in order; the walks of prime builds, kind "prime",
+    are not recorded."""
     walks = []
     kernel = arith.prime_power_sieve
+
+    def spy(limit, *kinds):
+        if "prime" not in kinds:
+            walks.append((limit, kinds))
+        return kernel(limit, *kinds)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "prime_power_sieve", lambda limit, *kinds:
-                   walks.append((limit, kinds)) or kernel(limit, *kinds))
+        mp.setattr(arith, "prime_power_sieve", spy)
         yield walks
 
 

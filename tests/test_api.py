@@ -81,9 +81,11 @@ SIGNATURES = {
 
 # The functions and integer constants arith defines without a leading
 # underscore: a public door into arith is a one-line diff here, so one
-# that only tests reach is a reviewed addition.
+# that only tests reach is a reviewed addition.  The primes come from
+# the one kernel, so prime_segments and sieve_primes refuse limits past
+# its MAX_KERNEL_LIMIT = 2^32 - 1 and no base-prime budget is kept.
 ARITH_PUBLIC = [
-    "MAX_ARRAY_LIMIT", "MAX_BASE_PRIME", "MAX_DECIMAL_BITS",
+    "MAX_ARRAY_LIMIT", "MAX_DECIMAL_BITS",
     "MAX_KERNEL_LIMIT", "SEGMENT_SIZE", "TRIAL_PRIME_BOUND",
     "balanced_product", "is_prime", "li_approx", "prime_array",
     "prime_power_sieve", "prime_segments", "sieve_primes", "trial_factor",

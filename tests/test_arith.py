@@ -187,8 +187,10 @@ class TestPrimeSegments:
                 assert prime_array(limit).tolist() == want, (limit, size)
 
     def test_domain(self):
-        with pytest.raises(CapacityError):
-            list(prime_segments((1 << 28) ** 2))
+        # past the kernel's uint32 range, 2^32 - 1
+        for limit in ((1 << 28) ** 2, 1 << 32):
+            with pytest.raises(CapacityError):
+                list(prime_segments(limit))
 
 
 class TestPrimeCache:
@@ -629,10 +631,16 @@ class TestPrimePowerSieve:
                 limits |= {p * p - 1, p * p, p * p + 1}
             for limit in sorted(x for x in limits | {3000}
                                 if x <= max(_WHEEL_LIMITS)):
-                # one walk yields every kind asked for, in that order
-                segs = list(prime_power_sieve(limit, *refs))
+                # one walk yields every kind asked for, in that order;
+                # beside the statistics the prime flags are cleared too,
+                # at the strikes of q = p (the entry for 1 stands for 2)
+                segs = list(prime_power_sieve(limit, *refs, "prime"))
                 assert [len(g[0]) for g in segs[:-1]] == \
                     [size] * (len(segs) - 1)
+                want = _monolithic_flags(limit)[1::2]
+                want[0] = True
+                assert np.concatenate([g[-1] for g in segs]).tolist() == \
+                    want.tolist(), limit
                 for j, (kind, ref) in enumerate(refs.items()):
                     got = np.concatenate([g[j] for g in segs])
                     assert got.tolist() == ref[1:limit + 1:2].tolist(), \
@@ -679,16 +687,19 @@ class TestPrimePowerSieve:
         assert len(ns) > 2 * 6541 and max(ns) == arith.MAX_KERNEL_LIMIT
 
     @pytest.mark.parametrize("kinds, itemsize", [
-        ("omega", 1), ("maxpp", 4), ("rest", 0), ("maxpp,rest", 4)])
+        ("omega", 1), ("maxpp", 4), ("rest", 0), ("maxpp,rest", 4),
+        ("prime", 1)])
     def test_one_scratch_array_per_segment(self, kinds, itemsize,
                                            monkeypatch):
-        # a segment holds the int8 or uint32 statistics asked for and
-        # one uint32 copy of its n, handed out itself as "rest".  The
-        # margin covers the kernel's list of prime powers, omega's bool
-        # compare and the previous segment while the next is allocated:
-        # the peak passed (itemsize + 4) bytes per segment entry by up
-        # to 2.7 bytes here, and by 5.3 to 6.7 with a uint32 smooth
-        # product and a second copy of n
+        # a segment holds the int8, bool or uint32 kinds asked for and,
+        # unless "prime" is the only one, one uint32 copy of its n,
+        # handed out itself as "rest".  The margin covers the kernel's
+        # list of prime powers, omega's bool compare and the previous
+        # segment while the next is allocated: the peak passed
+        # (itemsize + 4) bytes per segment entry by up to 2.7 bytes
+        # here ("prime" alone, with no rest, peaked at 1.6 bytes), and
+        # by 5.3 to 6.7 with a uint32 smooth product and a second copy
+        # of n
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 1 << 16)
         monkeypatch.setattr(arith, "_cache", dict(arith._cache))
         limit = 32 * arith.SEGMENT_SIZE + 1
@@ -702,7 +713,8 @@ class TestPrimePowerSieve:
         finally:
             tracemalloc.stop()
         margin = 4 * arith.SEGMENT_SIZE
-        assert peak < (itemsize + 4) * arith.SEGMENT_SIZE + margin, \
+        rest = 0 if kinds == "prime" else 4
+        assert peak < (itemsize + rest) * arith.SEGMENT_SIZE + margin, \
             peak / arith.SEGMENT_SIZE
 
     def test_dtypes(self):

@@ -416,6 +416,14 @@ class TestExitCodes:
             assert report["count"] == sum(len(arith.trial_factor(n)) == 1
                                           for n in ns)
 
+    def test_target_past_the_ssize_t_range(self, capsys):
+        # the unit loop runs over range(int(x)), which takes any int;
+        # a repeat of 10^5000 units once overflowed and exited 3
+        rc = main(["decompose", "--target", "1e5000", "--shift", "1",
+                   "--max-prime", "1000"])
+        assert rc == 1
+        assert "internal error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("lemma", [
         ["--lemma", "1", "--epsilon", "0.3"],
         ["--lemma", "2", "--delta", "0.3"],

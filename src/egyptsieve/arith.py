@@ -2,11 +2,12 @@
 segments (``prime_power_sieve``: the prime flags and the prime-power
 statistics), each segment started from patterns of one 3 5 7 11 13
 wheel (``_wheel``) so that only larger primes and prime powers strike,
-the primes read off its "prime" kind (``prime_segments``), one array
-cache (every prime list is a slice of the int32 ``prime_array``),
-prime-power statistics gathered at any n in one walk of the kernel with
-no table (``_gather``), factorization into (prime, exponent) pairs, li,
-exact reciprocal sums.
+one prime path (``prime_array`` alone reads the "prime" kind, into the
+one cached int32 array: every prime list, ``sieve_primes``' too, is it
+or a slice of it), prime-power statistics gathered at any n in one walk
+of the kernel with no table (``_gather``), one capacity limit
+(MAX_ARRAY_LIMIT, for the arrays and the walks of the kernel),
+factorization into (prime, exponent) pairs, li, exact reciprocal sums.
 
 Everything here is deterministic.  Rationals are ``fractions.Fraction``:
 exact, always in lowest terms, positive denominator.  Exact sums run no
@@ -73,12 +74,10 @@ _MR_WITNESSES = tuple((psi, _SMALL_PRIMES[:k]) for psi, k in (
 ))
 
 SEGMENT_SIZE = 1 << 20       # numbers per segment of the sieve kernel
-# prime_array and the n = p - h of spectrum._shifted_primes reach only
+# prime_array, every walk of the sieve kernel (so the odd part of every
+# gathered n) and the n = p - h of spectrum._shifted_primes reach only
 # to here, so int32 holds them
 MAX_ARRAY_LIMIT = 5 * 10 ** 8
-# prime_power_sieve's uint32 copy of the n, and so every sieved prime
-# and every gathered n, reaches only to here
-MAX_KERNEL_LIMIT = (1 << 32) - 1
 # trial_factor divides by the primes of prime_array up to here
 TRIAL_PRIME_BOUND = 10 ** 6
 # integers up to this many bits are written in decimal, longer ones in
@@ -235,40 +234,13 @@ def _wheel(seg: np.ndarray, lo: int, pattern: np.ndarray, op) -> None:
     op(seg[end:], pattern[:len(seg) - end])
 
 
-def prime_segments(limit: int):
-    """Yield the primes in [2, limit] as one increasing int64 array per
-    segment of ``prime_power_sieve(limit, "prime")``: entry i of a
-    segment from lo stands for n = lo + 2i, and the first's entry for 1
-    for 2.  A limit that ``_exact_ints`` refuses or below 2 raises
-    DomainError, and one past MAX_KERNEL_LIMIT CapacityError."""
-    (limit,) = _exact_ints((limit,), "sieve limit")
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    lo = 1
-    for seg, in prime_power_sieve(limit, "prime"):
-        primes = np.flatnonzero(seg)
-        primes *= 2
-        primes += lo
-        if lo == 1:
-            primes[0] = 2
-        lo += 2 * len(seg)
-        yield primes
-
-
-def sieve_primes(limit: int):
-    """Yield the primes in [2, limit], increasing, as Python ints, one
-    segment of ``prime_segments`` converted at a time."""
-    for primes in prime_segments(limit):
-        yield from primes.tolist()
-
-
 # the kinds of prime_power_sieve that _gather reads, with their dtypes
 _KINDS = {"omega": np.int8, "maxpp": np.uint32, "rest": np.uint32}
 
 
 def prime_power_sieve(limit: int, *kinds: str):
     """Yield, for the odd n <= limit (``_exact_ints``, at most
-    MAX_KERNEL_LIMIT), one tuple per segment of SEGMENT_SIZE odd n =
+    MAX_ARRAY_LIMIT), one tuple per segment of SEGMENT_SIZE odd n =
     lo + 2i from lo = 1 holding an array of each kind asked for, in that
     order: omega(n) (kind "omega", int8), the largest prime power
     exactly dividing n ("maxpp", uint32), the prime factor of n above
@@ -298,8 +270,7 @@ def prime_power_sieve(limit: int, *kinds: str):
         raise DomainError(f"unknown kinds {kinds!r}")
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    if limit > MAX_KERNEL_LIMIT:
-        raise CapacityError(f"limit {limit} exceeds the uint32 range")
+    _check_array_limit("sieve", limit)
     # a statistic asked for: rest is built, and every p^k strikes
     stats = set(kinds) != {"prime"}
     base = prime_array(isqrt(limit))[1:].tolist()
@@ -374,7 +345,7 @@ def _chunks(arr: np.ndarray):
 def _gather(xs: np.ndarray, h: int, *kinds: str) -> list[np.ndarray]:
     """The ``prime_power_sieve`` kinds at n = x - h for each entry x of a
     sorted integer array (the int32 primes, or any sorted n at h = 0)
-    with 0 <= x - h <= MAX_KERNEL_LIMIT in its dtype, one array per kind
+    with 0 <= x - h < 2^32 in its dtype, one array per kind
     (n = 0 reads 0), in one walk of the kernel and with no array of the
     n.  Each n >= 1 is 2^v u, u odd: omega(n) = omega(u) + (v > 0),
     maxpp(n) = max(2^v, maxpp(u)) and rest(n) = rest(u); the v fill an
@@ -384,12 +355,14 @@ def _gather(xs: np.ndarray, h: int, *kinds: str) -> list[np.ndarray]:
     and hi 2^v + h, found by searchsorted with the bounds clipped to the
     xs' dtype (a wider needle would copy them).  The outputs and the int8
     v are the only arrays as long as the xs.  Empty xs walk nothing; an
-    n past MAX_KERNEL_LIMIT raises CapacityError before the walk."""
+    n from 2^32 on, whose 2^v would pass the uint32 outputs, raises
+    CapacityError before the walk, and a u past MAX_ARRAY_LIMIT the
+    kernel's CapacityError before it builds anything."""
     outs = [np.zeros(len(xs), dtype=_KINDS[k]) for k in kinds]
     if len(xs) == 0:
         return outs
     last = int(xs[-1]) - h
-    if last > MAX_KERNEL_LIMIT:
+    if last >> 32:
         raise CapacityError(f"n = {last} exceeds the uint32 range")
     v = np.empty(len(xs), dtype=np.int8)
     top = 0
@@ -483,7 +456,8 @@ def li_approx(n: int) -> float:
         return float(total)
 
 
-_cache: dict[tuple[str, int], np.ndarray] = {}
+# the one prime array held, {its limit: the array}, at most one entry
+_cache: dict[int, np.ndarray] = {}
 
 
 def _check_array_limit(kind: str, limit: int) -> None:
@@ -493,37 +467,6 @@ def _check_array_limit(kind: str, limit: int) -> None:
                             f"{MAX_ARRAY_LIMIT} limit")
 
 
-def _cached(kind: str, limit: int, build) -> np.ndarray:
-    """build(limit), cached per kind (``prime_array``'s "primes" is the
-    only one).  The one sorted array kept for a kind serves its own
-    limit as it is (no search: ``trial_factor`` asks for it on every
-    call) and every smaller limit as the slice up to its last entry
-    <= limit.  A build for a larger limit replaces it: the held array is
-    dropped before the build starts, so the two are never alive together
-    through the cache.  A build may itself ask for a smaller array of its
-    kind (the kernel's base primes); whatever that left is dropped when
-    the build returns.  Stored arrays are read-only, and so are the
-    slices handed out; a slice's search takes limit in the array's
-    dtype, so it copies nothing.  A build above MAX_ARRAY_LIMIT raises
-    CapacityError."""
-    if limit < 0:
-        raise DomainError(f"limit must be >= 0, got {limit}")
-    held = next((n for k, n in _cache if k == kind), -1)
-    if held >= limit:
-        arr = _cache[(kind, held)]
-        if held == limit:
-            return arr
-        return arr[:np.searchsorted(arr, arr.dtype.type(limit), "right")]
-    _check_array_limit(kind, limit)
-    _cache.pop((kind, held), None)
-    arr = build(limit)
-    arr.flags.writeable = False
-    for key in [key for key in _cache if key[0] == kind]:
-        del _cache[key]
-    _cache[(kind, limit)] = arr
-    return arr
-
-
 def _prime_bound(n: int) -> int:
     """An upper bound on pi(n) for n >= 2: pi(x) < 1.25506 x / log x for
     x > 1 (Rosser and Schoenfeld, Illinois J. Math. 6, 1962)."""
@@ -531,25 +474,63 @@ def _prime_bound(n: int) -> int:
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit as an int32 array (empty below 2): the int64
-    segments of ``prime_segments`` are written in turn into an int32
-    ``_prime_bound`` buffer, whose unwritten tail is never touched
-    (cached, read-only; RuntimeError if they pass its end).  int32 holds
-    every entry, since ``_cached`` builds no array past MAX_ARRAY_LIMIT
-    < 2^31.  A reader searches it with a needle of its dtype (a wider
-    one would copy it) and widens only a slice."""
-    def build(n):
-        if n < 2:
-            return np.empty(0, dtype=np.int32)
-        out, k = np.empty(_prime_bound(n), np.int32), 0
-        for seg in prime_segments(n):
-            if k + len(seg) > len(out):
-                raise RuntimeError(f"segments to {n} overflow {len(out)}")
-            out[k:k + len(seg)] = seg
-            k += len(seg)
-        return out[:k]
+    """All primes <= limit as a read-only int32 array (empty below 2),
+    the one reader of ``prime_power_sieve(limit, "prime")``: each
+    segment from lo is read as flatnonzero * 2 + lo, its entry for 1
+    standing for 2, straight into an int32 ``_prime_bound`` buffer whose
+    unwritten tail is never touched (RuntimeError if the primes pass its
+    end).  int32 holds every entry, as no array past MAX_ARRAY_LIMIT
+    < 2^31 is built (CapacityError before any walk); a negative limit
+    raises DomainError.
 
-    return _cached("primes", limit, build)
+    One array is held in ``_cache``.  It serves its own limit as it is
+    (no search: ``trial_factor`` asks for it on every call) and every
+    smaller limit as the read-only slice up to its last prime <= limit,
+    found with a needle of its dtype, so nothing is copied.  A larger
+    limit drops it before the build starts, so the two are never alive
+    together through the cache; whatever the build's own base primes
+    left there is dropped when it returns."""
+    if limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
+    held = next(iter(_cache), -1)
+    if held >= limit:
+        arr = _cache[held]
+        if held == limit:
+            return arr
+        return arr[:np.searchsorted(arr, arr.dtype.type(limit), "right")]
+    _check_array_limit("prime", limit)
+    _cache.clear()
+    arr = np.empty(_prime_bound(limit) if limit > 1 else 0, np.int32)
+    k, lo = 0, 1
+    # below 2 nothing is walked: the kernel's entry for 1 stands for 2
+    for seg, in prime_power_sieve(limit, "prime") if limit > 1 else ():
+        at = np.flatnonzero(seg)
+        if k + len(at) > len(arr):
+            raise RuntimeError(f"segments to {limit} overflow {len(arr)}")
+        got = arr[k:k + len(at)]
+        got[:] = at
+        got *= 2
+        got += lo
+        if lo == 1:
+            got[0] = 2
+        k += len(at)
+        lo += 2 * len(seg)
+    arr = arr[:k]
+    arr.flags.writeable = False
+    _cache.clear()
+    _cache[limit] = arr
+    return arr
+
+
+def sieve_primes(limit: int):
+    """Yield the primes in [2, limit], increasing, as Python ints, one
+    ``_chunks`` slice of ``prime_array(limit)`` converted at a time.  A
+    limit that ``_exact_ints`` refuses or below 2 raises DomainError."""
+    (limit,) = _exact_ints((limit,), "sieve limit")
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    for primes in _chunks(prime_array(limit)):
+        yield from primes.tolist()
 
 
 def _pairwise(items: list, merge, empty):

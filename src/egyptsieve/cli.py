@@ -78,7 +78,9 @@ def _as_int(key: str, val) -> int:
 
 
 def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
-    """defaults < config file < explicitly set CLI flags."""
+    """defaults < config file < explicitly set CLI flags; the int fields
+    read by ``_as_int``, the paths (out, primes_out, cert, grid) as
+    strings and format as json or csv, else DomainError."""
     merged = dict(_DEFAULTS)
     if config_path:
         try:
@@ -98,6 +100,12 @@ def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     for key in _INT_FIELDS:
         if merged[key] is not None:
             merged[key] = _as_int(key, merged[key])
+    for key in ("out", "primes_out", "cert", "grid"):
+        if not isinstance(merged[key], (str, type(None))):
+            raise DomainError(f"{key} must be a path, got {merged[key]!r}")
+    if merged["format"] not in ("json", "csv"):
+        raise DomainError(f"format must be json or csv, "
+                          f"got {merged['format']!r}")
     return RunConfig(**merged)
 
 

@@ -256,9 +256,10 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     (``_shifted_primes``), so no array of the n = p - h is built: the
     int8 omega array is the only one as long as the primes beside the
     gather's int8 v array and one kernel segment.  The omega sums are
-    exact integers counted per omega value, combined with the loglog N
-    center in one float step at the end.  N is read by
-    ``arith._exact_ints``."""
+    exact integers counted per omega value, by ``np.bincount`` over one
+    ``arith._chunks`` slice at a time (it copies its input to intp), and
+    combined with the loglog N center in one float step at the end.  N
+    is read by ``arith._exact_ints``."""
     (N,) = _exact_ints((N,), "N")
     if N < 100:
         raise DomainError("need N >= 100")
@@ -267,7 +268,8 @@ def halberstam_variance(N: int, shift: ShiftParams) -> float:
     if len(ps) == 0:
         return 0.0
     (om,) = _gather(ps, shift.h, "omega")
-    counts = [int(np.count_nonzero(om == k)) for k in range(om.max() + 1)]
+    top = int(om.max()) + 1
+    counts = sum(np.bincount(c, minlength=top) for c in _chunks(om)).tolist()
     s1 = sum(k * c for k, c in enumerate(counts))
     s2 = sum(k * k * c for k, c in enumerate(counts))
     c = math.log(math.log(N))

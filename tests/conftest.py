@@ -26,16 +26,16 @@ def shift_plus1():
 
 
 @contextlib.contextmanager
-def kernel_walks():
+def kernel_walks(prime=False):
     """The (limit, kinds) of each arith.prime_power_sieve walk of the
     statistic kinds (``arith._KINDS``, the walks ``_gather`` starts)
-    inside the block, in order; the walks of prime builds, kind "prime",
-    are not recorded."""
+    inside the block, in order; with prime=True, those of the prime
+    builds (kind "prime", the walks ``prime_array`` starts) instead."""
     walks = []
     kernel = arith.prime_power_sieve
 
     def spy(limit, *kinds):
-        if "prime" not in kinds:
+        if ("prime" in kinds) == prime:
             walks.append((limit, kinds))
         return kernel(limit, *kinds)
 

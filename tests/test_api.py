@@ -81,14 +81,14 @@ SIGNATURES = {
 
 # The functions and integer constants arith defines without a leading
 # underscore: a public door into arith is a one-line diff here, so one
-# that only tests reach is a reviewed addition.  The primes come from
-# the one kernel, so prime_segments and sieve_primes refuse limits past
-# its MAX_KERNEL_LIMIT = 2^32 - 1 and no base-prime budget is kept.
+# that only tests reach is a reviewed addition.  prime_array is the one
+# reader of the kernel's primes (sieve_primes reads it, and no segment
+# stream is public), and MAX_ARRAY_LIMIT is the one capacity limit of
+# the arrays, the kernel and the gather.
 ARITH_PUBLIC = [
-    "MAX_ARRAY_LIMIT", "MAX_DECIMAL_BITS",
-    "MAX_KERNEL_LIMIT", "SEGMENT_SIZE", "TRIAL_PRIME_BOUND",
-    "balanced_product", "is_prime", "li_approx", "prime_array",
-    "prime_power_sieve", "prime_segments", "sieve_primes", "trial_factor",
+    "MAX_ARRAY_LIMIT", "MAX_DECIMAL_BITS", "SEGMENT_SIZE",
+    "TRIAL_PRIME_BOUND", "balanced_product", "is_prime", "li_approx",
+    "prime_array", "prime_power_sieve", "sieve_primes", "trial_factor",
 ]
 
 

@@ -22,7 +22,6 @@ from egyptsieve.arith import (
     li_approx,
     prime_array,
     prime_power_sieve,
-    prime_segments,
     sieve_primes,
     trial_factor,
 )
@@ -108,6 +107,31 @@ class TestSievePrimes:
         with pytest.raises(CapacityError):
             list(sieve_primes((1 << 28) ** 2))
 
+    def test_past_the_array_limit_refused_before_any_walk(self, monkeypatch):
+        # MAX_ARRAY_LIMIT is the one limit: sieve_primes and the kernel
+        # refuse one past it before any prime or statistic walk, and
+        # before the kernel builds its base primes
+        monkeypatch.setattr(arith, "_cache", {})
+        kernel = arith.prime_power_sieve
+        limit = arith.MAX_ARRAY_LIMIT + 1
+        with kernel_walks(prime=True) as primes, kernel_walks() as stats:
+            with pytest.raises(CapacityError):
+                list(sieve_primes(limit))
+            for kinds in (("prime",), ("omega",), ("maxpp", "rest")):
+                with pytest.raises(CapacityError):
+                    next(kernel(limit, *kinds))
+        assert primes == stats == [] and arith._cache == {}
+
+    def test_reads_the_held_array(self, monkeypatch):
+        # after prime_array(L), sieve_primes(L) and every smaller limit
+        # walk the kernel no more: they read the held array
+        monkeypatch.setattr(arith, "_cache", {})
+        held = prime_array(10 ** 5)
+        with kernel_walks(prime=True) as walks:
+            assert list(sieve_primes(10 ** 5)) == held.tolist()
+            assert list(sieve_primes(1000)) == _naive_primes_to(1000)
+        assert walks == [] and list(arith._cache) == [10 ** 5]
+
     def test_against_trial_division(self):
         assert list(sieve_primes(10 ** 4)) == \
             [n for n in range(2, 10 ** 4 + 1) if naive_is_prime(n)]
@@ -118,16 +142,20 @@ class TestSievePrimes:
         assert count == int(_monolithic_flags(10 ** 6).sum())
 
     def test_segment_boundaries(self, monkeypatch):
-        # tiny segments force many boundary crossings
+        # tiny segments force many boundary crossings, in a cold build
         whole = list(sieve_primes(10 ** 4))
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(arith, "_cache", {})
         assert list(sieve_primes(10 ** 4)) == whole
 
     def test_python_ints_at_segment_edges(self, monkeypatch):
         # a segment of 64 odd candidates starting at 1 ends at 127; the
-        # limits sit on and one past the first and fifth boundaries
+        # limits sit on and one past the first and fifth boundaries,
+        # each in a cold build
         monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(arith, "_cache", {})
         for limit in (127, 128, 129, 130, 639, 640, 641, 642):
+            arith._cache.clear()
             got = list(sieve_primes(limit))
             assert got == _naive_primes_to(limit)
             assert all(type(p) is int for p in got)
@@ -145,52 +173,54 @@ class TestSievePrimes:
 
 
 class TestPrimeSegments:
+    """Cold prime_array builds, each reading the kernel's "prime" segments
+    into its int32 buffer, under small segment sizes."""
+
     def test_every_limit_to_700(self, monkeypatch):
+        monkeypatch.setattr(arith, "_cache", {})
         for limit in range(701):
-            if limit < 2:
-                assert prime_array(limit).tolist() == []
-                with pytest.raises(DomainError):
-                    list(prime_segments(limit))
-                continue
-            arith._cache.clear()
-            assert prime_array(limit).tolist() == _naive_primes_to(limit)
-            for size in (64, 65, 100, *_WHEEL_SIZES[2:]):
+            for size in (64, 65, 100, *_WHEEL_SIZES[2:], 1 << 20):
                 monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
-                segs = list(prime_segments(limit))
-                assert all(s.dtype == np.int64 for s in segs)
-                # one segment per block of `size` odd numbers up to limit
-                assert len(segs) == -(-((limit + 1) // 2) // size)
-                got = np.concatenate(segs).tolist()
-                assert got == _naive_primes_to(limit), (limit, size)
+                arith._cache.clear()
+                got = prime_array(limit)
+                assert got.dtype == np.int32
+                assert got.tolist() == _naive_primes_to(limit), (limit, size)
 
     def test_first_five_segment_boundaries(self, monkeypatch):
+        monkeypatch.setattr(arith, "_cache", {})
         for size in (64, 65, 100):
             monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
             # segment k - 1 ends at the odd number 2 size k - 1
             for k in range(1, 6):
                 last = 2 * size * k - 1
                 for limit in (last - 1, last, last + 1):
-                    got = np.concatenate(list(prime_segments(limit)))
-                    assert got.tolist() == _naive_primes_to(limit), \
-                        (limit, size)
+                    arith._cache.clear()
+                    assert prime_array(limit).tolist() == \
+                        _naive_primes_to(limit), (limit, size)
 
     def test_wheel_period_offsets(self, monkeypatch):
-        # the segments and a cold prime_array against the naive primes
         monkeypatch.setattr(arith, "_cache", {})
         for size in _WHEEL_SIZES:
             monkeypatch.setattr(arith, "SEGMENT_SIZE", size)
             for limit in _WHEEL_LIMITS:
-                want = _naive_primes_to(limit)
-                got = np.concatenate(list(prime_segments(limit)))
-                assert got.tolist() == want, (limit, size)
                 arith._cache.clear()
-                assert prime_array(limit).tolist() == want, (limit, size)
+                assert prime_array(limit).tolist() == \
+                    _naive_primes_to(limit), (limit, size)
 
-    def test_domain(self):
-        # past the kernel's uint32 range, 2^32 - 1
-        for limit in ((1 << 28) ** 2, 1 << 32):
+    def test_domain(self, monkeypatch):
+        # past MAX_ARRAY_LIMIT, the package's one capacity limit, and
+        # past the int32 and uint32 ranges; nothing is built or dropped
+        monkeypatch.setattr(arith, "_cache", {})
+        prime_array(100)
+        for limit in (arith.MAX_ARRAY_LIMIT + 1, 1 << 31, 1 << 32,
+                      (1 << 28) ** 2):
             with pytest.raises(CapacityError):
-                list(prime_segments(limit))
+                prime_array(limit)
+            with pytest.raises(CapacityError):
+                list(sieve_primes(limit))
+        assert list(arith._cache) == [100]
+        with pytest.raises(DomainError):
+            prime_array(-1)
 
 
 class TestPrimeCache:
@@ -219,10 +249,9 @@ class TestPrimeCache:
         arith._cache.clear()
         prime_array(1000)
         prime_array(3000)
-        assert [k for k in arith._cache if k[0] == "primes"] == \
-            [("primes", 3000)]
+        assert list(arith._cache) == [3000]
         # its own limit is served as the kept array, with no search
-        assert prime_array(3000) is arith._cache[("primes", 3000)]
+        assert prime_array(3000) is arith._cache[3000]
 
     def test_larger_build_drops_the_held_table_first(self, monkeypatch):
         # the held primes to N are dropped before the build to 4N starts,
@@ -240,7 +269,7 @@ class TestPrimeCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert list(arith._cache) == [("primes", 4 * n)]
+        assert list(arith._cache) == [4 * n]
         assert peak < 4 * arith._prime_bound(4 * n) + held // 2, peak
 
     def test_nested_builds_leave_one_entry(self):
@@ -248,8 +277,7 @@ class TestPrimeCache:
         # asks for those to 31, and so on down to 2
         arith._cache.clear()
         arr = prime_array(10 ** 6)
-        assert [k for k in arith._cache if k[0] == "primes"] == \
-            [("primes", 10 ** 6)]
+        assert list(arith._cache) == [10 ** 6]
         assert len(arr) == 78498
 
     def test_negative_limit_refused_when_cached(self):
@@ -258,13 +286,11 @@ class TestPrimeCache:
             prime_array(-5)
 
     def test_over_cap_refused_before_building(self):
-        def build(n):
-            raise AssertionError(f"built to {n}")
-
-        before = set(arith._cache)
-        with pytest.raises(CapacityError):
-            arith._cached("primes", arith.MAX_ARRAY_LIMIT + 1, build)
-        assert set(arith._cache) == before
+        before = list(arith._cache)
+        with kernel_walks(prime=True) as walks:
+            with pytest.raises(CapacityError):
+                prime_array(arith.MAX_ARRAY_LIMIT + 1)
+        assert walks == [] and list(arith._cache) == before
 
     def test_read_only(self):
         arith._cache.clear()
@@ -295,8 +321,8 @@ class TestPrimeCache:
             prime_array(1000)
 
     def test_int32_holds_every_cached_prime(self):
-        # _cached builds no array past MAX_ARRAY_LIMIT, so every prime,
-        # and every p - h a report reads, fits int32
+        # prime_array builds no array past MAX_ARRAY_LIMIT, so every
+        # prime, and every p - h a report reads, fits int32
         assert arith.MAX_ARRAY_LIMIT <= np.iinfo(np.int32).max
         for limit in (1, 100, 10 ** 6):
             assert prime_array(limit).dtype == np.int32
@@ -317,11 +343,11 @@ class TestPrimeCache:
         assert peak < 4096, peak
 
     def test_cold_build_peak_memory(self, monkeypatch):
-        # the segments are written into one int32 buffer of
+        # the segments are read into one int32 buffer of
         # _prime_bound(limit) entries, about 1.18 times the final array
-        # at 10^8, beside one segment's scratch: its bool array and the
-        # int64 primes of it and of the segment before, 3.29
-        # SEGMENT_SIZE bytes measured.  An int64 buffer, or a list of
+        # at 10^8, beside one segment's scratch: its bool flags, the
+        # int64 indices of its primes and the kernel's strike lists,
+        # 3.52 SEGMENT_SIZE bytes measured.  An int64 buffer, or a list of
         # segments joined by np.concatenate, peaks near twice it.  A
         # fresh cache makes the build cold and is discarded afterwards
         monkeypatch.setattr(arith, "_cache", {})
@@ -569,8 +595,7 @@ class TestTrialFactor:
         # trial_factor keeps no prime list of its own: it reads the one
         # prime_array holds, here a stand-in that stops at 5
         fake = np.array([2, 3, 5], dtype=np.int64)
-        monkeypatch.setattr(arith, "_cache",
-                            {("primes", arith.TRIAL_PRIME_BOUND): fake})
+        monkeypatch.setattr(arith, "_cache", {arith.TRIAL_PRIME_BOUND: fake})
         assert trial_factor(360) == ((2, 3), (3, 2), (5, 1))
         assert trial_factor(2 * 53) == ((2, 1), (53, 1))
         assert trial_factor(3) == ((3, 1),)
@@ -669,13 +694,14 @@ class TestPrimePowerSieve:
     def test_inverse_strike_near_2_32(self):
         # each strike of p multiplies rest by p^-1 mod 2^32 in uint32;
         # no walk reaches 2^32 here, so the identity is checked at the
-        # largest odd multiple n <= MAX_KERNEL_LIMIT of each odd p^k with
+        # largest odd multiple n <= 2^32 - 1 of each odd p^k with
         # p <= 65535: n * p^-1 is n / p exactly
+        top = (1 << 32) - 1
         ns, invs, ps = [], [], []
         for p in prime_array(65535)[1:].tolist():
             q = p
-            while q <= arith.MAX_KERNEL_LIMIT:
-                m = arith.MAX_KERNEL_LIMIT // q
+            while q <= top:
+                m = top // q
                 ns.append((m - (m % 2 == 0)) * q)
                 invs.append(pow(p, -1, 1 << 32))
                 ps.append(p)
@@ -684,7 +710,7 @@ class TestPrimePowerSieve:
         rest *= np.array(invs, dtype=np.uint32)
         assert rest.tolist() == [n // p for n, p in zip(ns, ps)]
         # every p^2 is below 2^32, and 3 divides 2^32 - 1 itself
-        assert len(ns) > 2 * 6541 and max(ns) == arith.MAX_KERNEL_LIMIT
+        assert len(ns) > 2 * 6541 and max(ns) == top
 
     @pytest.mark.parametrize("kinds, itemsize", [
         ("omega", 1), ("maxpp", 4), ("rest", 0), ("maxpp,rest", 4),
@@ -734,8 +760,8 @@ class TestPrimePowerSieve:
             for kind in arith._KINDS:
                 arith._cache.clear()
                 read(kind)
-                (other, n), = arith._cache
-                assert other == "primes" and n <= math.isqrt(limit)
+                (n,) = arith._cache
+                assert n <= math.isqrt(limit)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -744,8 +770,9 @@ class TestPrimePowerSieve:
             next(prime_power_sieve(10, "spf"))
         with pytest.raises(DomainError):
             next(prime_power_sieve(10))
-        with pytest.raises(CapacityError):
-            next(prime_power_sieve(2 ** 32, "omega"))
+        for limit in (arith.MAX_ARRAY_LIMIT + 1, 2 ** 32):
+            with pytest.raises(CapacityError):
+                next(prime_power_sieve(limit, "omega"))
 
     @pytest.mark.parametrize("limit", [1000.5, 1000.0, True, "1000"])
     def test_limit_read_exactly(self, limit):
@@ -798,15 +825,20 @@ class TestPrimePowerAt:
         assert walks == [] and arith._cache == {}
 
     def test_past_array_limit_refused_before_building(self, monkeypatch):
-        # past MAX_KERNEL_LIMIT, the reach of the uint32 output arrays:
-        # 2^32 has odd part 1, within the kernel's walk, but its 2^v
-        # passes the uint32 outputs
+        # an odd part past MAX_ARRAY_LIMIT, the kernel's one capacity
+        # limit, is refused by the kernel before it builds its base
+        # primes; 2^32 has odd part 1, within the walk, but its 2^v
+        # passes the uint32 outputs, and the gather refuses it before it
+        # starts the kernel
         monkeypatch.setattr(arith, "_cache", {})
+        odd = arith.MAX_ARRAY_LIMIT + 1
         with kernel_walks() as walks:
             for kind in arith._KINDS:
-                with pytest.raises(CapacityError):
-                    _at(np.array([3, arith.MAX_KERNEL_LIMIT + 1]), kind)
-        assert walks == [] and arith._cache == {}
+                for n in (odd, 1 << 32):
+                    with pytest.raises(CapacityError):
+                        _at(np.array([3, n]), kind)
+        assert walks == [(odd, (kind,)) for kind in arith._KINDS]
+        assert arith._cache == {}
 
     def test_cold_read_memory(self, monkeypatch):
         # the largest prime power at every p - 1, p <= 2e6, with nothing
@@ -841,7 +873,8 @@ class TestPrimePowerAt:
                 small = _at(_upto(1234), kind)
             assert walks == [(4999, (kind,)), (1233, (kind,))]
             assert np.array_equal(small, big[:1234])
-        assert {k for k, _ in arith._cache} == {"primes"}
+        # the base primes of the larger walk, the smaller's a slice
+        assert list(arith._cache) == [math.isqrt(4999)]
 
 
 class TestOmegaAt:

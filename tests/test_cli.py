@@ -779,6 +779,24 @@ class TestConfigPrecedence:
                          "--limit", "10"]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
 
+    @pytest.mark.parametrize("command", [
+        ["sieve", "--limit", "10"],
+        ["analyze", "--lemma", "1", "--N", "1000", "--epsilon", "0.3"],
+        ["decompose", "--target", "1"]])
+    def test_malformed_paths_and_format_exit_2(self, tmp_path, capsys,
+                                               command):
+        # a path that is no string was a TypeError from Path (exit 3),
+        # and an unknown format was written as JSON (exit 0)
+        cfgfile = tmp_path / "cfg.json"
+        for bad in ({"out": 5}, {"primes_out": 5}, {"cert": ["a"]},
+                    {"grid": {"lemma": 1}}, {"format": "xml"},
+                    {"format": None}):
+            cfgfile.write_text(json.dumps(bad))
+            assert main(["--config", str(cfgfile), *command]) == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "internal" not in err, bad
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_integral_values_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"shift": -1.0, "modulus": "1"}))

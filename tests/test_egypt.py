@@ -43,7 +43,7 @@ from egyptsieve.errors import (
 )
 from egyptsieve.reports import certificate_dict
 
-from conftest import naive_is_prime
+from conftest import kernel_walks, naive_is_prime
 
 ONE = Fraction(1)
 
@@ -1364,19 +1364,13 @@ class TestRFold:
 
     def test_certify_path_sieves_once(self, monkeypatch):
         # the trial-division primes and assembly's primes are one cached
-        # array: from a cold cache the kernel runs to 10^6 once
-        limits = []
-        segments = arith.prime_segments
-
-        def spy(limit):
-            limits.append(limit)
-            return segments(limit)
-
-        monkeypatch.setattr(arith, "prime_segments", spy)
+        # array: from a cold cache the kernel's prime walk runs to 10^6
+        # once
         monkeypatch.setattr(arith, "_cache", {})
         egypt._divisor_pool.cache_clear()
-        r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
-        assert limits.count(10 ** 6) == 1
+        with kernel_walks(prime=True) as walks:
+            r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
+        assert [limit for limit, _ in walks].count(10 ** 6) == 1
 
     @pytest.fixture
     def walks(self, monkeypatch):

@@ -80,7 +80,8 @@ def _as_int(key: str, val) -> int:
 def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     """defaults < config file < explicitly set CLI flags; the int fields
     read by ``_as_int``, the paths (out, primes_out, cert, grid) as
-    strings and format as json or csv, else DomainError."""
+    strings and format as json, or csv for analyze and sweep, the only
+    commands with a CSV output; else DomainError."""
     merged = dict(_DEFAULTS)
     if config_path:
         try:
@@ -106,6 +107,9 @@ def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     if merged["format"] not in ("json", "csv"):
         raise DomainError(f"format must be json or csv, "
                           f"got {merged['format']!r}")
+    if merged["format"] == "csv" and merged["command"] not in ("analyze",
+                                                               "sweep"):
+        raise DomainError(f"{merged['command']} has no csv output")
     return RunConfig(**merged)
 
 

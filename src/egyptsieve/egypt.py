@@ -16,8 +16,10 @@ a/k, with disjoint prime sets:
    Stages 3 and 4 run once, on the cascade's own target.
 
 Stages 1 and 3 end in one subset-sum tail over (integer weight,
-primes) items.  Each stage returns ``_Attempt`` records (part, pool,
-DP target, primes or None), never SearchExhausted.  Each public search
+primes) items, heavy first; its DP answers the target or, when that is
+smaller, the surplus of the pool over it.  Each stage returns
+``_Attempt`` records (part, pool, DP target, primes or None), never
+SearchExhausted.  Each public search
 (``decompose``, ``smooth_dp_decompose``, ``greedy_decompose``) is the
 gate, which reads h as an int, a private stage, then the independent
 verifier or SearchExhausted with the records; ``merge_by_pigeonhole``
@@ -311,10 +313,19 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     Items heavier than target can never be chosen and change no prefix's
     reachability, so they are dropped first and the DP below runs on the
     rest; the chosen positions are mapped back to the caller's indices.
-    Their gcd g divides every subset sum: a target g does not divide
-    returns None, and all below runs on weights and target over g, which
-    keeps every index list (at h = 6 each divisor-pool weight L/(p - 6)
-    keeps L's 2- and 3-parts, since p - 6 is prime to 6 for p > 3).
+    A subset hits t exactly when its complement among the kept items
+    hits the surplus S - t, S being the kept weight.  So while 0 < S - t
+    < t the question flips: the surplus is asked over the kept items in
+    reverse order, and the answer is the complement, which leans to the
+    front of the caller's order.  Each flip lowers the target and drops
+    again.  The kept lists wait on a stack and are unwound by
+    complement, highest index first; a pool of powers of two flips once
+    per item, so this is a loop, not a recursion.
+    The last round's kept weights have a gcd g that divides every subset
+    sum: a target g does not divide returns None, and all below runs on
+    weights and target over g, which keeps every index list (at h = 6
+    each divisor-pool weight L/(p - 6) keeps L's 2- and 3-parts, since
+    p - 6 is prime to 6 for p > 3).
 
     Forward pass: a big-integer bitset DP over the items in order,
     stopping at the first item that reaches target, with a snapshot
@@ -324,9 +335,9 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     target - suffix)``, as bits ``0..target - off``, and each item
     slides that window up (``_slide``).  A pool lighter than target
     returns None before any shift, and a window that empties returns
-    None at once.  Every integer either pass
-    builds is at most ``min(target, total - target) / g + 1`` bits wide,
-    total being the kept weight: however large target is, a pool whose
+    None at once.  After the flips, target is at most the surplus, so
+    every integer either pass builds is at most ``min(t, S - t) / g + 1``
+    bits wide for the caller's t and S: however large t is, a pool whose
     total barely clears it, or falls short of it, costs a few words.
 
     Backtrack: from that item down to item 0, item i is taken only when
@@ -343,10 +354,18 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
     """
     if target == 0:
         return []
-    keep = [i for i, w in enumerate(weights) if w <= target]
-    weights = [weights[i] for i in keep]
+    flips = []
+    keep = range(len(weights))
+    while True:
+        keep = [i for i in keep if weights[i] <= target]
+        kept = [weights[i] for i in keep]
+        suffix = sum(kept)
+        if not target < suffix < 2 * target:
+            break
+        flips.append(keep)
+        keep, target = keep[::-1], suffix - target
+    weights = kept
     n = len(weights)
-    suffix = sum(weights)
     if suffix < target:
         return None
     g = gcd(*weights)
@@ -404,7 +423,11 @@ def _bitset_subset_sum(weights: list[int], target: int) -> list[int] | None:
         top = base - 1
     if t != 0:
         raise RuntimeError("subset-sum backtrack lost the target")
-    return [keep[i] for i in chosen]
+    chosen = [keep[i] for i in chosen]
+    while flips:
+        taken = set(chosen)
+        chosen = [i for i in reversed(flips.pop()) if i not in taken]
+    return chosen
 
 
 def _certified(x: Fraction, h: int, primes, stage: str) -> Decomposition:
@@ -662,8 +685,11 @@ def _assembly_decompose(x: Fraction, h: int, exclude,
              if target <= _MAX_DP_TARGET and x * (limit - h) >= 1 else None)
     if items is None:
         return _Attempt("assembly", x, M, dp_target=target)
-    # light items first: the backtrack prefers early items
-    return _pool_dp("assembly", x, M, sorted(items))
+    # heavy first, as _divisor_pool orders them: the pool outweighs the
+    # target by a few percent, so the DP answers that surplus from the
+    # light end, and the certificate is the heavy rest
+    items.sort(key=lambda t: (-t[0], t[1]))
+    return _pool_dp("assembly", x, M, items)
 
 
 def _dp_moduli(t: Fraction) -> list[int]:

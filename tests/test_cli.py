@@ -797,6 +797,21 @@ class TestConfigPrecedence:
             assert err.startswith("error:") and "internal" not in err, bad
         assert list(tmp_path.iterdir()) == [cfgfile]
 
+    @pytest.mark.parametrize("command", [
+        ["sieve", "--limit", "10"],
+        ["decompose", "--target", "1"],
+        ["verify", "--cert", "cert.json"]])
+    def test_csv_format_refused_without_csv_output(self, tmp_path, capsys,
+                                                   command):
+        # sieve, decompose and verify write JSON only: a config's csv was
+        # written as JSON (exit 0) and echoed as "format": "csv"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"format": "csv"}))
+        assert main(["--config", str(cfgfile), *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "csv" in err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_integral_values_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"shift": -1.0, "modulus": "1"}))

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egyptsieve import arith, egypt
 from egyptsieve.arith import (
@@ -438,9 +440,29 @@ def _reference_subset_sum(weights, target, max_snapshots=24):
     return chosen
 
 
+def _flipped_reference(weights, target, max_snapshots=24):
+    """The reference asked each question the flips ask: while the items
+    of weight <= t weigh S with t < S < 2t, the surplus S - t over those
+    items in reverse order, answered by complement, highest index
+    first."""
+    if target == 0:
+        return []
+    keep = [i for i, w in enumerate(weights) if w <= target]
+    total = sum(weights[i] for i in keep)
+    if not target < total < 2 * target:
+        return _reference_subset_sum(weights, target, max_snapshots)
+    inner = _flipped_reference([weights[i] for i in reversed(keep)],
+                               total - target, max_snapshots)
+    if inner is None:
+        return None
+    taken = {keep[-1 - j] for j in inner}
+    return [i for i in reversed(keep) if i not in taken]
+
+
 class TestSubsetSumBacktrack:
     """The block-cached backtrack returns the per-item reference's exact
-    index list, not merely some valid subset."""
+    index list, asked each question the flips to the surplus ask, not
+    merely some valid subset."""
 
     SIZES = (1, 7, 8, 9, 16, 17, 191, 192, 193, 215, 216, 217, 239, 240, 241)
 
@@ -448,7 +470,7 @@ class TestSubsetSumBacktrack:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(egypt, "_MAX_SNAPSHOTS", max_snapshots)
             got = _bitset_subset_sum(weights, target)
-        assert got == _reference_subset_sum(weights, target, max_snapshots)
+        assert got == _flipped_reference(weights, target, max_snapshots)
         if got is not None:
             assert len(set(got)) == len(got)
             assert sum(weights[i] for i in got) == target
@@ -538,7 +560,7 @@ class TestSubsetSumBacktrack:
                 total = sum(weights)
                 for target in (rng.randrange(1, total + 1),
                                total - min(weights)):
-                    want = _reference_subset_sum(weights, target)
+                    want = _flipped_reference(weights, target)
                     for k in (2, 8, 72, 864, 1009):
                         scaled = [k * w for w in weights]
                         assert _bitset_subset_sum(scaled, k * target) == want
@@ -557,7 +579,7 @@ class TestSubsetSumBacktrack:
                 weights = [w for w, _ in smooth_pool(h, M)]
                 target = t.numerator * (M // t.denominator)
                 got = _bitset_subset_sum(weights, target)
-                assert got == _reference_subset_sum(weights, target), (h, t)
+                assert got == _flipped_reference(weights, target), (h, t)
                 shared += math.gcd(*(w for w in weights if w <= target)) > 1
                 found += got is not None
         assert shared > 60 and 20 < found < 52
@@ -652,6 +674,56 @@ class TestSubsetSumBacktrack:
                     verdicts.append(reachable)
         assert 0 < verdicts.count(True) < len(verdicts)
 
+    def test_small_surplus_slides_few_items(self, monkeypatch):
+        # 1,000 items weighing 2 % more than the target: the surplus is
+        # hit after a few dozen items, where the target itself was hit
+        # only near the end (1,942 slides before the flip)
+        rng = random.Random(20261022)
+        weights = [rng.randrange(1, 10 ** 4) for _ in range(1000)]
+        target = sum(weights) - sum(weights) // 50
+        slides = []
+        real = egypt._slide
+
+        def spy(*args):
+            slides.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(egypt, "_slide", spy)
+        got = _bitset_subset_sum(weights, target)
+        assert sum(weights[i] for i in got) == target
+        assert len(slides) < len(weights) // 10
+
+    def test_powers_of_two_flip_once_per_item(self, monkeypatch):
+        # every round's surplus is below its target, so the pool
+        # 2^0..2^1199 flips 1,199 times: a loop, no RecursionError.  The
+        # last round slides one 1-bit window; a DP on a wider one is
+        # stopped before it builds integers of 2^k bits
+        real = egypt._slide
+
+        def spy(dp, off, w, t, rest):
+            assert dp.bit_length() < 64 and w < 1 << 64
+            return real(dp, off, w, t, rest)
+
+        monkeypatch.setattr(egypt, "_slide", spy)
+        weights = [1 << k for k in range(1200)]
+        target = int("10" * 600, 2)
+        got = _bitset_subset_sum(weights, target)
+        assert got == [k for k in range(1199, -1, -1) if target >> k & 1]
+
+    @given(st.lists(st.integers(1, 300), max_size=40), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_target_and_surplus_agree(self, weights, data):
+        # a subset hits t exactly when its complement hits S - t
+        total = sum(weights)
+        target = data.draw(st.integers(0, total))
+        got = _bitset_subset_sum(weights, target)
+        other = _bitset_subset_sum(weights, total - target)
+        assert (got is None) == (other is None)
+        for want, idx in ((target, got), (total - target, other)):
+            if idx is not None:
+                assert len(set(idx)) == len(idx)
+                assert sum(weights[i] for i in idx) == want
+
     # 45/193 at h = -6 over 69549480 = 2^3 3^2 5 7 11 13 193: all 14 pool
     # weights are at most the target 16216200, p = 2 and p = 3 (d = 8 and
     # 9) keep their gcd at 1, and no subset of them hits the target
@@ -726,14 +798,15 @@ class TestDecompose:
         (1, 89, -6), (2, 107, -6), (1, 7, -6),
     )
     PINNED_SHA256 = \
-        "a9660c147f3b1fda2535a49b0c8d667519a1344149c33d444a5068c3820d488d"
+        "fd8908dda4259afd736e6c92a1b7e286c33a6e95ad3524f83924497be05661c3"
     # the 31 lines with a = 1 on their own: for them the split is the
     # unit split 1/k = 1/(k+1) + 1/(k(k+1))
     PINNED_UNIT_SHA256 = \
         "c5f74ac3cd7132dafe371869c34b07b130af80d67d49fb1d8f03c2e2a63e08dc"
 
     def test_pinned_certificates(self):
-        # a speedup must leave every certificate byte-identical
+        # every certificate is checked by sympy and an exact sum, then
+        # pinned: a change that picks other subsets must say so
         sympy = pytest.importorskip("sympy")
         lines = []
         for a, b, h in self.PINNED_TARGETS:
@@ -751,23 +824,29 @@ class TestDecompose:
 
     def test_whole_target_solved_at_once(self):
         # one DP over the first modulus hits 33/40 at both shifts
-        for h, primes in ((1, (3, 7, 11, 31, 41)), (-1, (2, 3, 7, 11, 29))):
+        sympy = pytest.importorskip("sympy")
+        for h, primes in ((1, (3, 5, 19, 61, 421, 2521)),
+                          (-1, (2, 3, 5, 13, 307, 3079))):
+            got = egypt._solve_single(Fraction(33, 40), h, set(),
+                                      egypt.DEFAULT_BUDGET)
+            assert [(a.stage, a.modulus) for a in got] == [("dp", 27720)]
             dec = decompose(Fraction(33, 40), h)
-            assert verify(dec).valid, h
-            assert dec.primes == primes, h
+            assert dec.primes == got[0].primes == primes, h
+            assert all(map(sympy.isprime, primes)), h
+            assert sum(Fraction(1, p - h) for p in primes) == \
+                Fraction(33, 40), h
 
-    # sha256 of the comma-joined primes, computed before the fractional
-    # part was solved whole and equal after
+    # sha256 of the comma-joined primes
     UNITS_CUT_OFF = (
-        (Fraction(3), 6001,
-         "ac38266b45c29270275a4459f69fe4d7bfb6ac7eb49f8344ea22738624b70a9c"),
-        (Fraction(5, 2), 24,
-         "b4c8de87613d470b3b5582f07fcf3fdfff9576763e4bab0f3af1a845b95bbc32"),
+        (Fraction(3), 499,
+         "c916d2c1ac95ff4400decc240f85b4028a8a6ba2ff583376db14e18fe515f5a9"),
+        (Fraction(5, 2), 23,
+         "b06029c2f5c5d2a49208b785fe70d508c62beaf91a21df203888251ef94e36e8"),
     )
 
     def test_integer_part_solved_unit_by_unit(self):
         # assembly takes only targets below about 2.3, so 3 at h = 1 is
-        # three disjoint 1s, the third found by assembly (5 s); solved
+        # three disjoint 1s, the third found by assembly; solved
         # whole, 3 exhausts every strategy
         sympy = pytest.importorskip("sympy")
         for x, n, digest in self.UNITS_CUT_OFF:
@@ -959,7 +1038,12 @@ class TestAttemptRecords:
             ("dp", True, True): 3, ("dp", True, False): 41,
             ("dp", False, False): 152, ("assembly", True, False): 1,
             ("greedy", False, False): 1}
-        assert _digest(got) == "2a9a3cd44fd36d67"
+        sympy = pytest.importorskip("sympy")
+        for a in got:
+            if a.primes is not None:
+                assert all(map(sympy.isprime, a.primes)), a
+                assert sum(Fraction(1, p - 1) for p in a.primes) == a.part
+        assert _digest(got) == "f990e0b919321d21"
 
     def test_split_certificate(self):
         # the pools of 2/73 at h = 6 miss; its split parts 1/37 and
@@ -1342,10 +1426,20 @@ class TestRFold:
     # depth) and the assembly stage, which test_pinned_certificates
     # does not reach
     CERTIFY_PATH_SHA256 = \
-        "9b4a19d5c2256a45bc005f7c19b60f75637591bdc1a85c08187284dbfd410ff9"
+        "ba5976066c55b73e4289bd3b6aa7113b40602a07f598820fd5ae4a34d4664046"
+
+    def _check_disjoint(self, decs, x):
+        sympy = pytest.importorskip("sympy")
+        primes = [p for d in decs for p in d.primes]
+        assert len(set(primes)) == len(primes)
+        assert all(map(sympy.isprime, primes))
+        for d in decs:
+            assert sum(Fraction(1, p - 1) for p in d.primes) == x
 
     def test_pinned_certify_path(self):
         decs = r_fold_disjoint(ONE, 1, 3, SearchBudget(max_prime=10 ** 6))
+        self._check_disjoint(decs, ONE)
+        assert [len(d.primes) for d in decs] == [1, 4, 734]
         lines = [",".join(map(str, d.primes)) for d in decs]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.CERTIFY_PATH_SHA256
@@ -1353,11 +1447,13 @@ class TestRFold:
     # the certify workload's second instance; most of its subset-sum
     # pools are lighter than their target
     CERTIFY_HALF_SHA256 = \
-        "6d28517d4067738bb02e8f77e241c5a1f007b2b9200eafc7aaac334795cb2421"
+        "da4e242232d94d95d7c2be3421915d3781e8b91f5df08c779e8fa26eaa0820b4"
 
     def test_pinned_certify_half(self):
         decs = r_fold_disjoint(Fraction(1, 2), 1, 4,
                                SearchBudget(max_prime=10 ** 6))
+        self._check_disjoint(decs, Fraction(1, 2))
+        assert [len(d.primes) for d in decs] == [1, 3, 18, 715]
         lines = [",".join(map(str, d.primes)) for d in decs]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.CERTIFY_HALF_SHA256
@@ -1509,7 +1605,9 @@ class TestAssemblyItems:
         got = egypt._assembly_decompose(x, 1, frozenset({2 ** 64 + 13}),
                                         budget)
         assert got == egypt._assembly_decompose(x, 1, frozenset(), budget)
-        assert len(got.primes) == 52
+        # 1/4 + 1/12
+        assert got.primes == (5, 13)
+        assert sum(Fraction(1, p - 1) for p in got.primes) == x
 
     def test_wide_denominators(self):
         # q_max = 94,869 <= limit, and d = p - h passes 2^32

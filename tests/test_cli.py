@@ -558,6 +558,36 @@ class TestGoldenReports:
         assert main(["sweep", "--grid", "grid.json", "--format", "csv"]) == 0
         assert self._digest(capsys) == self.SWEEP
 
+    SIEVE = ("85a3e7e7d566500cf8587403c75c5197"
+             "9c7f9d7637e1cdd427d1bdfb7a26afa9")
+    BARE_CERTIFICATE = ("9e99c7023db970bbe734e517192f3cc3"
+                        "12e871c0cdaa341d40018767c08ed8a3")
+    R_FOLD = ("c80c8b14cd9fc206f5c8f86662a198af"
+              "f77c398b4ebc76adae4677018b2d5726")
+    VERIFY = ("0ca0a67a264b4e7550cf9b22a4555ef3"
+              "9b192c603311f2e577b1a63baebf5741")
+
+    def test_sieve(self, capsys):
+        assert main(["sieve", "--limit", "1000"]) == 0
+        assert self._digest(capsys) == self.SIEVE
+
+    def test_bare_certificate(self, capsys):
+        assert main(["decompose", "--target", "5/3", "--shift", "-1",
+                     "--max-prime", "100000"]) == 0
+        assert self._digest(capsys) == self.BARE_CERTIFICATE
+
+    def test_r_fold_and_verify(self, tmp_path, monkeypatch, capsys):
+        # the certify instance, assembly included; relative paths keep
+        # the embedded out and cert free of tmp_path
+        monkeypatch.chdir(tmp_path)
+        assert main(["decompose", "--target", "1", "--shift", "1",
+                     "--r-fold", "3", "--max-prime", "1000000",
+                     "--out", "cert.json"]) == 0
+        text = strip_timestamp((tmp_path / "cert.json").read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.R_FOLD
+        assert main(["verify", "--cert", "cert.json"]) == 0
+        assert self._digest(capsys) == self.VERIFY
+
 
 class TestSieveCommand:
     def test_report_and_primes_out(self, tmp_path):

@@ -6,6 +6,11 @@ other exception, a fault in the toolkit ("internal error:" and the
 traceback go to stderr).  Every report embeds the resolved
 configuration and toolkit version; config resolution is defaults, then
 config file, then command-line flags.
+
+Each step at the boundary exists once: ``_read_object`` reads the
+config, certificate and grid files, ``_write`` renders every report to
+--out or stdout, ``_COMMANDS`` maps each command to its handler, and
+``_analyze_one`` evaluates one lemma point for analyze and sweep alike.
 """
 
 from __future__ import annotations
@@ -77,6 +82,19 @@ def _as_int(key: str, val) -> int:
     raise DomainError(f"{key} must be an integer, got {val!r}")
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; a missing file, malformed
+    JSON, an int literal past 4,300 digits or any other JSON value is a
+    DomainError naming what the file holds."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {what} file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"{what} file must hold a JSON object")
+    return doc
+
+
 def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     """defaults < config file < explicitly set CLI flags; the int fields
     read by ``_as_int``, the paths (out, primes_out, cert, grid) as
@@ -84,13 +102,7 @@ def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     commands with a CSV output; else DomainError."""
     merged = dict(_DEFAULTS)
     if config_path:
-        try:
-            loaded = json.loads(Path(config_path).read_text())
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"cannot read config file: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise DomainError("config file must hold a JSON object")
-        for key, val in loaded.items():
+        for key, val in _read_object(config_path, "config").items():
             if key not in merged:
                 raise DomainError(f"unknown config key {key!r}")
             merged[key] = val
@@ -113,18 +125,20 @@ def resolve_config(cli_args: dict, config_path: str | None) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _write(cfg: RunConfig, payload: dict, rows: list | None = None) -> None:
+    """The JSON report of payload, or under --format csv the CSV of
+    rows, with the resolved config and version, to --out or stdout."""
+    if cfg.format == "csv":
+        text = reports.render_csv(rows, cfg.as_dict(), __version__)
+    else:
+        text = reports.render_report(payload, cfg.as_dict(), __version__)
+    if cfg.out:
+        Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _budget(cfg: RunConfig) -> SearchBudget:
-    return SearchBudget(max_prime=cfg.max_prime, max_terms=cfg.max_terms)
-
-
-def _cmd_sieve(cfg: RunConfig) -> int:
+def _cmd_sieve(cfg: RunConfig, flags: dict) -> int:
     limit = cfg.limit
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -150,33 +164,49 @@ def _cmd_sieve(cfg: RunConfig) -> int:
         "count": int(len(primes)),
         "largest": int(primes[-1]) if len(primes) else None,
     }
-    _write_or_print(reports.render_report(payload, cfg.as_dict(), __version__),
-                    cfg.out)
+    _write(cfg, payload)
     return 0
 
 
-def _analyze_one(lemma: int, N: int, shift: ShiftParams, params: dict):
-    """The density report of one lemma, its parameters (epsilon, delta,
-    y, z) read from ``params``: the run config or a sweep grid point."""
-    def param(*names):
-        if any(params.get(k) is None for k in names):
-            raise DomainError(f"lemma {lemma} needs "
-                              + " and ".join(f"--{k}" for k in names))
-        try:
-            return [Fraction(str(params[k])) for k in names]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"lemma {lemma}: {exc}") from exc
-
-    if lemma == 1:
-        return friability_density(N, shift, *param("epsilon"))
-    if lemma == 2:
-        return omega_deviation_density(N, shift, *param("delta"))
-    if lemma == 3:
-        return divisor_window_density(N, shift, *param("y", "z"))
-    raise DomainError(f"unknown lemma {lemma}")
+# each lemma's report and the names of its parameters
+_LEMMAS = {1: (friability_density, ("epsilon",)),
+           2: (omega_deviation_density, ("delta",)),
+           3: (divisor_window_density, ("y", "z"))}
+# the inputs a density report reads, the keys a sweep grid may hold
+_POINT_KEYS = {"lemma", "N", "shift", "modulus",
+               *(k for _, names in _LEMMAS.values() for k in names)}
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
+def _analyze_one(point: dict):
+    """The lemma and density report of one point: the run config with
+    analyze's lemma, or a sweep grid point laid over the run config."""
+    shift = ShiftParams(_as_int("shift", point["shift"]),
+                        _as_int("modulus", point["modulus"]))
+    lemma = _as_int("lemma", point["lemma"])
+    N = _as_int("N", point["N"])
+    if lemma not in _LEMMAS:
+        raise DomainError(f"unknown lemma {lemma}")
+    report, names = _LEMMAS[lemma]
+    if any(point.get(k) is None for k in names):
+        raise DomainError(f"lemma {lemma} needs "
+                          + " and ".join(f"--{k}" for k in names))
+    try:
+        params = [Fraction(str(point[k])) for k in names]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"lemma {lemma}: {exc}") from exc
+    return lemma, report(N, shift, *params)
+
+
+def _cmd_analyze(cfg: RunConfig, flags: dict) -> int:
+    # the lemma is a flag, not a config field: the embedded config
+    # leaves it out
+    lemma, rep = _analyze_one({**cfg.as_dict(), "lemma": flags["lemma"]})
+    _write(cfg, {"lemma": lemma, "report": reports.density_report_dict(rep)},
+           reports.density_rows([rep]))
+    return 0
+
+
+def _cmd_decompose(cfg: RunConfig, flags: dict) -> int:
     """r_fold (default 1) disjoint certificates of each target, solved in
     order; one target without r_fold writes a bare certificate, anything
     else the "decompositions" list in target order.  Each certificate was
@@ -190,7 +220,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
             targets.append(Fraction(str(t)))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed target {t!r}") from exc
-    budget = _budget(cfg)
+    budget = SearchBudget(cfg.max_prime, cfg.max_terms)
     r = 1 if cfg.r_fold is None else cfg.r_fold
     decs = []
     for target in targets:
@@ -200,19 +230,12 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     else:
         payload = {"decompositions": [reports.certificate_dict(d)
                                       for d in decs]}
-    _write_or_print(reports.render_report(payload, cfg.as_dict(), __version__),
-                    cfg.out)
+    _write(cfg, payload)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    try:
-        doc = json.loads(Path(cfg.cert).read_text())
-    # ValueError: malformed JSON, or an int literal past 4,300 digits
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot read certificate: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError("certificate file must hold a JSON object")
+def _cmd_verify(cfg: RunConfig, flags: dict) -> int:
+    doc = _read_object(cfg.cert, "certificate")
     certs = doc.get("decompositions", [doc])
     if not isinstance(certs, list):
         raise DomainError("decompositions must be a JSON list")
@@ -229,18 +252,18 @@ def _cmd_verify(cfg: RunConfig) -> int:
         if res.probable_primes:
             result["probable_primes"] = res.probable_primes
         results.append(result)
-    payload = {"results": results, "all_valid": all_ok}
-    _write_or_print(reports.render_report(payload, cfg.as_dict(), __version__),
-                    cfg.out)
+    _write(cfg, {"results": results, "all_valid": all_ok})
     return 0 if all_ok else 1
 
 
 def _grid_points(grid: dict) -> list[dict]:
-    """Every point of the grid's product, keys sorted; a grid of more
-    than 10^4 points is refused from its list lengths, before any point
-    is built."""
+    """Every point of the grid's product, keys sorted; a key that is no
+    input of a density report is refused, and a grid of more than 10^4
+    points from its list lengths, before any point is built."""
     lists = {}
     for key, val in grid.items():
+        if key not in _POINT_KEYS:
+            raise DomainError(f"unknown grid key {key!r}")
         lists[key] = val if isinstance(val, list) else [val]
     if "lemma" not in lists:
         raise DomainError("grid needs a lemma")
@@ -248,39 +271,20 @@ def _grid_points(grid: dict) -> list[dict]:
     if size > 10 ** 4:
         raise DomainError(f"grid cardinality {size} exceeds 1e4")
     keys = sorted(lists)
-    combos = []
-    for values in itertools.product(*(lists[k] for k in keys)):
-        combos.append(dict(zip(keys, values)))
-    return combos
+    return [dict(zip(keys, values))
+            for values in itertools.product(*(lists[k] for k in keys))]
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    try:
-        grid = json.loads(Path(cfg.grid).read_text())
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot read grid: {exc}") from exc
-    if not isinstance(grid, dict):
-        raise DomainError("grid file must hold a JSON object")
-    points = _grid_points(grid) if grid else []
-    lemmas, reps = [], []
-    for pt in points:
-        # a grid value overrides the resolved config, lemma parameters too
-        pt = {**cfg.as_dict(), **pt}
-        shift = ShiftParams(_as_int("shift", pt["shift"]),
-                            _as_int("modulus", pt["modulus"]))
-        lemmas.append(_as_int("lemma", pt["lemma"]))
-        reps.append(_analyze_one(lemmas[-1], _as_int("N", pt["N"]), shift,
-                                 pt))
+def _cmd_sweep(cfg: RunConfig, flags: dict) -> int:
+    grid = _read_object(cfg.grid, "grid")
+    # a grid value overrides the resolved config, lemma parameters too
+    points = [_analyze_one({**cfg.as_dict(), **pt})
+              for pt in (_grid_points(grid) if grid else [])]
     # each row names its lemma first: rows of different lemmas share one
     # CSV header
-    rows = [{"lemma": lemma, **row}
-            for lemma, row in zip(lemmas, reports.density_rows(reps))]
-    if cfg.format == "csv":
-        text = reports.render_csv(rows, cfg.as_dict(), __version__)
-    else:
-        text = reports.render_report({"rows": rows}, cfg.as_dict(),
-                                     __version__)
-    _write_or_print(text, cfg.out)
+    rows = [{"lemma": lemma, **row} for (lemma, _), row in
+            zip(points, reports.density_rows(rep for _, rep in points))]
+    _write(cfg, {"rows": rows}, rows)
     return 0
 
 
@@ -334,39 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(cfg: RunConfig, lemma: int | None = None) -> int:
-    if cfg.command == "sieve":
-        return _cmd_sieve(cfg)
-    if cfg.command == "analyze":
-        shift = ShiftParams(cfg.shift, cfg.modulus)
-        rep = _analyze_one(lemma, cfg.N, shift, cfg.as_dict())
-        if cfg.format == "csv":
-            text = reports.render_csv(reports.density_rows([rep]),
-                                      cfg.as_dict(), __version__)
-        else:
-            payload = {"lemma": lemma,
-                       "report": reports.density_report_dict(rep)}
-            text = reports.render_report(payload, cfg.as_dict(), __version__)
-        _write_or_print(text, cfg.out)
-        return 0
-    if cfg.command == "decompose":
-        return _cmd_decompose(cfg)
-    if cfg.command == "verify":
-        return _cmd_verify(cfg)
-    if cfg.command == "sweep":
-        return _cmd_sweep(cfg)
-    raise DomainError(f"unknown command {cfg.command!r}")
+# each command's handler, called with the resolved config and the
+# parsed flags (analyze reads its lemma there)
+_COMMANDS = {"sieve": _cmd_sieve, "analyze": _cmd_analyze,
+             "decompose": _cmd_decompose, "verify": _cmd_verify,
+             "sweep": _cmd_sweep}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    args = vars(ns)
-    config_path = args.pop("config", None)
-    lemma = args.pop("lemma", None)
+    flags = vars(build_parser().parse_args(argv))
+    config_path = flags.pop("config", None)
     try:
-        cfg = resolve_config(args, config_path)
-        return run(cfg, lemma=lemma)
+        # resolve_config reads only the flags that are config fields
+        cfg = resolve_config(flags, config_path)
+        return _COMMANDS[cfg.command](cfg, flags)
     except (DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ can ignore it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -72,16 +73,8 @@ def fraction_from_dict(d, read=_exact_int) -> Fraction:
 
 
 def density_report_dict(rep: DensityReport) -> dict:
-    return {
-        "N": rep.N,
-        "params": dict(rep.params),
-        "count": rep.count,
-        "normalizer": rep.normalizer,
-        "relative_density": rep.relative_density,
-        "baseline": rep.baseline,
-        "reciprocal_sum": fraction_dict(rep.reciprocal_sum),
-        "excluded": rep.excluded,
-    }
+    return {**dataclasses.asdict(rep),
+            "reciprocal_sum": fraction_dict(rep.reciprocal_sum)}
 
 
 def certificate_dict(dec: Decomposition) -> dict:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import types
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import egyptsieve
-from egyptsieve import arith
+from egyptsieve import arith, cli
 from egyptsieve import (
     DomainError,
     PartialSolution,
@@ -124,6 +125,34 @@ def test_public_signatures():
     got = {name: params for name in PUBLIC
            if (params := _parameters(getattr(egyptsieve, name))) is not None}
     assert got == SIGNATURES
+
+
+# Adding or dropping a command-line flag or a config field changes its
+# line here in the same diff.
+CLI_OPTIONS = {
+    "sieve": ["config", "limit", "out", "primes_out"],
+    "analyze": ["N", "config", "delta", "epsilon", "format", "lemma",
+                "modulus", "out", "shift", "y", "z"],
+    "decompose": ["config", "max_prime", "max_terms", "out", "r_fold",
+                  "shift", "target"],
+    "verify": ["cert", "config", "out"],
+    "sweep": ["config", "format", "grid", "out"],
+}
+RUN_CONFIG_FIELDS = [
+    "command", "limit", "N", "shift", "modulus", "epsilon", "delta", "y",
+    "z", "target", "r_fold", "max_prime", "max_terms", "out", "primes_out",
+    "format", "cert", "grid",
+]
+
+
+def test_cli_options():
+    commands, = (a.choices for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
+           for name, sub in commands.items()}
+    assert got == CLI_OPTIONS
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == \
+        RUN_CONFIG_FIELDS
 
 
 _HALF = Fraction(1, 2)

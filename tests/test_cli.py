@@ -13,7 +13,6 @@ from egyptsieve import arith, cli, egypt, reports
 from egyptsieve.arith import prime_array, sieve_primes
 from egyptsieve.cli import main
 from egyptsieve.reports import certificate_from_dict
-from egyptsieve.spectrum import ShiftParams
 from egyptsieve.egypt import verify
 
 from conftest import strip_timestamp
@@ -271,11 +270,36 @@ class TestExitCodes:
             assert main(["sweep", "--grid", str(grid)]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
 
+    def test_unknown_grid_key_exits_2(self, tmp_path, capsys):
+        # checked like a config file's keys: a key no density report
+        # reads was laid over the config and ignored (exit 0)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lemma": 1, "N": 1000,
+                                    "epsilon": "0.3", "bogus": 5}))
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        assert capsys.readouterr().err == "error: unknown grid key 'bogus'\n"
+
+    @pytest.mark.parametrize("kind", ["config", "certificate", "grid"])
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "malformed", "array"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, kind,
+                                           text):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = {"config": ["--config", str(path), "sieve", "--limit", "10"],
+                "certificate": ["verify", "--cert", str(path)],
+                "grid": ["sweep", "--grid", str(path)]}[kind]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{kind} file" in err, err
+        assert "internal error" not in err
+
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
-        def fail(cfg):
+        def fail(cfg, flags):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli, "_cmd_sieve", fail)
+        monkeypatch.setitem(cli._COMMANDS, "sieve", fail)
         assert main(["sieve", "--limit", "100"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error:")
@@ -473,7 +497,9 @@ class TestAnalyze:
     def test_long_sums_written_in_hex(self, tmp_path, lemma, N, params):
         # past MAX_DECIMAL_BITS bits the sum's parts are hex; read with
         # int(s, 0) they are the report's ints, in JSON and in CSV
-        x = cli._analyze_one(lemma, N, ShiftParams(1), params).reciprocal_sum
+        _, rep = cli._analyze_one({"lemma": lemma, "N": N, "shift": 1,
+                                   "modulus": 1, **params})
+        x = rep.reciprocal_sum
         assert x.denominator.bit_length() > reports.MAX_DECIMAL_BITS
         j, c = tmp_path / "rep.json", tmp_path / "rep.csv"
         args = ["analyze", "--lemma", str(lemma), "--N", str(N),

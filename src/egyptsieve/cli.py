@@ -282,8 +282,8 @@ def _cmd_sweep(cfg: RunConfig, flags: dict) -> int:
               for pt in (_grid_points(grid) if grid else [])]
     # each row names its lemma first: rows of different lemmas share one
     # CSV header
-    rows = [{"lemma": lemma, **row} for (lemma, _), row in
-            zip(points, reports.density_rows(rep for _, rep in points))]
+    rows = [{"lemma": lemma, **reports.density_rows([rep])[0]}
+            for lemma, rep in points]
     _write(cfg, {"rows": rows}, rows)
     return 0
 

@@ -127,11 +127,6 @@ class TestDecomposeVerifyRoundTrip:
              "probable_primes": 1},
             {"valid": True, "reason": None, "primes": 4}]
 
-    def test_malformed_certificate_exits_2(self, tmp_path):
-        cert = tmp_path / "junk.json"
-        cert.write_text("{not json")
-        assert main(["verify", "--cert", str(cert)]) == 2
-
     @pytest.mark.parametrize("cert_doc", [
         # int(3.5) would read 3, and {3} is a certificate of 1/2 at h=1
         {"h": 1, "target": {"num": 1, "den": 2}, "primes": [3.5]},
@@ -212,9 +207,6 @@ class TestExitCodes:
             egypt.SearchBudget(max_terms=-5)
         assert main(["decompose", "--target", "1/2", "--shift", "1",
                      "--max-terms", "-5"]) == 2
-
-    def test_missing_grid_file(self):
-        assert main(["sweep", "--grid", "/nonexistent/grid.json"]) == 2
 
     def test_grid_point_without_lemma_parameter(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
